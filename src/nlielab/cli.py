@@ -129,6 +129,8 @@ def cmd_pairs(args, field) -> Report:
     rep = Report("pairs", config)
     if args.n < 3:
         raise ValueError("--n must be at least 3")
+    if args.xwindow < 0:
+        raise ValueError("--xwindow must be at least 0")
     prep = verify_pair(args.which, args.n, args.xwindow, field)
     for c in prep.checks:
         rep.add(c.name, c.ok, c.detail)
@@ -174,6 +176,8 @@ def cmd_charp(args, field) -> Report:
 def cmd_report(args, field) -> Report:
     config = {"xwindow": args.xwindow, "field": field.name, "seed": args.seed}
     rep = Report("report", config)
+    if args.xwindow < 0:
+        raise ValueError("--xwindow must be at least 0")
     for srep in check_splits(args.xwindow, field):
         detail = ("window %d = %d + 1, complement outside derived: %s, ideal %d/%d"
                   % (srep.dim_window, srep.dim_derived,

@@ -50,34 +50,40 @@ def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int):
 
     Brackets landing above the cap are discarded; choose the cap above
     the expected top degree so the fixpoint is meaningful.
+
+    The closure runs in semi-naive rounds (Bancilhon and Ramakrishnan
+    1986): a round brackets only the elements that grew the span in the
+    previous round, each against every element kept so far, one bracket
+    per unordered pair.  Every other pair was bracketed in an earlier
+    round, so by bilinearity each round reaches the same span as
+    bracketing every pair of a basis of the current span.
     """
     if mu.space != space:
         raise ValueError("mu must live over the given space")
     if cap < mu.degree:
         raise ValueError("cap %d cannot hold a seed of degree %d" % (cap, mu.degree))
     sub = GradedSubalgebra(space, cap)
-    for i in range(space.dim):
-        sub.insert(WElement.from_vector(space.basis_vector(i)))
-    sub.insert(mu)
+    seeds = [WElement.from_vector(space.basis_vector(i)) for i in range(space.dim)]
+    old: list = []
+    new = [w for w in seeds + [mu] if sub.insert(w)]
     trace = GenerationTrace()
     trace.rounds.append(sub.dims())
-    # closure by full pairwise rounds over a snapshot of the current basis
     for _ in range(200):
-        snapshot = []
-        for d in sub.degrees():
-            snapshot.extend(sub.basis(d))
-        grew = False
-        for i, u in enumerate(snapshot):
-            for v in snapshot[i:]:
+        grown = []
+        for i, u in enumerate(new):
+            for v in old + new[i:]:
                 d = u.degree + v.degree
                 if d < -1 or d > cap:
                     continue
-                if sub.insert(w_bracket(u, v)):
-                    grew = True
+                h = w_bracket(u, v)
+                if sub.insert(h):
+                    grown.append(h)
         trace.rounds.append(sub.dims())
-        if not grew:
+        if not grown:
             trace.reached_fixpoint = True
             break
+        old += new
+        new = grown
     return sub, trace
 
 
@@ -192,6 +198,8 @@ class AdmissiblePairReport:
 
     @property
     def admissible(self):
+        if not self.generation.reached_fixpoint:
+            return "not_decided"  # the generated algebra may be incomplete
         parts = [
             self.transitive,
             self.mu_centralizes_degree_zero,

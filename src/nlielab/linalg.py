@@ -105,16 +105,6 @@ class SparseMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def transpose(self) -> "SparseMatrix":
-        rows: list[dict] = [dict() for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, v in r.items():
-                rows[j][i] = v
-        return SparseMatrix(self.field, rows, ncols=self.nrows)
-
-    def copy(self) -> "SparseMatrix":
-        return SparseMatrix(self.field, self.rows, self.ncols)
-
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
     """Reduced row echelon form with deterministic pivoting.

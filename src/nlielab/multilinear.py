@@ -132,17 +132,6 @@ class MultiMap:
                     "value parity %r at %r violates p(f(a)) = p(f)+sum p(a_i)" % (got, key)
                 )
 
-    @classmethod
-    def from_function(cls, space, arity, parity, fn, check=True):
-        """Tabulate ``fn`` over all canonical argument tuples."""
-        from .universal import iter_multi_indices  # local import, no cycle at call time
-        table = {}
-        for key in iter_multi_indices(space, arity):
-            val = fn(key)
-            if val is not None and not val.is_zero():
-                table[key] = val
-        return cls(space, arity, parity, table, check=check)
-
     def is_zero(self) -> bool:
         return not self.table
 

@@ -165,9 +165,40 @@ def _split_sign(gpos, fpos, arg_parities) -> int:
     return -1 if n % 2 else 1
 
 
+def _box_keys(fm: MultiMap, gm: MultiMap) -> list:
+    """Sorted canonical keys at which f*g can be nonzero.
+
+    A term of (f*g)(K) is nonzero only when K splits into a key of g and
+    the rest of a key of f that lost one slot to an index in the output
+    of g at that key; merging every such pair finds all of them.
+    """
+    par = fm.space.parities
+    rests: dict = {}  # slot index -> the keys of f with that slot removed
+    for fkey in fm.table:
+        for s, i in enumerate(fkey):
+            if s and fkey[s - 1] == i:
+                continue  # the same rest as removing the previous copy
+            rests.setdefault(i, set()).add(fkey[:s] + fkey[s + 1:])
+    keys = set()
+    for gkey, val in gm.table.items():
+        for i in val.coords:
+            for rest in rests.get(i, ()):
+                key, sign = sort_with_sign_symmetric(gkey + rest, par)
+                if sign:
+                    keys.add(key)
+    return sorted(keys)
+
+
 def box(f: WElement, g: WElement) -> WElement:
     """Insertion product.  Degrees add; f*a plugs the constant a into
-    the first slot of f; a*g = 0 for constant a."""
+    the first slot of f; a*g = 0 for constant a.
+
+    Only keys that can carry a nonzero value are evaluated, and the
+    table is filled in canonical key order.  For f*a these are the keys
+    of f with one slot removed whose index lies in the support of a;
+    for f*g they come from ``_box_keys``.  Every other key has a zero
+    inner or outer factor in each term, so skipping it is exact.
+    """
     space = f.space
     p, q = f.degree, g.degree
     if p + q < -1:
@@ -181,17 +212,22 @@ def box(f: WElement, g: WElement) -> WElement:
         if p == 0:
             return WElement.from_vector(f.payload.evaluate_expand(a, ()))
         par = (f.payload.parity + (a.parity() or 0)) % 2
-        mm = MultiMap.from_function(
-            space, p, par, lambda key: f.payload.evaluate_expand(a, key), check=False
-        )
-        return WElement.from_map(mm)
+        keys = {fkey[:s] + fkey[s + 1:]
+                for fkey in f.payload.table
+                for s, i in enumerate(fkey) if i in a.coords}
+        table = {}
+        for key in sorted(keys):
+            val = f.payload.evaluate_expand(a, key)
+            if not val.is_zero():
+                table[key] = val
+        return WElement.from_map(MultiMap(space, p, par, table, check=False))
 
     fm, gm = f.payload, g.payload
     arity = p + q + 1
     parity = (fm.parity + gm.parity) % 2
     par = space.parities
     table: dict = {}
-    for key in iter_multi_indices(space, arity):
+    for key in _box_keys(fm, gm):
         arg_par = [par[i] for i in key]
         acc = space.zero()
         for gpos in combinations(range(arity), q + 1):
@@ -228,7 +264,6 @@ class GradedSubalgebra:
         self.space = space
         self.cap = cap
         self.spans: dict[int, Span] = {}
-        self._parities: dict[int, int] = {}
 
     def insert(self, w: WElement) -> bool:
         if w.is_zero() or w.degree > self.cap:
@@ -237,12 +272,7 @@ class GradedSubalgebra:
         if span is None:
             span = Span(self.space.field)
             self.spans[w.degree] = span
-        grew = span.insert(w.vectorize())
-        if grew and w.degree not in self._parities:
-            pr = w.parity()
-            if pr is not None:
-                self._parities[w.degree] = pr
-        return grew
+        return span.insert(w.vectorize())
 
     def dims(self) -> dict[int, int]:
         return {d: s.dim for d, s in sorted(self.spans.items()) if s.dim}
@@ -252,11 +282,19 @@ class GradedSubalgebra:
         return s.dim if s else 0
 
     def basis(self, degree: int) -> list[WElement]:
+        """The reduced rows of one degree.  Even and odd elements have
+        disjoint coordinates, so each row of a span of homogeneous
+        elements is homogeneous; its parity is read off one coordinate."""
         s = self.spans.get(degree)
         if not s:
             return []
-        parity = self._parities.get(degree, 0)
-        return [WElement.from_coords(self.space, degree, row, parity) for row in s]
+        par = self.space.parities
+        out = []
+        for row in s:
+            key, i = next(iter(row))
+            parity = (par[i] + sum(par[k] for k in key)) % 2
+            out.append(WElement.from_coords(self.space, degree, row, parity))
+        return out
 
     def contains(self, w: WElement) -> bool:
         if w.is_zero():

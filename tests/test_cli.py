@@ -146,6 +146,14 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["pairs", "i", "--n", "2"]) == 2
 
 
+def test_negative_window_is_a_one_line_usage_error(capsys):
+    for argv in (["pairs", "i", "--n", "3", "--xwindow", "-1"], ["report", "--xwindow", "-1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --xwindow must be at least 0\n"
+
+
 def test_argparse_rejects_unknown_selectors():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "Q"])

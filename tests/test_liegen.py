@@ -5,6 +5,8 @@ import pytest
 from nlielab.catalog import algebra_O
 from nlielab.fields import QQ
 from nlielab.liegen import (
+    AdmissiblePairReport,
+    GenerationTrace,
     check_admissible,
     check_irreducible,
     check_mu_relations,
@@ -16,7 +18,7 @@ from nlielab.liegen import (
 from nlielab.multilinear import MultiMap, bracket_to_symmetric
 from nlielab.nlie import FiniteNAryAlgebra
 from nlielab.superspace import SuperSpace
-from nlielab.universal import GradedSubalgebra, WElement, full_component
+from nlielab.universal import GradedSubalgebra, WElement, full_component, w_bracket
 
 
 def seed_of(alg):
@@ -65,6 +67,81 @@ def test_binary_seed_from_a_classical_algebra():
     # degree zero is the image of the inner action, here all of the
     # classical algebra itself
     assert rep.irreducible is True
+
+
+def naive_closure(space, mu, cap):
+    """Generation by full rounds: each round brackets every pair of a
+    basis of the span reached so far.  Returns (subalgebra, rounds,
+    reached_fixpoint)."""
+    sub = GradedSubalgebra(space, cap)
+    for i in range(space.dim):
+        sub.insert(WElement.from_vector(space.basis_vector(i)))
+    sub.insert(mu)
+    rounds = [sub.dims()]
+    for _ in range(200):
+        snapshot = [w for d in sub.degrees() for w in sub.basis(d)]
+        grew = False
+        for i, u in enumerate(snapshot):
+            for v in snapshot[i:]:
+                if -1 <= u.degree + v.degree <= cap and sub.insert(w_bracket(u, v)):
+                    grew = True
+        rounds.append(sub.dims())
+        if not grew:
+            return sub, rounds, True
+    return sub, rounds, False
+
+
+def divergence_free_seed():
+    """An odd quadratic field on V = (a, b | x) with every contraction
+    zero: mu(a,a) = x, mu(a,x) = b, mu(b,x) = a."""
+    V = SuperSpace(QQ, ("a", "b", "x"), (0, 0, 1))
+    a, b, x = (V.basis_vector(i) for i in range(3))
+    return WElement.from_map(MultiMap(V, 2, 1, {(0, 0): x, (0, 2): b, (1, 2): a}))
+
+
+# the reversed spaces of O(n) are all odd, the one of sl2 is all even;
+# the divergence-free seed has even and odd elements in one degree
+@pytest.mark.parametrize("mu, cap", [
+    (seed_of(algebra_O(3)), 4), (seed_of(algebra_O(4)), 5), (seed_of(sl2()), 3),
+    (divergence_free_seed(), 3)], ids=["O3", "O4", "sl2", "mixed"])
+def test_generation_rounds_match_full_rounds(mu, cap):
+    sub, trace = generate_subalgebra(mu.space, mu, cap)
+    ref, rounds, fixpoint = naive_closure(mu.space, mu, cap)
+    assert trace.rounds == rounds
+    assert trace.reached_fixpoint is fixpoint is True
+    assert sub.degrees() == ref.degrees()
+    for d in ref.degrees():
+        assert sub.spans[d].pivots == ref.spans[d].pivots
+        assert list(sub.spans[d]) == list(ref.spans[d])
+
+
+def test_mixed_parity_generation_stays_divergence_free():
+    # the divergence-free fields form the subalgebra S(2|1), whose
+    # components have dims 3, 8, 12, 16, 20 (W(2|1) minus the divergence
+    # image S^(k+1)V); V and the seed generate all of it up to the cap
+    mu = divergence_free_seed()
+    sub, trace = generate_subalgebra(mu.space, mu, cap=3)
+    assert trace.reached_fixpoint
+    assert sub.dims() == {-1: 3, 0: 8, 1: 12, 2: 16, 3: 20}
+    # degree 0 holds rows of both parities, each labelled with its own
+    # (the MultiMap constructor rejects a value of the wrong parity)
+    basis = sub.basis(0)
+    assert {w.parity() for w in basis} == {0, 1}
+    for w in basis:
+        MultiMap(mu.space, 1, w.parity(), w.payload.table)
+
+
+def test_bounded_generation_is_not_decided():
+    def report(trace):
+        return AdmissiblePairReport(
+            arity=3, graded_dims={-1: 4, 0: 6, 1: 4, 2: 1}, transitive=True,
+            transitivity_witness=None, mu_centralizes_degree_zero=True,
+            centralizer_witness=None, irreducible=True,
+            irreducibility_detail="action envelope fills End(V)", top_is_line=True,
+            generation=trace)
+
+    assert report(GenerationTrace(reached_fixpoint=True)).admissible is True
+    assert report(GenerationTrace(reached_fixpoint=False)).admissible == "not_decided"
 
 
 def test_generate_subalgebra_validates_input():

@@ -1,9 +1,12 @@
 """The graded algebra of supersymmetric maps: product axioms and spans."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlielab.fields import QQ
+from nlielab.multilinear import MultiMap
 from nlielab.superspace import SuperSpace
 from nlielab.universal import (
     GradedSubalgebra,
@@ -20,6 +23,7 @@ SPACES = [
     SuperSpace(QQ, ("a", "b"), (0, 0)),
     SuperSpace(QQ, ("a", "x"), (0, 1)),
     SuperSpace(QQ, ("x", "y", "z"), (1, 1, 1)),
+    SuperSpace(QQ, ("a", "b", "x"), (0, 0, 1)),
 ]
 
 
@@ -37,6 +41,59 @@ def draw_element(data, space, degree):
         if c:
             out = out + w.scale(c)
     return out
+
+
+def dense_box(f, g):
+    """The insertion product by its definition: every canonical key of
+    the target arity, every split of its positions."""
+    space = f.space
+    p, q = f.degree, g.degree
+    if q == -1:
+        a = g.payload
+        if p == 0:
+            return WElement.from_vector(f.payload.evaluate_expand(a, ()))
+        table = {}
+        for key in iter_multi_indices(space, p):
+            val = f.payload.evaluate_expand(a, key)
+            if not val.is_zero():
+                table[key] = val
+        parity = (f.payload.parity + (a.parity() or 0)) % 2
+        return WElement.from_map(MultiMap(space, p, parity, table, check=False))
+    fm, gm = f.payload, g.payload
+    arity = p + q + 1
+    par = space.parities
+    table = {}
+    for key in iter_multi_indices(space, arity):
+        acc = space.zero()
+        for gpos in combinations(range(arity), q + 1):
+            fpos = tuple(i for i in range(arity) if i not in gpos)
+            inner = gm.evaluate(tuple(key[i] for i in gpos))
+            if inner.is_zero():
+                continue
+            swaps = sum(1 for a in gpos for b in fpos
+                        if b < a and par[key[a]] and par[key[b]])
+            outer = fm.evaluate_expand(inner, tuple(key[i] for i in fpos))
+            acc = acc + outer.scale(-1 if swaps % 2 else 1)
+        if not acc.is_zero():
+            table[key] = acc
+    parity = (fm.parity + gm.parity) % 2
+    return WElement.from_map(MultiMap(space, arity, parity, table, check=False))
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("q", [-1, 0, 1])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_box_matches_the_dense_definition(space, p, q, data):
+    f = draw_element(data, space, p)
+    g = draw_element(data, space, q)
+    got, want = box(f, g), dense_box(f, g)
+    assert got == want
+    assert got.parity() == want.parity()
+    if got.degree >= 0:
+        # the table is filled in canonical key order
+        assert list(got.payload.table) == list(want.payload.table)
 
 
 def test_component_dims_match_enumeration():
