@@ -77,6 +77,8 @@ def cmd_verify(args, field) -> Report:
               "window": window, "cap": cap, "table": args.table,
               "form": args.form, "seed": args.seed}
     rep = Report("verify", config)
+    if window is not None and window < 0:
+        raise ValueError("--window must be at least 0")
 
     if args.table:
         with open(args.table) as fh:
@@ -147,6 +149,9 @@ def cmd_charp(args, field) -> Report:
     cap = args.cap if args.cap is not None else 2 * seed.n + 3
     config = {"p": args.p, "s": args.s, "n": seed.n, "cap": cap, "seed": args.seed}
     rep = Report("charp", config)
+    if cap < seed.n:
+        # below the arity every degree is at most n-1 and the control passes vacuously
+        raise ValueError("--cap must be at least the arity n = %d" % seed.n)
 
     fj = charp_fj_check(seed)
     detail = "residue %s at arity %d over %s" % (fj.residue, fj.n, seed.field.name)

@@ -10,6 +10,8 @@ rows are processed in input order, so reduced bases are reproducible.
 
 from __future__ import annotations
 
+import bisect
+
 from .fields import Field, FieldError
 
 __all__ = ["Span", "SparseMatrix", "rref", "solve_linear", "nullspace"]
@@ -35,14 +37,16 @@ class Span:
     """A growing subspace kept in reduced row-echelon form.
 
     Each stored row is normalized (pivot coefficient 1) and fully
-    reduced against the others, so membership testing is a single
-    reduction pass.
+    reduced against the others, so no row holds another row's pivot key.
+    Reducing a vector therefore only needs the rows whose pivots occur
+    among its own keys, each scaled by the vector's own coefficient.
     """
 
     def __init__(self, field: Field):
         self.field = field
         self.rows: list[dict] = []       # kept sorted by pivot key
         self.pivots: list = []           # pivot key of each row
+        self.pivot_rows: dict = {}       # pivot key -> its row (the same dict)
 
     @property
     def dim(self) -> int:
@@ -50,9 +54,10 @@ class Span:
 
     def reduce(self, vec: dict) -> dict:
         v = dict(vec)
-        for key, row in zip(self.pivots, self.rows):
-            c = v.get(key)
-            if c is not None:
+        pivot_rows = self.pivot_rows
+        for key, c in vec.items():
+            row = pivot_rows.get(key)
+            if row is not None:
                 vec_add_scaled(v, row, -c)
         return v
 
@@ -72,10 +77,10 @@ class Span:
             if c is not None:
                 vec_add_scaled(row, v, -c)
         # keep rows ordered by pivot key for reproducible bases
-        import bisect
         pos = bisect.bisect_left(self.pivots, pivot)
         self.pivots.insert(pos, pivot)
         self.rows.insert(pos, v)
+        self.pivot_rows[pivot] = v
         return True
 
     def basis(self) -> list[dict]:

@@ -147,23 +147,33 @@ class SuperPoly:
     def __mul__(self, other):
         if not isinstance(other, SuperPoly):
             return self.scale(other)
-        out: dict = {}
+        return SuperPoly(self.ring, self.mul_into({}, other))
+
+    def mul_into(self, out: dict, other: "SuperPoly", sign: int = 1) -> dict:
+        """Accumulate sign*(self*other) into the term dict ``out`` in place
+        (sign is +1 or -1) and return it; cancelled terms are removed.
+        ``out`` must not be the terms of either factor."""
         for (a1, x1), c1 in self.terms.items():
+            if sign < 0:
+                c1 = -c1
             for (a2, x2), c2 in other.terms.items():
-                word, sign = _merge_xi(x1, x2)
-                if sign == 0:
+                word, s = _merge_xi(x1, x2)
+                if s == 0:
                     continue
                 key = (tuple(u + v for u, v in zip(a1, a2)), word)
                 c = c1 * c2
-                if sign < 0:
+                if s < 0:
                     c = -c
                 w = out.get(key)
-                s = c if w is None else w + c
-                if s:
-                    out[key] = s
+                if w is None:
+                    out[key] = c
                 else:
-                    out.pop(key, None)
-        return SuperPoly(self.ring, out)
+                    w = w + c
+                    if w:
+                        out[key] = w
+                    else:
+                        del out[key]
+        return out
 
     __rmul__ = __mul__
 

@@ -190,23 +190,21 @@ class PoissonRealization:
         return f.parity()
 
     def bracket(self, f: SuperPoly, g: SuperPoly) -> SuperPoly:
-        out = self.ring.zero()
+        k = self.npairs
+        dgx = {i: g.dx(i) for i in range(1, 2 * k + 1)}
+        dgxi = {j: g.dxi(j) for (_, j) in self.b}
+        out: dict = {}
         for fh in f.homogeneous_parts():
             if fh.is_zero():
                 continue
             # odd part carries (-1)^{p(f)+1}
             sgn = 1 if fh.parity() else -1
-            acc = self.ring.zero()
-            for (i, j) in sorted(self.b):
-                t = fh.dxi(i) * g.dxi(j)
-                if not t.is_zero():
-                    acc = acc + t.scale(self.b[(i, j)])
-            part = acc if sgn > 0 else -acc
-            for i in range(1, self.npairs + 1):
-                part = part + fh.dx(i) * g.dx(self.npairs + i)
-                part = part - fh.dx(self.npairs + i) * g.dx(i)
-            out = out + part
-        return self.project(out)
+            for (i, j), c in self.b.items():
+                fh.dxi(i).scale(c).mul_into(out, dgxi[j], sgn)
+            for i in range(1, k + 1):
+                fh.dx(i).mul_into(out, dgx[k + i])
+                fh.dx(k + i).mul_into(out, dgx[i], -1)
+        return self.project(SuperPoly(self.ring, out))
 
     def field_of(self, f: SuperPoly) -> DiffOp:
         """Hamiltonian vector field; kernel is the constants."""
@@ -290,17 +288,17 @@ class ButtinRealization:
         return None if p is None else (p + 1) % 2
 
     def bracket(self, f: SuperPoly, g: SuperPoly) -> SuperPoly:
-        out = self.ring.zero()
+        dg = [(i, g.dx(i), g.dxi(i)) for i in range(1, self.nvars + 1)]
+        out: dict = {}
         for fh in f.homogeneous_parts():
             if fh.is_zero():
                 continue
             # the written sign uses the reversed parity
             eps = 1 if self.lie_parity(fh) == 0 else -1
-            for i in range(1, self.nvars + 1):
-                out = out + fh.dx(i) * g.dxi(i)
-                t = fh.dxi(i) * g.dx(i)
-                out = out + (-t if eps > 0 else t)
-        return self.project(out)
+            for i, gx, gxi in dg:
+                fh.dx(i).mul_into(out, gxi)
+                fh.dxi(i).mul_into(out, gx, -eps)
+        return self.project(SuperPoly(self.ring, out))
 
     def field_of(self, f: SuperPoly) -> DiffOp:
         op = DiffOp.zero(self.ring)
@@ -401,23 +399,26 @@ class ContactRealization:
         return f.euler(xset=sel, xiset=sel)
 
     def _two_minus_e(self, f: SuperPoly) -> SuperPoly:
-        return f.scale(2) - self._euler(f)
+        # 2 - E with E the Euler operator on x_1..x_m, xi_1..xi_m
+        N = self.cidx
+        return f.weighted(lambda key: 2 - sum(key[0]) - len(key[1])
+                          + (N in key[1]))
 
     def bracket(self, f: SuperPoly, g: SuperPoly) -> SuperPoly:
         N = self.cidx
-        out = self.ring.zero()
+        gN, g2e = g.dxi(N), self._two_minus_e(g)
+        dg = [(i, g.dx(i), g.dxi(i)) for i in range(1, self.m + 1)]
+        out: dict = {}
         for fh in f.homogeneous_parts():
             if fh.is_zero():
                 continue
             eps = 1 if self.lie_parity(fh) == 0 else -1
-            out = out + self._two_minus_e(fh) * g.dxi(N)
-            t = fh.dxi(N) * self._two_minus_e(g)
-            out = out + (-t if eps > 0 else t)
-            for i in range(1, self.m + 1):
-                out = out - fh.dx(i) * g.dxi(i)
-                t = fh.dxi(i) * g.dx(i)
-                out = out + (t if eps > 0 else -t)
-        return out
+            self._two_minus_e(fh).mul_into(out, gN)
+            fh.dxi(N).mul_into(out, g2e, -eps)
+            for i, gx, gxi in dg:
+                fh.dx(i).mul_into(out, gxi, -1)
+                fh.dxi(i).mul_into(out, gx, eps)
+        return SuperPoly(self.ring, out)
 
     def field_of(self, f: SuperPoly) -> DiffOp:
         N = self.cidx

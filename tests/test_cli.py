@@ -154,6 +154,27 @@ def test_negative_window_is_a_one_line_usage_error(capsys):
         assert captured.err == "error: --xwindow must be at least 0\n"
 
 
+def test_negative_verify_window_is_a_one_line_usage_error(capsys):
+    assert main(["verify", "S", "--n", "3", "--window", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --window must be at least 0\n"
+    # window 0 stays valid: W(3) keeps its one constant key there
+    assert main(["verify", "W", "--n", "3", "--window", "0"]) == 0
+    assert "1 instances over 1 window keys (degree <= 0)" in capsys.readouterr().out
+
+
+def test_charp_cap_below_the_arity_is_a_one_line_usage_error(capsys):
+    # s=1, p=3 gives arity n = 4
+    for cap in ("-3", "0", "3"):
+        assert main(["charp", "--p", "3", "--s", "1", "--cap", cap]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --cap must be at least the arity n = 4\n"
+    assert main(["charp", "--p", "3", "--s", "1", "--cap", "4"]) == 1
+    assert "rational_control_truncates" in capsys.readouterr().out
+
+
 def test_argparse_rejects_unknown_selectors():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "Q"])

@@ -1,5 +1,6 @@
 """Sparse exact linear algebra against brute-force oracles."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from nlielab.fields import GF, QQ
@@ -106,3 +107,36 @@ def test_vec_add_scaled_cancels():
     target = {0: QQ.one(), 1: QQ.scalar(2)}
     vec_add_scaled(target, {0: QQ.one(), 2: QQ.one()}, QQ.scalar(-1))
     assert target == {1: QQ.scalar(2), 2: QQ.scalar(-1)}
+
+
+def full_scan_reduce(span: Span, vec: dict) -> dict:
+    """Reduction by every pivot row in pivot order: the definition that
+    the pivot-indexed ``Span.reduce`` shortcuts."""
+    v = dict(vec)
+    for key, row in zip(span.pivots, span.rows):
+        c = v.get(key)
+        if c is not None:
+            vec_add_scaled(v, row, -c)
+    return v
+
+
+def sparse_vectors(field, nkeys=8):
+    return st.dictionaries(st.integers(0, nkeys - 1), st.integers(-4, 4), max_size=nkeys).map(
+        lambda d: {k: field.scalar(c) for k, c in d.items() if field.scalar(c)})
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["QQ", "GF5"])
+@given(data=st.data())
+def test_span_reduce_matches_the_full_pivot_scan(field, data):
+    stream = data.draw(st.lists(sparse_vectors(field), max_size=8))
+    probes = data.draw(st.lists(sparse_vectors(field), max_size=4))
+    s = Span(field)
+    for vec in stream:
+        s.insert(vec)
+        assert s.pivot_rows == dict(zip(s.pivots, s.rows))
+        assert all(s.pivot_rows[p] is row for p, row in zip(s.pivots, s.rows))
+        for i, row in enumerate(s.rows):
+            assert row[s.pivots[i]] == field.one()
+            assert not any(p in row for j, p in enumerate(s.pivots) if j != i)
+        for w in stream + probes:
+            assert s.reduce(w) == full_scan_reduce(s, w)

@@ -3,9 +3,10 @@
 from hypothesis import given, settings, strategies as st
 
 from nlielab.fields import GF, QQ
-from nlielab.polysuper import DiffOp, SuperPolyRing, delta
+from nlielab.polysuper import DiffOp, SuperPoly, SuperPolyRing, delta
 
 R = SuperPolyRing(QQ, 2, 2)
+R5 = SuperPolyRing(GF(5), 2, 2)
 
 
 def monos(ring, max_deg=2):
@@ -28,6 +29,23 @@ def test_ring_axioms(f, g, h):
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
     assert (f - f).is_zero()
+
+
+@given(polys(R), polys(R), polys(R), st.sampled_from([1, -1]))
+def test_mul_into_accumulates_the_signed_product(f, g, h, sign):
+    out = dict(h.terms)
+    assert f.mul_into(out, g, sign) is out
+    assert SuperPoly(R, out) == h + (f * g if sign > 0 else -(f * g))
+    # accumulating the opposite sign cancels back to h, storing no zeros
+    f.mul_into(out, g, -sign)
+    assert out == h.terms
+
+
+@given(polys(R5), polys(R5), st.sampled_from([1, -1]))
+def test_mul_into_over_a_prime_field(f, g, sign):
+    out = f.mul_into({}, g, sign)
+    assert SuperPoly(R5, out) == (f * g).scale(sign)
+    assert all(out.values())
 
 
 @given(polys(R), polys(R))

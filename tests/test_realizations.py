@@ -2,8 +2,9 @@
 the twisted action on functions, pairings and splittings."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nlielab.fields import QQ
+from nlielab.fields import GF, QQ
 from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.realizations import (
     ButtinRealization,
@@ -19,6 +20,111 @@ from nlielab.realizations import (
     pi_defect,
     verify_pair,
 )
+
+
+# The carrier brackets as first written, summing out of place term by
+# term: the oracles for the in-place accumulation in the library.
+
+def poisson_bracket_ref(real, f, g):
+    out = real.ring.zero()
+    for fh in f.homogeneous_parts():
+        if fh.is_zero():
+            continue
+        sgn = 1 if fh.parity() else -1
+        acc = real.ring.zero()
+        for (i, j) in sorted(real.b):
+            t = fh.dxi(i) * g.dxi(j)
+            if not t.is_zero():
+                acc = acc + t.scale(real.b[(i, j)])
+        part = acc if sgn > 0 else -acc
+        for i in range(1, real.npairs + 1):
+            part = part + fh.dx(i) * g.dx(real.npairs + i)
+            part = part - fh.dx(real.npairs + i) * g.dx(i)
+        out = out + part
+    return real.project(out)
+
+
+def buttin_bracket_ref(real, f, g):
+    out = real.ring.zero()
+    for fh in f.homogeneous_parts():
+        if fh.is_zero():
+            continue
+        eps = 1 if real.lie_parity(fh) == 0 else -1
+        for i in range(1, real.nvars + 1):
+            out = out + fh.dx(i) * g.dxi(i)
+            t = fh.dxi(i) * g.dx(i)
+            out = out + (-t if eps > 0 else t)
+    return real.project(out)
+
+
+def contact_bracket_ref(real, f, g):
+    def two_minus_e(h):
+        sel = range(1, real.m + 1)
+        return h.scale(2) - h.euler(xset=sel, xiset=sel)
+
+    N = real.cidx
+    out = real.ring.zero()
+    for fh in f.homogeneous_parts():
+        if fh.is_zero():
+            continue
+        eps = 1 if real.lie_parity(fh) == 0 else -1
+        out = out + two_minus_e(fh) * g.dxi(N)
+        t = fh.dxi(N) * two_minus_e(g)
+        out = out + (-t if eps > 0 else t)
+        for i in range(1, real.m + 1):
+            out = out - fh.dx(i) * g.dxi(i)
+            t = fh.dxi(i) * g.dx(i)
+            out = out + (t if eps > 0 else -t)
+    return out
+
+
+def bracket_cases():
+    third = QQ.scalar(1, 3)
+    return [
+        (PoissonRealization(QQ, 0, 4), poisson_bracket_ref),
+        (PoissonRealization(QQ, 0, 4, quotient=True), poisson_bracket_ref),
+        (PoissonRealization(QQ, 2, 2, b={(1, 2): 3}), poisson_bracket_ref),
+        (ButtinRealization(QQ, 3), buttin_bracket_ref),
+        (ButtinRealization(QQ, 3, constraint="delta", quotient=True), buttin_bracket_ref),
+        (ButtinRealization(GF(5), 2), buttin_bracket_ref),
+        (ContactRealization(QQ, 3), contact_bracket_ref),
+        (ContactRealization(QQ, 3, beta=1, constraint="div"), contact_bracket_ref),
+        (ContactRealization(QQ, 3, beta=third, constraint="div"), contact_bracket_ref),
+        (ContactRealization(GF(5), 2), contact_bracket_ref),
+    ]
+
+
+def window_combinations(real, xwindow=2):
+    """Random combinations of up to three window elements, so mixed
+    parities reach the brackets too."""
+    window = real.window_elements(xwindow)
+    one = st.tuples(st.sampled_from(window), st.integers(-3, 3))
+    return st.lists(one, min_size=1, max_size=3).map(
+        lambda ts: sum((e.scale(c) for e, c in ts), real.zero()))
+
+
+BRACKET_CASES = bracket_cases()
+
+
+@pytest.mark.parametrize("real,ref", BRACKET_CASES,
+                         ids=["%s/%s" % (r.name, r.field.name) for r, _ in BRACKET_CASES])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_the_out_of_place_sum(real, ref, data):
+    elems = window_combinations(real)
+    f, g = data.draw(elems), data.draw(elems)
+    assert real.bracket(f, g).terms == ref(real, f, g).terms
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_two_minus_euler_skips_the_contact_variable(data):
+    # the bracket alone cannot see this: counting xi_N in E changes both
+    # of its xi_N terms by the same amount, which cancels
+    real = ContactRealization(QQ, 3)
+    f = data.draw(window_combinations(real))
+    sel = range(1, 4)
+    assert real._two_minus_e(f) == f.scale(2) - f.euler(xset=sel, xiset=sel)
 
 
 def realization_zoo():
