@@ -28,6 +28,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from .fields import QQ, Field
+from .linalg import vec_add_scaled
 from .nlie import FiniteNAryAlgebra
 from .polysuper import DiffOp, SuperPolyRing
 from .superspace import EVEN, SuperSpace, SuperVector
@@ -160,17 +161,6 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _poly_add_scaled(out: dict, src: dict, c):
-    for k, v in src.items():
-        w = out.get(k)
-        s = v * c if w is None else w + v * c
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _det(mat) -> dict:
     """Determinant of a matrix of dict-polynomials by expansion over
     permutations; fine for the small arities used here."""
@@ -195,7 +185,7 @@ def _det(mat) -> dict:
                 break
         if not prod:
             continue
-        acc = _poly_add_scaled(dict(acc), prod, s)
+        vec_add_scaled(acc, prod, s)
     return acc
 
 
@@ -245,24 +235,11 @@ class PolyNAryAlgebra:
     def window_keys(self, window: int):
         raise NotImplementedError
 
-    def key_elem(self, k) -> dict:
-        return {k: self.field.one()}
+    def coords(self, elem: dict) -> dict:
+        return elem
 
-    def expand(self, elem: dict):
-        return sorted(elem.items())
-
-    def zero_elem(self) -> dict:
-        return {}
-
-    def add_elems(self, a: dict, b: dict) -> dict:
-        out = dict(a)
-        return _poly_add_scaled(out, b, self.field.one())
-
-    def scale_elem(self, a: dict, c) -> dict:
-        c = self.field.coerce(c)
-        if not c:
-            return {}
-        return {k: v * c for k, v in a.items()}
+    def element(self, coords: dict) -> dict:
+        return coords
 
     def elem_is_zero(self, a: dict) -> bool:
         return not a

@@ -115,7 +115,8 @@ class ModP:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.v, self.p))
+        # ModP(v, p) == v % p, so it hashes like that int
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0

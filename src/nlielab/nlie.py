@@ -9,11 +9,18 @@ alpha the parity of the bracket itself:
     = (-1)^{alpha p(a)} sum_k (-1)^{p(a)(p(b_1)+..+p(b_{k-1}))}
                               [b_1.. [a_1..a_{n-1}, b_k] .. b_n]
 
-Everything here is written against a small duck-typed carrier protocol
-so the same driver runs over finite tables and over polynomial
-carriers: arity, bracket_parity, field, key_parity(k),
-bracket_keys(tuple) -> element, expand(element), zero_elem(),
-add_elems, scale_elem, elem_is_zero.
+For fixed a it is the derivation law of ad_a = [a_1..a_{n-1}, .], so
+both identities run through one kernel that sums the defect into a
+single coordinate dict with integer signs and never divides.  The
+images ad_a(k) are taken once per a-block and the inner brackets [b]
+once per b.
+
+The kernel is written against a small duck-typed carrier protocol, so
+it runs over finite tables and over polynomial carriers alike:
+``arity``, ``bracket_parity``, ``key_parity(k)``,
+``bracket_keys(tuple) -> element``, ``coords(element)`` (a read-only
+dict key -> nonzero scalar) and ``element(dict)`` (its inverse).
+Carriers also offer ``elem_is_zero(element)`` to callers.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
-from .fields import Field, field_from_name
+from .fields import field_from_name
 from .multilinear import sort_with_sign_alternating
 from .superspace import EVEN, ODD, SuperSpace, SuperVector
 
@@ -30,6 +37,7 @@ __all__ = [
     "filippov_defect",
     "FJReport",
     "check_filippov",
+    "identity_mode",
     "sorted_key_tuples",
     "derivation_defect",
     "DerivationReport",
@@ -99,23 +107,14 @@ class FiniteNAryAlgebra:
         self._cache[keys] = out
         return out
 
-    def expand(self, elem: SuperVector):
-        return sorted(elem.coords.items())
+    def coords(self, elem: SuperVector) -> dict:
+        return elem.coords
 
-    def zero_elem(self) -> SuperVector:
-        return self.space.zero()
-
-    def add_elems(self, a, b):
-        return a + b
-
-    def scale_elem(self, a, c):
-        return a.scale(c)
+    def element(self, coords: dict) -> SuperVector:
+        return SuperVector(self.space, coords)
 
     def elem_is_zero(self, a) -> bool:
         return a.is_zero()
-
-    def key_elem(self, k) -> SuperVector:
-        return self.space.basis_vector(k)
 
     # -- convenience -------------------------------------------------------
     def bracket_elements(self, vectors) -> SuperVector:
@@ -138,41 +137,66 @@ class FiniteNAryAlgebra:
         )
 
 
-def _substituted(alg, keys: tuple, pos: int, elem):
-    """Multilinear extension: bracket with ``elem`` in slot ``pos``."""
-    out = alg.zero_elem()
-    for k, c in alg.expand(elem):
-        term = alg.bracket_keys(keys[:pos] + (k,) + keys[pos + 1:])
-        out = alg.add_elems(out, alg.scale_elem(term, c))
-    return out
+class _Images(dict):
+    """key -> coordinates of a linear map's image, each taken on first use."""
+
+    def __init__(self, image):
+        super().__init__()
+        self._image = image
+
+    def __missing__(self, k):
+        got = self[k] = self._image(k)
+        return got
+
+
+def _ad(alg, a_keys: tuple) -> _Images:
+    """The images of ad_a = [a_1..a_{n-1}, .] on basis keys."""
+    bracket, coords = alg.bracket_keys, alg.coords
+    return _Images(lambda k: coords(bracket(a_keys + (k,))))
+
+
+def _defect(alg, images, outer: dict, keys: tuple, par: int) -> dict:
+    """RHS - LHS of the derivation law for the map D of parity ``par``
+    with the given ``images`` on ``keys``, whose bracket is ``outer``,
+    in one fresh dict (cancelled entries stay as zeros).  The right side
+    goes in first, so an even carrier's all-plus terms never negate."""
+    acc: dict = {}
+    get = acc.get
+    bracket, coords = alg.bracket_keys, alg.coords
+    lead = par & alg.bracket_parity
+    flip = 0
+    for pos, x in enumerate(keys):
+        head, tail = keys[:pos], keys[pos + 1:]
+        negate = lead != (par & flip)
+        for k, c in images[x].items():
+            if negate:
+                c = -c
+            for j, v in coords(bracket(head + (k,) + tail)).items():
+                w = get(j)
+                acc[j] = c * v if w is None else w + c * v
+        flip ^= alg.key_parity(x)
+    for k, c in outer.items():
+        for j, v in images[k].items():
+            w = get(j)
+            acc[j] = -(c * v) if w is None else w - c * v
+    return acc
+
+
+def _element(alg, acc: dict):
+    """The defect LHS - RHS as a carrier element, from ``_defect``'s sum."""
+    return alg.element({j: -v for j, v in acc.items() if v})
 
 
 def filippov_defect(alg, a_keys: tuple, b_keys: tuple):
-    """LHS minus RHS of the n-ary Jacobi law on basis keys; zero iff the
-    identity holds on this instance."""
+    """LHS minus RHS of the n-ary Jacobi law on basis keys, a carrier
+    element; zero iff the identity holds on this instance."""
     n = alg.arity
+    a_keys, b_keys = tuple(a_keys), tuple(b_keys)
     if len(a_keys) != n - 1 or len(b_keys) != n:
         raise ValueError("need n-1 and n keys")
-    pa = sum(alg.key_parity(k) for k in a_keys) % 2
-    inner = alg.bracket_keys(tuple(b_keys))
-    # LHS: plug the inner bracket into the last slot after a_1..a_{n-1}
-    lhs = alg.zero_elem()
-    for k, c in alg.expand(inner):
-        term = alg.bracket_keys(tuple(a_keys) + (k,))
-        lhs = alg.add_elems(lhs, alg.scale_elem(term, c))
-    rhs = alg.zero_elem()
-    acc = 0
-    for pos in range(n):
-        if pos > 0:
-            acc = (acc + alg.key_parity(b_keys[pos - 1])) % 2
-        inner_k = alg.bracket_keys(tuple(a_keys) + (b_keys[pos],))
-        term = _substituted(alg, tuple(b_keys), pos, inner_k)
-        if pa and acc:
-            term = alg.scale_elem(term, -1)
-        rhs = alg.add_elems(rhs, term)
-    if pa and alg.bracket_parity:
-        rhs = alg.scale_elem(rhs, -1)
-    return alg.add_elems(lhs, alg.scale_elem(rhs, -1))
+    par = sum(alg.key_parity(k) for k in a_keys) % 2
+    outer = alg.coords(alg.bracket_keys(b_keys))
+    return _element(alg, _defect(alg, _ad(alg, a_keys), outer, b_keys, par))
 
 
 @dataclass
@@ -180,6 +204,13 @@ class FJReport:
     ok: bool
     instances: int
     witness: object  # None or (a_keys, b_keys, defect repr)
+    mode: str  # 'full' or 'sorted'
+
+
+def identity_mode(nkeys: int, arity: int) -> str:
+    """'full' for at most 6 keys and 10^5 ordered instances, else 'sorted'."""
+    full = nkeys <= 6 and nkeys ** (2 * arity - 1) <= 10 ** 5
+    return "full" if full else "sorted"
 
 
 def sorted_key_tuples(keys, parities_fn, r: int):
@@ -203,15 +234,12 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
     mode 'full' runs every ordered tuple pair (finite carriers only);
     'sorted' runs canonically sorted tuples in each block, which spans
     all instances since the defect is multilinear and alternating in
-    both blocks.  'auto' picks 'full' for small finite carriers.
+    both blocks.  'auto' asks :func:`identity_mode`.
     """
     n = alg.arity
-    if keys is None:
-        keys = list(alg.keys())
-    else:
-        keys = list(keys)
+    keys = list(alg.keys() if keys is None else keys)
     if mode == "auto":
-        mode = "full" if len(keys) <= 6 else "sorted"
+        mode = identity_mode(len(keys), n)
     if mode == "full":
         a_iter = list(product(keys, repeat=n - 1))
         b_iter = list(product(keys, repeat=n))
@@ -220,38 +248,29 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
         b_iter = list(sorted_key_tuples(keys, alg.key_parity, n))
     else:
         raise ValueError("unknown mode %r" % mode)
+    outers = [alg.coords(alg.bracket_keys(b_keys)) for b_keys in b_iter]
     count = 0
     for a_keys in a_iter:
-        for b_keys in b_iter:
-            d = filippov_defect(alg, a_keys, b_keys)
+        par = sum(alg.key_parity(k) for k in a_keys) % 2
+        images = _ad(alg, a_keys)
+        for b_keys, outer in zip(b_iter, outers):
+            d = _defect(alg, images, outer, b_keys, par)
             count += 1
-            if not alg.elem_is_zero(d):
-                return FJReport(ok=False, instances=count, witness=(a_keys, b_keys, repr(d)))
+            if any(d.values()):
+                return FJReport(False, count, (a_keys, b_keys, repr(_element(alg, d))), mode)
             if limit is not None and count >= limit:
-                return FJReport(ok=True, instances=count, witness=None)
-    return FJReport(ok=True, instances=count, witness=None)
+                return FJReport(True, count, None, mode)
+    return FJReport(True, count, None, mode)
 
 
 def derivation_defect(alg, dmap, dparity: int, keys: tuple):
     """D[x_1..x_n] - (-1)^{alpha p(D)} sum_k (+-) [x_1 .. D x_k .. x_n]
-    on a basis key tuple; dmap sends a key to an element."""
-    n = alg.arity
-    val = alg.bracket_keys(tuple(keys))
-    lhs = alg.zero_elem()
-    for k, c in alg.expand(val):
-        lhs = alg.add_elems(lhs, alg.scale_elem(dmap(k), c))
-    rhs = alg.zero_elem()
-    acc = 0
-    for pos in range(n):
-        if pos > 0:
-            acc = (acc + alg.key_parity(keys[pos - 1])) % 2
-        term = _substituted(alg, tuple(keys), pos, dmap(keys[pos]))
-        if dparity and acc:
-            term = alg.scale_elem(term, -1)
-        rhs = alg.add_elems(rhs, term)
-    if dparity and alg.bracket_parity:
-        rhs = alg.scale_elem(rhs, -1)
-    return alg.add_elems(lhs, alg.scale_elem(rhs, -1))
+    on a basis key tuple, as an element of the carrier; dmap sends a key
+    to an element."""
+    keys = tuple(keys)
+    images = _Images(lambda k: alg.coords(dmap(k)))
+    outer = alg.coords(alg.bracket_keys(keys))
+    return _element(alg, _defect(alg, images, outer, keys, dparity))
 
 
 @dataclass
@@ -264,12 +283,14 @@ class DerivationReport:
 def check_derivation(alg, dmap, dparity: int, keys=None) -> DerivationReport:
     if keys is None:
         keys = list(alg.keys())
+    images = _Images(lambda k: alg.coords(dmap(k)))
     count = 0
     for tup in sorted_key_tuples(keys, alg.key_parity, alg.arity):
-        d = derivation_defect(alg, dmap, dparity, tup)
+        d = _defect(alg, images, alg.coords(alg.bracket_keys(tup)), tup, dparity)
         count += 1
-        if not alg.elem_is_zero(d):
-            return DerivationReport(ok=False, instances=count, witness=(tup, repr(d)))
+        if any(d.values()):
+            return DerivationReport(ok=False, instances=count,
+                                    witness=(tup, repr(_element(alg, d))))
     return DerivationReport(ok=True, instances=count, witness=None)
 
 
@@ -278,11 +299,7 @@ def inner_derivation(alg, a_keys: tuple):
     if len(a_keys) != alg.arity - 1:
         raise ValueError("need n-1 keys")
     par = (alg.bracket_parity + sum(alg.key_parity(k) for k in a_keys)) % 2
-
-    def dmap(k):
-        return alg.bracket_keys(tuple(a_keys) + (k,))
-
-    return par, dmap
+    return par, lambda k: alg.bracket_keys(tuple(a_keys) + (k,))
 
 
 # -- plain-text bracket tables --------------------------------------------

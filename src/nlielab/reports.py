@@ -9,7 +9,7 @@ runs with the same configuration produce identical bytes.
 import json
 from dataclasses import dataclass, field as dc_field
 
-VERSION = "0.1.0"
+from . import __version__
 
 PASS = "pass"
 FAIL = "fail"
@@ -59,7 +59,7 @@ class Report:
     command: str
     config: dict
     records: list = dc_field(default_factory=list)
-    version: str = VERSION
+    version: str = __version__
 
     def add(self, name: str, ok, detail: str = "", witness=None, dims=None):
         if ok is True:

@@ -164,6 +164,26 @@ def test_negative_verify_window_is_a_one_line_usage_error(capsys):
     assert "1 instances over 1 window keys (degree <= 0)" in capsys.readouterr().out
 
 
+def test_empty_identity_window_is_not_decided(tmp_path, capsys):
+    # S(3) has no window key of degree 0: no instance, no verdict
+    out = tmp_path / "s0.json"
+    assert main(["verify", "S", "--n", "3", "--window", "0", "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "[----] filippov_jacobi: 0 instances over 0 window keys (degree <= 0)" in text
+    assert "0 passed, 0 failed, 2 not decided" in text
+    record = json.loads(out.read_bytes())["checks"][0]
+    assert (record["name"], record["status"]) == ("filippov_jacobi", "not_decided")
+
+
+def test_table_identity_detail_names_the_mode(tmp_path, capsys):
+    for n, mode in ((3, "exhaustive"), (5, "sorted")):
+        table = tmp_path / ("o%d.nlie" % n)
+        table.write_text(serialize_table(algebra_O(n)))
+        assert main(["verify", "--table", str(table)]) == 0
+        assert ("on a %d-dim table of arity %d, %s" % (n + 1, n, mode)
+                in capsys.readouterr().out)
+
+
 def test_charp_cap_below_the_arity_is_a_one_line_usage_error(capsys):
     # s=1, p=3 gives arity n = 4
     for cap in ("-3", "0", "3"):

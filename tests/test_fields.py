@@ -45,6 +45,14 @@ def test_prime_field_inverse(a):
         assert a ** 6 == F7.one()  # Fermat
 
 
+@given(st.integers(-50, 50))
+def test_modp_hashes_like_its_reduced_int(v):
+    a = ModP(v, 7)
+    assert hash(a) == hash(v % 7)
+    assert len({a, v % 7}) == 1
+    assert {a: "x"}[v % 7] == "x"
+
+
 def test_modp_basics():
     a = ModP(10, 7)
     assert a.v == 3

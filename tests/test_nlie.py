@@ -1,25 +1,31 @@
 """n-ary bracket tables, the n-ary Jacobi checker and derivation defects."""
 
-import pytest
+from itertools import combinations, product
 
-from nlielab.catalog import algebra_O
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nlielab.catalog import GeneralizedJacobianNAry, algebra_O, algebra_S, algebra_SW, algebra_W
 from nlielab.fields import GF, QQ
 from nlielab.nlie import (
     FiniteNAryAlgebra,
     check_derivation,
     check_filippov,
+    derivation_defect,
     filippov_defect,
+    identity_mode,
     inner_derivation,
     parse_table,
     serialize_table,
     sorted_key_tuples,
 )
+from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.superspace import SuperSpace
 
 
-def heisenberg_11():
+def heisenberg_11(field=QQ):
     # one even, one odd generator; the odd square is central
-    V = SuperSpace(QQ, ("e1", "e2"), (0, 1))
+    V = SuperSpace(field, ("e1", "e2"), (0, 1))
     return FiniteNAryAlgebra(V, 2, 0, {(1, 1): V.basis_vector(0)})
 
 
@@ -128,3 +134,233 @@ def test_non_derivation_is_caught():
 
     rep = check_derivation(alg, squash, dparity=0)
     assert not rep.ok and rep.witness is not None
+
+
+def test_identity_mode_counts_ordered_instances():
+    assert identity_mode(4, 3) == "full"  # O(3): 4^5 = 1,024
+    assert identity_mode(5, 4) == "full"  # O(4): 5^7 = 78,125
+    assert identity_mode(6, 5) == "sorted"  # O(5): 6^9 = 10,077,696
+    assert identity_mode(6, 4) == "sorted"  # 6^7 = 279,936
+    assert identity_mode(7, 2) == "sorted"  # more than 6 keys
+    assert identity_mode(0, 3) == "full"
+    rep = check_filippov(algebra_O(5))
+    assert rep.ok and rep.mode == "sorted" and rep.instances == 90
+    assert check_filippov(algebra_O(4)).mode == "full"
+
+
+# -- the defect loop before the one-accumulator kernel, kept as an oracle ----
+
+def _plus(alg, a: dict, b: dict, c=1) -> dict:
+    """a + c*b on coordinate dicts, in a fresh dict without zeros."""
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k, alg.field.zero()) + v * c
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _reference_substituted(alg, keys: tuple, pos: int, elem: dict) -> dict:
+    out = {}
+    for k, c in sorted(elem.items()):
+        term = alg.coords(alg.bracket_keys(keys[:pos] + (k,) + keys[pos + 1:]))
+        out = _plus(alg, out, term, c)
+    return out
+
+
+def reference_filippov_defect(alg, a_keys: tuple, b_keys: tuple):
+    n = alg.arity
+    pa = sum(alg.key_parity(k) for k in a_keys) % 2
+    inner = alg.coords(alg.bracket_keys(tuple(b_keys)))
+    lhs = {}
+    for k, c in sorted(inner.items()):
+        lhs = _plus(alg, lhs, alg.coords(alg.bracket_keys(tuple(a_keys) + (k,))), c)
+    rhs = {}
+    acc = 0
+    for pos in range(n):
+        if pos > 0:
+            acc = (acc + alg.key_parity(b_keys[pos - 1])) % 2
+        inner_k = alg.coords(alg.bracket_keys(tuple(a_keys) + (b_keys[pos],)))
+        term = _reference_substituted(alg, tuple(b_keys), pos, inner_k)
+        if pa and acc:
+            term = _plus(alg, {}, term, -1)
+        rhs = _plus(alg, rhs, term)
+    if pa and alg.bracket_parity:
+        rhs = _plus(alg, {}, rhs, -1)
+    return alg.element(_plus(alg, lhs, rhs, -1))
+
+
+def reference_derivation_defect(alg, dmap, dparity: int, keys: tuple):
+    n = alg.arity
+    val = alg.coords(alg.bracket_keys(tuple(keys)))
+    lhs = {}
+    for k, c in sorted(val.items()):
+        lhs = _plus(alg, lhs, alg.coords(dmap(k)), c)
+    rhs = {}
+    acc = 0
+    for pos in range(n):
+        if pos > 0:
+            acc = (acc + alg.key_parity(keys[pos - 1])) % 2
+        term = _reference_substituted(alg, tuple(keys), pos, alg.coords(dmap(keys[pos])))
+        if dparity and acc:
+            term = _plus(alg, {}, term, -1)
+        rhs = _plus(alg, rhs, term)
+    if dparity and alg.bracket_parity:
+        rhs = _plus(alg, {}, rhs, -1)
+    return alg.element(_plus(alg, lhs, rhs, -1))
+
+
+def reference_check(alg, keys, mode, defect):
+    """(ok, instances, witness keys) of a loop over ``defect``."""
+    n = alg.arity
+    if mode == "full":
+        a_iter, b_iter = product(keys, repeat=n - 1), list(product(keys, repeat=n))
+    else:
+        a_iter = sorted_key_tuples(keys, alg.key_parity, n - 1)
+        b_iter = list(sorted_key_tuples(keys, alg.key_parity, n))
+    count = 0
+    for a_keys in a_iter:
+        for b_keys in b_iter:
+            count += 1
+            if alg.coords(defect(alg, a_keys, b_keys)):
+                return False, count, (a_keys, b_keys)
+    return True, count, None
+
+
+# -- corrupted carriers ----------------------------------------------------
+
+coeffs = st.integers(-2, 2)
+
+
+def corrupt_table(alg, data, entries=2):
+    """The table with a random vector of the right parity added at a few
+    canonical keys (possibly none, when the draws are zero)."""
+    space = alg.space
+    canon = list(sorted_key_tuples(range(space.dim), alg.key_parity, alg.arity))
+    table = dict(alg.table)
+    for _ in range(data.draw(st.integers(0, entries))):
+        key = data.draw(st.sampled_from(canon))
+        par = (alg.bracket_parity + sum(space.parities[i] for i in key)) % 2
+        extra = space.vector({i: data.draw(coeffs) for i in range(space.dim)
+                              if space.parities[i] == par})
+        table[key] = table.get(key, space.zero()) + extra
+    return FiniteNAryAlgebra(space, alg.arity, alg.bracket_parity, table)
+
+
+def mixed_table(field, data):
+    """A random table on a mixed-parity space with odd basis vectors, so odd
+    repeats, odd a-blocks and an odd bracket all occur."""
+    parities = data.draw(st.sampled_from([(0, 1, 1), (0, 0, 1), (1, 1, 0)]))
+    space = SuperSpace(field, ("u", "v", "w"), parities)
+    arity = data.draw(st.sampled_from([2, 3]))
+    alpha = data.draw(st.sampled_from([0, 1]))
+    empty = FiniteNAryAlgebra(space, arity, alpha, {})
+    return corrupt_table(empty, data, entries=6)
+
+
+def corrupt_poly(alg, keys, data):
+    """Add a drawn term to the raw brackets of up to two canonical window
+    tuples, so the carrier's cache holds the perturbed brackets."""
+    n = alg.arity
+    tuples = list(combinations(keys, n))
+    bad = {}
+    for _ in range(data.draw(st.integers(0, 2))):
+        tup = data.draw(st.sampled_from(tuples))
+        bad[tup] = {data.draw(st.sampled_from(keys)): alg.field.coerce(data.draw(coeffs))}
+    base = alg.raw_bracket
+
+    def raw_bracket(ck):
+        got = base(ck)
+        extra = bad.get(ck)
+        return _plus(alg, got, extra) if extra else got
+
+    alg.raw_bracket = raw_bracket
+    return alg
+
+
+def jacobian_sets(field):
+    """The generalized Jacobian operator sets of acceptance check 10."""
+    R1 = SuperPolyRing(field, 1, 0)
+    R2 = SuperPolyRing(field, 2, 0)
+    x = R1.x(1)
+    return [
+        (R1, [DiffOp.ddx(R1, 1)]),
+        (R1, [DiffOp.ddx(R1, 1), DiffOp.ddx(R1, 1, coeff=x)]),
+        (R2, [DiffOp.ddx(R2, 1), DiffOp.ddx(R2, 2)]),
+        (R1, [DiffOp.ddx(R1, 1), DiffOp.ddx(R1, 1, coeff=x * x)]),
+        (R2, [DiffOp.ddx(R2, 1, coeff=R2.x(1)),
+              DiffOp.ddx(R2, 2, coeff=R2.x(1)) + DiffOp.ddx(R2, 1)]),
+    ]
+
+
+def _poly_case(alg, window, data):
+    keys = alg.window_keys(window)
+    return corrupt_poly(alg, keys, data), keys, "sorted"
+
+
+def _jacobian_case(field, data):
+    ring, ops = data.draw(st.sampled_from(jacobian_sets(field)))
+    alg = GeneralizedJacobianNAry(field, ring.m, ops, bordered=True)
+    return _poly_case(alg, 2, data)
+
+
+# name -> (field, data) -> (carrier, keys, mode)
+CASES = {
+    "O(3)": lambda F, data: (corrupt_table(algebra_O(3, field=F), data), range(4), "full"),
+    "O(4)": lambda F, data: (corrupt_table(algebra_O(4, field=F), data), range(5), "sorted"),
+    "heisenberg": lambda F, data: (corrupt_table(heisenberg_11(F), data, entries=3), range(2), "full"),
+    "mixed": lambda F, data: (mixed_table(F, data), range(3), "full"),
+    "S(3)": lambda F, data: _poly_case(algebra_S(3, F), 2, data),
+    "W(3)": lambda F, data: _poly_case(algebra_W(3, F), 1, data),
+    "SW(4)": lambda F, data: _poly_case(algebra_SW(4, F), 1, data),
+    "jacobian": _jacobian_case,
+}
+
+
+def _as_map(alg, elem) -> dict:
+    return dict(alg.coords(elem))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=12)
+@given(data=st.data())
+def test_kernel_matches_the_reference_loop(case, field, data):
+    alg, keys, mode = CASES[case](field, data)
+    keys = list(keys)
+    n = alg.arity
+    rep = check_filippov(alg, keys=keys, mode=mode)
+    ok, instances, witness = reference_check(alg, keys, mode, reference_filippov_defect)
+    assert (rep.ok, rep.instances, rep.witness and rep.witness[:2]) == (ok, instances, witness)
+    assert rep.mode == mode
+
+    # defects of ordered instances, repeats and unsorted orders included
+    key = st.sampled_from(keys)
+    for _ in range(4):
+        a_keys = tuple(data.draw(key) for _ in range(n - 1))
+        b_keys = tuple(data.draw(key) for _ in range(n))
+        assert (_as_map(alg, filippov_defect(alg, a_keys, b_keys))
+                == _as_map(alg, reference_filippov_defect(alg, a_keys, b_keys)))
+
+    # a random map of a drawn parity through the derivation defect
+    images = {k: alg.element({j: alg.field.coerce(c) for j in keys
+                              if (c := data.draw(coeffs))}) for k in keys}
+    dparity = data.draw(st.sampled_from([0, 1]))
+    zero = alg.element({})
+
+    def dmap(k):  # zero off the window
+        return images.get(k, zero)
+
+    for tup in sorted_key_tuples(keys, alg.key_parity, n):
+        assert (_as_map(alg, derivation_defect(alg, dmap, dparity, tup))
+                == _as_map(alg, reference_derivation_defect(alg, dmap, dparity, tup)))
+    drep = check_derivation(alg, dmap, dparity, keys=keys)
+    count, want = 0, None
+    for tup in sorted_key_tuples(keys, alg.key_parity, n):
+        count += 1
+        if alg.coords(reference_derivation_defect(alg, dmap, dparity, tup)):
+            want = tup
+            break
+    assert (drep.ok, drep.instances, drep.witness and drep.witness[0]) == (want is None, count, want)

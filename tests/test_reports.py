@@ -2,6 +2,7 @@
 
 import json
 
+import nlielab
 from nlielab.fields import QQ
 from nlielab.reports import FAIL, NOT_DECIDED, PASS, CheckRecord, Report, _plain
 
@@ -52,6 +53,11 @@ def test_json_is_stable_and_newline_terminated():
     assert doc["command"] == "verify"
     assert doc["config"]["n"] == 3
     assert "version" in doc
+
+
+def test_version_is_the_package_version():
+    assert sample_report().version == nlielab.__version__
+    assert json.loads(sample_report().to_json())["version"] == nlielab.__version__
 
 
 def test_plain_handles_exact_scalars_and_tuple_keys():
