@@ -81,8 +81,8 @@ def invert_dense(field: Field, rows):
         if piv is None:
             raise ValueError("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
+        pv = aug[col][col]
+        aug[col] = [field.div(v, pv) for v in aug[col]]
         for r in range(n):
             if r != col and aug[r][col]:
                 c = aug[r][col]

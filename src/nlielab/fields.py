@@ -1,11 +1,14 @@
 """Exact scalar arithmetic: rationals and prime fields.
 
-Every computation in this package is exact.  Rational scalars are
-``fractions.Fraction`` (or gmpy2's ``mpq`` when available, which is a
-drop-in replacement and considerably faster); prime-field scalars are
-lightweight wrappers around ints reduced mod p.  Scalars of the two
+Every computation in this package is exact.  A rational scalar is a
+plain ``int`` while it is integral; only a division that does not come
+out even makes a ``fractions.Fraction`` (or gmpy2's ``mpq`` when
+available, a faster drop-in).  Sums and products of Fractions stay
+Fractions even when integral, which is still exact.  Prime-field scalars
+are lightweight wrappers around ints reduced mod p.  Scalars of the two
 kinds are never mixed; a :class:`Field` object decides which kind a
-computation uses and provides construction, coercion and parsing.
+computation uses and provides construction, coercion, parsing and the
+one division, :meth:`Field.div`, so no ``int / int`` ever makes a float.
 """
 
 from __future__ import annotations
@@ -22,6 +25,11 @@ __all__ = ["Field", "FieldError", "QQ", "GF", "ModP", "is_prime"]
 
 class FieldError(ValueError):
     pass
+
+
+def _reduced(q):
+    """An integral rational as an int; any other rational unchanged."""
+    return int(q) if q.denominator == 1 else q
 
 
 def is_prime(p: int) -> bool:
@@ -111,11 +119,11 @@ class ModP:
         if isinstance(other, ModP):
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            return self.v == other
         return NotImplemented
 
     def __hash__(self):
-        # ModP(v, p) == v % p, so it hashes like that int
+        # ModP(v, p) equals only the reduced int v, so it hashes like v
         return hash(self.v)
 
     def __bool__(self):
@@ -150,10 +158,10 @@ class Field:
         return self.scalar(1)
 
     def scalar(self, num, den=1):
-        if self.kind == "rationals":
-            return _ratio(num, den)
         if den != 1:
-            return ModP(num, self.p) / den
+            return self.div(num, den)
+        if self.kind == "rationals":
+            return num if type(num) is int else _reduced(_ratio(num))
         if isinstance(num, ModP):
             if num.p != self.p:
                 raise FieldError("wrong characteristic")
@@ -165,8 +173,21 @@ class Field:
         text = text.strip()
         if "/" in text:
             a, b = text.split("/", 1)
-            return self.scalar(int(a), int(b))
+            try:
+                return self.scalar(int(a), int(b))
+            except ZeroDivisionError:
+                raise FieldError("zero denominator in %r" % text) from None
         return self.scalar(int(text))
+
+    def div(self, a, b):
+        """a / b, the one division: over QQ an int when b divides a and a
+        Fraction otherwise, over F_p a ``ModP``.  Raises ZeroDivisionError
+        when b is zero."""
+        if self.kind == "rationals":
+            if type(a) is int and type(b) is int and a % b == 0:
+                return a // b
+            return _reduced(_ratio(a, b))
+        return self.scalar(a) / b
 
     def coerce(self, x):
         """Accept ints and already-typed scalars; reject foreign kinds."""
@@ -175,7 +196,7 @@ class Field:
         if self.kind == "rationals":
             if isinstance(x, ModP):
                 raise FieldError("prime-field scalar in a rational computation")
-            return _ratio(x)
+            return _reduced(_ratio(x))
         if isinstance(x, ModP):
             if x.p != self.p:
                 raise FieldError("wrong characteristic")

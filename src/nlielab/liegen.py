@@ -469,7 +469,7 @@ def tables_proportional(t1: dict, t2: dict, field):
                 continue
             if not b or not a:
                 return False, key
-            r = a / b
+            r = field.div(a, b)
             if scalar is None:
                 scalar = r
             elif r != scalar:

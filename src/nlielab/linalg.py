@@ -71,7 +71,8 @@ class Span:
             return False
         pivot = min(v.keys())
         pc = v[pivot]
-        v = {k: val / pc for k, val in v.items()}
+        div = self.field.div
+        v = {k: div(val, pc) for k, val in v.items()}
         for row in self.rows:
             c = row.get(pivot)
             if c is not None:
@@ -137,7 +138,7 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
         c = r[col]
         if c != m.field.one():
             for k in list(r):
-                r[k] = r[k] / c
+                r[k] = m.field.div(r[k], c)
         for i, other in enumerate(rows):
             if i != pivot_row:
                 c2 = other.get(col)

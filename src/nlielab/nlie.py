@@ -352,6 +352,8 @@ def parse_table(text: str) -> FiniteNAryAlgebra:
             raise ValueError("bad table line %r" % ln)
         left, right = ln.split("->", 1)
         key = tuple(int(tok) - 1 for tok in left.split())
+        if any(not 0 <= i < dim for i in key):
+            raise ValueError("key index out of range 1..%d in %r" % (dim, ln))
         coords = {}
         for part in right.split("+"):
             part = part.strip()
@@ -364,6 +366,8 @@ def parse_table(text: str) -> FiniteNAryAlgebra:
             if not lab.startswith("e"):
                 raise ValueError("bad basis label %r" % lab)
             idx = int(lab[1:]) - 1
+            if not 0 <= idx < dim:
+                raise ValueError("basis label %r out of range e1..e%d" % (lab, dim))
             c = field.parse(cstr.strip())
             if c:
                 coords[idx] = coords.get(idx, field.zero()) + c

@@ -195,6 +195,21 @@ def test_charp_cap_below_the_arity_is_a_one_line_usage_error(capsys):
     assert "rational_control_truncates" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit, message", [
+    (("1 2 3 -> 1*e4", "1 2 3 -> 1/0*e4"), "error: zero denominator in '1/0'\n"),
+    (("1 2 3 -> 1*e4", "0 2 3 -> 1*e4"),
+     "error: key index out of range 1..4 in '0 2 3 -> 1*e4'\n"),
+    (("1 2 3 -> 1*e4", "1 2 3 -> 1*e5"), "error: basis label 'e5' out of range e1..e4\n"),
+], ids=["zero_denominator", "key_index_zero", "label_past_dim"])
+def test_bad_table_entries_are_one_line_usage_errors(tmp_path, capsys, edit, message):
+    table = tmp_path / "bad.nlie"
+    table.write_text(serialize_table(algebra_O(3)).replace(*edit))
+    assert main(["verify", "--table", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_argparse_rejects_unknown_selectors():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "Q"])

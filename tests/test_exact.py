@@ -1,0 +1,137 @@
+"""No float ever appears: every division goes through ``Field.div``, the
+rational kernels yield only ints and Fractions, and QQ agrees with GF(p)."""
+
+import ast
+import json
+import os
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, strategies as st
+
+from nlielab.catalog import algebra_O, invert_dense
+from nlielab.cli import main
+from nlielab.fields import GF, QQ
+from nlielab.liegen import check_admissible, tables_proportional
+from nlielab.linalg import SparseMatrix, Span, nullspace, rref, solve_linear
+from nlielab.multilinear import bracket_to_symmetric
+from nlielab.universal import WElement
+
+PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "nlielab")
+
+rationals = st.builds(QQ.scalar, st.integers(-9, 9), st.integers(1, 6))
+nonzero_rationals = rationals.filter(bool)
+
+
+def test_no_division_outside_fields():
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py") or name == "fields.py":
+            continue
+        with open(os.path.join(PACKAGE, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(getattr(node, "op", None), ast.Div)]
+    assert found == []
+
+
+def assert_exact(values):
+    for x in values:
+        assert QQ.check(x) and not isinstance(x, float), repr(x)
+
+
+@given(rationals, nonzero_rationals)
+def test_div_is_exact_and_normalized(a, b):
+    r = QQ.div(a, b)
+    assert_exact([r])
+    assert r == Fraction(a) / Fraction(b)
+    assert type(r) is int or r.denominator != 1
+
+
+def rational_vectors(nkeys=6):
+    return st.dictionaries(st.integers(0, nkeys - 1), nonzero_rationals, max_size=nkeys)
+
+
+@given(st.lists(rational_vectors(), max_size=7), rational_vectors())
+def test_span_stays_exact(stream, probe):
+    s = Span(QQ)
+    for vec in stream:
+        s.insert(vec)
+    for row in s.rows:
+        assert_exact(row.values())
+    assert_exact(s.reduce(probe).values())
+
+
+def rational_matrices(max_dim=4):
+    return st.integers(1, max_dim).flatmap(lambda n: st.integers(1, max_dim).flatmap(
+        lambda m: st.lists(st.lists(rationals, min_size=m, max_size=m),
+                           min_size=n, max_size=n)))
+
+
+@given(rational_matrices(), st.lists(rationals, min_size=4, max_size=4))
+def test_elimination_stays_exact(dense, rhs):
+    rows = [{j: c for j, c in enumerate(r) if c} for r in dense]
+    m = SparseMatrix(QQ, rows, ncols=len(dense[0]))
+    red, _ = rref(m)
+    for row in red.rows:
+        assert_exact(row.values())
+    sol = solve_linear(m, rhs[:m.nrows])
+    if sol is not None:
+        assert_exact(sol.values())
+    for v in nullspace(m):
+        assert_exact(v.values())
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_invert_dense_stays_exact(dense):
+    try:
+        inv = invert_dense(QQ, dense)
+    except ValueError:
+        return  # singular
+    for row in inv:
+        assert_exact(row)
+    n = len(dense)
+    for i in range(n):
+        for j in range(n):
+            assert sum(dense[i][k] * inv[k][j] for k in range(n)) == (i == j)
+
+
+@given(nonzero_rationals)
+def test_tables_proportional_stays_exact(c):
+    table = algebra_O(3).table
+    scaled = {k: v.scale(c) for k, v in table.items()}
+    ok, scalar = tables_proportional(scaled, table, QQ)
+    assert ok and scalar == c
+    assert_exact([scalar])
+    assert type(scalar) is int or scalar.denominator != 1
+
+
+# -- QQ against GF(p) ------------------------------------------------------
+
+FIELDS = [QQ, GF(10007), GF(10009)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_generated_dims_agree_over_qq_and_prime_fields(n):
+    dims = []
+    for field in FIELDS:
+        alg = algebra_O(n, field)
+        mu = WElement.from_map(bracket_to_symmetric(
+            alg.space, alg.arity, alg.bracket_parity, alg.bracket_keys))
+        dims.append(check_admissible(mu.space, mu, n + 1).graded_dims)
+    assert dims[0] == {j: comb(n + 1, j + 2) for j in range(-1, n)}
+    assert dims[1] == dims[0] and dims[2] == dims[0]
+
+
+def test_window_identity_agrees_over_qq_and_prime_fields(tmp_path, capsys):
+    records = []
+    for field in FIELDS:
+        out = tmp_path / ("%s.json" % field.name.replace(":", "_"))
+        code = main(["verify", "S", "--n", "3", "--window", "2",
+                     "--field", field.name, "--json", str(out)])
+        capsys.readouterr()
+        records.append((code, json.loads(out.read_bytes())["checks"]))
+    assert records[0][1][0]["status"] == "pass"
+    assert records[1] == records[0] and records[2] == records[0]

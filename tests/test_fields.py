@@ -1,5 +1,7 @@
 """Scalar arithmetic: rationals and prime fields behave like fields."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,10 +55,41 @@ def test_modp_hashes_like_its_reduced_int(v):
     assert {a: "x"}[v % 7] == "x"
 
 
+residues = st.one_of(st.builds(ModP, st.integers(-30, 30), st.just(7)), st.integers(-30, 30))
+
+
+@given(residues, residues)
+def test_modp_equality_agrees_with_hash(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (len({a, b}) == 1)
+
+
+def test_integral_rationals_are_ints():
+    assert type(QQ.scalar(3)) is int
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    assert type(QQ.scalar(6, 3)) is int and QQ.scalar(6, 3) == 2
+    assert type(QQ.parse("-4/2")) is int
+    assert type(QQ.coerce(Fraction(5, 1))) is int
+    assert type(QQ.scalar(1, 2)) is Fraction
+
+
+def test_div_is_the_one_exact_division():
+    assert QQ.div(6, 3) == 2 and type(QQ.div(6, 3)) is int
+    assert QQ.div(1, 3) == Fraction(1, 3) and type(QQ.div(1, 3)) is Fraction
+    assert type(QQ.div(Fraction(1, 2), Fraction(1, 4))) is int
+    assert type(F7.div(6, 3)) is ModP and F7.div(1, 2) == 4
+    assert F7.div(ModP(1, 7), ModP(2, 7)) == 4
+    for field in (QQ, F7):
+        with pytest.raises(ZeroDivisionError):
+            field.div(1, 0)
+
+
 def test_modp_basics():
     a = ModP(10, 7)
     assert a.v == 3
     assert a == 3
+    assert a != 10 and a != -4  # equal only to the reduced int, as its hash
     assert a + 5 == 1
     assert 5 - a == 2
     assert 2 / ModP(3, 7) == 3
@@ -94,6 +127,9 @@ def test_parse_and_name_roundtrip():
         field_from_name("fp:9")
     with pytest.raises(FieldError):
         field_from_name("real")
+    for field, text in ((QQ, "1/0"), (F7, "1/0"), (F7, "3/14")):
+        with pytest.raises(FieldError):
+            field.parse(text)  # a zero denominator
 
 
 def test_coerce_rejects_foreign_scalars():

@@ -326,6 +326,9 @@ def test_defect_requires_homogeneous_operators():
         ("iii", QQ.scalar(-2), 17, "15 degree-0 elements"),
         ("iv", QQ.scalar(1), 18, "12 degree-0 elements"),
     ],
+    # explicit ids keep the test names independent of the scalars' type
+    ids=["i-scalar0-4-6 degree-0 elements", "ii-scalar1-50-26 degree-0 elements",
+         "iii-scalar2-17-15 degree-0 elements", "iv-scalar3-18-12 degree-0 elements"],
 )
 def test_pairings_reproduce_the_catalog_brackets(which, scalar, tuples, l0):
     rep = verify_pair(which, 3, xwindow=2)
