@@ -10,7 +10,7 @@ the ideal test [Der, Inder] <= Inder.
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Span, SparseMatrix, nullspace
+from .linalg import Span, SparseMatrix, mat_mul, nullspace, vec_add_scaled
 from .nlie import (
     FiniteNAryAlgebra,
     check_derivation,
@@ -55,32 +55,11 @@ def matrix_of_dmap(alg, dmap) -> dict:
     return mat
 
 
-def mat_mul(field: Field, a: dict, b: dict) -> dict:
-    by_row = {}
-    for (j, k), cb in b.items():
-        by_row.setdefault(j, []).append((k, cb))
-    out = {}
-    for (i, j), ca in a.items():
-        for k, cb in by_row.get(j, ()):
-            key = (i, k)
-            c = out.get(key, field.zero()) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
-
-
 def mat_commutator(field: Field, a: dict, pa: int, b: dict, pb: int) -> dict:
     """Super commutator a b - (-1)^{pa pb} b a of two matrices."""
-    out = mat_mul(field, a, b)
+    out = mat_mul(a, b)
     sign = -field.one() if (pa and pb) else field.one()
-    for k, c in mat_mul(field, b, a).items():
-        v = out.get(k, field.zero()) - sign * c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
+    vec_add_scaled(out, mat_mul(b, a), -sign)
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 from itertools import product
 
-from .linalg import Span
+from .linalg import Span, envelope_dim, orbit_span
 from .multilinear import conversion_sign, sort_with_sign_alternating
 from .superspace import SuperSpace, SuperVector
 from .universal import GradedSubalgebra, WElement, box, is_transitive, w_bracket
@@ -102,83 +102,30 @@ def check_irreducible(sub: GradedSubalgebra):
     dim = space.dim
     actions = []
     for u in sub.basis(0):
-        mat = [[field.zero() for _ in range(dim)] for _ in range(dim)]
+        mat = {}
         for j in range(dim):
-            out = u.payload.evaluate((j,))
-            for i, c in out.coords.items():
-                mat[i][j] = c
+            for i, c in u.payload.evaluate((j,)).coords.items():
+                mat[(i, j)] = c
         actions.append(mat)
     if not actions:
         status = dim <= 1
         return status, "degree-zero part acts by zero"
 
-    def matvec(m, coords: dict) -> dict:
-        out = {}
-        for j, c in coords.items():
-            for i in range(dim):
-                v = m[i][j] * c
-                if v:
-                    w = out.get(i)
-                    s = v if w is None else w + v
-                    if s:
-                        out[i] = s
-                    else:
-                        out.pop(i, None)
-        return out
-
-    # spin each basis vector; a proper invariant span is a witness
+    # spin each basis vector (a one-column matrix); a proper invariant
+    # span is a witness
     for start in range(dim):
-        orbit = Span(field)
-        orbit.insert({start: field.one()})
-        work = [{start: field.one()}]
-        while work:
-            v = work.pop()
-            for m in actions:
-                w = matvec(m, v)
-                if w and orbit.insert(dict(w)):
-                    work.append(w)
+        orbit = orbit_span(field, actions, {(start, 0): field.one()})
         if orbit.dim < dim:
             return False, "basis vector %d spans a %d-dim invariant subspace" % (
                 start,
                 orbit.dim,
             )
 
-    # associative envelope of the action matrices, as vectors in End(V)
-    def matmul(a, b):
-        out = [[field.zero() for _ in range(dim)] for _ in range(dim)]
-        for i in range(dim):
-            for k in range(dim):
-                c = a[i][k]
-                if not c:
-                    continue
-                row = b[k]
-                for j in range(dim):
-                    if row[j]:
-                        out[i][j] = out[i][j] + c * row[j]
-        return out
-
-    def matvecz(m):
-        return {
-            (i, j): m[i][j] for i in range(dim) for j in range(dim) if m[i][j]
-        }
-
-    ident = [
-        [field.one() if i == j else field.zero() for j in range(dim)]
-        for i in range(dim)
-    ]
-    env = Span(field)
-    env.insert(matvecz(ident))
-    work = [ident]
-    while work:
-        m = work.pop()
-        for g in actions:
-            p = matmul(g, m)
-            if env.insert(matvecz(p)):
-                work.append(p)
-    if env.dim == dim * dim:
+    env = envelope_dim(field, actions, dim)
+    if env == dim * dim:
         return True, "action envelope fills End(V)"
     return "not_decided", "no invariant subspace through basis vectors; envelope dim %d < %d" % (
-        env.dim,
+        env,
         dim * dim,
     )
 

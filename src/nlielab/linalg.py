@@ -6,6 +6,8 @@ which lets the same span machinery hold polynomial monomials, operator
 coordinates and multilinear-map coordinates.  No zero is ever stored.
 Pivoting is deterministic: the pivot of a vector is its smallest key,
 rows are processed in input order, so reduced bases are reproducible.
+Matrices multiplied by ``mat_mul`` are dicts {(row, col): c}; the
+associative envelope of a set of them is one ``orbit_span``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import bisect
 
 from .fields import Field, FieldError
 
-__all__ = ["Span", "SparseMatrix", "rref", "solve_linear", "nullspace"]
+__all__ = ["Span", "SparseMatrix", "rref", "solve_linear", "nullspace", "mat_mul",
+           "orbit_span", "envelope_dim"]
 
 
 def vec_add_scaled(target: dict, src: dict, c) -> None:
@@ -89,6 +92,40 @@ class Span:
 
     def __iter__(self):
         return iter(self.rows)
+
+
+def mat_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse matrices given as {(row, col): c} dicts."""
+    b_rows: dict = {}
+    for (k, j), c in b.items():
+        b_rows.setdefault(k, {})[j] = c
+    rows: dict = {}
+    for (i, k), c in a.items():
+        row = b_rows.get(k)
+        if row:
+            vec_add_scaled(rows.setdefault(i, {}), row, c)
+    return {(i, j): c for i, row in rows.items() for j, c in row.items()}
+
+
+def orbit_span(field: Field, mats, start: dict) -> Span:
+    """Span of ``start`` and of every product of ``mats`` applied to it."""
+    span = Span(field)
+    span.insert(start)
+    work = [start]
+    while work:
+        m = work.pop()
+        for g in mats:
+            p = mat_mul(g, m)
+            if p and span.insert(p):
+                work.append(p)
+    return span
+
+
+def envelope_dim(field: Field, mats, dim: int) -> int:
+    """Dimension of the unital associative algebra generated by the
+    dim x dim matrices ``mats``."""
+    one = field.one()
+    return orbit_span(field, mats, {(i, i): one for i in range(dim)}).dim
 
 
 class SparseMatrix:

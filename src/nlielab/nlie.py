@@ -354,6 +354,8 @@ def parse_table(text: str) -> FiniteNAryAlgebra:
         key = tuple(int(tok) - 1 for tok in left.split())
         if any(not 0 <= i < dim for i in key):
             raise ValueError("key index out of range 1..%d in %r" % (dim, ln))
+        if key in table:
+            raise ValueError("repeated key in %r" % (ln,))
         coords = {}
         for part in right.split("+"):
             part = part.strip()

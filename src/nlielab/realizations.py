@@ -11,19 +11,28 @@ enumerator, and its distinguished divergence:
 * the odd contact bracket ``KO(n,n+1)`` and the div_beta-kernel
   ``SKO'(n,n+1;beta)``.
 
+They share the base class ``Carrier``, which holds the grading and its
+compatibility test, the windows and graded bases (monomial candidates
+cut to the kernel of the constraint), the quotient by the constants,
+the Lie parity and membership.  A subclass supplies its ``bracket``,
+``field_of``, ``constraint_value`` and the grading hook
+``_paired_weights``; ``VectorFieldRealization`` also supplies the
+``DiffOp`` versions of ``zero``, ``vectorize``, ``element``, ``xdeg``
+and ``_candidates``.
+
 On top of the carriers: the top-element pairing checks (one line at the
 top, centralizing the degree-zero part, window transitivity, and the
 induced n-bracket compared against the catalog algebra up to one global
 scalar), and the splitting reports full = derived (+) one line.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, monomials_upto
 from .fields import QQ, Field
 from .liegen import tables_proportional
-from .linalg import Span, SparseMatrix, nullspace
+from .linalg import Span, SparseMatrix, envelope_dim, nullspace
 from .multilinear import conversion_sign
 from .polysuper import DiffOp, SuperPoly, SuperPolyRing, delta
 
@@ -99,31 +108,16 @@ def _ring_monomial_keys(ring: SuperPolyRing, xwindow: int):
                 yield (alpha, xis)
 
 
-def _poly_xdeg(f: SuperPoly) -> int:
-    return max((sum(a) for (a, _) in f.terms), default=0)
-
-
-def _op_xdeg(op: DiffOp) -> int:
-    return max((_poly_xdeg(p) for p in op.coeffs.values()), default=0)
-
-
-def _kernel_members(field, cands, images, vectorize, zero):
-    """Linear combinations of ``cands`` killed by the map with the given
-    images.  Candidates are columns; deterministic order throughout."""
+def _column_matrix(field, columns):
+    """The matrix whose j-th column is the vector ``columns[j]``, rows in
+    sorted key order; None when every column is zero."""
     rows: dict = {}
-    for j, img in enumerate(images):
-        for key, c in vectorize(img).items():
+    for j, col in enumerate(columns):
+        for key, c in col.items():
             rows.setdefault(key, {})[j] = c
     if not rows:
-        return list(cands)
-    mat = SparseMatrix(field, [rows[k] for k in sorted(rows)], ncols=len(cands))
-    out = []
-    for combo in nullspace(mat):
-        elem = zero
-        for j in sorted(combo):
-            elem = elem + cands[j].scale(combo[j])
-        out.append(elem)
-    return out
+        return None
+    return SparseMatrix(field, [rows[k] for k in sorted(rows)], ncols=len(columns))
 
 
 def _span_of(field, vectors) -> Span:
@@ -137,18 +131,109 @@ def _span_of(field, vectors) -> Span:
 # carriers
 
 
-class PoissonRealization:
+class Carrier:
+    """A graded carrier of polynomials in ``ring``.  The degree of a
+    monomial is its weight minus ``shift``; ``quotient`` factors out the
+    constants, and a carrier with a ``constraint`` is cut to the kernel
+    of ``constraint_value``.  The Lie parity is the polynomial parity
+    plus ``parity_offset``."""
+
+    parity_offset = 0
+
+    def __init__(self, field: Field, ring: SuperPolyRing, grading: GradingSpec,
+                 name: str, constraint=None, quotient: bool = False):
+        self.field = field
+        self.ring = ring
+        self.grading = grading
+        self.constraint = constraint
+        self.quotient = quotient
+        sums = self._paired_weights()
+        if len(sums) != 1:
+            raise ValueError("grading is not compatible with the bracket")
+        self.shift = sums.pop()
+        self.name = name
+
+    def _paired_weights(self) -> set:
+        """Weight sums of the generator pairs the bracket contracts; the
+        grading is compatible with the bracket when there is exactly one,
+        and it is the shift."""
+        raise NotImplementedError
+
+    def zero(self):
+        return self.ring.zero()
+
+    def project(self, f):
+        return f.drop_constant() if self.quotient else f
+
+    def lie_parity(self, f):
+        p = f.parity()
+        return None if p is None else (p + self.parity_offset) % 2
+
+    def vectorize(self, f) -> dict:
+        return dict(f.terms)
+
+    def element(self, coords):
+        """The element with the given ``vectorize`` coordinates."""
+        return SuperPoly(self.ring, dict(coords))
+
+    def xdeg(self, f) -> int:
+        """Largest degree in the even variables."""
+        return max((sum(a) for (a, _) in f.terms), default=0)
+
+    def constraint_value(self, f):
+        """Image under the defining constraint, None when there is none."""
+        return None
+
+    def contains(self, f) -> bool:
+        v = self.constraint_value(f)
+        return v is None or v.is_zero()
+
+    def _candidates(self, xwindow: int, degree=None):
+        want = None if degree is None else degree + self.shift
+        out = []
+        for key in _ring_monomial_keys(self.ring, xwindow):
+            if self.quotient and not key[1] and not any(key[0]):
+                continue
+            if want is None or self.grading.weight_key(key) == want:
+                out.append(self.ring.monomial(*key))
+        return out
+
+    def _cut(self, cands):
+        """A basis of the combinations of ``cands`` inside the carrier."""
+        if self.constraint is None:
+            return cands
+        mat = _column_matrix(self.field,
+                             [self.constraint_value(c).terms for c in cands])
+        if mat is None:
+            return cands
+        out = []
+        for combo in nullspace(mat):
+            elem = self.zero()
+            for j in sorted(combo):
+                elem = elem + cands[j].scale(combo[j])
+            out.append(elem)
+        return out
+
+    def window_elements(self, xwindow: int):
+        return self._cut(self._candidates(xwindow))
+
+    def basis(self, degree: int, xwindow: int = 0):
+        return self._cut(self._candidates(xwindow, degree))
+
+
+class PoissonRealization(Carrier):
     """Free supercommutative carrier with even pairs {p_i, q_i} = 1
     (p_i = x_i, q_i = x_{k+i}) and a symmetric pairing b on the odd
     generators; b defaults to the identity.  With ``quotient`` the
     constants are factored out."""
 
+    # a class's own attribute: perfbench's tracer wraps window_elements per class
+    window_elements = Carrier.window_elements
+
     def __init__(self, field: Field, m: int, n: int, b=None, quotient: bool = False,
                  grading: GradingSpec | None = None):
         if m % 2:
             raise ValueError("even generators must come in p,q pairs")
-        self.field = field
-        self.ring = SuperPolyRing(field, m, n)
         self.npairs = m // 2
         if b is None:
             b = {(i, i): 1 for i in range(1, n + 1)}
@@ -165,29 +250,18 @@ class PoissonRealization:
                     raise ValueError("pairing must be symmetric")
                 bb[key] = c
         self.b = bb
-        self.quotient = quotient
-        self.grading = grading if grading is not None else principal_grading(m, n)
-        self.shift = self._shift()
-        base = "H'(%d,%d)" % (m, n) if quotient else "P(%d,%d)" % (m, n)
-        self.name = base
+        name = "H'(%d,%d)" % (m, n) if quotient else "P(%d,%d)" % (m, n)
+        super().__init__(field, SuperPolyRing(field, m, n),
+                         grading if grading is not None else principal_grading(m, n),
+                         name, quotient=quotient)
 
-    def _shift(self) -> int:
-        cs = {self.grading.xiweights[i - 1] + self.grading.xiweights[j - 1]
-              for (i, j) in self.b}
-        for i in range(1, self.npairs + 1):
-            cs.add(self.grading.xweights[i - 1] + self.grading.xweights[self.npairs + i - 1])
-        if len(cs) > 1:
-            raise ValueError("grading is not compatible with the bracket")
-        return cs.pop() if cs else 0
-
-    def zero(self):
-        return self.ring.zero()
-
-    def project(self, f: SuperPoly) -> SuperPoly:
-        return f.drop_constant() if self.quotient else f
-
-    def lie_parity(self, f: SuperPoly):
-        return f.parity()
+    def _paired_weights(self) -> set:
+        xw, sw = self.grading.xweights, self.grading.xiweights
+        sums = {sw[i - 1] + sw[j - 1] for (i, j) in self.b}
+        sums.update(xw[i - 1] + xw[self.npairs + i - 1]
+                    for i in range(1, self.npairs + 1))
+        # a bracket that pairs nothing leaves the grading unshifted
+        return sums or {0}
 
     def bracket(self, f: SuperPoly, g: SuperPoly) -> SuperPoly:
         k = self.npairs
@@ -224,68 +298,29 @@ class PoissonRealization:
                 op = op + (term if sgn > 0 else -term)
         return op
 
-    def vectorize(self, f: SuperPoly) -> dict:
-        return dict(f.terms)
 
-    def contains(self, f: SuperPoly) -> bool:
-        return True
-
-    def constraint_value(self, f: SuperPoly):
-        return None
-
-    def window_elements(self, xwindow: int):
-        out = []
-        for key in _ring_monomial_keys(self.ring, xwindow):
-            if self.quotient and not key[1] and not any(key[0]):
-                continue
-            out.append(self.ring.monomial(*key))
-        return out
-
-    def basis(self, degree: int, xwindow: int = 0):
-        want = degree + self.shift
-        out = []
-        for key in _ring_monomial_keys(self.ring, xwindow):
-            if self.quotient and not key[1] and not any(key[0]):
-                continue
-            if self.grading.weight_key(key) == want:
-                out.append(self.ring.monomial(*key))
-        return out
-
-
-class ButtinRealization:
+class ButtinRealization(Carrier):
     """Odd Poisson bracket on polynomials in n even and n odd variables.
     The Lie parity is the reversed one.  ``constraint='delta'`` cuts to
     the kernel of the odd Laplacian; ``quotient`` drops constants."""
+
+    parity_offset = 1
+    # a class's own attribute: perfbench's tracer wraps window_elements per class
+    window_elements = Carrier.window_elements
 
     def __init__(self, field: Field, n: int, constraint=None, quotient: bool = False,
                  grading: GradingSpec | None = None):
         if constraint not in (None, "delta"):
             raise ValueError("unknown constraint %r" % (constraint,))
-        self.field = field
         self.nvars = n
-        self.ring = SuperPolyRing(field, n, n)
-        self.constraint = constraint
-        self.quotient = quotient
-        self.grading = grading if grading is not None else depth_one_grading(n, n)
-        self.shift = self._shift()
-        self.name = "SHO'(%d,%d)" % (n, n) if constraint else "PO(%d,%d)" % (n, n)
+        name = "SHO'(%d,%d)" % (n, n) if constraint else "PO(%d,%d)" % (n, n)
+        super().__init__(field, SuperPolyRing(field, n, n),
+                         grading if grading is not None else depth_one_grading(n, n),
+                         name, constraint, quotient)
 
-    def _shift(self) -> int:
-        cs = {self.grading.xweights[i] + self.grading.xiweights[i]
-              for i in range(self.nvars)}
-        if len(cs) != 1:
-            raise ValueError("grading is not compatible with the bracket")
-        return cs.pop()
-
-    def zero(self):
-        return self.ring.zero()
-
-    def project(self, f: SuperPoly) -> SuperPoly:
-        return f.drop_constant() if self.quotient else f
-
-    def lie_parity(self, f: SuperPoly):
-        p = f.parity()
-        return None if p is None else (p + 1) % 2
+    def _paired_weights(self) -> set:
+        return {self.grading.xweights[i] + self.grading.xiweights[i]
+                for i in range(self.nvars)}
 
     def bracket(self, f: SuperPoly, g: SuperPoly) -> SuperPoly:
         dg = [(i, g.dx(i), g.dxi(i)) for i in range(1, self.nvars + 1)]
@@ -312,91 +347,41 @@ class ButtinRealization:
                 op = op + (-t if eps > 0 else t)
         return op
 
-    def vectorize(self, f: SuperPoly) -> dict:
-        return dict(f.terms)
-
     def constraint_value(self, f: SuperPoly):
-        if self.constraint is None:
-            return None
-        return delta(f, self.nvars)
-
-    def contains(self, f: SuperPoly) -> bool:
-        v = self.constraint_value(f)
-        return True if v is None else v.is_zero()
-
-    def _candidates(self, xwindow: int):
-        out = []
-        for key in _ring_monomial_keys(self.ring, xwindow):
-            if self.quotient and not key[1] and not any(key[0]):
-                continue
-            out.append(key)
-        return out
-
-    def window_elements(self, xwindow: int):
-        cands = [self.ring.monomial(*k) for k in self._candidates(xwindow)]
-        if self.constraint is None:
-            return cands
-        return _kernel_members(
-            self.field, cands, [delta(c, self.nvars) for c in cands],
-            lambda p: p.terms, self.ring.zero())
-
-    def basis(self, degree: int, xwindow: int = 0):
-        want = degree + self.shift
-        keys = [k for k in self._candidates(xwindow)
-                if self.grading.weight_key(k) == want]
-        cands = [self.ring.monomial(*k) for k in keys]
-        if self.constraint is None:
-            return cands
-        return _kernel_members(
-            self.field, cands, [delta(c, self.nvars) for c in cands],
-            lambda p: p.terms, self.ring.zero())
+        return None if self.constraint is None else delta(f, self.nvars)
 
 
-class ContactRealization:
+class ContactRealization(Carrier):
     """Odd contact bracket on polynomials in m even variables and m+1 odd
     ones, the last odd variable being the contact one.  Constants are
     kept: they do not centralize the bracket here.  ``constraint='div'``
     cuts to the kernel of div_beta."""
 
+    parity_offset = 1
+    # a class's own attribute: perfbench's tracer wraps window_elements per class
+    window_elements = Carrier.window_elements
+
     def __init__(self, field: Field, m: int, beta=1, constraint=None,
                  grading: GradingSpec | None = None):
         if constraint not in (None, "div"):
             raise ValueError("unknown constraint %r" % (constraint,))
-        self.field = field
         self.m = m
         self.cidx = m + 1
-        self.ring = SuperPolyRing(field, m, m + 1)
         self.beta = field.coerce(beta)
         self.mbeta = field.coerce(m) * self.beta
-        self.constraint = constraint
-        self.grading = grading if grading is not None else depth_one_grading(m, m + 1)
-        self.shift = self._shift()
         if constraint:
-            self.name = "SKO'(%d,%d;%s)" % (m, m + 1, self.beta)
+            name = "SKO'(%d,%d;%s)" % (m, m + 1, self.beta)
         else:
-            self.name = "KO(%d,%d)" % (m, m + 1)
+            name = "KO(%d,%d)" % (m, m + 1)
+        super().__init__(field, SuperPolyRing(field, m, m + 1),
+                         grading if grading is not None else depth_one_grading(m, m + 1),
+                         name, constraint)
 
-    def _shift(self) -> int:
-        cs = {self.grading.xiweights[self.cidx - 1]}
-        cs.update(self.grading.xweights[i] + self.grading.xiweights[i]
-                  for i in range(self.m))
-        if len(cs) != 1:
-            raise ValueError("grading is not compatible with the bracket")
-        return cs.pop()
-
-    def zero(self):
-        return self.ring.zero()
-
-    def project(self, f: SuperPoly) -> SuperPoly:
-        return f
-
-    def lie_parity(self, f: SuperPoly):
-        p = f.parity()
-        return None if p is None else (p + 1) % 2
-
-    def _euler(self, f: SuperPoly) -> SuperPoly:
-        sel = range(1, self.m + 1)
-        return f.euler(xset=sel, xiset=sel)
+    def _paired_weights(self) -> set:
+        sums = {self.grading.xiweights[self.cidx - 1]}
+        sums.update(self.grading.xweights[i] + self.grading.xiweights[i]
+                    for i in range(self.m))
+        return sums
 
     def _two_minus_e(self, f: SuperPoly) -> SuperPoly:
         # 2 - E with E the Euler operator on x_1..x_m, xi_1..xi_m
@@ -444,69 +429,38 @@ class ContactRealization:
         return op
 
     def div_beta(self, f: SuperPoly) -> SuperPoly:
-        h = f.dxi(self.cidx)
-        return delta(f, self.m) + self._euler(h) - h.scale(self.mbeta)
-
-    def vectorize(self, f: SuperPoly) -> dict:
-        return dict(f.terms)
+        h, sel = f.dxi(self.cidx), range(1, self.m + 1)
+        return delta(f, self.m) + h.euler(xset=sel, xiset=sel) - h.scale(self.mbeta)
 
     def constraint_value(self, f: SuperPoly):
-        if self.constraint is None:
-            return None
-        return self.div_beta(f)
-
-    def contains(self, f: SuperPoly) -> bool:
-        v = self.constraint_value(f)
-        return True if v is None else v.is_zero()
-
-    def _candidates(self, xwindow: int):
-        return list(_ring_monomial_keys(self.ring, xwindow))
-
-    def window_elements(self, xwindow: int):
-        cands = [self.ring.monomial(*k) for k in self._candidates(xwindow)]
-        if self.constraint is None:
-            return cands
-        return _kernel_members(
-            self.field, cands, [self.div_beta(c) for c in cands],
-            lambda p: p.terms, self.ring.zero())
-
-    def basis(self, degree: int, xwindow: int = 0):
-        want = degree + self.shift
-        keys = [k for k in self._candidates(xwindow)
-                if self.grading.weight_key(k) == want]
-        cands = [self.ring.monomial(*k) for k in keys]
-        if self.constraint is None:
-            return cands
-        return _kernel_members(
-            self.field, cands, [self.div_beta(c) for c in cands],
-            lambda p: p.terms, self.ring.zero())
+        return None if self.constraint is None else self.div_beta(f)
 
 
-class VectorFieldRealization:
+class VectorFieldRealization(Carrier):
     """Polynomial vector fields, optionally cut to the divergence-free
-    subalgebra."""
+    subalgebra.  Elements are ``DiffOp``s, graded by coefficient weight
+    minus the weight of the differentiated generator."""
+
+    # a class's own attribute: perfbench's tracer wraps window_elements per class
+    window_elements = Carrier.window_elements
 
     def __init__(self, field: Field, m: int, n: int, constraint=None,
                  grading: GradingSpec | None = None):
         if constraint not in (None, "div"):
             raise ValueError("unknown constraint %r" % (constraint,))
-        self.field = field
         self.m = m
         self.n = n
-        self.ring = SuperPolyRing(field, m, n)
-        self.constraint = constraint
-        self.grading = grading if grading is not None else principal_grading(m, n)
-        self.shift = 0
-        self.name = "S'(%d,%d)" % (m, n) if constraint else "W(%d,%d)" % (m, n)
+        name = "S'(%d,%d)" % (m, n) if constraint else "W(%d,%d)" % (m, n)
+        super().__init__(field, SuperPolyRing(field, m, n),
+                         grading if grading is not None else principal_grading(m, n),
+                         name, constraint)
+
+    def _paired_weights(self) -> set:
+        # the commutator pairs each generator with its own derivation
+        return {0}
 
     def zero(self):
         return DiffOp.zero(self.ring)
-
-    def project(self, X: DiffOp) -> DiffOp:
-        return X
-
-    def lie_parity(self, X: DiffOp):
-        return X.parity()
 
     def bracket(self, X: DiffOp, Y: DiffOp) -> DiffOp:
         return X.bracket(Y)
@@ -517,44 +471,29 @@ class VectorFieldRealization:
     def vectorize(self, X: DiffOp) -> dict:
         return X.vectorize()
 
+    def element(self, coords):
+        out = {}
+        for (g, key), c in coords.items():
+            out.setdefault(g, {})[key] = c
+        return DiffOp(self.ring, {g: SuperPoly(self.ring, t) for g, t in out.items()})
+
+    def xdeg(self, X: DiffOp) -> int:
+        return max((Carrier.xdeg(self, p) for p in X.coeffs.values()), default=0)
+
     def constraint_value(self, X: DiffOp):
-        if self.constraint is None:
-            return None
-        return X.divergence()
-
-    def contains(self, X: DiffOp) -> bool:
-        v = self.constraint_value(X)
-        return True if v is None else v.is_zero()
-
-    def _gen_weight(self, g) -> int:
-        if g[0] == "x":
-            return self.grading.xweights[g[1] - 1]
-        return self.grading.xiweights[g[1] - 1]
+        return None if self.constraint is None else X.divergence()
 
     def _candidates(self, xwindow: int, degree=None):
+        gw = self.grading
+        gens = ([(i, gw.xweights[i - 1], DiffOp.ddx) for i in range(1, self.m + 1)]
+                + [(j, gw.xiweights[j - 1], DiffOp.ddxi) for j in range(1, self.n + 1)])
         out = []
         for key in _ring_monomial_keys(self.ring, xwindow):
-            w = self.grading.weight_key(key)
-            for i in range(1, self.m + 1):
-                if degree is None or w - self._gen_weight(("x", i)) == degree:
-                    out.append(DiffOp.ddx(self.ring, i, coeff=self.ring.monomial(*key)))
-            for j in range(1, self.n + 1):
-                if degree is None or w - self._gen_weight(("xi", j)) == degree:
-                    out.append(DiffOp.ddxi(self.ring, j, coeff=self.ring.monomial(*key)))
+            w = gw.weight_key(key)
+            for i, gwt, make in gens:
+                if degree is None or w - gwt == degree:
+                    out.append(make(self.ring, i, coeff=self.ring.monomial(*key)))
         return out
-
-    def _cut(self, cands):
-        if self.constraint is None:
-            return cands
-        return _kernel_members(
-            self.field, cands, [c.divergence() for c in cands],
-            lambda p: p.terms, DiffOp.zero(self.ring))
-
-    def window_elements(self, xwindow: int):
-        return self._cut(self._candidates(xwindow))
-
-    def basis(self, degree: int, xwindow: int = 0):
-        return self._cut(self._candidates(xwindow, degree=degree))
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +559,10 @@ def parse_handle(text: str, field: Field = QQ, beta=None):
     m, n = int(parts[0]), int(parts[1])
     if btext is not None:
         beta = field.parse(btext)
+    if head in ("PO", "SHO'") and m != n:
+        raise ValueError("this carrier needs equal variable counts")
+    if head in ("KO", "SKO'") and n != m + 1:
+        raise ValueError("this carrier needs one extra odd variable")
     if head == "W":
         return VectorFieldRealization(field, m, n)
     if head == "S'":
@@ -629,20 +572,12 @@ def parse_handle(text: str, field: Field = QQ, beta=None):
     if head == "H'":
         return PoissonRealization(field, m, n, quotient=True)
     if head == "PO":
-        if m != n:
-            raise ValueError("this carrier needs equal variable counts")
         return ButtinRealization(field, n)
     if head == "SHO'":
-        if m != n:
-            raise ValueError("this carrier needs equal variable counts")
         return ButtinRealization(field, n, constraint="delta", quotient=True)
     if head == "KO":
-        if n != m + 1:
-            raise ValueError("this carrier needs one extra odd variable")
         return ContactRealization(field, m, beta=beta if beta is not None else 1)
     if head == "SKO'":
-        if n != m + 1:
-            raise ValueError("this carrier needs one extra odd variable")
         return ContactRealization(field, m, beta=beta if beta is not None else 1,
                                   constraint="div")
     raise ValueError("unknown handle %r" % (text,))
@@ -756,37 +691,6 @@ def pair_setup(which: str, n: int, xwindow: int, field: Field = QQ) -> PairSetup
     raise ValueError("unknown pair %r" % (which,))
 
 
-def _matrix_envelope_dim(field, mats, dim: int) -> int:
-    """Dimension of the unital associative algebra generated by the
-    matrices, given as {(row, col): coeff} dicts."""
-
-    def mul(a, b):
-        out: dict = {}
-        for (i, k), c in a.items():
-            for j in range(dim):
-                v = b.get((k, j))
-                if not v:
-                    continue
-                w = out.get((i, j), field.zero()) + c * v
-                if w:
-                    out[(i, j)] = w
-                else:
-                    out.pop((i, j), None)
-        return out
-
-    ident = {(i, i): field.one() for i in range(dim)}
-    env = Span(field)
-    env.insert(dict(ident))
-    work = [ident]
-    while work:
-        m = work.pop()
-        for g in mats:
-            p = mul(g, m)
-            if p and env.insert(dict(p)):
-                work.append(p)
-    return env.dim
-
-
 def induced_table(real, mu, keys, elem_of, coords_of, arity: int) -> dict:
     """n-bracket read off by feeding depth-one elements into the top one;
     all depth-one elements here are odd, so tuples are strictly
@@ -829,11 +733,7 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
                             "degree %d slice has dimension %d" % (n - 1, len(top))))
 
     l0 = real.basis(0, xwindow)
-    cent = True
-    for X in l0:
-        if not real.vectorize(real.bracket(mu, X)) == {}:
-            cent = False
-            break
+    cent = all(not real.vectorize(real.bracket(mu, X)) for X in l0)
     checks.append(PairCheck("top_centralizes_degree_zero", cent,
                             "%d degree-0 elements" % len(l0)))
     if setup.l0_expected is not None:
@@ -853,16 +753,8 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
                 for key, c in real.vectorize(real.bracket(X, v)).items():
                     coords[(j, key)] = c
             imgs.append(coords)
-        rows: dict = {}
-        for col, coords in enumerate(imgs):
-            for key, c in coords.items():
-                rows.setdefault(key, {})[col] = c
-        if not rows:
-            trans = False
-            break
-        mat = SparseMatrix(field, [rows[k] for k in sorted(rows)],
-                           ncols=len(slice_basis))
-        if nullspace(mat):
+        mat = _column_matrix(field, imgs)
+        if mat is None or nullspace(mat):
             trans = False
             break
     checks.append(PairCheck("window_transitive", trans,
@@ -877,7 +769,7 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
                 for ck, c in setup.coords_of(real.bracket(X, v)).items():
                     m[(kindex[ck], j)] = c
             mats.append(m)
-        env = _matrix_envelope_dim(field, mats, len(setup.keys))
+        env = envelope_dim(field, mats, len(setup.keys))
         full = len(setup.keys) ** 2
         checks.append(PairCheck("depth_module_irreducible", env == full,
                                 "action envelope dim %d of %d" % (env, full)))
@@ -923,22 +815,6 @@ class SplitReport:
         return bool(good)
 
 
-def _element_from_coords(real, coords):
-    ring = real.ring
-    if isinstance(real.zero(), DiffOp):
-        out = {}
-        for (g, key), c in coords.items():
-            out.setdefault(g, {})[key] = c
-        return DiffOp(ring, {g: SuperPoly(ring, t) for g, t in out.items()})
-    return SuperPoly(ring, dict(coords))
-
-
-def _xdeg(elem) -> int:
-    if isinstance(elem, DiffOp):
-        return _op_xdeg(elem)
-    return _poly_xdeg(elem)
-
-
 def check_split(real, complement, xwindow: int, gen_slack: int = 2,
                 label: str = "", asserted: bool = True, ideal_xdeg: int = 1) -> SplitReport:
     """Window evidence for carrier = derived part (+) one extra line.
@@ -960,7 +836,7 @@ def check_split(real, complement, xwindow: int, gen_slack: int = 2,
             if not v:
                 continue
             dspan_all.insert(v)
-            if _xdeg(r) <= xwindow:
+            if real.xdeg(r) <= xwindow:
                 dw_vectors.append(v)
     dwspan = _span_of(field, dw_vectors)
 
@@ -971,10 +847,10 @@ def check_split(real, complement, xwindow: int, gen_slack: int = 2,
 
     checked = failures = 0
     low = [e for e in real.window_elements(ideal_xdeg)]
-    dw_elems = [_element_from_coords(real, dict(row)) for row in dwspan.basis()]
+    dw_elems = [real.element(row) for row in dwspan.basis()]
     for w in low:
         for d in dw_elems:
-            if _xdeg(w) + _xdeg(d) > xwindow + gen_slack:
+            if real.xdeg(w) + real.xdeg(d) > xwindow + gen_slack:
                 continue
             r = real.bracket(w, d)
             v = real.vectorize(r)

@@ -31,10 +31,11 @@ from nlielab.liegen import (
     check_truncation,
     generate_subalgebra,
 )
+from nlielab.linalg import envelope_dim
 from nlielab.multilinear import bracket_to_symmetric
 from nlielab.nlie import FiniteNAryAlgebra, check_filippov, filippov_defect
 from nlielab.polysuper import DiffOp, SuperPolyRing
-from nlielab.realizations import _matrix_envelope_dim, check_splits, verify_pair
+from nlielab.realizations import check_splits, verify_pair
 from nlielab.superspace import SuperSpace
 from nlielab.universal import WElement
 
@@ -146,7 +147,7 @@ def test_06_action_envelope_fills_matrix_algebra():
             for i, c in out.coords.items():
                 m[(i, j)] = c
         mats.append(m)
-    env = _matrix_envelope_dim(field, mats, dim)
+    env = envelope_dim(field, mats, dim)
     elapsed = time.perf_counter() - t0
     ok = env == dim * dim == 16
     conclude(6, "associative envelope of the degree-zero action on the "

@@ -200,7 +200,9 @@ def test_charp_cap_below_the_arity_is_a_one_line_usage_error(capsys):
     (("1 2 3 -> 1*e4", "0 2 3 -> 1*e4"),
      "error: key index out of range 1..4 in '0 2 3 -> 1*e4'\n"),
     (("1 2 3 -> 1*e4", "1 2 3 -> 1*e5"), "error: basis label 'e5' out of range e1..e4\n"),
-], ids=["zero_denominator", "key_index_zero", "label_past_dim"])
+    (("1 2 3 -> 1*e4", "1 2 3 -> 1*e4\n1 2 3 -> 5*e1\n1 2 3 -> 1*e4"),
+     "error: repeated key in '1 2 3 -> 5*e1'\n"),
+], ids=["zero_denominator", "key_index_zero", "label_past_dim", "repeated_key"])
 def test_bad_table_entries_are_one_line_usage_errors(tmp_path, capsys, edit, message):
     table = tmp_path / "bad.nlie"
     table.write_text(serialize_table(algebra_O(3)).replace(*edit))

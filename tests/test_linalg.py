@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nlielab.fields import GF, QQ
-from nlielab.linalg import SparseMatrix, Span, nullspace, rank, rref, solve_linear, vec_add_scaled
+from nlielab.linalg import (
+    SparseMatrix,
+    Span,
+    envelope_dim,
+    mat_mul,
+    nullspace,
+    rank,
+    rref,
+    solve_linear,
+    vec_add_scaled,
+)
 
 F5 = GF(5)
 
@@ -140,3 +150,36 @@ def test_span_reduce_matches_the_full_pivot_scan(field, data):
             assert not any(p in row for j, p in enumerate(s.pivots) if j != i)
         for w in stream + probes:
             assert s.reduce(w) == full_scan_reduce(s, w)
+
+
+def square_matrices(field, dim=3):
+    return st.dictionaries(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                           st.integers(-3, 3), max_size=dim * dim).map(
+        lambda d: {k: field.scalar(c) for k, c in d.items() if field.scalar(c)})
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["QQ", "GF5"])
+@given(data=st.data())
+def test_mat_mul_matches_the_dense_product(field, data):
+    a, b = data.draw(square_matrices(field)), data.draw(square_matrices(field))
+    zero = field.zero()
+    dense = {}
+    for i in range(3):
+        for j in range(3):
+            c = zero
+            for k in range(3):
+                c = c + a.get((i, k), zero) * b.get((k, j), zero)
+            if c:
+                dense[(i, j)] = c
+    assert mat_mul(a, b) == dense
+
+
+def test_envelope_dim_of_known_matrix_sets():
+    one = QQ.one()
+    nilpotent = {(0, 1): one, (1, 2): one}       # 1, N, N^2
+    assert envelope_dim(QQ, [nilpotent], 3) == 3
+    e12, e21 = {(0, 1): one}, {(1, 0): one}      # all of End(Q^2)
+    assert envelope_dim(QQ, [e12, e21], 2) == 4
+    assert envelope_dim(QQ, [], 2) == 1          # the identity alone
+    diagonal = {(0, 0): one, (1, 1): QQ.scalar(2)}
+    assert envelope_dim(QQ, [diagonal], 2) == 2

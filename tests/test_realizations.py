@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlielab.fields import GF, QQ
+from nlielab.linalg import Span
 from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.realizations import (
     ButtinRealization,
@@ -253,6 +254,57 @@ def test_parse_handle_constructs_the_advertised_models():
     for bad in ("Q(1,1)", "PO(2,3)", "KO(2,4)", "W(1)"):
         with pytest.raises(ValueError):
             parse_handle(bad)
+
+
+WINDOW_TWO_DIMS = {
+    "W(1,2)": {-1: 3, 0: 9, 1: 12, 2: 9, 3: 3},
+    "S'(1,2)": {-1: 3, 0: 8, 1: 9, 2: 5},
+    "P(0,4)": {-2: 1, -1: 4, 0: 6, 1: 4, 2: 1},
+    "H'(0,4)": {-1: 4, 0: 6, 1: 4, 2: 1},
+    "P(2,2)": {-2: 1, -1: 4, 0: 8, 1: 8, 2: 3},
+    "PO(2,2)": {-1: 6, 0: 12, 1: 6},
+    "SHO'(3,3)": {-1: 9, 0: 26, 1: 19, 2: 1},
+    "KO(2,3)": {-1: 6, 0: 18, 1: 18, 2: 6},
+    "SKO'(2,3;1)": {-1: 6, 0: 15, 1: 6, 2: 1},
+    "SKO'(3,4;1/3)": {-1: 10, 0: 30, 1: 30, 2: 10},
+}
+
+
+@pytest.mark.parametrize("handle", sorted(WINDOW_TWO_DIMS))
+def test_graded_bases_partition_the_window(handle):
+    real = parse_handle(handle)
+    for xwindow in range(3):
+        window = real.window_elements(xwindow)
+        dims = graded_dims(real, range(-3, 7), xwindow)
+        assert sum(dims.values()) == len(window)
+        wspan = Span(QQ)
+        for e in window:
+            wspan.insert(real.vectorize(e))
+            assert real.element(real.vectorize(e)) == e
+        for d in range(-3, 7):
+            for e in real.basis(d, xwindow):
+                assert real.contains(e) and wspan.contains(real.vectorize(e))
+    assert {d: k for d, k in dims.items() if k} == WINDOW_TWO_DIMS[handle]
+
+
+def test_incompatible_gradings_are_rejected():
+    bad = [
+        lambda: PoissonRealization(QQ, 0, 4, grading=GradingSpec((), (1, 1, 1, 2))),
+        lambda: PoissonRealization(QQ, 2, 2, grading=GradingSpec((1, 2), (1, 1))),
+        lambda: ButtinRealization(QQ, 2, grading=GradingSpec((0, 1), (1, 1))),
+        lambda: ContactRealization(QQ, 2, grading=GradingSpec((0, 0), (1, 1, 2))),
+        lambda: ButtinRealization(QQ, 0),
+    ]
+    for build in bad:
+        with pytest.raises(ValueError, match="not compatible"):
+            build()
+    # the shift is the one weight sum the bracket pairs
+    assert PoissonRealization(QQ, 0, 4).shift == 2
+    assert PoissonRealization(QQ, 0, 0).shift == 0
+    assert PoissonRealization(QQ, 2, 2, grading=GradingSpec((1, 3), (2, 2))).shift == 4
+    assert ButtinRealization(QQ, 2, grading=GradingSpec((1, 1), (1, 1))).shift == 2
+    assert ContactRealization(QQ, 2).shift == 1
+    assert VectorFieldRealization(QQ, 1, 2).shift == 0
 
 
 def test_graded_dims_of_the_top_quotient_model():
