@@ -20,7 +20,8 @@ import sys
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, parse_form
 from .charp import CharPSeed, charp_fj_check, charp_generation, q_control
 from .fields import FieldError, field_from_name
-from .liegen import check_admissible, check_mu_relations, check_truncation
+from .liegen import (check_admissible, check_mu_relations, check_truncation,
+                     generate_subalgebra)
 from .multilinear import bracket_to_symmetric
 from .nlie import check_filippov, parse_table
 from .realizations import check_splits, verify_pair
@@ -49,8 +50,15 @@ def _finite_suite(rep: Report, alg, cap: int):
     mu = WElement.from_map(mm)
     rev = mu.space
 
-    adm = check_admissible(rev, mu, cap)
-    rep.add("pair_graded_dims", True, _fmt_dims(adm.graded_dims),
+    # one generation serves both structure checks; a closure that stopped
+    # short of a fixpoint decides neither its dims nor the truncation
+    generated = generate_subalgebra(rev, mu, cap)
+    adm = check_admissible(rev, mu, cap, generated=generated)
+    trace = adm.generation
+    rep.add("pair_graded_dims", trace.reached_fixpoint or None,
+            "%s, cap %d, %d rounds, fixpoint %s"
+            % (_fmt_dims(adm.graded_dims), cap, trace.nrounds - 1,
+               "yes" if trace.reached_fixpoint else "no"),
             dims=adm.graded_dims)
     rep.add("pair_transitive", adm.transitive, "",
             witness=adm.transitivity_witness)
@@ -60,7 +68,7 @@ def _finite_suite(rep: Report, alg, cap: int):
     irr = adm.irreducible if adm.irreducible != "not_decided" else None
     rep.add("pair_irreducible", irr, adm.irreducibility_detail)
 
-    trep = check_truncation(rev, mu, cap)
+    trep = check_truncation(rev, mu, cap, generated=generated)
     detail = ("vanishing above top %s, line %s, swept %s, opposite %s, ideal %s"
               % (trep.vanishing_above, trep.top_is_line, trep.components_from_top,
                  trep.opposite_pairs_commute, trep.positive_part_ideal))
@@ -69,7 +77,8 @@ def _finite_suite(rep: Report, alg, cap: int):
 
     mrep = check_mu_relations(rev, mu)
     rep.add("seed_relations", mrep.ok,
-            "%d tuples, self bracket zero: %s" % (mrep.checked, mrep.self_bracket_zero),
+            "%d basis descendants, self bracket zero: %s"
+            % (mrep.checked, mrep.self_bracket_zero),
             witness=mrep.witness)
 
 

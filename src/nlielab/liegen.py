@@ -4,6 +4,24 @@ admissible: transitivity, mu commuting with the degree-zero part,
 irreducibility of V under the degree-zero part, and truncation of the
 generated algebra at degree n-1.
 
+The checks prove statements about every element, or every basis tuple,
+while computing on bases only.  Two arguments carry this:
+
+* Linearity.  The iterated brackets c = [v_1,[...,[v_k, mu]...]] of a
+  level k span the same space as [v_i, b] over a basis b of level k-1,
+  and the seed relations [c, mu] = 0 and mu o c = 0 are linear in c.
+  So one sweep keeps a basis per level (``_descendant_levels``), and
+  checking the relations on it proves them for all dim^k tuples.
+* Closure.  At a fixpoint the capped closure holds the bracket of any
+  two of its elements that lands at or below the cap, and the cap is at
+  least n-1.  So the ideal check needs no bracket landing at or below
+  n-2; only the brackets landing at n-1 or above are computed, and each
+  of those must vanish.  Without a fixpoint the truncation verdict is
+  left open.
+
+A suite that runs several checks on one seed generates once and hands
+the ``(subalgebra, trace)`` pair to each check through ``generated=``.
+
 Also provides the inverse construction: recovering an n-ary bracket on
 the reversed space from mu via iterated brackets in W(V), which must
 reproduce the multilinear map mu came from.
@@ -159,13 +177,23 @@ class AdmissiblePairReport:
         return True
 
 
-def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None) -> AdmissiblePairReport:
+def _generated(space: SuperSpace, mu: WElement, cap, generated):
+    """The ``(subalgebra, trace)`` pair a check reads: the one handed in,
+    or a fresh generation capped at ``cap`` (default n+1)."""
+    if generated is not None:
+        return generated
+    return generate_subalgebra(space, mu, mu.degree + 2 if cap is None else cap)
+
+
+def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None, *,
+                     generated=None) -> AdmissiblePairReport:
+    """Admissibility of (mu, V).  ``generated`` is the pair that
+    ``generate_subalgebra(space, mu, cap)`` returned, when the caller
+    has it already; ``cap`` is then ignored."""
     n = mu.degree + 1
     if n < 2:
         raise ValueError("mu must have degree at least 1")
-    if cap is None:
-        cap = n + 1
-    sub, trace = generate_subalgebra(space, mu, cap)
+    sub, trace = _generated(space, mu, cap, generated)
     transitive, witness = is_transitive(sub, up_to=max(sub.degrees(), default=0))
     cent_ok = True
     cent_witness = None
@@ -194,24 +222,51 @@ def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None) ->
 
 @dataclass
 class TruncationReport:
-    ok: bool
+    ok: object  # True / False / None when the generation reached no fixpoint
     vanishing_above: bool
     top_is_line: bool
     components_from_top: bool  # L_j spanned by iterated brackets of V into mu
     opposite_pairs_commute: bool  # [L_j, L_{n-1-j}] = 0 for j >= 0
     positive_part_ideal: bool
     failures: list
+    generation: GenerationTrace
 
 
-def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None) -> TruncationReport:
+def _descendant_levels(space: SuperSpace, mu: WElement, depth: int):
+    """Yield level k = 0..depth of the sweep down from mu: a basis of the
+    span of c = [v_{i_1},[...,[v_{i_k}, mu]...]] over all index tuples,
+    as (tuple, c) pairs.  Level k brackets V into the basis of level k-1
+    only; by linearity that spans the same space as every tuple, and each
+    kept element is exactly the iterated bracket of its tuple."""
+    vs = [WElement.from_vector(space.basis_vector(i)) for i in range(space.dim)]
+    level = [] if mu.is_zero() else [((), mu)]
+    yield level
+    for _ in range(depth):
+        span = Span(space.field)
+        below = []
+        for tup, prev in level:
+            for i, v in enumerate(vs):
+                h = w_bracket(v, prev)
+                if not h.is_zero() and span.insert(h.vectorize()):
+                    below.append(((i,) + tup, h))
+        level = below
+        yield level
+
+
+def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
+                     generated=None) -> TruncationReport:
     """Structure of the algebra generated by an admissible pair: nothing
     above degree n-1, a line at the top, every component swept out from
     mu by repeated bracketing with V, opposite components commuting,
-    and everything below the top line forming an ideal."""
+    and everything below the top line forming an ideal.
+
+    ``generated`` is the pair ``generate_subalgebra(space, mu, cap)``
+    returned, when the caller has it already.  The ideal check reads
+    containment off the closure, so without a fixpoint ``ok`` is None."""
     n = mu.degree + 1
-    if cap is None:
-        cap = n + 1
-    sub, _ = generate_subalgebra(space, mu, cap)
+    if n < 2:
+        raise ValueError("mu must have degree at least 1")
+    sub, trace = _generated(space, mu, cap, generated)
     failures = []
 
     vanishing = all(d <= n - 1 for d in sub.degrees())
@@ -223,110 +278,86 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None) ->
     if not top_is_line:
         failures.append("top component is not the line through mu")
 
-    # sweep down: level k = span of [v_1,[...,[v_k, mu]...]]; the claim
-    # covers degrees 0..n-1, so sweep k = 1..n-1
+    # sweep down: level k spans [v_1,[...,[v_k, mu]...]]; the claim covers
+    # degrees 0..n-1, so sweep k = 1..n-1
     sweep_ok = True
-    levels = {n - 1: [mu]}
-    for k in range(1, n):
+    for k, level in enumerate(_descendant_levels(space, mu, n - 1)):
+        if k == 0:
+            continue
         deg = n - 1 - k
-        span = Span(space.field)
-        elems = []
-        for prev in levels[deg + 1]:
-            for i in range(space.dim):
-                h = w_bracket(WElement.from_vector(space.basis_vector(i)), prev)
-                if h.is_zero():
-                    continue
-                if span.insert(h.vectorize()):
-                    elems.append(h)
-        levels[deg] = elems
-        have = sub.spans.get(deg)
-        want_dim = have.dim if have is not None else 0
-        if span.dim != want_dim:
+        if len(level) != sub.dim(deg):
             sweep_ok = False
             failures.append(
                 "degree %d: swept span has dim %d, component has dim %d"
-                % (deg, span.dim, want_dim)
+                % (deg, len(level), sub.dim(deg))
             )
             continue
-        for h in elems:
-            if not sub.contains(h):
-                sweep_ok = False
-                failures.append("degree %d: swept element escapes the component" % deg)
-                break
+        if not all(sub.contains(h) for _, h in level):
+            sweep_ok = False
+            failures.append("degree %d: swept element escapes the component" % deg)
 
-    pairs_ok = True
-    for j in range(0, n):
-        k = n - 1 - j
-        if k < 0:
-            continue
-        for u in sub.basis(j):
-            for v in sub.basis(k):
-                h = w_bracket(u, v)
-                if not h.is_zero():
-                    pairs_ok = False
-                    failures.append(
-                        "[degree %d, degree %d] bracket is nonzero" % (j, k)
-                    )
-                    break
-            if not pairs_ok:
-                break
-        if not pairs_ok:
+    # At a fixpoint [u, v] lies in sub whenever deg u + deg v <= n-2, so
+    # only pairs landing at n-1 or above, one of them at or below n-2,
+    # are bracketed, each unordered pair once; every such bracket must
+    # vanish.  A nonzero one at n-1 between degrees >= 0 also breaks the
+    # opposite pairs.  The failure named is the first one in the order
+    # (any basis element, lower basis element), degrees ascending.
+    basis = [u for d in sub.degrees() for u in sub.basis(d)]
+    first_ideal = first_opposite = None
+    for a, u in enumerate(basis):
+        if u.degree > n - 2:
             break
-
-    ideal_ok = True
-    all_basis = []
-    for d in sub.degrees():
-        all_basis.extend(sub.basis(d))
-    lower = [u for u in all_basis if u.degree <= n - 2]
-    for u in all_basis:
-        for v in lower:
-            if u.degree + v.degree < -1:
-                continue  # lands below the bottom, zero by definition
-            h = w_bracket(u, v)
-            if h.is_zero():
+        for b in range(a, len(basis)):
+            v = basis[b]  # deg u <= deg v
+            if u.degree + v.degree < n - 1 or w_bracket(u, v).is_zero():
                 continue
-            if h.degree <= n - 2:
-                if not sub.contains(h):
-                    ideal_ok = False
-                    failures.append("bracket escapes the generated algebra")
-            else:
-                ideal_ok = False
-                failures.append(
-                    "[degree %d, degree %d] lands in the top line" % (u.degree, v.degree)
-                )
-            if not ideal_ok:
-                break
-        if not ideal_ok:
-            break
+            pos = (a, b) if v.degree <= n - 2 else (b, a)
+            if first_ideal is None or pos < first_ideal:
+                first_ideal = pos
+            if u.degree >= 0 and u.degree + v.degree == n - 1:
+                if first_opposite is None or u.degree < first_opposite:
+                    first_opposite = u.degree
+    pairs_ok = first_opposite is None
+    if not pairs_ok:
+        failures.append("[degree %d, degree %d] bracket is nonzero"
+                        % (first_opposite, n - 1 - first_opposite))
+    ideal_ok = first_ideal is None
+    if not ideal_ok:
+        failures.append("[degree %d, degree %d] lands in the top line"
+                        % tuple(basis[i].degree for i in first_ideal))
 
     ok = vanishing and top_is_line and sweep_ok and pairs_ok and ideal_ok
     return TruncationReport(
-        ok=ok,
+        ok=ok if trace.reached_fixpoint else None,
         vanishing_above=vanishing,
         top_is_line=top_is_line,
         components_from_top=sweep_ok,
         opposite_pairs_commute=pairs_ok,
         positive_part_ideal=ideal_ok,
         failures=failures,
+        generation=trace,
     )
 
 
 @dataclass
 class MuRelationsReport:
     ok: bool
-    checked: int
+    checked: int  # basis descendants, over all levels
     self_bracket_zero: bool
     witness: object
 
 
 def check_mu_relations(space: SuperSpace, mu: WElement) -> MuRelationsReport:
-    """Exhaustive check of the relations mu satisfies against its own
-    iterated descendants c = [v_1,[...,[v_k, mu]...]] over all basis
-    tuples:
+    """The relations mu satisfies against its own iterated descendants
+    c = [v_1,[...,[v_k, mu]...]] over all basis tuples:
 
       [c, mu] = 0          for 0 <= k <= n-1 (k = 0 is [mu, mu] = 0),
       mu composed on c = 0 for 0 <= k <= n-2 (the seed itself and all
                            descendants of positive degree).
+
+    Both are linear in c, so they are checked on a basis of each level
+    (``_descendant_levels``), which proves them for every tuple; a
+    witness names the tuple of the basis descendant that fails.
 
     The composition form is strictly stronger than the bracket form in
     the degrees where it applies; it cannot hold for k = n-1 since
@@ -334,33 +365,18 @@ def check_mu_relations(space: SuperSpace, mu: WElement) -> MuRelationsReport:
     the operator acts nontrivially on the image of mu."""
     n = mu.degree + 1
     checked = 0
-    witness = None
     self_ok = w_bracket(mu, mu).is_zero()
-    ok = True
-    for k in range(0, n):
-        for tup in product(range(space.dim), repeat=k):
-            c = mu
-            for i in reversed(tup):
-                c = w_bracket(WElement.from_vector(space.basis_vector(i)), c)
+    for k, level in enumerate(_descendant_levels(space, mu, n - 1)):
+        for tup, c in level:
             checked += 1
-            if c.is_zero():
-                continue
             if not w_bracket(c, mu).is_zero():
-                ok = False
                 witness = ("bracket", tup)
-                break
-            if k <= n - 2 and not box(mu, c).is_zero():
-                ok = False
+            elif k <= n - 2 and not box(mu, c).is_zero():
                 witness = ("composition", tup)
-                break
-        if not ok:
-            break
-    return MuRelationsReport(
-        ok=ok and self_ok,
-        checked=checked,
-        self_bracket_zero=self_ok,
-        witness=witness,
-    )
+            else:
+                continue
+            return MuRelationsReport(False, checked, self_ok, witness)
+    return MuRelationsReport(self_ok, checked, self_ok, None)
 
 
 def induced_bracket_table(space: SuperSpace, mu: WElement) -> dict:

@@ -719,6 +719,15 @@ def catalog_table(cat, keys, arity: int) -> dict:
     return table
 
 
+def _depth_kernel(real, slice_basis, lm1) -> int:
+    """Dimension of the part of a slice that brackets all of ``lm1`` to zero."""
+    imgs = [{(j, key): c for j, v in enumerate(lm1)
+             for key, c in real.vectorize(real.bracket(X, v)).items()}
+            for X in slice_basis]
+    mat = _column_matrix(real.field, imgs)
+    return len(slice_basis) if mat is None else len(nullspace(mat))
+
+
 def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> PairReport:
     setup = pair_setup(which, n, xwindow, field)
     real, mu = setup.real, setup.mu
@@ -740,25 +749,17 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
         checks.append(PairCheck("degree_zero_dimension", len(l0) == setup.l0_expected,
                                 "dim %d, expected %d" % (len(l0), setup.l0_expected)))
 
+    finite_depth = which == "i"  # the window is then all of L_{-1}
     lm1 = [setup.elem_of(k) for k in setup.keys]
-    trans = True
+    trans, detail = True, "degrees 0..%d against the depth window" % (n - 1,)
     for d in range(0, n):
-        slice_basis = real.basis(d, xwindow)
-        if not slice_basis:
-            continue
-        imgs = []
-        for X in slice_basis:
-            coords = {}
-            for j, v in enumerate(lm1):
-                for key, c in real.vectorize(real.bracket(X, v)).items():
-                    coords[(j, key)] = c
-            imgs.append(coords)
-        mat = _column_matrix(field, imgs)
-        if mat is None or nullspace(mat):
-            trans = False
+        kernel = _depth_kernel(real, real.basis(d, xwindow), lm1)
+        if kernel:
+            trans = False if finite_depth else None
+            detail = "degree %d: %d-dim kernel against the depth %s" % (
+                d, kernel, "module" if finite_depth else "window of an infinite L_-1")
             break
-    checks.append(PairCheck("window_transitive", trans,
-                            "degrees 0..%d against the depth window" % (n - 1,)))
+    checks.append(PairCheck("window_transitive", trans, detail))
 
     if which == "i":
         kindex = {k: i for i, k in enumerate(setup.keys)}
@@ -784,6 +785,8 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
     scalar = info if match else None
     detail = ("scalar %s over %d tuples" % (info, len(cat))) if match else \
         ("mismatch at %s" % (info,))
+    if match and not cat:
+        match, detail = None, "no catalog tuple on the depth window"
     checks.append(PairCheck("induced_bracket_matches_catalog", match, detail))
 
     cname = {"i": "O", "ii": "S", "iii": "W", "iv": "SW"}[which] + "^%d" % n

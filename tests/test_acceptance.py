@@ -38,6 +38,7 @@ from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.realizations import check_splits, verify_pair
 from nlielab.superspace import SuperSpace
 from nlielab.universal import WElement
+from test_liegen import mu_relations_by_tuples
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -125,13 +126,19 @@ def test_05_seed_relations_exhaustive():
     t0 = time.perf_counter()
     space, mu = seed_of(algebra_O(3))
     rep = check_mu_relations(space, mu)
+    # the test-only walk over all basis tuples of length 0..2 on a
+    # 4-dim space: 1 + 4 + 16
+    walk = mu_relations_by_tuples(space, mu)
     elapsed = time.perf_counter() - t0
-    # all basis tuples of length 0..2 on a 4-dim space: 1 + 4 + 16
-    ok = rep.ok and rep.self_bracket_zero and rep.checked == 21
+    # the sweep checks a basis of each level L_2, L_1, L_0:
+    # C(4, j+2) for j = 2, 1, 0, that is 1 + 4 + 6
+    ok = (rep.ok and rep.self_bracket_zero and rep.checked == 11
+          and walk.ok and walk.checked == 21)
     conclude(5, "seed kills its own descendants (bracket and composition "
-                "forms) over all 21 basis tuples, and [mu,mu]=0",
-             ok, elapsed, 10, detail="checked=%d witness=%r" % (rep.checked,
-                                                                rep.witness))
+                "forms) on the 11 basis descendants and over all 21 basis "
+                "tuples, and [mu,mu]=0",
+             ok, elapsed, 10, detail="checked=%d witness=%r; walk checked=%d witness=%r"
+             % (rep.checked, rep.witness, walk.checked, walk.witness))
 
 
 def test_06_action_envelope_fills_matrix_algebra():

@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
+from nlielab import cli, realizations
 from nlielab.catalog import algebra_O
 from nlielab.cli import main
+from nlielab.liegen import GenerationTrace
 from nlielab.nlie import serialize_table
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -33,10 +35,28 @@ def test_verify_runs_the_finite_suite(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS] filippov_jacobi: 1024 instances, exhaustive" in out
-    assert "[PASS] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}" in out
+    assert ("[PASS] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}, cap 4, 3 rounds, "
+            "fixpoint yes") in out
     assert "[PASS] truncation_structure" in out
-    assert "[PASS] seed_relations" in out
+    assert "[PASS] seed_relations: 11 basis descendants, self bracket zero: True" in out
     assert "8 passed, 0 failed, 0 not decided" in out
+
+
+def test_a_generation_without_fixpoint_decides_nothing(monkeypatch, capsys):
+    # the same closure, reported as stopped short: its dims and the
+    # truncation read off it are open, not passed
+    def stopped(space, mu, cap):
+        sub, trace = cli_generate(space, mu, cap)
+        return sub, GenerationTrace(rounds=trace.rounds, reached_fixpoint=False)
+
+    cli_generate = cli.generate_subalgebra
+    monkeypatch.setattr(cli, "generate_subalgebra", stopped)
+    assert main(["verify", "O", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert ("[----] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}, cap 4, 3 rounds, "
+            "fixpoint no") in out
+    assert "[----] truncation_structure" in out
+    assert "6 passed, 0 failed, 2 not decided" in out
 
 
 def test_verify_json_is_byte_identical_across_runs(tmp_path):
@@ -104,6 +124,30 @@ def test_pairs_window_only_irreducibility_is_open(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[----] depth_module_irreducible" in out
+
+
+@pytest.mark.parametrize("which, xwindow, kernel", [
+    ("ii", 1, 3), ("iii", 0, 2), ("iv", 0, 1)])
+def test_pairs_window_artefacts_are_not_decided(capsys, which, xwindow, kernel):
+    # L_-1 of pairings ii-iv is infinite: a degree-0 kernel on a small
+    # depth window, and a catalog match over no tuple, decide nothing
+    code = main(["pairs", which, "--n", "3", "--xwindow", str(xwindow)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert ("[----] window_transitive: degree 0: %d-dim kernel against the depth "
+            "window of an infinite L_-1" % kernel) in out
+    assert "[----] induced_bracket_matches_catalog: no catalog tuple on the depth window" in out
+    assert "3 passed, 0 failed, 3 not decided" in out
+
+
+def test_pairs_kernel_on_a_finite_depth_module_fails(monkeypatch, capsys):
+    # pairing i's window is all of L_-1, so a kernel there is a failure
+    monkeypatch.setattr(realizations, "_depth_kernel", lambda real, basis, lm1: len(basis))
+    assert main(["pairs", "i", "--n", "3", "--xwindow", "0"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] window_transitive: degree 0: 6-dim kernel against the depth module" in out
+    assert main(["pairs", "ii", "--n", "3", "--xwindow", "2"]) == 0
+    assert "[----] window_transitive: degree 0:" in capsys.readouterr().out
 
 
 def test_charp_exhibits_the_violation_and_the_control_fails(capsys):

@@ -135,3 +135,16 @@ def test_window_identity_agrees_over_qq_and_prime_fields(tmp_path, capsys):
         records.append((code, json.loads(out.read_bytes())["checks"]))
     assert records[0][1][0]["status"] == "pass"
     assert records[1] == records[0] and records[2] == records[0]
+
+
+def test_finite_suite_agrees_over_qq_and_prime_fields(tmp_path, capsys):
+    # every record of verify O --n 5, dims and details included
+    records = []
+    for field in FIELDS:
+        out = tmp_path / ("o5-%s.json" % field.name.replace(":", "_"))
+        code = main(["verify", "O", "--n", "5", "--field", field.name, "--json", str(out)])
+        capsys.readouterr()
+        records.append((code, json.loads(out.read_bytes())["checks"]))
+    assert records[0][0] == 0 and len(records[0][1]) == 8
+    assert all(r["status"] == "pass" for r in records[0][1])
+    assert records[1] == records[0] and records[2] == records[0]

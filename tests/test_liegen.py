@@ -1,5 +1,8 @@
 """Generating graded subalgebras from a seed map and auditing the result."""
 
+import functools
+from itertools import product
+
 import pytest
 
 from nlielab.catalog import algebra_O
@@ -7,6 +10,7 @@ from nlielab.fields import QQ
 from nlielab.liegen import (
     AdmissiblePairReport,
     GenerationTrace,
+    MuRelationsReport,
     check_admissible,
     check_irreducible,
     check_mu_relations,
@@ -15,10 +19,11 @@ from nlielab.liegen import (
     induced_bracket_table,
     tables_proportional,
 )
+from nlielab.linalg import Span
 from nlielab.multilinear import MultiMap, bracket_to_symmetric
 from nlielab.nlie import FiniteNAryAlgebra
 from nlielab.superspace import SuperSpace
-from nlielab.universal import GradedSubalgebra, WElement, full_component, w_bracket
+from nlielab.universal import GradedSubalgebra, WElement, box, full_component, w_bracket
 
 
 def seed_of(alg):
@@ -162,6 +167,206 @@ def test_truncation_structure_of_the_generated_algebra():
     assert rep.components_from_top
     assert rep.opposite_pairs_commute
     assert rep.positive_part_ideal
+
+
+def chain(space, mu, tup):
+    """[v_{i_1},[...,[v_{i_k}, mu]...]] for tup = (i_1, ..., i_k)."""
+    c = mu
+    for i in reversed(tup):
+        c = w_bracket(WElement.from_vector(space.basis_vector(i)), c)
+    return c
+
+
+def mu_relations_by_tuples(space, mu):
+    """Oracle: the seed relations on every ordered basis tuple of length
+    0..n-1, each chain rebuilt from mu (the walk ``check_mu_relations``
+    replaced by its basis sweep)."""
+    n = mu.degree + 1
+    checked = 0
+    witness = None
+    self_ok = w_bracket(mu, mu).is_zero()
+    ok = True
+    for k in range(0, n):
+        for tup in product(range(space.dim), repeat=k):
+            c = chain(space, mu, tup)
+            checked += 1
+            if c.is_zero():
+                continue
+            if not w_bracket(c, mu).is_zero():
+                ok = False
+                witness = ("bracket", tup)
+                break
+            if k <= n - 2 and not box(mu, c).is_zero():
+                ok = False
+                witness = ("composition", tup)
+                break
+        if not ok:
+            break
+    return MuRelationsReport(ok and self_ok, checked, self_ok, witness)
+
+
+def truncation_by_pairs(space, mu, sub):
+    """Oracle: the truncation flags and failures of ``sub`` with the
+    all-pairs opposite and ideal loops that ``check_truncation``
+    replaced by its reading of the closure."""
+    n = mu.degree + 1
+    failures = []
+    vanishing = all(d <= n - 1 for d in sub.degrees())
+    if not vanishing:
+        failures.append("nonzero component in degree above %d" % (n - 1))
+    top = sub.spans.get(n - 1)
+    top_is_line = top is not None and top.dim == 1 and sub.contains(mu)
+    if not top_is_line:
+        failures.append("top component is not the line through mu")
+
+    sweep_ok = True
+    for k in range(1, n):
+        deg = n - 1 - k
+        chains = [chain(space, mu, tup) for tup in product(range(space.dim), repeat=k)]
+        span = Span(space.field)
+        for h in chains:
+            span.insert(h.vectorize())
+        if span.dim != sub.dim(deg):
+            sweep_ok = False
+            failures.append("degree %d: swept span has dim %d, component has dim %d"
+                            % (deg, span.dim, sub.dim(deg)))
+            continue
+        if not all(sub.contains(h) for h in chains):
+            sweep_ok = False
+            failures.append("degree %d: swept element escapes the component" % deg)
+
+    pairs_ok = True
+    for j in range(0, n):
+        k = n - 1 - j
+        for u in sub.basis(j):
+            for v in sub.basis(k):
+                if not w_bracket(u, v).is_zero():
+                    pairs_ok = False
+                    failures.append("[degree %d, degree %d] bracket is nonzero" % (j, k))
+                    break
+            if not pairs_ok:
+                break
+        if not pairs_ok:
+            break
+
+    ideal_ok = True
+    all_basis = [u for d in sub.degrees() for u in sub.basis(d)]
+    lower = [u for u in all_basis if u.degree <= n - 2]
+    for u in all_basis:
+        for v in lower:
+            if u.degree + v.degree < -1:
+                continue
+            h = w_bracket(u, v)
+            if h.is_zero():
+                continue
+            if h.degree <= n - 2:
+                if not sub.contains(h):
+                    ideal_ok = False
+                    failures.append("bracket escapes the generated algebra")
+            else:
+                ideal_ok = False
+                failures.append(
+                    "[degree %d, degree %d] lands in the top line" % (u.degree, v.degree))
+            if not ideal_ok:
+                break
+        if not ideal_ok:
+            break
+    flags = (vanishing, top_is_line, sweep_ok, pairs_ok, ideal_ok)
+    return all(flags), flags, failures
+
+
+def noisy_seeds():
+    """O(3)'s seed plus each other map of its degree and parity."""
+    mu = seed_of(algebra_O(3))
+    return [mu + w for w in full_component(mu.space, 2)
+            if w.parity() == mu.parity() and not (w == mu or w == -mu)]
+
+
+def even_square():
+    """An even quadratic field mu(a, a) = a on one even line: [mu, mu]
+    vanishes by parity while mu composed on itself does not."""
+    V = SuperSpace(QQ, ("a",), (0,))
+    return WElement.from_map(MultiMap(V, 2, 0, {(0, 0): V.basis_vector(0)}))
+
+
+ORACLE_SEEDS = [(seed_of(algebra_O(3)), 4), (seed_of(algebra_O(4)), 5),
+                (seed_of(algebra_O(5)), 6), (seed_of(sl2()), 3),
+                (divergence_free_seed(), 3), (even_square(), 3)] + [
+                    (w, 4) for w in noisy_seeds()]
+ORACLE_IDS = ["O3", "O4", "O5", "sl2", "mixed", "even"] + [
+    "O3+noise%d" % i for i in range(len(ORACLE_SEEDS) - 6)]
+
+
+@functools.lru_cache(maxsize=None)
+def oracle(i):
+    """The old loops on seed i: (mu, cap, relations report, generated
+    pair, truncation (ok, flags, failures))."""
+    mu, cap = ORACLE_SEEDS[i]
+    sub, trace = generate_subalgebra(mu.space, mu, cap)
+    return (mu, cap, mu_relations_by_tuples(mu.space, mu), (sub, trace),
+            truncation_by_pairs(mu.space, mu, sub))
+
+
+@pytest.mark.parametrize("i", range(len(ORACLE_SEEDS)), ids=ORACLE_IDS)
+def test_seed_relations_agree_with_the_tuple_walk(i):
+    mu, _, ref, _, _ = oracle(i)
+    space = mu.space
+    rep = check_mu_relations(space, mu)
+    assert (rep.ok, rep.self_bracket_zero) == (ref.ok, ref.self_bracket_zero)
+    assert rep.checked <= ref.checked
+    if rep.ok:
+        assert rep.witness is None
+        return
+    kind, tup = rep.witness
+    c = chain(space, mu, tup)
+    residue = w_bracket(c, mu) if kind == "bracket" else box(mu, c)
+    assert not residue.is_zero()
+
+
+@pytest.mark.parametrize("i", range(len(ORACLE_SEEDS)), ids=ORACLE_IDS)
+def test_truncation_agrees_with_the_all_pairs_loops(i):
+    mu, cap, _, generated, (ok, flags, failures) = oracle(i)
+    assert generated[1].reached_fixpoint
+    rep = check_truncation(mu.space, mu, cap, generated=generated)
+    assert rep.ok is ok
+    assert (rep.vanishing_above, rep.top_is_line, rep.components_from_top,
+            rep.opposite_pairs_commute, rep.positive_part_ideal) == flags
+    assert rep.failures == failures
+    assert rep.generation is generated[1]
+    # generating inside the check reads the same algebra
+    assert check_truncation(mu.space, mu, cap).failures == failures
+
+
+def test_the_oracle_seeds_exercise_every_failure():
+    # the agreement tests above prove something only if the seeds break
+    # each relation and each closure-read flag somewhere
+    kinds = set()
+    for i in range(len(ORACLE_SEEDS)):
+        _, _, ref, _, (_, flags, _) = oracle(i)
+        if ref.witness:
+            kinds.add(ref.witness[0])
+        kinds.update(name for name, flag in zip(
+            ("vanishing", "top", "sweep", "opposite", "ideal"), flags) if not flag)
+    assert {"bracket", "composition", "opposite", "ideal"} <= kinds
+
+
+def test_sweep_counts_basis_descendants():
+    # level k of O(n)'s sweep is L_{n-1-k}, of dim C(n+1, n+1-k)
+    for n, checked in ((3, 11), (4, 26), (5, 57)):
+        mu = seed_of(algebra_O(n))
+        assert check_mu_relations(mu.space, mu).checked == checked
+
+
+def test_without_a_fixpoint_truncation_is_not_decided():
+    mu = seed_of(algebra_O(3))
+    sub, trace = generate_subalgebra(mu.space, mu, cap=4)
+    assert check_truncation(mu.space, mu, generated=(sub, trace)).ok is True
+    open_trace = GenerationTrace(rounds=trace.rounds, reached_fixpoint=False)
+    rep = check_truncation(mu.space, mu, generated=(sub, open_trace))
+    assert rep.ok is None and rep.failures == []
+    assert rep.generation is open_trace
+    adm = check_admissible(mu.space, mu, generated=(sub, open_trace))
+    assert adm.admissible == "not_decided" and adm.graded_dims == sub.dims()
 
 
 def test_seed_relations_hold_and_detect_corruption():
