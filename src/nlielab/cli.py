@@ -55,18 +55,26 @@ def _finite_suite(rep: Report, alg, cap: int):
     generated = generate_subalgebra(rev, mu, cap)
     adm = check_admissible(rev, mu, cap, generated=generated)
     trace = adm.generation
-    rep.add("pair_graded_dims", trace.reached_fixpoint or None,
+    fix = trace.reached_fixpoint
+
+    def held(ok, witness_stays=False):
+        # a closure short of its fixpoint may still grow: a pass decides
+        # nothing there, a fail only on a witness that no growth removes
+        return ok if fix or (ok is False and witness_stays) else None
+
+    rep.add("pair_graded_dims", fix or None,
             "%s, cap %d, %d rounds, fixpoint %s"
             % (_fmt_dims(adm.graded_dims), cap, trace.nrounds - 1,
-               "yes" if trace.reached_fixpoint else "no"),
+               "yes" if fix else "no"),
             dims=adm.graded_dims)
-    rep.add("pair_transitive", adm.transitive, "",
+    rep.add("pair_transitive", held(adm.transitive, True), "",
             witness=adm.transitivity_witness)
-    rep.add("pair_top_centralizes", adm.mu_centralizes_degree_zero, "",
+    rep.add("pair_top_centralizes", held(adm.mu_centralizes_degree_zero, True), "",
             witness=adm.centralizer_witness)
-    rep.add("pair_top_is_line", adm.top_is_line, "")
+    top_dim = adm.graded_dims.get(adm.arity - 1, 0)
+    rep.add("pair_top_is_line", held(adm.top_is_line, top_dim >= 2), "")
     irr = adm.irreducible if adm.irreducible != "not_decided" else None
-    rep.add("pair_irreducible", irr, adm.irreducibility_detail)
+    rep.add("pair_irreducible", held(irr), adm.irreducibility_detail)
 
     trep = check_truncation(rev, mu, cap, generated=generated)
     detail = ("vanishing above top %s, line %s, swept %s, opposite %s, ideal %s"

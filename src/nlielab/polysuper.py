@@ -5,7 +5,9 @@ A term is keyed by (x-exponents, sorted tuple of xi indices); the xi
 word is kept sorted, with the Koszul sign absorbed into the
 coefficient.  Derivatives in xi are left derivatives:
 d/dxi_j (xi_{s_1}...xi_{s_k}) = (-1)^pos * word-without-j, pos being
-the position of j in the sorted word.
+the position of j in the sorted word.  A product looks the merged word
+and its Koszul sign up in its ring's ``xi_products`` table, filled the
+first time a pair of words meets: at most 2^n x 2^n entries.
 
 Operators are sums  X = sum_i P_i d/dx_i + sum_j Q_j d/dxi_j  acting as
 superderivations.  Their supercommutator is first order again and is
@@ -14,6 +16,8 @@ The divergence is  div X = sum dP_i/dx_i + sum (-1)^{p(Q_j)} dQ_j/dxi_j.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .fields import Field
 
@@ -53,6 +57,8 @@ class SuperPolyRing:
         self.field = field
         self.m = m  # commuting variables x_1..x_m
         self.n = n  # anticommuting variables xi_1..xi_n
+        # xi word -> {xi word: _merge_xi of the two}
+        self.xi_products: dict = {}
 
     def zero(self) -> "SuperPoly":
         return SuperPoly(self, {})
@@ -153,14 +159,21 @@ class SuperPoly:
         """Accumulate sign*(self*other) into the term dict ``out`` in place
         (sign is +1 or -1) and return it; cancelled terms are removed.
         ``out`` must not be the terms of either factor."""
+        products = self.ring.xi_products
         for (a1, x1), c1 in self.terms.items():
             if sign < 0:
                 c1 = -c1
+            row = products.get(x1)
+            if row is None:
+                row = products[x1] = {}
             for (a2, x2), c2 in other.terms.items():
-                word, s = _merge_xi(x1, x2)
+                merged = row.get(x2)
+                if merged is None:
+                    merged = row[x2] = _merge_xi(x1, x2)
+                word, s = merged
                 if s == 0:
                     continue
-                key = (tuple(u + v for u, v in zip(a1, a2)), word)
+                key = (tuple(map(add, a1, a2)), word)
                 c = c1 * c2
                 if s < 0:
                     c = -c

@@ -1,5 +1,6 @@
 """Command line behavior: records, exit codes, deterministic output."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -42,21 +43,50 @@ def test_verify_runs_the_finite_suite(capsys):
     assert "8 passed, 0 failed, 0 not decided" in out
 
 
-def test_a_generation_without_fixpoint_decides_nothing(monkeypatch, capsys):
-    # the same closure, reported as stopped short: its dims and the
-    # truncation read off it are open, not passed
+def _stop_short(monkeypatch):
+    # the same closure, reported as stopped short of its fixpoint
     def stopped(space, mu, cap):
         sub, trace = cli_generate(space, mu, cap)
         return sub, GenerationTrace(rounds=trace.rounds, reached_fixpoint=False)
 
     cli_generate = cli.generate_subalgebra
     monkeypatch.setattr(cli, "generate_subalgebra", stopped)
+
+
+def test_a_generation_without_fixpoint_decides_nothing(monkeypatch, capsys):
+    # more elements may still appear: every record read off the closure
+    # is open, not passed; only the identity and the seed relations stand
+    _stop_short(monkeypatch)
     assert main(["verify", "O", "--n", "3"]) == 0
     out = capsys.readouterr().out
     assert ("[----] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}, cap 4, 3 rounds, "
             "fixpoint no") in out
-    assert "[----] truncation_structure" in out
-    assert "6 passed, 0 failed, 2 not decided" in out
+    for name in ("truncation_structure", "pair_transitive", "pair_top_centralizes",
+                 "pair_top_is_line", "pair_irreducible"):
+        assert "[----] " + name in out
+    assert "2 passed, 0 failed, 6 not decided" in out
+
+
+@pytest.mark.parametrize("top_dim,top_status", [(2, "FAIL"), (1, "----")])
+def test_a_generation_without_fixpoint_keeps_lasting_failures(
+        monkeypatch, capsys, top_dim, top_status):
+    # a kernel element, a degree-0 element moving mu and a top of dim >= 2
+    # stay in any larger closure; a reducible action may not
+    def failing(space, mu, cap, generated):
+        adm = cli_admissible(space, mu, cap, generated=generated)
+        return dataclasses.replace(
+            adm, transitive=False, mu_centralizes_degree_zero=False, top_is_line=False,
+            irreducible=False, graded_dims={**adm.graded_dims, 2: top_dim})
+
+    _stop_short(monkeypatch)
+    cli_admissible = cli.check_admissible
+    monkeypatch.setattr(cli, "check_admissible", failing)
+    assert main(["verify", "O", "--n", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] pair_transitive" in out
+    assert "[FAIL] pair_top_centralizes" in out
+    assert "[%s] pair_top_is_line" % top_status in out
+    assert "[----] pair_irreducible" in out
 
 
 def test_verify_json_is_byte_identical_across_runs(tmp_path):
@@ -176,6 +206,13 @@ def test_report_command(capsys):
     assert "[PASS] split_S'(1,2)" in out
     assert "[----] split_SKO'(3,4;1/3)" in out
     assert "reported without assertion" in out
+
+
+def test_report_over_a_field_without_one_third_is_a_usage_error(capsys):
+    # the reported SKO'(3,4;1/3) case needs beta = 1/3
+    assert main(["report", "--xwindow", "0", "--field", "fp:3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: the SKO'(3,4;1/3) case needs beta = 1/3, which fp:3 lacks"]
 
 
 def test_usage_errors_exit_two(tmp_path):

@@ -148,3 +148,31 @@ def test_finite_suite_agrees_over_qq_and_prime_fields(tmp_path, capsys):
     assert records[0][0] == 0 and len(records[0][1]) == 8
     assert all(r["status"] == "pass" for r in records[0][1])
     assert records[1] == records[0] and records[2] == records[0]
+
+
+def _records_over_fields(tmp_path, capsys, argv):
+    records = []
+    for field in FIELDS:
+        out = tmp_path / ("%s.json" % field.name.replace(":", "_"))
+        code = main(argv + ["--field", field.name, "--json", str(out)])
+        capsys.readouterr()
+        records.append((code, json.loads(out.read_bytes())["checks"]))
+    return records
+
+
+def test_carrier_splits_agree_over_qq_and_prime_fields(tmp_path, capsys):
+    # every record of report --xwindow 1, window and derived dims included
+    records = _records_over_fields(tmp_path, capsys, ["report", "--xwindow", "1"])
+    assert records[0][0] == 0 and len(records[0][1]) == 5
+    assert all(r["detail"].startswith("window ") for r in records[0][1])
+    assert records[1] == records[0] and records[2] == records[0]
+
+
+@pytest.mark.parametrize("which", ["i", "ii", "iii", "iv"])
+def test_pairings_agree_over_qq_and_prime_fields(tmp_path, capsys, which):
+    # the induced scalar prints as a residue over GF(p), so compare verdicts
+    records = _records_over_fields(tmp_path, capsys, ["pairs", which, "--n", "3"])
+    verdicts = [(code, [(r["name"], r["status"]) for r in checks])
+                for code, checks in records]
+    assert verdicts[0][0] == 0
+    assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from nlielab.fields import GF, QQ
-from nlielab.polysuper import DiffOp, SuperPoly, SuperPolyRing, delta
+from nlielab.polysuper import DiffOp, SuperPoly, SuperPolyRing, _merge_xi, delta
 
 R = SuperPolyRing(QQ, 2, 2)
 R5 = SuperPolyRing(GF(5), 2, 2)
@@ -46,6 +46,16 @@ def test_mul_into_over_a_prime_field(f, g, sign):
     out = f.mul_into({}, g, sign)
     assert SuperPoly(R5, out) == (f * g).scale(sign)
     assert all(out.values())
+
+
+@given(polys(R), polys(R))
+def test_xi_word_products_come_from_the_ring_table(f, g):
+    f * g
+    table = R.xi_products
+    assert sum(len(row) for row in table.values()) <= 4 ** R.n
+    for a, row in table.items():
+        for b, merged in row.items():
+            assert merged == _merge_xi(a, b)
 
 
 @given(polys(R), polys(R))

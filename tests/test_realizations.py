@@ -12,6 +12,7 @@ from nlielab.realizations import (
     ContactRealization,
     GradingSpec,
     PoissonRealization,
+    SplitReport,
     VectorFieldRealization,
     antidiagonal_form,
     check_split,
@@ -19,6 +20,7 @@ from nlielab.realizations import (
     parse_handle,
     pi_act,
     pi_defect,
+    split_cases,
     verify_pair,
 )
 
@@ -114,7 +116,20 @@ BRACKET_CASES = bracket_cases()
 def test_bracket_matches_the_out_of_place_sum(real, ref, data):
     elems = window_combinations(real)
     f, g = data.draw(elems), data.draw(elems)
-    assert real.bracket(f, g).terms == ref(real, f, g).terms
+    want = ref(real, f, g).terms
+    left, right = real.prepare_left(f), real.prepare_right(g)
+    # prepared, mixed and plain operands all give the oracle's bracket; the
+    # loop reuses the pieces, so a bracket must leave them intact
+    for a, b in ((f, g), (left, right), (left, g), (f, right)):
+        assert real.bracket(a, b).terms == want
+    assert all(p.terms for p, _ in left) and all(r.terms for r in right.values())
+
+
+@pytest.mark.parametrize("cls", [PoissonRealization, ButtinRealization,
+                                 ContactRealization, VectorFieldRealization])
+def test_each_carrier_owns_its_bracket(cls):
+    # perfbench's tracer wraps each class's own bracket, not an inherited one
+    assert "bracket" in vars(cls)
 
 
 @settings(max_examples=25, deadline=None)
@@ -397,6 +412,50 @@ def test_pairings_reproduce_the_catalog_brackets(which, scalar, tuples, l0):
         assert "16 of 16" in by_name["depth_module_irreducible"].detail
     else:
         assert by_name["depth_module_irreducible"].ok is None
+
+
+def check_split_ref(real, complement, xwindow, gen_slack=2, label="",
+                    asserted=True, ideal_xdeg=1):
+    """``check_split`` as first written: every bracket from plain
+    elements, the ideal sample filtered pair by pair; the oracle for the
+    prepared pieces in the library."""
+    field = real.field
+    wspan = Span(field)
+    for e in real.window_elements(xwindow):
+        wspan.insert(real.vectorize(e))
+    slack = real.window_elements(xwindow + gen_slack)
+    dspan_all, dwspan = Span(field), Span(field)
+    for i in range(len(slack)):
+        for j in range(i, len(slack)):
+            r = real.bracket(slack[i], slack[j])
+            v = real.vectorize(r)
+            if not v:
+                continue
+            dspan_all.insert(v)
+            if real.xdeg(r) <= xwindow:
+                dwspan.insert(v)
+    cvec = real.vectorize(complement)
+    in_carrier = bool(wspan.contains(cvec)) and real.contains(complement)
+    in_derived = bool(dspan_all.contains(cvec))
+    checked = failures = 0
+    dw_elems = [real.element(row) for row in dwspan.basis()]
+    for w in real.window_elements(ideal_xdeg):
+        for d in dw_elems:
+            if real.xdeg(w) + real.xdeg(d) > xwindow + gen_slack:
+                continue
+            v = real.vectorize(real.bracket(w, d))
+            checked += 1
+            if v and not dspan_all.contains(v):
+                failures += 1
+    return SplitReport(label or real.name, xwindow, wspan.dim, dwspan.dim, in_carrier,
+                       in_derived, dwspan.dim == wspan.dim - 1, checked, failures, asserted)
+
+
+@pytest.mark.parametrize("xwindow", [0, 1])
+def test_split_reports_match_the_all_pairs_reference(xwindow):
+    for label, real, comp, asserted in split_cases(xwindow):
+        got = check_split(real, comp, xwindow, label=label, asserted=asserted)
+        assert got == check_split_ref(real, comp, xwindow, label=label, asserted=asserted)
 
 
 def test_pairing_report_carries_the_names():
