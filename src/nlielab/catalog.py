@@ -28,14 +28,13 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from .fields import QQ, Field
-from .linalg import vec_add_scaled
+from .linalg import invert_dense, vec_add_scaled
 from .nlie import FiniteNAryAlgebra
 from .polysuper import DiffOp, SuperPolyRing
 from .superspace import EVEN, SuperSpace, SuperVector
 
 __all__ = [
     "perm_sign",
-    "invert_dense",
     "algebra_O",
     "algebra_S",
     "algebra_W",
@@ -62,32 +61,6 @@ def perm_sign(seq) -> int:
             elif seq[i] == seq[j]:
                 return 0
     return sign
-
-
-def invert_dense(field: Field, rows):
-    """Exact inverse of a small dense matrix; raises on singular input."""
-    n = len(rows)
-    aug = [
-        [field.coerce(rows[i][j]) for j in range(n)]
-        + [field.one() if j == i else field.zero() for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [field.div(v, pv) for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [a - c * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def algebra_O(n: int, field: Field = QQ, form=None) -> FiniteNAryAlgebra:

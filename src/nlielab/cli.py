@@ -279,13 +279,13 @@ def main(argv=None) -> int:
         return 2
     try:
         rep = COMMANDS[args.command](args, field)
+        if args.json:
+            with open(args.json, "w") as fh:
+                fh.write(rep.to_json())
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print(rep.to_text())
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(rep.to_json())
     return rep.exit_code()
 
 

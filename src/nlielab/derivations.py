@@ -10,7 +10,7 @@ the ideal test [Der, Inder] <= Inder.
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Span, SparseMatrix, mat_mul, nullspace, vec_add_scaled
+from .linalg import Span, kernel, mat_mul, vec_add_scaled
 from .nlie import (
     FiniteNAryAlgebra,
     check_derivation,
@@ -102,16 +102,15 @@ def derivation_space(alg: FiniteNAryAlgebra) -> DerivationSpace:
         entries = endo_entries(space, eparity)
         if not entries:
             continue
-        rows: dict = {}
-        for c_idx, (i, j) in enumerate(entries):
+        columns = []
+        for i, j in entries:
             dmap = matrix_dmap(alg, {(i, j): field.one()})
+            col = {}
             for t_idx, keys in enumerate(tuples):
-                defect = derivation_defect(alg, dmap, eparity, keys)
-                for out_idx, c in defect.items():
-                    rows.setdefault(t_idx * space.dim + out_idx, {})[c_idx] = c
-        m = SparseMatrix(field, [rows[r] for r in sorted(rows)],
-                         ncols=len(entries))
-        for vec in nullspace(m):
+                for out_idx, c in derivation_defect(alg, dmap, eparity, keys).items():
+                    col[(t_idx, out_idx)] = c
+            columns.append(col)
+        for vec in kernel(field, columns):
             basis.append((eparity, {entries[c]: v for c, v in vec.items()}))
     return DerivationSpace(alg, basis, inner_spans(alg))
 

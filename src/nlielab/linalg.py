@@ -4,10 +4,13 @@ Vectors are dicts mapping a key to a nonzero scalar; keys may be ints
 or any mutually comparable hashable values (tuples of ints, strings),
 which lets the same span machinery hold polynomial monomials, operator
 coordinates and multilinear-map coordinates.  No zero is ever stored.
-Pivoting is deterministic: the pivot of a vector is its smallest key,
-rows are processed in input order, so reduced bases are reproducible.
-Matrices multiplied by ``mat_mul`` are dicts {(row, col): c}; the
-associative envelope of a set of them is one ``orbit_span``.
+There is one elimination, ``Span.insert``: the pivot of a vector is its
+smallest key, and the span keeps its rows in reduced row echelon form.
+That form is unique, so every other reduced form is read off a ``Span``:
+``rref`` (and through it ``rank``, ``solve_linear``, ``nullspace`` and
+``kernel``) and ``invert_dense``.  Matrices multiplied by ``mat_mul``
+are dicts {(row, col): c}; the associative envelope of a set of them is
+one ``orbit_span``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import bisect
 
 from .fields import Field, FieldError
 
-__all__ = ["Span", "SparseMatrix", "rref", "solve_linear", "nullspace", "mat_mul",
-           "orbit_span", "envelope_dim"]
+__all__ = ["Span", "SparseMatrix", "rref", "solve_linear", "nullspace", "kernel",
+           "invert_dense", "mat_mul", "orbit_span", "envelope_dim"]
 
 
 def vec_add_scaled(target: dict, src: dict, c) -> None:
@@ -150,40 +153,16 @@ class SparseMatrix:
 
 
 def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
-    """Reduced row echelon form with deterministic pivoting.
+    """Reduced row echelon form, read off a ``Span`` of the rows.
 
-    Scanning columns left to right, the pivot row for a column is the
-    not-yet-used row of lowest index with a nonzero entry there.
-    Returns the reduced matrix and the tuple of pivot columns.
+    The form is unique, so the span's rows (pivot coefficient 1, fully
+    reduced, ordered by pivot column) are it.  Returns the reduced
+    matrix and the tuple of pivot columns.
     """
-    rows = [dict(r) for r in m.rows]
-    pivots: list[int] = []
-    used: set[int] = set()
-    order: list[int] = []
-    for col in range(m.ncols):
-        pivot_row = None
-        for i, r in enumerate(rows):
-            if i not in used and r.get(col):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        used.add(pivot_row)
-        order.append(pivot_row)
-        pivots.append(col)
-        r = rows[pivot_row]
-        c = r[col]
-        if c != m.field.one():
-            for k in list(r):
-                r[k] = m.field.div(r[k], c)
-        for i, other in enumerate(rows):
-            if i != pivot_row:
-                c2 = other.get(col)
-                if c2:
-                    vec_add_scaled(other, r, -c2)
-    ordered = [rows[i] for i in order] + [r for i, r in enumerate(rows) if i not in used and r]
-    out = SparseMatrix(m.field, ordered, m.ncols)
-    return out, tuple(pivots)
+    span = Span(m.field)
+    for r in m.rows:
+        span.insert(r)
+    return SparseMatrix(m.field, span.rows, m.ncols), tuple(span.pivots)
 
 
 def rank(m: SparseMatrix) -> int:
@@ -233,3 +212,31 @@ def nullspace(m: SparseMatrix) -> list[dict]:
                 v[col] = -c
         basis.append(v)
     return basis
+
+
+def kernel(field: Field, columns) -> list[dict]:
+    """``nullspace`` of the matrix whose j-th column is the vector
+    ``columns[j]``: unit vectors when every column is zero."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            rows.setdefault(key, {})[j] = c
+    return nullspace(SparseMatrix(field, list(rows.values()), len(columns)))
+
+
+def invert_dense(field: Field, rows) -> list[list]:
+    """Exact inverse of a small dense matrix, read off the ``Span`` of
+    the rows of [B | I]; raises ValueError on singular input."""
+    n = len(rows)
+    one, zero = field.one(), field.zero()
+    span = Span(field)
+    for i, row in enumerate(rows):
+        vec = {n + i: one}
+        for j in range(n):
+            c = field.coerce(row[j])
+            if c:
+                vec[j] = c
+        span.insert(vec)
+    if span.pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[r.get(n + j, zero) for j in range(n)] for r in span.rows]

@@ -339,6 +339,8 @@ def parse_table(text: str) -> FiniteNAryAlgebra:
     if len(head) != 4:
         raise ValueError("bad header %r" % lines[0])
     arity = int(head[0])
+    if arity < 2:
+        raise ValueError("table arity must be at least 2, got %d" % arity)
     field = field_from_name(head[1])
     dim = int(head[2])
     pstr = head[3]

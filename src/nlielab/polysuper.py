@@ -20,6 +20,7 @@ from __future__ import annotations
 from operator import add
 
 from .fields import Field
+from .linalg import vec_add_scaled
 
 __all__ = ["SuperPolyRing", "SuperPoly", "DiffOp", "delta"]
 
@@ -129,13 +130,7 @@ class SuperPoly:
 
     def __add__(self, other):
         out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            s = v if w is None else w + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        vec_add_scaled(out, other.terms, 1)
         return SuperPoly(self.ring, out)
 
     def __sub__(self, other):
@@ -191,36 +186,21 @@ class SuperPoly:
     __rmul__ = __mul__
 
     def dx(self, i: int) -> "SuperPoly":
-        out = {}
+        out = {}  # lowering one exponent maps distinct keys apart: no merging
         for (alpha, xis), c in self.terms.items():
             e = alpha[i - 1]
             if e:
-                na = alpha[: i - 1] + (e - 1,) + alpha[i:]
-                key = (na, xis)
-                v = c * e
-                w = out.get(key)
-                s = v if w is None else w + v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                v = c * e  # vanishes when p divides e
+                if v:
+                    out[(alpha[: i - 1] + (e - 1,) + alpha[i:], xis)] = v
         return SuperPoly(self.ring, out)
 
     def dxi(self, j: int) -> "SuperPoly":
-        out = {}
+        out = {}  # so does dropping xi_j from the words that hold it
         for (alpha, xis), c in self.terms.items():
-            if j not in xis:
-                continue
-            pos = xis.index(j)
-            word = xis[:pos] + xis[pos + 1:]
-            v = -c if pos % 2 else c
-            key = (alpha, word)
-            w = out.get(key)
-            s = v if w is None else w + v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            if j in xis:
+                pos = xis.index(j)
+                out[(alpha, xis[:pos] + xis[pos + 1:])] = -c if pos % 2 else c
         return SuperPoly(self.ring, out)
 
     def weighted(self, weight_fn) -> "SuperPoly":

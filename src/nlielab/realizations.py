@@ -37,7 +37,7 @@ from itertools import combinations
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, monomials_upto
 from .fields import QQ, Field
 from .liegen import tables_proportional
-from .linalg import Span, SparseMatrix, envelope_dim, nullspace
+from .linalg import Span, envelope_dim, kernel
 from .multilinear import conversion_sign
 from .polysuper import DiffOp, SuperPoly, SuperPolyRing, delta
 
@@ -111,18 +111,6 @@ def _ring_monomial_keys(ring: SuperPolyRing, xwindow: int):
         for r in range(ring.n + 1):
             for xis in combinations(range(1, ring.n + 1), r):
                 yield (alpha, xis)
-
-
-def _column_matrix(field, columns):
-    """The matrix whose j-th column is the vector ``columns[j]``, rows in
-    sorted key order; None when every column is zero."""
-    rows: dict = {}
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            rows.setdefault(key, {})[j] = c
-    if not rows:
-        return None
-    return SparseMatrix(field, [rows[k] for k in sorted(rows)], ncols=len(columns))
 
 
 def _span_of(field, vectors) -> Span:
@@ -253,12 +241,9 @@ class Carrier:
         """A basis of the combinations of ``cands`` inside the carrier."""
         if self.constraint is None:
             return cands
-        mat = _column_matrix(self.field,
-                             [self.constraint_value(c).terms for c in cands])
-        if mat is None:
-            return cands
         out = []
-        for combo in nullspace(mat):
+        for combo in kernel(self.field,
+                            [self.constraint_value(c).terms for c in cands]):
             elem = self.zero()
             for j in sorted(combo):
                 elem = elem + cands[j].scale(combo[j])
@@ -726,8 +711,7 @@ def _depth_kernel(real, slice_basis, lm1) -> int:
     imgs = [{(j, key): c for j, v in enumerate(lm1)
              for key, c in real.vectorize(real.bracket(X, v)).items()}
             for X in slice_basis]
-    mat = _column_matrix(real.field, imgs)
-    return len(slice_basis) if mat is None else len(nullspace(mat))
+    return len(kernel(real.field, imgs))
 
 
 def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> PairReport:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .linalg import Span, SparseMatrix, nullspace
+from .linalg import Span, kernel
 from .multilinear import MultiMap, sort_with_sign_symmetric
 from .superspace import SuperSpace, SuperVector
 
@@ -317,24 +317,13 @@ def is_transitive(sub: GradedSubalgebra, up_to: int):
         basis = sub.basis(j)
         if not basis:
             continue
-        col_of = {}
-        rows: dict = {}
-        for i, u in enumerate(basis):
-            for v in V:
-                h = w_bracket(u, v)
-                for key, c in h.vectorize().items():
-                    eq = (v.payload.items()[0][0], key)
-                    r = rows.setdefault(eq, {})
-                    r[i] = r.get(i, sub.space.field.zero()) + c
-                    if not r[i]:
-                        del r[i]
-        m = SparseMatrix(sub.space.field, [r for r in rows.values() if r], ncols=len(basis))
-        for kv in nullspace(m):
-            if kv:
-                w = None
-                for i, c in sorted(kv.items()):
-                    t = basis[i].scale(c)
-                    w = t if w is None else w + t
-                if w is not None and not w.is_zero():
-                    return False, w
+        images = [{(i, key): c for i, v in enumerate(V)
+                   for key, c in w_bracket(u, v).vectorize().items()}
+                  for u in basis]
+        for kv in kernel(sub.space.field, images):
+            w = None
+            for i, c in sorted(kv.items()):
+                t = basis[i].scale(c)
+                w = t if w is None else w + t
+            return False, w
     return True, None

@@ -9,13 +9,13 @@ from nlielab.catalog import (
     algebra_SW,
     algebra_W,
     dzhumadildaev_closed,
-    invert_dense,
     monomials_upto,
     parse_form,
     perm_sign,
     serialize_form,
 )
 from nlielab.fields import GF, QQ
+from nlielab.linalg import invert_dense
 from nlielab.nlie import check_filippov
 from nlielab.polysuper import DiffOp, SuperPolyRing
 

@@ -245,6 +245,14 @@ def test_negative_verify_window_is_a_one_line_usage_error(capsys):
     assert "1 instances over 1 window keys (degree <= 0)" in capsys.readouterr().out
 
 
+def test_unwritable_json_path_is_a_one_line_usage_error(tmp_path, capsys):
+    # a directory cannot be opened for writing
+    assert main(["verify", "O", "--n", "3", "--json", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_empty_identity_window_is_not_decided(tmp_path, capsys):
     # S(3) has no window key of degree 0: no instance, no verdict
     out = tmp_path / "s0.json"

@@ -10,11 +10,11 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from nlielab.catalog import algebra_O, invert_dense
+from nlielab.catalog import algebra_O
 from nlielab.cli import main
 from nlielab.fields import GF, QQ
 from nlielab.liegen import check_admissible, tables_proportional
-from nlielab.linalg import SparseMatrix, Span, nullspace, rref, solve_linear
+from nlielab.linalg import SparseMatrix, Span, invert_dense, nullspace, rref, solve_linear
 from nlielab.multilinear import bracket_to_symmetric
 from nlielab.universal import WElement
 
@@ -33,6 +33,25 @@ def test_no_division_outside_fields():
             tree = ast.parse(fh.read(), name)
         found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree)
                   if isinstance(getattr(node, "op", None), ast.Div)]
+    assert found == []
+
+
+def test_only_linalg_builds_matrices_or_eliminates():
+    # one elimination path: elsewhere a kernel is ``linalg.kernel`` and a
+    # reduced basis is a ``Span``
+    names = {"SparseMatrix", "rref", "nullspace"}
+    found = []
+    for name in sorted(os.listdir(PACKAGE)):
+        if not name.endswith(".py") or name == "linalg.py":
+            continue
+        with open(os.path.join(PACKAGE, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            used = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if used in names:
+                found.append("%s:%d %s" % (name, getattr(node, "lineno", 0), used))
     assert found == []
 
 

@@ -1,5 +1,7 @@
 """Sparse exact linear algebra against brute-force oracles."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +10,8 @@ from nlielab.linalg import (
     SparseMatrix,
     Span,
     envelope_dim,
+    invert_dense,
+    kernel,
     mat_mul,
     nullspace,
     rank,
@@ -17,6 +21,21 @@ from nlielab.linalg import (
 )
 
 F5 = GF(5)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    """sympy's exact Matrix, an elimination independent of ``Span``."""
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, dense):
+    return sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row]
+                         for row in dense])
+
+
+def from_sympy(entries) -> dict:
+    return {j: Fraction(int(c.p), int(c.q)) for j, c in enumerate(entries) if c}
 
 
 def matrices(field, max_rows=5, max_cols=5):
@@ -101,16 +120,50 @@ def test_span_dedupes_dependent_vectors():
     assert not s.contains({2: one})
 
 
-@given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=1, max_size=6))
-def test_span_dim_matches_matrix_rank(vecs):
+@given(vecs=st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=1,
+                     max_size=6))
+def test_span_dim_matches_matrix_rank(sympy, vecs):
     s = Span(QQ)
-    rows = []
     for v in vecs:
-        d = {j: QQ.scalar(c) for j, c in enumerate(v) if c}
-        s.insert(dict(d))
-        if d:
-            rows.append(d)
-    assert s.dim == rank(SparseMatrix(QQ, rows, ncols=3))
+        s.insert({j: QQ.scalar(c) for j, c in enumerate(v) if c})
+    assert s.dim == sympy.Matrix(vecs).rank()
+
+
+small_rationals = st.builds(QQ.scalar, st.integers(-2, 2), st.integers(1, 3))
+
+
+def dense_matrices(nrows, ncols):
+    return st.lists(st.lists(small_rationals, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@given(data=st.data())
+def test_elimination_matches_sympy(sympy, data):
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    dense = data.draw(dense_matrices(nrows, ncols))
+    m = SparseMatrix(QQ, [{j: c for j, c in enumerate(r) if c} for r in dense], ncols)
+    ref, ref_pivots = to_sympy(sympy, dense).rref()
+    red, pivots = rref(m)
+    assert pivots == ref_pivots
+    assert red.rows == [from_sympy(ref.row(i)) for i in range(len(pivots))]
+    assert nullspace(m) == [from_sympy(v) for v in to_sympy(sympy, dense).nullspace()]
+    columns = [{i: dense[i][j] for i in range(nrows) if dense[i][j]} for j in range(ncols)]
+    assert kernel(QQ, columns) == nullspace(m)
+
+
+@given(data=st.data())
+def test_invert_dense_matches_sympy(sympy, data):
+    n = data.draw(st.integers(1, 4))
+    dense = data.draw(dense_matrices(n, n))
+    ref = to_sympy(sympy, dense)
+    if ref.det() == 0:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            invert_dense(QQ, dense)
+        return
+    inv = invert_dense(QQ, dense)
+    assert all(len(row) == n for row in inv)
+    assert ([{j: c for j, c in enumerate(row) if c} for row in inv]
+            == [from_sympy(ref.inv().row(i)) for i in range(n)])
 
 
 def test_vec_add_scaled_cancels():

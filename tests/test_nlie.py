@@ -115,6 +115,8 @@ def test_parse_table_rejects_malformed_input():
         parse_table("2 q 2 ee\n1 2 = 1*e1\n")  # missing arrow
     with pytest.raises(ValueError):
         parse_table("2 q 2 ee\n2 1 -> 1*e1\n")  # key not sorted
+    with pytest.raises(ValueError):
+        parse_table("1 q 2 ee\n1 -> 1*e2\n")  # arity below 2
 
 
 def test_inner_maps_are_derivations():
