@@ -40,7 +40,7 @@ def _fmt_dims(dims: dict) -> str:
 # verify
 
 
-def _finite_suite(rep: Report, alg, cap: int):
+def _finite_suite(rep: Report, alg):
     fj = check_filippov(alg)
     rep.add("filippov_jacobi", fj.ok, "%d instances, %s" % (fj.instances, MODE_NAMES[fj.mode]),
             witness=fj.witness)
@@ -50,22 +50,24 @@ def _finite_suite(rep: Report, alg, cap: int):
     mu = WElement.from_map(mm)
     rev = mu.space
 
-    # one generation serves both structure checks; a closure that stopped
-    # short of a fixpoint decides neither its dims nor the truncation
-    generated = generate_subalgebra(rev, mu, cap)
-    adm = check_admissible(rev, mu, cap, generated=generated)
+    # one closure, capped at the top, serves both structure checks; only a
+    # closed one is the generated algebra
+    generated = generate_subalgebra(rev, mu)
+    adm = check_admissible(rev, mu, generated=generated)
     trace = adm.generation
-    fix = trace.reached_fixpoint
+    closed = trace.closed
 
     def held(ok, witness_stays=False):
-        # a closure short of its fixpoint may still grow: a pass decides
-        # nothing there, a fail only on a witness that no growth removes
-        return ok if fix or (ok is False and witness_stays) else None
+        # an open closure may still grow: a pass decides nothing there, a
+        # fail only on a witness that no growth removes
+        return ok if closed or (ok is False and witness_stays) else None
 
-    rep.add("pair_graded_dims", fix or None,
-            "%s, cap %d, %d rounds, fixpoint %s"
-            % (_fmt_dims(adm.graded_dims), cap, trace.nrounds - 1,
-               "yes" if fix else "no"),
+    escape = trace.escape  # a nonzero bracket above the top stays in any closure
+    rep.add("pair_graded_dims", held(escape is None, True),
+            "%s, %d rounds, closed %s"
+            % (_fmt_dims(adm.graded_dims), trace.nrounds - 1, "yes" if closed else "no"),
+            witness=escape and "[degree %d, degree %d] bracket lands above degree %d"
+            % (*escape, trace.cap),
             dims=adm.graded_dims)
     rep.add("pair_transitive", held(adm.transitive, True), "",
             witness=adm.transitivity_witness)
@@ -76,7 +78,7 @@ def _finite_suite(rep: Report, alg, cap: int):
     irr = adm.irreducible if adm.irreducible != "not_decided" else None
     rep.add("pair_irreducible", held(irr), adm.irreducibility_detail)
 
-    trep = check_truncation(rev, mu, cap, generated=generated)
+    trep = check_truncation(rev, mu, generated=generated)
     detail = ("vanishing above top %s, line %s, swept %s, opposite %s, ideal %s"
               % (trep.vanishing_above, trep.top_is_line, trep.components_from_top,
                  trep.opposite_pairs_commute, trep.positive_part_ideal))
@@ -92,9 +94,8 @@ def _finite_suite(rep: Report, alg, cap: int):
 
 def cmd_verify(args, field) -> Report:
     window = args.window
-    cap = args.cap
     config = {"selector": args.selector, "n": args.n, "field": field.name,
-              "window": window, "cap": cap, "table": args.table,
+              "window": window, "table": args.table,
               "form": args.form, "seed": args.seed}
     rep = Report("verify", config)
     if window is not None and window < 0:
@@ -115,8 +116,6 @@ def cmd_verify(args, field) -> Report:
     n = args.n
     if n < 2:
         raise ValueError("--n must be at least 2")
-    if cap is not None and cap < n - 1:
-        raise ValueError("--cap must be at least n-1")
 
     if args.selector == "O":
         form = None
@@ -124,7 +123,7 @@ def cmd_verify(args, field) -> Report:
             with open(args.form) as fh:
                 form = parse_form(fh.read(), field)
         alg = algebra_O(n, field, form=form)
-        _finite_suite(rep, alg, cap if cap is not None else n + 1)
+        _finite_suite(rep, alg)
         return rep
 
     factory = {"S": algebra_S, "W": algebra_W, "SW": algebra_SW}[args.selector]
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("selector", nargs="?", choices=["O", "S", "W", "SW"])
     v.add_argument("--n", type=int, default=3, help="bracket arity")
     v.add_argument("--window", type=int, help="monomial degree window")
-    v.add_argument("--cap", type=int, help="generation degree cap")
     v.add_argument("--table", metavar="FILE", help="bracket table to load instead")
     v.add_argument("--form", metavar="FILE", help="symmetric form matrix for O")
     common(v)

@@ -77,12 +77,6 @@ class DerivationSpace:
     def inner_dim(self) -> int:
         return sum(sp.dim for sp in self.inner.values())
 
-    def full_span(self) -> Span:
-        sp = Span(self.algebra.field)
-        for _, m in self.basis:
-            sp.insert(m)
-        return sp
-
     def inner_contains(self, parity: int, mat: dict) -> bool:
         if not mat:
             return True

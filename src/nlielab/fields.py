@@ -2,23 +2,18 @@
 
 Every computation in this package is exact.  A rational scalar is a
 plain ``int`` while it is integral; only a division that does not come
-out even makes a ``fractions.Fraction`` (or gmpy2's ``mpq`` when
-available, a faster drop-in).  Sums and products of Fractions stay
-Fractions even when integral, which is still exact.  Prime-field scalars
-are lightweight wrappers around ints reduced mod p.  Scalars of the two
-kinds are never mixed; a :class:`Field` object decides which kind a
-computation uses and provides construction, coercion, parsing and the
-one division, :meth:`Field.div`, so no ``int / int`` ever makes a float.
+out even makes a ``fractions.Fraction``.  Sums and products of
+Fractions stay Fractions even when integral, which is still exact.
+Prime-field scalars are lightweight wrappers around ints reduced mod p.
+Scalars of the two kinds are never mixed; a :class:`Field` object
+decides which kind a computation uses and provides construction,
+coercion, parsing and the one division, :meth:`Field.div`, so no
+``int / int`` ever makes a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _ratio
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _ratio = Fraction
 
 __all__ = ["Field", "FieldError", "QQ", "GF", "ModP", "is_prime"]
 
@@ -161,7 +156,7 @@ class Field:
         if den != 1:
             return self.div(num, den)
         if self.kind == "rationals":
-            return num if type(num) is int else _reduced(_ratio(num))
+            return num if type(num) is int else _reduced(Fraction(num))
         if isinstance(num, ModP):
             if num.p != self.p:
                 raise FieldError("wrong characteristic")
@@ -186,7 +181,7 @@ class Field:
         if self.kind == "rationals":
             if type(a) is int and type(b) is int and a % b == 0:
                 return a // b
-            return _reduced(_ratio(a, b))
+            return _reduced(Fraction(a, b))
         return self.scalar(a) / b
 
     def coerce(self, x):
@@ -196,7 +191,7 @@ class Field:
         if self.kind == "rationals":
             if isinstance(x, ModP):
                 raise FieldError("prime-field scalar in a rational computation")
-            return _reduced(_ratio(x))
+            return _reduced(Fraction(x))
         if isinstance(x, ModP):
             if x.p != self.p:
                 raise FieldError("wrong characteristic")
@@ -205,7 +200,7 @@ class Field:
 
     def check(self, x) -> bool:
         if self.kind == "rationals":
-            return isinstance(x, (Fraction, type(_ratio(0)), int))
+            return isinstance(x, (Fraction, int))
         return isinstance(x, ModP) and x.p == self.p
 
     # -- identity ------------------------------------------------------

@@ -12,12 +12,15 @@ while computing on bases only.  Two arguments carry this:
   and the seed relations [c, mu] = 0 and mu o c = 0 are linear in c.
   So one sweep keeps a basis per level (``_descendant_levels``), and
   checking the relations on it proves them for all dim^k tuples.
-* Closure.  At a fixpoint the capped closure holds the bracket of any
-  two of its elements that lands at or below the cap, and the cap is at
-  least n-1.  So the ideal check needs no bracket landing at or below
-  n-2; only the brackets landing at n-1 or above are computed, and each
-  of those must vanish.  Without a fixpoint the truncation verdict is
-  left open.
+* Closure.  The closure caps at the top degree n-1 yet brackets every
+  pair of its elements, and records the degree pair of each nonzero
+  bracket; one landing above the cap is tested, never kept.  At a
+  fixpoint with no such escape the span holds every bracket of its
+  elements, so it is the generated algebra itself.  The truncation
+  verdicts (nothing above n-1, opposite components commuting, the ideal
+  below the top) are then read off that record with no bracket of their
+  own.  An escape fails truncation in any larger closure too; without a
+  fixpoint and without an escape the verdict is left open.
 
 A suite that runs several checks on one seed generates once and hands
 the ``(subalgebra, trace)`` pair to each check through ``generated=``.
@@ -56,18 +59,27 @@ __all__ = [
 class GenerationTrace:
     rounds: list = dfield(default_factory=list)  # dims snapshot after each round
     reached_fixpoint: bool = False
+    cap: int | None = None
+    nonzero: set = dfield(default_factory=set)  # degree pairs (low, high) of nonzero brackets
 
     @property
     def nrounds(self) -> int:
         return len(self.rounds)
 
+    @property
+    def escape(self):
+        """The least recorded degree pair whose bracket lands above the cap."""
+        return min((p for p in self.nonzero if sum(p) > self.cap), default=None)
 
-def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int):
+    @property
+    def closed(self) -> bool:
+        return self.reached_fixpoint and self.escape is None
+
+
+def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int | None = None):
     """Smallest graded subalgebra of W(V) containing V and mu, computed
-    degree-capped at ``cap``.  Returns (subalgebra, trace).
-
-    Brackets landing above the cap are discarded; choose the cap above
-    the expected top degree so the fixpoint is meaningful.
+    degree-capped at ``cap`` (default: the top degree of mu).  Returns
+    (subalgebra, trace).
 
     The closure runs in semi-naive rounds (Bancilhon and Ramakrishnan
     1986): a round brackets only the elements that grew the span in the
@@ -75,25 +87,39 @@ def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int):
     per unordered pair.  Every other pair was bracketed in an earlier
     round, so by bilinearity each round reaches the same span as
     bracketing every pair of a basis of the current span.
+
+    A bracket landing above the cap is computed and never kept.  The
+    trace records the degree pair of every nonzero bracket, so
+    ``trace.escape`` names the least pair landing above the cap.  The
+    kept elements form a basis of the span S, and at a fixpoint every
+    pair of them has been bracketed.  If no bracket escaped, each of
+    those brackets lies in S, so by bilinearity S is closed under the
+    bracket: it is a subalgebra containing V and mu, and it lies in any
+    such subalgebra, so it is exactly the generated one (``trace.closed``).
+    An escape is a nonzero element of the generated algebra above the
+    cap, which no larger closure removes.
     """
     if mu.space != space:
         raise ValueError("mu must live over the given space")
+    cap = mu.degree if cap is None else cap
     if cap < mu.degree:
         raise ValueError("cap %d cannot hold a seed of degree %d" % (cap, mu.degree))
     sub = GradedSubalgebra(space, cap)
     seeds = [WElement.from_vector(space.basis_vector(i)) for i in range(space.dim)]
     old: list = []
     new = [w for w in seeds + [mu] if sub.insert(w)]
-    trace = GenerationTrace()
+    trace = GenerationTrace(cap=cap)
     trace.rounds.append(sub.dims())
     for _ in range(200):
         grown = []
         for i, u in enumerate(new):
             for v in old + new[i:]:
-                d = u.degree + v.degree
-                if d < -1 or d > cap:
+                if u.degree + v.degree < -1:
                     continue
                 h = w_bracket(u, v)
+                if h.is_zero():
+                    continue
+                trace.nonzero.add((min(u.degree, v.degree), max(u.degree, v.degree)))
                 if sub.insert(h):
                     grown.append(h)
         trace.rounds.append(sub.dims())
@@ -163,7 +189,7 @@ class AdmissiblePairReport:
 
     @property
     def admissible(self):
-        if not self.generation.reached_fixpoint:
+        if not self.generation.closed:
             return "not_decided"  # the generated algebra may be incomplete
         parts = [
             self.transitive,
@@ -177,14 +203,6 @@ class AdmissiblePairReport:
         return True
 
 
-def _generated(space: SuperSpace, mu: WElement, cap, generated):
-    """The ``(subalgebra, trace)`` pair a check reads: the one handed in,
-    or a fresh generation capped at ``cap`` (default n+1)."""
-    if generated is not None:
-        return generated
-    return generate_subalgebra(space, mu, mu.degree + 2 if cap is None else cap)
-
-
 def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None, *,
                      generated=None) -> AdmissiblePairReport:
     """Admissibility of (mu, V).  ``generated`` is the pair that
@@ -193,7 +211,7 @@ def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None, *,
     n = mu.degree + 1
     if n < 2:
         raise ValueError("mu must have degree at least 1")
-    sub, trace = _generated(space, mu, cap, generated)
+    sub, trace = generated or generate_subalgebra(space, mu, cap)
     transitive, witness = is_transitive(sub, up_to=max(sub.degrees(), default=0))
     cent_ok = True
     cent_witness = None
@@ -222,7 +240,7 @@ def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None, *,
 
 @dataclass
 class TruncationReport:
-    ok: object  # True / False / None when the generation reached no fixpoint
+    ok: object  # True / False / None when the closure is open with no escape
     vanishing_above: bool
     top_is_line: bool
     components_from_top: bool  # L_j spanned by iterated brackets of V into mu
@@ -261,15 +279,17 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
     and everything below the top line forming an ideal.
 
     ``generated`` is the pair ``generate_subalgebra(space, mu, cap)``
-    returned, when the caller has it already.  The ideal check reads
-    containment off the closure, so without a fixpoint ``ok`` is None."""
+    returned, when the caller has it already.  Only the sweep brackets
+    here: the vanishing, opposite-pair and ideal verdicts are read off
+    the closure's record of nonzero degree pairs.  So ``ok`` is False on
+    an escape, and otherwise None unless the closure is closed."""
     n = mu.degree + 1
     if n < 2:
         raise ValueError("mu must have degree at least 1")
-    sub, trace = _generated(space, mu, cap, generated)
+    sub, trace = generated or generate_subalgebra(space, mu, cap)
     failures = []
 
-    vanishing = all(d <= n - 1 for d in sub.degrees())
+    vanishing = all(a + b <= n - 1 for a, b in trace.nonzero)
     if not vanishing:
         failures.append("nonzero component in degree above %d" % (n - 1))
 
@@ -296,39 +316,26 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
             sweep_ok = False
             failures.append("degree %d: swept element escapes the component" % deg)
 
-    # At a fixpoint [u, v] lies in sub whenever deg u + deg v <= n-2, so
-    # only pairs landing at n-1 or above, one of them at or below n-2,
-    # are bracketed, each unordered pair once; every such bracket must
-    # vanish.  A nonzero one at n-1 between degrees >= 0 also breaks the
-    # opposite pairs.  The failure named is the first one in the order
-    # (any basis element, lower basis element), degrees ascending.
-    basis = [u for d in sub.degrees() for u in sub.basis(d)]
-    first_ideal = first_opposite = None
-    for a, u in enumerate(basis):
-        if u.degree > n - 2:
-            break
-        for b in range(a, len(basis)):
-            v = basis[b]  # deg u <= deg v
-            if u.degree + v.degree < n - 1 or w_bracket(u, v).is_zero():
-                continue
-            pos = (a, b) if v.degree <= n - 2 else (b, a)
-            if first_ideal is None or pos < first_ideal:
-                first_ideal = pos
-            if u.degree >= 0 and u.degree + v.degree == n - 1:
-                if first_opposite is None or u.degree < first_opposite:
-                    first_opposite = u.degree
+    # a nonzero [L_j, L_{n-1-j}] with j >= 0 breaks the opposite pairs,
+    # named by its least j; a nonzero bracket landing at n-1 or above
+    # with a factor at or below n-2 breaks the ideal, named as the least
+    # pair (any degree, lower degree)
+    first_opposite = min((a for a, b in trace.nonzero if a >= 0 and a + b == n - 1),
+                         default=None)
     pairs_ok = first_opposite is None
     if not pairs_ok:
         failures.append("[degree %d, degree %d] bracket is nonzero"
                         % (first_opposite, n - 1 - first_opposite))
+    first_ideal = min(((a, b) if b <= n - 2 else (b, a)
+                       for a, b in trace.nonzero if a + b >= n - 1 and a <= n - 2),
+                      default=None)
     ideal_ok = first_ideal is None
     if not ideal_ok:
-        failures.append("[degree %d, degree %d] lands in the top line"
-                        % tuple(basis[i].degree for i in first_ideal))
+        failures.append("[degree %d, degree %d] lands in the top line" % first_ideal)
 
     ok = vanishing and top_is_line and sweep_ok and pairs_ok and ideal_ok
     return TruncationReport(
-        ok=ok if trace.reached_fixpoint else None,
+        ok=ok if trace.closed or trace.escape else None,
         vanishing_above=vanishing,
         top_is_line=top_is_line,
         components_from_top=sweep_ok,

@@ -223,9 +223,6 @@ class SuperPoly:
             + sum(1 for j in key[1] if j in xis)
         )
 
-    def constant_term(self):
-        return self.terms.get(((0,) * self.ring.m, ()), self.ring.field.zero())
-
     def drop_constant(self) -> "SuperPoly":
         key = ((0,) * self.ring.m, ())
         if key not in self.terms:

@@ -3,15 +3,17 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
 from nlielab import cli, realizations
 from nlielab.catalog import algebra_O
-from nlielab.cli import main
-from nlielab.liegen import GenerationTrace
+from nlielab.cli import build_parser, main
 from nlielab.nlie import serialize_table
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -36,18 +38,19 @@ def test_verify_runs_the_finite_suite(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[PASS] filippov_jacobi: 1024 instances, exhaustive" in out
-    assert ("[PASS] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}, cap 4, 3 rounds, "
-            "fixpoint yes") in out
+    assert "[PASS] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}, 3 rounds, closed yes" in out
     assert "[PASS] truncation_structure" in out
     assert "[PASS] seed_relations: 11 basis descendants, self bracket zero: True" in out
     assert "8 passed, 0 failed, 0 not decided" in out
 
 
-def _stop_short(monkeypatch):
-    # the same closure, reported as stopped short of its fixpoint
-    def stopped(space, mu, cap):
+def _stop_short(monkeypatch, escape=None):
+    # the same closure, reported as stopped short of its fixpoint, with
+    # one more nonzero degree pair recorded when ``escape`` is given
+    def stopped(space, mu, cap=None):
         sub, trace = cli_generate(space, mu, cap)
-        return sub, GenerationTrace(rounds=trace.rounds, reached_fixpoint=False)
+        nonzero = trace.nonzero | ({escape} if escape else set())
+        return sub, dataclasses.replace(trace, reached_fixpoint=False, nonzero=nonzero)
 
     cli_generate = cli.generate_subalgebra
     monkeypatch.setattr(cli, "generate_subalgebra", stopped)
@@ -59,12 +62,23 @@ def test_a_generation_without_fixpoint_decides_nothing(monkeypatch, capsys):
     _stop_short(monkeypatch)
     assert main(["verify", "O", "--n", "3"]) == 0
     out = capsys.readouterr().out
-    assert ("[----] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}, cap 4, 3 rounds, "
-            "fixpoint no") in out
+    assert "[----] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}, 3 rounds, closed no" in out
     for name in ("truncation_structure", "pair_transitive", "pair_top_centralizes",
                  "pair_top_is_line", "pair_irreducible"):
         assert "[----] " + name in out
     assert "2 passed, 0 failed, 6 not decided" in out
+
+
+def test_an_escape_is_a_standing_failure(monkeypatch, capsys):
+    # a nonzero bracket above the top stays in every larger closure: the
+    # dims and the truncation fail even without a fixpoint
+    _stop_short(monkeypatch, escape=(1, 2))
+    assert main(["verify", "O", "--n", "3"]) == 1
+    out = capsys.readouterr().out
+    assert ("[FAIL] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}, 3 rounds, closed no\n"
+            "       witness: [degree 1, degree 2] bracket lands above degree 2") in out
+    assert "[FAIL] truncation_structure: vanishing above top False" in out
+    assert "[----] pair_transitive" in out
 
 
 @pytest.mark.parametrize("top_dim,top_status", [(2, "FAIL"), (1, "----")])
@@ -72,7 +86,7 @@ def test_a_generation_without_fixpoint_keeps_lasting_failures(
         monkeypatch, capsys, top_dim, top_status):
     # a kernel element, a degree-0 element moving mu and a top of dim >= 2
     # stay in any larger closure; a reducible action may not
-    def failing(space, mu, cap, generated):
+    def failing(space, mu, cap=None, *, generated=None):
         adm = cli_admissible(space, mu, cap, generated=generated)
         return dataclasses.replace(
             adm, transitive=False, mu_centralizes_degree_zero=False, top_is_line=False,
@@ -221,7 +235,6 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["verify", "O", "--field", "fp:9"]) == 2
     assert main(["verify", "O", "--field", "z"]) == 2
     assert main(["verify", "O", "--n", "1"]) == 2
-    assert main(["verify", "O", "--n", "3", "--cap", "1"]) == 2
     assert main(["verify", "--table", str(tmp_path / "missing.nlie")]) == 2
     assert main(["charp", "--p", "6"]) == 2
     assert main(["pairs", "i", "--n", "2"]) == 2
@@ -305,6 +318,38 @@ def test_argparse_rejects_unknown_selectors():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "Q"])
     assert exc.value.code == 2
+
+
+def readme_examples():
+    """Every ``nlielab ...`` command in README's code blocks, once for
+    each value of the shell ``for`` loops around it."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = re.findall(r"```[^\n]*\n(.*?)```", fh.read(), re.S)
+    commands = []
+    for line in (ln for block in blocks for ln in block.splitlines()):
+        m = re.search(r"nlielab ([^;#]*)", line)
+        if not m:
+            continue
+        loops = re.findall(r"for (\w+) in ([^;]+);", line)
+        for values in product(*(vals.split() for _, vals in loops)):
+            cmd = m.group(1)
+            for (name, _), value in zip(loops, values):
+                cmd = cmd.replace("$" + name, value)
+            commands.append(shlex.split(cmd))
+    return commands
+
+
+def test_readme_examples_parse():
+    # a stale flag in the docs (such as a removed option) fails here
+    examples = readme_examples()
+    assert len(examples) >= 20
+    for argv in examples:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail("README example does not parse: nlielab %s" % " ".join(argv))
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "O", "--n", "3", "--cap", "5"])
 
 
 def test_module_entry_point():

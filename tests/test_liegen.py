@@ -1,10 +1,12 @@
 """Generating graded subalgebras from a seed map and auditing the result."""
 
+import dataclasses
 import functools
 from itertools import product
 
 import pytest
 
+from nlielab import liegen
 from nlielab.catalog import algebra_O
 from nlielab.fields import QQ
 from nlielab.liegen import (
@@ -335,6 +337,105 @@ def test_truncation_agrees_with_the_all_pairs_loops(i):
     assert rep.generation is generated[1]
     # generating inside the check reads the same algebra
     assert check_truncation(mu.space, mu, cap).failures == failures
+
+
+@functools.lru_cache(maxsize=None)
+def top_oracle(i):
+    """Seed i closed at the default cap, the top degree: (generated
+    pair, truncation (ok, flags, failures) of the old loops)."""
+    mu, _ = ORACLE_SEEDS[i]
+    sub, trace = generate_subalgebra(mu.space, mu)
+    return (sub, trace), truncation_by_pairs(mu.space, mu, sub)
+
+
+@pytest.mark.parametrize("i", range(len(ORACLE_SEEDS)), ids=ORACLE_IDS)
+def test_truncation_at_the_top_cap_agrees_with_the_all_pairs_loops(i):
+    mu = ORACLE_SEEDS[i][0]
+    generated, (ok, flags, failures) = top_oracle(i)
+    rep = check_truncation(mu.space, mu, generated=generated)
+    if not generated[1].closed:
+        # the old loops cannot see above the cap; the escape fails it
+        assert generated[1].escape and rep.ok is False and not rep.vanishing_above
+        return
+    assert rep.ok is ok
+    assert (rep.vanishing_above, rep.top_is_line, rep.components_from_top,
+            rep.opposite_pairs_commute, rep.positive_part_ideal) == flags
+    assert rep.failures == failures
+
+
+def test_an_escape_is_a_nonzero_bracket_above_the_top():
+    # exactly the seeds whose oracle closure has a component above the top
+    # escape at the top cap, and the escape names a nonzero bracket
+    escaped = 0
+    for i, (mu, _) in enumerate(ORACLE_SEEDS):
+        sub, trace = top_oracle(i)[0]
+        above = max(oracle(i)[3][0].degrees()) > mu.degree
+        assert trace.reached_fixpoint and (trace.escape is not None) == above
+        if not above:
+            assert trace.closed
+            continue
+        escaped += 1
+        a, b = trace.escape
+        assert a + b > mu.degree and not trace.closed
+        assert any(not w_bracket(u, v).is_zero() for u in sub.basis(a) for v in sub.basis(b))
+        assert check_admissible(mu.space, mu, generated=(sub, trace)).admissible == "not_decided"
+    assert escaped >= 2
+
+
+@pytest.mark.parametrize("mu", [
+    seed_of(algebra_O(3)), seed_of(algebra_O(4)), seed_of(algebra_O(5)),
+    seed_of(algebra_O(6)), seed_of(sl2()), even_square()],
+    ids=["O3", "O4", "O5", "O6", "sl2", "even"])
+def test_the_top_capped_closure_is_exact(mu):
+    sub, trace = generate_subalgebra(mu.space, mu)
+    assert trace.cap == mu.degree and trace.closed
+    # a closed closure is the generated algebra: a higher cap adds nothing
+    high, high_trace = generate_subalgebra(mu.space, mu, mu.degree + 2)
+    assert high_trace.closed
+    assert (high_trace.rounds, high_trace.nonzero) == (trace.rounds, trace.nonzero)
+    assert high.degrees() == sub.degrees()
+    for d in sub.degrees():
+        assert high.spans[d].pivots == sub.spans[d].pivots
+        assert list(high.spans[d]) == list(sub.spans[d])
+
+
+@pytest.mark.parametrize("pair, flags, failures", [
+    ((2, 2), (False, True, True), ["nonzero component in degree above 2"]),
+    ((0, 2), (True, False, False), ["[degree 0, degree 2] bracket is nonzero",
+                                    "[degree 2, degree 0] lands in the top line"]),
+    ((1, 1), (True, False, False), ["[degree 1, degree 1] bracket is nonzero",
+                                    "[degree 1, degree 1] lands in the top line"]),
+    ((1, 2), (False, True, False), ["nonzero component in degree above 2",
+                                    "[degree 2, degree 1] lands in the top line"]),
+], ids=["top_top", "opposite", "middle", "escape"])
+def test_truncation_reads_its_verdicts_off_the_recorded_pairs(pair, flags, failures):
+    # O(3)'s closure with one more nonzero degree pair on record: only
+    # a factor at or below n-2 = 1 makes an ideal failure
+    mu = seed_of(algebra_O(3))
+    sub, trace = generate_subalgebra(mu.space, mu)
+    trace = dataclasses.replace(trace, nonzero=trace.nonzero | {pair})
+    rep = check_truncation(mu.space, mu, generated=(sub, trace))
+    assert (rep.vanishing_above, rep.opposite_pairs_commute,
+            rep.positive_part_ideal) == flags
+    assert rep.failures == failures and rep.ok is False
+
+
+def test_truncation_brackets_only_in_the_sweep(monkeypatch):
+    # the vanishing, opposite and ideal verdicts are read off the closure:
+    # the only brackets are the sweep's, V against levels 0..n-2, and
+    # level k of O(n) is L_{n-1-k}
+    mu = seed_of(algebra_O(4))
+    n = mu.degree + 1
+    generated = generate_subalgebra(mu.space, mu)
+    calls = []
+
+    def counting(u, v):
+        calls.append((u.degree, v.degree))
+        return w_bracket(u, v)
+
+    monkeypatch.setattr(liegen, "w_bracket", counting)
+    assert check_truncation(mu.space, mu, generated=generated).ok is True
+    assert len(calls) == mu.space.dim * sum(generated[0].dim(d) for d in range(1, n))
 
 
 def test_the_oracle_seeds_exercise_every_failure():
