@@ -20,7 +20,9 @@ operators under commutators is not necessary for the law:
 
 Polynomial carriers implement the same key protocol as finite ones:
 elements are dicts mapping monomial keys to coefficients, and brackets
-of basis keys are cached after canonical sorting.
+of basis keys are cached after canonical sorting.  Every key is even,
+so ``koszul_sort`` without parities gives both the permutation signs of
+the determinants and the canonical keys of the brackets.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from itertools import combinations, permutations, product
 
 from .fields import QQ, Field
 from .linalg import invert_dense, vec_add_scaled
+from .multilinear import koszul_sort
 from .nlie import FiniteNAryAlgebra
 from .polysuper import DiffOp, SuperPolyRing
 from .superspace import EVEN, SuperSpace, SuperVector
 
 __all__ = [
-    "perm_sign",
     "algebra_O",
     "algebra_S",
     "algebra_W",
@@ -48,19 +50,6 @@ __all__ = [
     "parse_form",
     "serialize_form",
 ]
-
-
-def perm_sign(seq) -> int:
-    """Sign of a permutation given as a sequence of distinct comparables."""
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-            elif seq[i] == seq[j]:
-                return 0
-    return sign
 
 
 def algebra_O(n: int, field: Field = QQ, form=None) -> FiniteNAryAlgebra:
@@ -89,7 +78,7 @@ def algebra_O(n: int, field: Field = QQ, form=None) -> FiniteNAryAlgebra:
     table = {}
     for combo in combinations(range(dim), n):
         j = next(i for i in range(dim) if i not in combo)
-        s = perm_sign(combo + (j,))
+        s = koszul_sort(combo + (j,))[1]
         coords = {}
         for k in range(dim):
             c = Binv[k][j]
@@ -102,22 +91,6 @@ def algebra_O(n: int, field: Field = QQ, form=None) -> FiniteNAryAlgebra:
 
 
 # -- polynomial carriers ----------------------------------------------------
-
-def _sort_even_keys(keys):
-    """Canonical ascending order with permutation sign; equal keys give 0."""
-    ks = list(keys)
-    sign = 1
-    for i in range(1, len(ks)):
-        j = i
-        while j > 0 and ks[j] < ks[j - 1]:
-            ks[j], ks[j - 1] = ks[j - 1], ks[j]
-            sign = -sign
-            j -= 1
-    for a, b in zip(ks, ks[1:]):
-        if a == b:
-            return tuple(ks), 0
-    return tuple(ks), sign
-
 
 def _poly_mul(a: dict, b: dict) -> dict:
     out: dict = {}
@@ -150,7 +123,7 @@ def _det(mat) -> dict:
             entries.append(e)
         if dead:
             continue
-        s = perm_sign(perm)
+        s = koszul_sort(perm)[1]
         prod = entries[0]
         for e in entries[1:]:
             prod = _poly_mul(prod, e)
@@ -193,8 +166,7 @@ class PolyNAryAlgebra:
         raise NotImplementedError
 
     def bracket_keys(self, keys: tuple) -> dict:
-        keys = tuple(keys)
-        ck, sgn = _sort_even_keys(keys)
+        ck, sgn = koszul_sort(keys)
         if sgn == 0:
             return {}
         got = self._cache.get(ck)

@@ -11,15 +11,9 @@ from dataclasses import dataclass
 
 from .fields import Field
 from .linalg import Span, kernel, mat_mul, vec_add_scaled
-from .nlie import (
-    FiniteNAryAlgebra,
-    check_derivation,
-    derivation_defect,
-    inner_derivation,
-    sorted_key_tuples,
-)
-
-EVEN, ODD = 0, 1
+from .multilinear import canonical_tuples
+from .nlie import FiniteNAryAlgebra, check_derivation, derivation_defect, inner_derivation
+from .superspace import EVEN, ODD
 
 
 def endo_entries(space, eparity: int):
@@ -89,8 +83,7 @@ def derivation_space(alg: FiniteNAryAlgebra) -> DerivationSpace:
     source tuples, split by endomorphism parity."""
     space = alg.space
     field = alg.field
-    tuples = list(sorted_key_tuples(range(space.dim), alg.key_parity,
-                                    alg.arity))
+    tuples = list(canonical_tuples(range(space.dim), alg.arity, space.parities))
     basis = []
     for eparity in (EVEN, ODD):
         entries = endo_entries(space, eparity)
@@ -113,8 +106,7 @@ def inner_spans(alg: FiniteNAryAlgebra) -> dict:
     """Parity -> span of matrices of x -> [a_1..a_{n-1}, x] over canonical
     basis source tuples."""
     spans: dict = {}
-    for srcs in sorted_key_tuples(range(alg.space.dim), alg.key_parity,
-                                  alg.arity - 1):
+    for srcs in canonical_tuples(range(alg.space.dim), alg.arity - 1, alg.space.parities):
         par, dmap = inner_derivation(alg, srcs)
         mat = matrix_of_dmap(alg, dmap)
         if mat:
@@ -156,8 +148,7 @@ def analyze_derivations(alg: FiniteNAryAlgebra) -> DerReport:
         if not ideal_ok:
             break
     inner_ok = True
-    for srcs in sorted_key_tuples(range(alg.space.dim), alg.key_parity,
-                                  alg.arity - 1):
+    for srcs in canonical_tuples(range(alg.space.dim), alg.arity - 1, alg.space.parities):
         par, dmap = inner_derivation(alg, srcs)
         rep = check_derivation(alg, dmap, par)
         if not rep.ok:

@@ -33,10 +33,9 @@ reproduce the multilinear map mu came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from itertools import product
 
 from .linalg import Span, envelope_dim, orbit_span
-from .multilinear import conversion_sign, sort_with_sign_alternating
+from .multilinear import canonical_tuples, conversion_sign
 from .superspace import SuperSpace, SuperVector
 from .universal import GradedSubalgebra, WElement, box, is_transitive, w_bracket
 
@@ -397,17 +396,14 @@ def induced_bracket_table(space: SuperSpace, mu: WElement) -> dict:
     n = mu.degree + 1
     rev = space.reversed()
     table = {}
-    for combo in product(range(space.dim), repeat=n):
-        key, sgn = sort_with_sign_alternating(combo, rev.parities)
-        if sgn == 0 or key != combo:
-            continue
+    for key in canonical_tuples(range(space.dim), n, rev.parities):
         h = mu
-        for i in combo:
+        for i in key:
             h = w_bracket(h, WElement.from_vector(space.basis_vector(i)))
         if h.degree != -1:
             raise ValueError("iterated bracket did not land in degree -1")
         out = h.payload
-        ps = [space.parities[i] for i in combo]
+        ps = [space.parities[i] for i in key]
         csign = conversion_sign(ps)
         if csign < 0:
             out = -out

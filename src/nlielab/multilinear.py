@@ -1,12 +1,20 @@
 """Supersymmetric multilinear maps and the sign bookkeeping behind them.
 
 A k-linear map S^k V -> V is stored sparsely on canonically sorted
-argument tuples.  Two normalizers do all the Koszul sign work:
+argument tuples.  One Koszul rule does all the sign work, seen from the
+two sides of the parity reversal: ``koszul_sort`` sorts a key tuple and
+returns the sign of the sort,
 
 * symmetric side: swapping adjacent arguments a, b costs (-1)^{p(a)p(b)};
   a repeated odd argument kills the tuple;
 * alternating side: the swap costs -(-1)^{p(a)p(b)}; a repeated even
   argument kills the tuple.
+
+Flipping every parity exchanges the two sides, so a canonical tuple of
+one side is a canonical tuple of the other; ``canonical_tuples`` lists
+them.  With every key even the alternating side is the plain
+permutation sign, and it is the symmetric side of odd keys: the Koszul
+sign of a product of anticommuting variables.
 
 ``conversion_sign`` is the scalar that turns an anticommutative n-ary
 bracket on V into a supersymmetric map on the parity reversal of V and
@@ -19,11 +27,13 @@ Applying the conversion twice restores the original bracket exactly.
 
 from __future__ import annotations
 
-from .superspace import SuperSpace, SuperVector, EVEN, ODD
+from itertools import combinations, combinations_with_replacement
+
+from .superspace import SuperSpace, SuperVector
 
 __all__ = [
-    "sort_with_sign_symmetric",
-    "sort_with_sign_alternating",
+    "koszul_sort",
+    "canonical_tuples",
     "conversion_sign",
     "MultiMap",
     "bracket_to_symmetric",
@@ -33,44 +43,50 @@ __all__ = [
 ]
 
 
-def _insertion_sort_sign(indices, parities, swap_sign):
-    """Sort ``indices`` ascending; swap_sign(pa, pb) gives the cost of an
-    adjacent interchange.  Returns (tuple, sign) with sign possibly 0."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
+def koszul_sort(keys, parities=None, alternating=True):
+    """Sort ``keys`` ascending; returns (sorted tuple, sign).
+
+    Each interchange of adjacent keys a > b flips the sign iff
+    p(a) p(b) + alternating is odd, and a repeated key of parity p gives
+    sign 0 iff p + alternating is odd; the tuple still comes back sorted.
+    ``parities[k]`` is the parity of key k; None makes every key even.
+    """
+    out = list(keys)
+    flip = 0
+    for i in range(1, len(out)):
+        k = out[i]
         j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            s = swap_sign(parities[idx[j - 1]], parities[idx[j]])
-            sign *= s
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+        while j and out[j - 1] > k:
+            out[j] = out[j - 1]
             j -= 1
-    return tuple(idx), sign
-
-
-def sort_with_sign_symmetric(indices, parities):
-    """Canonical form in the supersymmetric algebra S(V).
-
-    Repeated odd indices give zero; even indices may repeat freely.
-    """
-    out, sign = _insertion_sort_sign(indices, parities, lambda pa, pb: -1 if (pa and pb) else 1)
+        if j == i:
+            continue
+        out[j] = k  # k crossed the keys now at j+1..i
+        if parities is None or not parities[k]:
+            flip ^= (i - j) & alternating
+        else:
+            for m in out[j + 1:i + 1]:
+                flip ^= parities[m] ^ alternating
     for a, b in zip(out, out[1:]):
-        if a == b and parities[a] == ODD:
-            return out, 0
-    return out, sign
+        if a == b and (alternating if parities is None else parities[a] ^ alternating):
+            return tuple(out), 0
+    return tuple(out), -1 if flip else 1
 
 
-def sort_with_sign_alternating(indices, parities):
-    """Canonical form on the super-exterior side.
-
-    Repeated even indices give zero; repeated odd indices are allowed
-    (for odd a, b the interchange sign -(-1)^{p(a)p(b)} is +1).
-    """
-    out, sign = _insertion_sort_sign(indices, parities, lambda pa, pb: 1 if (pa and pb) else -1)
-    for a, b in zip(out, out[1:]):
-        if a == b and parities[a] == EVEN:
-            return out, 0
-    return out, sign
+def canonical_tuples(keys, r: int, parities, alternating=True):
+    """The r-tuples of the ordered list ``keys`` that ``koszul_sort``
+    keeps nonzero, in the list's order: ascending positions, with a key
+    repeated only where its repeat survives.  ``parities[i]`` is the
+    parity of ``keys[i]``."""
+    keys = list(keys)
+    repeat = [not (p ^ alternating) for p in parities]
+    if any(repeat):
+        picks = (t for t in combinations_with_replacement(range(len(keys)), r)
+                 if all(a != b or repeat[a] for a, b in zip(t, t[1:])))
+    else:
+        picks = combinations(range(len(keys)), r)
+    for t in picks:
+        yield tuple(keys[i] for i in t)
 
 
 def conversion_sign(parities) -> int:
@@ -94,9 +110,9 @@ class MultiMap:
     """A supersymmetric k-linear map S^k(V) -> V, k >= 1.
 
     The table holds one entry per canonically sorted argument tuple
-    (indices ascending, odd indices distinct); evaluation at any other
-    tuple routes through the symmetric normalizer.  ``parity`` is the
-    parity of the map itself and every stored value must satisfy
+    (indices ascending, odd indices distinct); evaluation sorts any
+    other tuple with ``koszul_sort`` on the symmetric side.  ``parity``
+    is the parity of the map itself and every stored value must satisfy
     p(value) = parity + sum of argument parities.
     """
 
@@ -113,7 +129,7 @@ class MultiMap:
             for key, val in table.items():
                 if val.is_zero():
                     continue
-                skey, sign = sort_with_sign_symmetric(key, space.parities)
+                skey, sign = koszul_sort(key, space.parities, alternating=False)
                 if sign == 0:
                     raise ValueError("table key %r collapses to zero" % (key,))
                 if skey != tuple(key):
@@ -136,7 +152,7 @@ class MultiMap:
         return not self.table
 
     def evaluate(self, indices) -> SuperVector:
-        key, sign = sort_with_sign_symmetric(indices, self.space.parities)
+        key, sign = koszul_sort(indices, self.space.parities, alternating=False)
         if sign == 0:
             return self.space.zero()
         val = self.table.get(key)
@@ -210,8 +226,6 @@ def bracket_to_symmetric(space: SuperSpace, arity: int, bracket_parity: int, eva
     """
     if arity < 2:
         raise ValueError("transport needs arity >= 2")
-    from .universal import iter_multi_indices
-
     pi = space.reversed()
     par = space.parities
 
@@ -219,9 +233,9 @@ def bracket_to_symmetric(space: SuperSpace, arity: int, bracket_parity: int, eva
         return SuperVector(pi, dict(v.coords))
 
     table = {}
-    for key in iter_multi_indices(pi, arity):
-        # canonical tuples agree on both sides: sorted, with repeats
-        # allowed exactly where both conventions allow them
+    # the canonical tuples of the alternating side on V are those of the
+    # symmetric side on its reversal
+    for key in canonical_tuples(range(space.dim), arity, par):
         val = eval_fn(key)
         for pos in range(arity - 1):
             # the supplied bracket must behave alternating off the
@@ -229,7 +243,7 @@ def bracket_to_symmetric(space: SuperSpace, arity: int, bracket_parity: int, eva
             swapped = key[:pos] + (key[pos + 1], key[pos]) + key[pos + 2:]
             lhs = eval_fn(swapped)
             want = -1 if not (par[key[pos]] and par[key[pos + 1]]) else 1
-            rhs = eval_fn(key).scale(want)
+            rhs = val.scale(want)
             if lhs != rhs:
                 raise ValueError("input bracket is not anticommutative at %r" % (swapped,))
         if val.is_zero():

@@ -26,10 +26,10 @@ Carriers also offer ``elem_is_zero(element)`` to callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .fields import field_from_name
-from .multilinear import sort_with_sign_alternating
+from .multilinear import canonical_tuples, koszul_sort
 from .superspace import EVEN, ODD, SuperSpace, SuperVector
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "FJReport",
     "check_filippov",
     "identity_mode",
-    "sorted_key_tuples",
     "derivation_defect",
     "DerivationReport",
     "check_derivation",
@@ -65,7 +64,7 @@ class FiniteNAryAlgebra:
             key = tuple(key)
             if len(key) != arity:
                 raise ValueError("key %r has wrong length" % (key,))
-            ck, sgn = sort_with_sign_alternating(key, space.parities)
+            ck, sgn = koszul_sort(key, space.parities)
             if sgn == 0:
                 raise ValueError("key %r vanishes by alternation" % (key,))
             if ck != key:
@@ -93,7 +92,7 @@ class FiniteNAryAlgebra:
         got = self._cache.get(keys)
         if got is not None:
             return got
-        ck, sgn = sort_with_sign_alternating(keys, self.space.parities)
+        ck, sgn = koszul_sort(keys, self.space.parities)
         if sgn == 0:
             out = self.space.zero()
         else:
@@ -213,21 +212,6 @@ def identity_mode(nkeys: int, arity: int) -> str:
     return "full" if full else "sorted"
 
 
-def sorted_key_tuples(keys, parities_fn, r: int):
-    """Canonically sorted r-tuples from an ordered key list: ascending,
-    repeats allowed only at odd keys.  For alternating brackets these
-    index a spanning family of identity instances."""
-    keys = list(keys)
-    for combo in combinations_with_replacement(range(len(keys)), r):
-        ok = True
-        for a, b in zip(combo, combo[1:]):
-            if a == b and parities_fn(keys[a]) == EVEN:
-                ok = False
-                break
-        if ok:
-            yield tuple(keys[i] for i in combo)
-
-
 def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None) -> FJReport:
     """Check the n-ary Jacobi law over basis-key instances.
 
@@ -244,8 +228,10 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
         a_iter = list(product(keys, repeat=n - 1))
         b_iter = list(product(keys, repeat=n))
     elif mode == "sorted":
-        a_iter = list(sorted_key_tuples(keys, alg.key_parity, n - 1))
-        b_iter = list(sorted_key_tuples(keys, alg.key_parity, n))
+        # canonical tuples index a spanning family of instances
+        parities = [alg.key_parity(k) for k in keys]
+        a_iter = list(canonical_tuples(keys, n - 1, parities))
+        b_iter = list(canonical_tuples(keys, n, parities))
     else:
         raise ValueError("unknown mode %r" % mode)
     outers = [alg.coords(alg.bracket_keys(b_keys)) for b_keys in b_iter]
@@ -285,7 +271,7 @@ def check_derivation(alg, dmap, dparity: int, keys=None) -> DerivationReport:
         keys = list(alg.keys())
     images = _Images(lambda k: alg.coords(dmap(k)))
     count = 0
-    for tup in sorted_key_tuples(keys, alg.key_parity, alg.arity):
+    for tup in canonical_tuples(keys, alg.arity, [alg.key_parity(k) for k in keys]):
         d = _defect(alg, images, alg.coords(alg.bracket_keys(tup)), tup, dparity)
         count += 1
         if any(d.values()):

@@ -7,7 +7,9 @@ coefficient.  Derivatives in xi are left derivatives:
 d/dxi_j (xi_{s_1}...xi_{s_k}) = (-1)^pos * word-without-j, pos being
 the position of j in the sorted word.  A product looks the merged word
 and its Koszul sign up in its ring's ``xi_products`` table, filled the
-first time a pair of words meets: at most 2^n x 2^n entries.
+first time a pair of words meets: at most 2^n x 2^n entries.  The odd
+xi sort as even keys on the alternating side of ``koszul_sort``: each
+crossing flips the sign and a repeated xi kills the word.
 
 Operators are sums  X = sum_i P_i d/dx_i + sum_j Q_j d/dxi_j  acting as
 superderivations.  Their supercommutator is first order again and is
@@ -21,36 +23,9 @@ from operator import add
 
 from .fields import Field
 from .linalg import vec_add_scaled
+from .multilinear import koszul_sort
 
 __all__ = ["SuperPolyRing", "SuperPoly", "DiffOp", "delta"]
-
-
-def _merge_xi(a: tuple, b: tuple):
-    """Concatenate two sorted xi words; returns (word, sign) or (None, 0)."""
-    if not a:
-        return b, 1
-    if not b:
-        return a, 1
-    sign = 1
-    # count pairs (s in a, t in b) with s > t; any collision kills the term
-    out = []
-    i = j = 0
-    crossings = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None, 0
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            crossings += len(a) - i
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    if crossings % 2:
-        sign = -1
-    return tuple(out), sign
 
 
 class SuperPolyRing:
@@ -58,7 +33,7 @@ class SuperPolyRing:
         self.field = field
         self.m = m  # commuting variables x_1..x_m
         self.n = n  # anticommuting variables xi_1..xi_n
-        # xi word -> {xi word: _merge_xi of the two}
+        # xi word -> {xi word: (sorted product word, Koszul sign or 0)}
         self.xi_products: dict = {}
 
     def zero(self) -> "SuperPoly":
@@ -164,7 +139,7 @@ class SuperPoly:
             for (a2, x2), c2 in other.terms.items():
                 merged = row.get(x2)
                 if merged is None:
-                    merged = row[x2] = _merge_xi(x1, x2)
+                    merged = row[x2] = koszul_sort(x1 + x2)
                 word, s = merged
                 if s == 0:
                     continue

@@ -17,14 +17,13 @@ superalgebra, with V as its transitive bottom component.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .linalg import Span, kernel
-from .multilinear import MultiMap, sort_with_sign_symmetric
+from .multilinear import MultiMap, canonical_tuples, koszul_sort
 from .superspace import SuperSpace, SuperVector
 
 __all__ = [
-    "iter_multi_indices",
     "WElement",
     "box",
     "w_bracket",
@@ -35,21 +34,13 @@ __all__ = [
 ]
 
 
-def iter_multi_indices(space: SuperSpace, r: int):
-    """Canonical sorted index tuples of length r: ascending, with odd
-    indices pairwise distinct."""
-    par = space.parities
-    for t in combinations_with_replacement(range(space.dim), r):
-        if all(not (a == b and par[a]) for a, b in zip(t, t[1:])):
-            yield t
-
-
 def component_dim(space: SuperSpace, degree: int) -> int:
     if degree < -1:
         return 0
     if degree == -1:
         return space.dim
-    return space.dim * sum(1 for _ in iter_multi_indices(space, degree + 1))
+    keys = canonical_tuples(range(space.dim), degree + 1, space.parities, alternating=False)
+    return space.dim * sum(1 for _ in keys)
 
 
 class WElement:
@@ -144,25 +135,13 @@ def full_component(space: SuperSpace, degree: int) -> list[WElement]:
         return [WElement.from_vector(space.basis_vector(i)) for i in range(space.dim)]
     out = []
     par = space.parities
-    for key in iter_multi_indices(space, degree + 1):
+    for key in canonical_tuples(range(space.dim), degree + 1, par, alternating=False):
         key_par = sum(par[i] for i in key) % 2
         for i in range(space.dim):
             parity = (par[i] + key_par) % 2
             mm = MultiMap(space, degree + 1, parity, {key: space.basis_vector(i)}, check=False)
             out.append(WElement.from_map(mm))
     return out
-
-
-def _split_sign(gpos, fpos, arg_parities) -> int:
-    """(-1)^N with N the odd-odd inversions the split introduces."""
-    n = 0
-    for a in gpos:
-        if not arg_parities[a]:
-            continue
-        for b in fpos:
-            if b < a and arg_parities[b]:
-                n += 1
-    return -1 if n % 2 else 1
 
 
 def _box_keys(fm: MultiMap, gm: MultiMap) -> list:
@@ -183,7 +162,7 @@ def _box_keys(fm: MultiMap, gm: MultiMap) -> list:
     for gkey, val in gm.table.items():
         for i in val.coords:
             for rest in rests.get(i, ()):
-                key, sign = sort_with_sign_symmetric(gkey + rest, par)
+                key, sign = koszul_sort(gkey + rest, par, alternating=False)
                 if sign:
                     keys.add(key)
     return sorted(keys)
@@ -231,12 +210,13 @@ def box(f: WElement, g: WElement) -> WElement:
         arg_par = [par[i] for i in key]
         acc = space.zero()
         for gpos in combinations(range(arity), q + 1):
-            gset = set(gpos)
-            fpos = tuple(i for i in range(arity) if i not in gset)
-            inner = gm.evaluate(tuple(key[i] for i in gpos))
-            if inner.is_zero():
+            # a sub-tuple of a canonical key is canonical: look it up unsorted
+            inner = gm.table.get(tuple(key[i] for i in gpos))
+            if inner is None:
                 continue
-            eps = _split_sign(gpos, fpos, arg_par)
+            fpos = tuple(i for i in range(arity) if i not in gpos)
+            # the split's sign: the odd-odd pairs whose order it reverses
+            eps = koszul_sort(gpos + fpos, arg_par, alternating=False)[1]
             outer = fm.evaluate_expand(inner, tuple(key[i] for i in fpos))
             if not outer.is_zero():
                 acc = acc + (outer if eps == 1 else outer.scale(eps))

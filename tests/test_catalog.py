@@ -11,19 +11,20 @@ from nlielab.catalog import (
     dzhumadildaev_closed,
     monomials_upto,
     parse_form,
-    perm_sign,
     serialize_form,
 )
 from nlielab.fields import GF, QQ
 from nlielab.linalg import invert_dense
+from nlielab.multilinear import koszul_sort
 from nlielab.nlie import check_filippov
 from nlielab.polysuper import DiffOp, SuperPolyRing
 
 
-def test_perm_sign_and_inversion():
-    assert perm_sign((0, 1, 2)) == 1
-    assert perm_sign((1, 0, 2)) == -1
-    assert perm_sign((2, 0, 1)) == 1
+def test_permutation_sign_and_inversion():
+    assert koszul_sort((0, 1, 2)) == ((0, 1, 2), 1)
+    assert koszul_sort((1, 0, 2)) == ((0, 1, 2), -1)
+    assert koszul_sort((2, 0, 1)) == ((0, 1, 2), 1)
+    assert koszul_sort((1, 0, 1))[1] == 0
     B = [[QQ.scalar(2), QQ.one()], [QQ.one(), QQ.one()]]
     Binv = invert_dense(QQ, B)
     # B * Binv = 1

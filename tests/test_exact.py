@@ -36,23 +36,38 @@ def test_no_division_outside_fields():
     assert found == []
 
 
-def test_only_linalg_builds_matrices_or_eliminates():
-    # one elimination path: elsewhere a kernel is ``linalg.kernel`` and a
-    # reduced basis is a ``Span``
-    names = {"SparseMatrix", "rref", "nullspace"}
+def names_used(names, skip=None):
+    """Where the package's code names any of ``names``, outside ``skip``."""
     found = []
     for name in sorted(os.listdir(PACKAGE)):
-        if not name.endswith(".py") or name == "linalg.py":
+        if not name.endswith(".py") or name == skip:
             continue
         with open(os.path.join(PACKAGE, name)) as fh:
             tree = ast.parse(fh.read(), name)
         for node in ast.walk(tree):
             used = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
+                    else node.name
+                    if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef))
+                    else node.value if isinstance(node, ast.Constant) else None)
             if used in names:
                 found.append("%s:%d %s" % (name, getattr(node, "lineno", 0), used))
-    assert found == []
+    return found
+
+
+def test_only_linalg_builds_matrices_or_eliminates():
+    # one elimination path: elsewhere a kernel is ``linalg.kernel`` and a
+    # reduced basis is a ``Span``
+    assert names_used({"SparseMatrix", "rref", "nullspace"}, skip="linalg.py") == []
+
+
+def test_one_koszul_sorter_and_one_tuple_enumerator():
+    # every sign sort is ``multilinear.koszul_sort`` and every list of
+    # canonical tuples ``multilinear.canonical_tuples``
+    assert names_used({"_insertion_sort_sign", "sort_with_sign_symmetric",
+                       "sort_with_sign_alternating", "_sort_even_keys", "perm_sign",
+                       "_split_sign", "_merge_xi", "iter_multi_indices",
+                       "sorted_key_tuples"}) == []
 
 
 def assert_exact(values):

@@ -521,12 +521,21 @@ def test_empty_degree_zero_is_irreducible_only_on_a_line():
     assert check_irreducible(GradedSubalgebra(V2, cap=0))[0] is False
 
 
+def mixed_ternary():
+    """A ternary table on (a | x, y), repeated odd arguments included."""
+    V = SuperSpace(QQ, ("a", "x", "y"), (0, 1, 1))
+    a, x, y = (V.basis_vector(i) for i in range(3))
+    table = {(0, 1, 2): a, (0, 1, 1): a.scale(2), (1, 1, 2): x + y,
+             (1, 2, 2): x.scale(-3), (2, 2, 2): y}
+    return FiniteNAryAlgebra(V, 3, 0, table)
+
+
 def test_induced_table_reproduces_the_source_bracket():
-    alg = algebra_O(3)
-    mu = seed_of(alg)
-    table = induced_bracket_table(mu.space, mu)
-    ok, scalar = tables_proportional(table, alg.table, QQ)
-    assert ok and scalar == QQ.one()
+    for alg in (algebra_O(3), algebra_O(4), algebra_O(5), mixed_ternary()):
+        mu = seed_of(alg)
+        table = induced_bracket_table(mu.space, mu)
+        ok, scalar = tables_proportional(table, alg.table, QQ)
+        assert ok and scalar == QQ.one()
 
 
 def test_tables_proportional_reports_scalar_and_witness():

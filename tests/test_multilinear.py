@@ -1,5 +1,7 @@
 """Koszul sign bookkeeping and the bracket <-> symmetric-map transport."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,10 +11,9 @@ from nlielab.multilinear import (
     MultiMap,
     bracket_to_symmetric,
     conversion_sign,
+    koszul_sort,
     parse_map,
     serialize_map,
-    sort_with_sign_alternating,
-    sort_with_sign_symmetric,
     symmetric_to_bracket,
 )
 from nlielab.superspace import EVEN, ODD, SuperSpace
@@ -36,7 +37,7 @@ perms = st.lists(st.integers(0, 5), min_size=1, max_size=5).map(tuple)
 
 @given(perms)
 def test_symmetric_sort_sign_matches_inversion_count(idx):
-    out, sign = sort_with_sign_symmetric(idx, PARITIES)
+    out, sign = koszul_sort(idx, PARITIES, alternating=False)
     assert out == tuple(sorted(idx))
     if any(a == b and PARITIES[a] == ODD for a, b in zip(out, out[1:])):
         assert sign == 0
@@ -46,7 +47,7 @@ def test_symmetric_sort_sign_matches_inversion_count(idx):
 
 @given(perms)
 def test_alternating_sort_sign_matches_inversion_count(idx):
-    out, sign = sort_with_sign_alternating(idx, PARITIES)
+    out, sign = koszul_sort(idx, PARITIES)
     assert out == tuple(sorted(idx))
     if any(a == b and PARITIES[a] == EVEN for a, b in zip(out, out[1:])):
         assert sign == 0
@@ -56,11 +57,53 @@ def test_alternating_sort_sign_matches_inversion_count(idx):
 
 def test_repetition_rules():
     # odd squared dies on the symmetric side, survives on the alternating side
-    assert sort_with_sign_symmetric((1, 1), PARITIES)[1] == 0
-    assert sort_with_sign_alternating((1, 1), PARITIES)[1] == 1
+    assert koszul_sort((1, 1), PARITIES, alternating=False)[1] == 0
+    assert koszul_sort((1, 1), PARITIES)[1] == 1
     # even squared survives on the symmetric side, dies on the alternating side
-    assert sort_with_sign_symmetric((0, 0), PARITIES)[1] == 1
-    assert sort_with_sign_alternating((0, 0), PARITIES)[1] == 0
+    assert koszul_sort((0, 0), PARITIES, alternating=False)[1] == 1
+    assert koszul_sort((0, 0), PARITIES)[1] == 0
+    # a killed tuple still comes back sorted
+    assert koszul_sort((3, 0, 1, 2, 0), PARITIES) == ((0, 0, 1, 2, 3), 0)
+
+
+monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@given(st.lists(monomials, min_size=1, max_size=5))
+def test_even_keys_sort_with_the_permutation_sign(keys):
+    # no parities: every key even, the polynomial carriers' monomials
+    out, sign = koszul_sort(keys)
+    assert out == tuple(sorted(keys))
+    if len(set(keys)) < len(keys):
+        assert sign == 0
+    else:
+        assert sign == inversion_sign(keys, {k: 0 for k in keys}, lambda pa, pb: -1)
+    assert koszul_sort(keys, alternating=False) == (out, 1)
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=6), st.data())
+def test_shuffle_sign_counts_reversed_odd_pairs(arg_par, data):
+    # a split of the positions into a g block and an f block
+    n = len(arg_par)
+    q = data.draw(st.integers(0, n - 1))
+    gpos = data.draw(st.sampled_from(list(combinations(range(n), q + 1))))
+    fpos = tuple(i for i in range(n) if i not in gpos)
+    crossings = sum(1 for a in gpos for b in fpos if b < a and arg_par[a] and arg_par[b])
+    assert koszul_sort(gpos + fpos, arg_par, alternating=False) == (
+        tuple(range(n)), -1 if crossings % 2 else 1)
+
+
+xi_words = st.sets(st.integers(1, 5), max_size=4).map(lambda w: tuple(sorted(w)))
+
+
+@given(xi_words, xi_words)
+def test_xi_word_merge_is_the_koszul_sign_of_odd_variables(a, b):
+    # xi_a xi_b: each pair of a letter of a above a letter of b crosses once
+    crossings = sum(1 for s in a for t in b if s > t)
+    want = 0 if set(a) & set(b) else -1 if crossings % 2 else 1
+    assert koszul_sort(a + b) == (tuple(sorted(a + b)), want)
+    odd = [1] * 6
+    assert koszul_sort(a + b, odd, alternating=False) == (tuple(sorted(a + b)), want)
 
 
 def test_conversion_sign_small_cases():

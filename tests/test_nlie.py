@@ -17,8 +17,8 @@ from nlielab.nlie import (
     inner_derivation,
     parse_table,
     serialize_table,
-    sorted_key_tuples,
 )
+from nlielab.multilinear import canonical_tuples
 from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.superspace import SuperSpace
 
@@ -27,6 +27,12 @@ def heisenberg_11(field=QQ):
     # one even, one odd generator; the odd square is central
     V = SuperSpace(field, ("e1", "e2"), (0, 1))
     return FiniteNAryAlgebra(V, 2, 0, {(1, 1): V.basis_vector(0)})
+
+
+def canonical_keys(alg, keys, r):
+    """The canonical r-tuples of a carrier's ordered keys."""
+    keys = list(keys)
+    return canonical_tuples(keys, r, [alg.key_parity(k) for k in keys])
 
 
 def test_full_mode_counts_every_ordered_instance():
@@ -78,9 +84,9 @@ def test_super_table_passes_binary_jacobi():
     assert alg.bracket_keys((0, 1)).is_zero()
 
 
-def test_sorted_key_tuples_respect_parities():
+def test_canonical_tuples_respect_parities():
     alg = heisenberg_11()
-    tuples = list(sorted_key_tuples(alg.keys(), alg.key_parity, 2))
+    tuples = list(canonical_keys(alg, alg.keys(), 2))
     assert (1, 1) in tuples and (0, 0) not in tuples and (0, 1) in tuples
 
 
@@ -220,8 +226,8 @@ def reference_check(alg, keys, mode, defect):
     if mode == "full":
         a_iter, b_iter = product(keys, repeat=n - 1), list(product(keys, repeat=n))
     else:
-        a_iter = sorted_key_tuples(keys, alg.key_parity, n - 1)
-        b_iter = list(sorted_key_tuples(keys, alg.key_parity, n))
+        a_iter = canonical_keys(alg, keys, n - 1)
+        b_iter = list(canonical_keys(alg, keys, n))
     count = 0
     for a_keys in a_iter:
         for b_keys in b_iter:
@@ -240,7 +246,7 @@ def corrupt_table(alg, data, entries=2):
     """The table with a random vector of the right parity added at a few
     canonical keys (possibly none, when the draws are zero)."""
     space = alg.space
-    canon = list(sorted_key_tuples(range(space.dim), alg.key_parity, alg.arity))
+    canon = list(canonical_keys(alg, range(space.dim), alg.arity))
     table = dict(alg.table)
     for _ in range(data.draw(st.integers(0, entries))):
         key = data.draw(st.sampled_from(canon))
@@ -355,12 +361,12 @@ def test_kernel_matches_the_reference_loop(case, field, data):
     def dmap(k):  # zero off the window
         return images.get(k, zero)
 
-    for tup in sorted_key_tuples(keys, alg.key_parity, n):
+    for tup in canonical_keys(alg, keys, n):
         assert (_as_map(alg, derivation_defect(alg, dmap, dparity, tup))
                 == _as_map(alg, reference_derivation_defect(alg, dmap, dparity, tup)))
     drep = check_derivation(alg, dmap, dparity, keys=keys)
     count, want = 0, None
-    for tup in sorted_key_tuples(keys, alg.key_parity, n):
+    for tup in canonical_keys(alg, keys, n):
         count += 1
         if alg.coords(reference_derivation_defect(alg, dmap, dparity, tup)):
             want = tup

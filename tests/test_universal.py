@@ -1,12 +1,12 @@
 """The graded algebra of supersymmetric maps: product axioms and spans."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlielab.fields import QQ
-from nlielab.multilinear import MultiMap
+from nlielab.multilinear import MultiMap, canonical_tuples, koszul_sort
 from nlielab.superspace import SuperSpace
 from nlielab.universal import (
     GradedSubalgebra,
@@ -15,7 +15,6 @@ from nlielab.universal import (
     component_dim,
     full_component,
     is_transitive,
-    iter_multi_indices,
     w_bracket,
 )
 
@@ -25,6 +24,23 @@ SPACES = [
     SuperSpace(QQ, ("x", "y", "z"), (1, 1, 1)),
     SuperSpace(QQ, ("a", "b", "x"), (0, 0, 1)),
 ]
+
+
+def symmetric_keys(space, r):
+    """Canonical argument tuples of a supersymmetric r-linear map."""
+    return canonical_tuples(range(space.dim), r, space.parities, alternating=False)
+
+
+@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("alternating", [False, True])
+def test_canonical_tuples_are_the_sorted_survivors(space, alternating):
+    # every tuple the sorter keeps nonzero, once, in key-list order
+    for r in range(1, 5):
+        want = sorted({key for t in product(range(space.dim), repeat=r)
+                       for key, sign in [koszul_sort(t, space.parities, alternating)]
+                       if sign})
+        got = list(canonical_tuples(range(space.dim), r, space.parities, alternating))
+        assert got == want
 
 
 def homogeneous(space, degree, parity):
@@ -53,7 +69,7 @@ def dense_box(f, g):
         if p == 0:
             return WElement.from_vector(f.payload.evaluate_expand(a, ()))
         table = {}
-        for key in iter_multi_indices(space, p):
+        for key in symmetric_keys(space, p):
             val = f.payload.evaluate_expand(a, key)
             if not val.is_zero():
                 table[key] = val
@@ -63,7 +79,7 @@ def dense_box(f, g):
     arity = p + q + 1
     par = space.parities
     table = {}
-    for key in iter_multi_indices(space, arity):
+    for key in symmetric_keys(space, arity):
         acc = space.zero()
         for gpos in combinations(range(arity), q + 1):
             fpos = tuple(i for i in range(arity) if i not in gpos)
@@ -101,7 +117,7 @@ def test_component_dims_match_enumeration():
         assert component_dim(space, -2) == 0
         assert component_dim(space, -1) == space.dim
         for d in range(0, 3):
-            n_keys = sum(1 for _ in iter_multi_indices(space, d + 1))
+            n_keys = sum(1 for _ in symmetric_keys(space, d + 1))
             assert component_dim(space, d) == space.dim * n_keys
             assert len(full_component(space, d)) == component_dim(space, d)
 
