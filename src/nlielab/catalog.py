@@ -165,6 +165,14 @@ class PolyNAryAlgebra:
     def raw_bracket(self, keys: tuple) -> dict:
         raise NotImplementedError
 
+    def _dmono(self, alpha: tuple, i: int) -> dict:
+        """d/dx_i of the monomial with exponents ``alpha``."""
+        e = alpha[i]
+        if not e:
+            return {}
+        key = alpha[:i] + (e - 1,) + alpha[i + 1:]
+        return {key: self.field.coerce(e)}
+
     def bracket_keys(self, keys: tuple) -> dict:
         ck, sgn = koszul_sort(keys)
         if sgn == 0:
@@ -201,13 +209,6 @@ class JacobianNAry(PolyNAryAlgebra):
         self.quotient = quotient
         self._zero_key = (0,) * self.nvars
 
-    def _dmono(self, alpha: tuple, i: int):
-        e = alpha[i]
-        if not e:
-            return {}
-        key = alpha[:i] + (e - 1,) + alpha[i + 1:]
-        return {key: self.field.coerce(e)}
-
     def raw_bracket(self, keys: tuple) -> dict:
         mat = [[self._dmono(keys[j], i) for j in range(self.arity)] for i in range(self.nvars)]
         out = _det(mat)
@@ -227,13 +228,6 @@ class BorderedNAry(PolyNAryAlgebra):
         super().__init__(field, arity)
         self.nvars = arity - 1
         self._zero_key = (0,) * self.nvars
-
-    def _dmono(self, alpha: tuple, i: int):
-        e = alpha[i]
-        if not e:
-            return {}
-        key = alpha[:i] + (e - 1,) + alpha[i + 1:]
-        return {key: self.field.coerce(e)}
 
     def raw_bracket(self, keys: tuple) -> dict:
         top = [[{keys[j]: self.field.one()} for j in range(self.arity)]]

@@ -176,7 +176,3 @@ def form_skew_defect(form, mat: dict, field: Field, dim: int) -> dict:
             if acc:
                 out[(u, v)] = acc
     return out
-
-
-def is_form_skew(form, mat: dict, field: Field, dim: int) -> bool:
-    return not form_skew_defect(form, mat, field, dim)

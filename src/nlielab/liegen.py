@@ -143,13 +143,8 @@ def check_irreducible(sub: GradedSubalgebra):
     space = sub.space
     field = space.field
     dim = space.dim
-    actions = []
-    for u in sub.basis(0):
-        mat = {}
-        for j in range(dim):
-            for i, c in u.payload.evaluate((j,)).coords.items():
-                mat[(i, j)] = c
-        actions.append(mat)
+    # a degree-0 element sends e_j to sum_i c e_i over its coordinates ((j,), i)
+    actions = [{(i, j): c for ((j,), i), c in u.coords.items()} for u in sub.basis(0)]
     if not actions:
         status = dim <= 1
         return status, "degree-zero part acts by zero"
@@ -264,7 +259,7 @@ def _descendant_levels(space: SuperSpace, mu: WElement, depth: int):
         for tup, prev in level:
             for i, v in enumerate(vs):
                 h = w_bracket(v, prev)
-                if not h.is_zero() and span.insert(h.vectorize()):
+                if not h.is_zero() and span.insert(h.coords):
                     below.append(((i,) + tup, h))
         level = below
         yield level
@@ -402,13 +397,9 @@ def induced_bracket_table(space: SuperSpace, mu: WElement) -> dict:
             h = w_bracket(h, WElement.from_vector(space.basis_vector(i)))
         if h.degree != -1:
             raise ValueError("iterated bracket did not land in degree -1")
-        out = h.payload
-        ps = [space.parities[i] for i in key]
-        csign = conversion_sign(ps)
-        if csign < 0:
-            out = -out
-        if not out.is_zero():
-            table[key] = out
+        csign = conversion_sign([space.parities[i] for i in key])
+        if h.coords:
+            table[key] = SuperVector(space, {i: csign * c for (_, i), c in h.coords.items()})
     return table
 
 

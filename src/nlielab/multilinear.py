@@ -118,7 +118,7 @@ class MultiMap:
 
     __slots__ = ("space", "arity", "parity", "table")
 
-    def __init__(self, space: SuperSpace, arity: int, parity: int, table: dict | None = None, check: bool = True):
+    def __init__(self, space: SuperSpace, arity: int, parity: int, table: dict | None = None):
         if arity < 1:
             raise ValueError("arity must be >= 1")
         self.space = space
@@ -135,8 +135,7 @@ class MultiMap:
                 if skey != tuple(key):
                     raise ValueError("table key %r is not canonically sorted" % (key,))
                 self.table[skey] = val
-        if check:
-            self._check_parity()
+        self._check_parity()
 
     def _check_parity(self):
         par = self.space.parities
@@ -168,36 +167,6 @@ class MultiMap:
             if not v.is_zero():
                 out = out + v.scale(c)
         return out
-
-    def __add__(self, other):
-        if (self.space, self.arity) != (other.space, other.arity):
-            raise ValueError("incompatible maps")
-        if self.table and other.table and self.parity != other.parity:
-            raise ValueError("adding maps of opposite parity")
-        table = dict(self.table)
-        for k, v in other.table.items():
-            w = table.get(k)
-            s = v if w is None else w + v
-            if s.is_zero():
-                table.pop(k, None)
-            else:
-                table[k] = s
-        parity = self.parity if self.table else other.parity
-        return MultiMap(self.space, self.arity, parity, table, check=False)
-
-    def scale(self, c):
-        table = {}
-        for k, v in self.table.items():
-            sv = v.scale(c)
-            if not sv.is_zero():
-                table[k] = sv
-        return MultiMap(self.space, self.arity, self.parity, table, check=False)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __eq__(self, other):
         return (

@@ -52,7 +52,7 @@ class FiniteNAryAlgebra:
     canonically sorted basis index tuples (ascending; an index may repeat
     only when its basis vector is odd)."""
 
-    def __init__(self, space: SuperSpace, arity: int, parity: int, table: dict, check: bool = True):
+    def __init__(self, space: SuperSpace, arity: int, parity: int, table: dict):
         if arity < 1:
             raise ValueError("arity must be at least 1")
         self.space = space
@@ -73,11 +73,12 @@ class FiniteNAryAlgebra:
                 raise ValueError("value lives in the wrong space")
             if val.is_zero():
                 continue
-            if check:
-                want = (self.bracket_parity + sum(space.parities[i] for i in key)) % 2
-                got = val.parity()
-                if got is not None and got != want:
-                    raise ValueError("value parity mismatch at key %r" % (key,))
+            got = val.parity()
+            if got is None:
+                raise ValueError("value at key (%s) mixes parities"
+                                 % ", ".join(space.labels[i] for i in key))
+            if got != (self.bracket_parity + sum(space.parities[i] for i in key)) % 2:
+                raise ValueError("value parity mismatch at key %r" % (key,))
             self.table[key] = val
         self._cache: dict = {}
 
@@ -114,19 +115,6 @@ class FiniteNAryAlgebra:
 
     def elem_is_zero(self, a) -> bool:
         return a.is_zero()
-
-    # -- convenience -------------------------------------------------------
-    def bracket_elements(self, vectors) -> SuperVector:
-        vectors = list(vectors)
-        if len(vectors) != self.arity:
-            raise ValueError("expected %d arguments" % self.arity)
-        out = self.space.zero()
-        for combo in product(*(sorted(v.coords.items()) for v in vectors)):
-            c = self.field.one()
-            for _, ci in combo:
-                c = c * ci
-            out = out + self.bracket_keys(tuple(i for i, _ in combo)).scale(c)
-        return out
 
     def __repr__(self):
         return "FiniteNAryAlgebra(arity=%d, dim=%d over %r)" % (

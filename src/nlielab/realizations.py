@@ -97,11 +97,6 @@ def depth_one_grading(m: int, n: int) -> GradingSpec:
     return GradingSpec((0,) * m, (1,) * n)
 
 
-def antidiagonal_form(n: int) -> dict:
-    """Odd pairing xi_i with xi_{n-i+1}."""
-    return {(i, n - i + 1): 1 for i in range(1, n + 1)}
-
-
 # ---------------------------------------------------------------------------
 # shared helpers
 

@@ -13,13 +13,19 @@ whose order the split reverses.  Degree -1 elements act as constants:
 f*a plugs a into the first slot of f, a*f = 0.  The bracket
 [f,g] = f*g - (-1)^{p(f)p(g)} g*f makes the whole graded space a Lie
 superalgebra, with V as its transitive bottom component.
+
+An element is stored in one format, the one a ``Span`` row holds: a
+dict from (argument key, output index) to a nonzero scalar, with the
+argument keys canonically sorted on the symmetric side and the key ()
+in degree -1.  The product reads and writes these dicts directly, so
+the spans of ``GradedSubalgebra`` take its results as they are.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .linalg import Span, kernel
+from .linalg import Span, kernel, vec_add_scaled
 from .multilinear import MultiMap, canonical_tuples, koszul_sort
 from .superspace import SuperSpace, SuperVector
 
@@ -44,56 +50,66 @@ def component_dim(space: SuperSpace, degree: int) -> int:
 
 
 class WElement:
-    """A homogeneous element of the universal graded algebra."""
+    """An element of the universal graded algebra, stored as
+    the flat coordinates a ``Span`` row holds: ``coords`` maps (argument
+    key, output index) to a nonzero scalar, with canonically sorted keys
+    of length degree + 1 and the key () in degree -1.  The parity is
+    kept beside them, since a zero map still has one.  Given as None,
+    and always in degree -1, it is read off the coordinates: None when
+    they mix parities, even when there are none.
+    """
 
-    __slots__ = ("space", "degree", "payload")
+    __slots__ = ("space", "degree", "coords", "_parity")
 
-    def __init__(self, space: SuperSpace, degree: int, payload):
+    def __init__(self, space: SuperSpace, degree: int, coords: dict, parity=None):
         if degree < -1:
             raise ValueError("degree must be >= -1")
-        if degree == -1 and not isinstance(payload, SuperVector):
-            raise ValueError("degree -1 payload must be a vector")
-        if degree >= 0:
-            if not isinstance(payload, MultiMap) or payload.arity != degree + 1:
-                raise ValueError("degree %d payload must be a map of arity %d" % (degree, degree + 1))
         self.space = space
         self.degree = degree
-        self.payload = payload
+        self.coords = coords
+        if parity is None or degree == -1:
+            par = space.parities
+            found = {(par[i] + sum(par[k] for k in key)) % 2 for key, i in coords}
+            parity = found.pop() if len(found) == 1 else (None if found else 0)
+        self._parity = parity
 
     @classmethod
     def from_vector(cls, v: SuperVector) -> "WElement":
-        return cls(v.space, -1, v)
+        return cls(v.space, -1, {((), i): c for i, c in v.coords.items()})
 
     @classmethod
     def from_map(cls, mm: MultiMap) -> "WElement":
-        return cls(mm.space, mm.arity - 1, mm)
+        coords = {(key, i): c for key, val in mm.table.items() for i, c in val.coords.items()}
+        return cls(mm.space, mm.arity - 1, coords, mm.parity)
 
     @classmethod
     def zero(cls, space: SuperSpace, degree: int, parity: int = 0) -> "WElement":
-        if degree == -1:
-            return cls(space, -1, space.zero())
-        return cls(space, degree, MultiMap(space, degree + 1, parity, {}, check=False))
+        return cls(space, degree, {}, parity)
 
     def parity(self):
-        if self.degree == -1:
-            return self.payload.parity()
-        return self.payload.parity
+        return self._parity
 
     def is_zero(self) -> bool:
-        return self.payload.is_zero()
+        return not self.coords
 
-    def __add__(self, other):
+    def _plus(self, other, c):
         if self.degree != other.degree:
             raise ValueError("cannot add degrees %d and %d" % (self.degree, other.degree))
-        return WElement(self.space, self.degree, self.payload + other.payload)
+        coords = dict(self.coords)
+        vec_add_scaled(coords, other.coords, c)
+        parity = self._parity if self._parity == other._parity else None
+        return WElement(self.space, self.degree, coords, parity)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("cannot subtract degrees %d and %d" % (self.degree, other.degree))
-        return WElement(self.space, self.degree, self.payload - other.payload)
+        return self._plus(other, -1)
 
     def scale(self, c):
-        return WElement(self.space, self.degree, self.payload.scale(c))
+        c = self.space.field.coerce(c)
+        coords = {k: c * v for k, v in self.coords.items()} if c else {}
+        return WElement(self.space, self.degree, coords, self._parity)
 
     def __neg__(self):
         return self.scale(-1)
@@ -102,65 +118,55 @@ class WElement:
         return (
             isinstance(other, WElement)
             and self.degree == other.degree
-            and self.payload == other.payload
+            and self.coords == other.coords
+            and self.space == other.space
         )
 
-    def vectorize(self) -> dict:
-        """Sparse coordinates keyed by (argument tuple, output index)."""
-        if self.degree == -1:
-            return {((), i): c for i, c in self.payload.coords.items()}
-        out = {}
-        for key, val in self.payload.table.items():
-            for i, c in val.coords.items():
-                out[(key, i)] = c
-        return out
-
-    @classmethod
-    def from_coords(cls, space: SuperSpace, degree: int, coords: dict, parity: int = 0) -> "WElement":
-        if degree == -1:
-            return cls(space, -1, SuperVector(space, {i: c for (_, i), c in coords.items()}))
-        table: dict = {}
-        for (key, i), c in coords.items():
-            table.setdefault(key, {})[i] = c
-        mm = MultiMap(space, degree + 1, parity, {k: SuperVector(space, v) for k, v in table.items()}, check=False)
-        return cls(space, degree, mm)
-
     def __repr__(self):
-        return "W[deg=%d](%r)" % (self.degree, self.payload)
+        if self.degree == -1:
+            labels = self.space.labels
+            body = " + ".join("%s*%s" % (c, labels[i]) for (_, i), c in sorted(self.coords.items()))
+            return "W[deg=-1](%s)" % (body or "0")
+        nkeys = len({key for key, _ in self.coords})
+        return "W[deg=%d](MultiMap(arity=%d, parity=%s, %d entries))" % (
+            self.degree, self.degree + 1, self._parity, nkeys)
 
 
 def full_component(space: SuperSpace, degree: int) -> list[WElement]:
     """Basis of the full degree component, one (tuple -> e_i) map each."""
+    one = space.field.one()
     if degree == -1:
-        return [WElement.from_vector(space.basis_vector(i)) for i in range(space.dim)]
-    out = []
+        return [WElement(space, -1, {((), i): one}) for i in range(space.dim)]
     par = space.parities
-    for key in canonical_tuples(range(space.dim), degree + 1, par, alternating=False):
-        key_par = sum(par[i] for i in key) % 2
-        for i in range(space.dim):
-            parity = (par[i] + key_par) % 2
-            mm = MultiMap(space, degree + 1, parity, {key: space.basis_vector(i)}, check=False)
-            out.append(WElement.from_map(mm))
-    return out
+    return [WElement(space, degree, {(key, i): one})
+            for key in canonical_tuples(range(space.dim), degree + 1, par, alternating=False)
+            for i in range(space.dim)]
 
 
-def _box_keys(fm: MultiMap, gm: MultiMap) -> list:
+def _by_key(coords: dict) -> dict:
+    """The coordinates of one element grouped by argument key: {key: {i: c}}."""
+    table: dict = {}
+    for (key, i), c in coords.items():
+        table.setdefault(key, {})[i] = c
+    return table
+
+
+def _box_keys(ftab: dict, gtab: dict, par) -> list:
     """Sorted canonical keys at which f*g can be nonzero.
 
     A term of (f*g)(K) is nonzero only when K splits into a key of g and
     the rest of a key of f that lost one slot to an index in the output
     of g at that key; merging every such pair finds all of them.
     """
-    par = fm.space.parities
     rests: dict = {}  # slot index -> the keys of f with that slot removed
-    for fkey in fm.table:
+    for fkey in ftab:
         for s, i in enumerate(fkey):
             if s and fkey[s - 1] == i:
                 continue  # the same rest as removing the previous copy
             rests.setdefault(i, set()).add(fkey[:s] + fkey[s + 1:])
     keys = set()
-    for gkey, val in gm.table.items():
-        for i in val.coords:
+    for gkey, val in gtab.items():
+        for i in val:
             for rest in rests.get(i, ()):
                 key, sign = koszul_sort(gkey + rest, par, alternating=False)
                 if sign:
@@ -168,61 +174,62 @@ def _box_keys(fm: MultiMap, gm: MultiMap) -> list:
     return sorted(keys)
 
 
+def _plug(acc: dict, ftab: dict, par, inner: dict, rest: tuple, eps: int) -> None:
+    """acc += eps * f(inner, rest): the vector ``inner`` in the first slot
+    of the map tabled as ``ftab``, the indices ``rest`` after it."""
+    for i, c in inner.items():
+        fkey, sign = koszul_sort((i,) + rest, par, alternating=False)
+        val = ftab.get(fkey) if sign else None
+        if val is not None:
+            vec_add_scaled(acc, val, eps * sign * c)
+
+
 def box(f: WElement, g: WElement) -> WElement:
     """Insertion product.  Degrees add; f*a plugs the constant a into
     the first slot of f; a*g = 0 for constant a.
 
-    Only keys that can carry a nonzero value are evaluated, and the
-    table is filled in canonical key order.  For f*a these are the keys
-    of f with one slot removed whose index lies in the support of a;
-    for f*g they come from ``_box_keys``.  Every other key has a zero
-    inner or outer factor in each term, so skipping it is exact.
+    Both operands are indexed by argument key once.  Only keys that can
+    carry a nonzero value are evaluated, in canonical key order, each
+    summed over its terms into one output dict.  For f*a these keys are
+    the keys of f with one slot removed whose index lies in the support
+    of a; for f*g they come from ``_box_keys``.  Every other key has a
+    zero inner or outer factor in each term, so skipping it is exact.
     """
     space = f.space
     p, q = f.degree, g.degree
     if p + q < -1:
         raise ValueError("product falls below degree -1")
     if p == -1:
-        pf = f.parity()
-        pg = g.parity()
+        pf, pg = f.parity(), g.parity()
         return WElement.zero(space, p + q, 0 if pf is None or pg is None else (pf + pg) % 2)
-    if q == -1:
-        a = g.payload
-        if p == 0:
-            return WElement.from_vector(f.payload.evaluate_expand(a, ()))
-        par = (f.payload.parity + (a.parity() or 0)) % 2
-        keys = {fkey[:s] + fkey[s + 1:]
-                for fkey in f.payload.table
-                for s, i in enumerate(fkey) if i in a.coords}
-        table = {}
-        for key in sorted(keys):
-            val = f.payload.evaluate_expand(a, key)
-            if not val.is_zero():
-                table[key] = val
-        return WElement.from_map(MultiMap(space, p, par, table, check=False))
-
-    fm, gm = f.payload, g.payload
-    arity = p + q + 1
-    parity = (fm.parity + gm.parity) % 2
     par = space.parities
-    table: dict = {}
-    for key in _box_keys(fm, gm):
+    ftab = _by_key(f.coords)
+    out: dict = {}
+    if q == -1:
+        a = {i: c for (_, i), c in g.coords.items()}
+        keys = {fkey[:s] + fkey[s + 1:] for fkey in ftab for s, i in enumerate(fkey) if i in a}
+        for key in sorted(keys):
+            acc: dict = {}
+            _plug(acc, ftab, par, a, key, 1)
+            out.update(((key, j), c) for j, c in acc.items())
+        return WElement(space, p - 1, out, (f.parity() + (g.parity() or 0)) % 2)
+
+    gtab = _by_key(g.coords)
+    arity = p + q + 1
+    for key in _box_keys(ftab, gtab, par):
         arg_par = [par[i] for i in key]
-        acc = space.zero()
+        acc = {}
         for gpos in combinations(range(arity), q + 1):
             # a sub-tuple of a canonical key is canonical: look it up unsorted
-            inner = gm.table.get(tuple(key[i] for i in gpos))
+            inner = gtab.get(tuple(key[i] for i in gpos))
             if inner is None:
                 continue
             fpos = tuple(i for i in range(arity) if i not in gpos)
             # the split's sign: the odd-odd pairs whose order it reverses
             eps = koszul_sort(gpos + fpos, arg_par, alternating=False)[1]
-            outer = fm.evaluate_expand(inner, tuple(key[i] for i in fpos))
-            if not outer.is_zero():
-                acc = acc + (outer if eps == 1 else outer.scale(eps))
-        if not acc.is_zero():
-            table[key] = acc
-    return WElement.from_map(MultiMap(space, arity, parity, table, check=False))
+            _plug(acc, ftab, par, inner, tuple(key[i] for i in fpos), eps)
+        out.update(((key, j), c) for j, c in acc.items())
+    return WElement(space, p + q, out, (f.parity() + g.parity()) % 2)
 
 
 def w_bracket(f: WElement, g: WElement) -> WElement:
@@ -252,7 +259,7 @@ class GradedSubalgebra:
         if span is None:
             span = Span(self.space.field)
             self.spans[w.degree] = span
-        return span.insert(w.vectorize())
+        return span.insert(w.coords)
 
     def dims(self) -> dict[int, int]:
         return {d: s.dim for d, s in sorted(self.spans.items()) if s.dim}
@@ -262,25 +269,18 @@ class GradedSubalgebra:
         return s.dim if s else 0
 
     def basis(self, degree: int) -> list[WElement]:
-        """The reduced rows of one degree.  Even and odd elements have
-        disjoint coordinates, so each row of a span of homogeneous
-        elements is homogeneous; its parity is read off one coordinate."""
+        """The reduced rows of one degree, each copied, since the span
+        reduces its rows in place as it grows.  Even and odd elements
+        have disjoint coordinates, so each row of a span of homogeneous
+        elements is homogeneous and its coordinates give its parity."""
         s = self.spans.get(degree)
-        if not s:
-            return []
-        par = self.space.parities
-        out = []
-        for row in s:
-            key, i = next(iter(row))
-            parity = (par[i] + sum(par[k] for k in key)) % 2
-            out.append(WElement.from_coords(self.space, degree, row, parity))
-        return out
+        return [WElement(self.space, degree, dict(row)) for row in s] if s else []
 
     def contains(self, w: WElement) -> bool:
         if w.is_zero():
             return True
         s = self.spans.get(w.degree)
-        return bool(s) and s.contains(w.vectorize())
+        return bool(s) and s.contains(w.coords)
 
     def degrees(self) -> list[int]:
         return sorted(d for d, s in self.spans.items() if s.dim)
@@ -298,7 +298,7 @@ def is_transitive(sub: GradedSubalgebra, up_to: int):
         if not basis:
             continue
         images = [{(i, key): c for i, v in enumerate(V)
-                   for key, c in w_bracket(u, v).vectorize().items()}
+                   for key, c in w_bracket(u, v).coords.items()}
                   for u in basis]
         for kv in kernel(sub.space.field, images):
             w = None

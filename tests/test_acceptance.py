@@ -146,14 +146,8 @@ def test_06_action_envelope_fills_matrix_algebra():
     space, mu = seed_of(algebra_O(3))
     sub, _ = generate_subalgebra(space, mu, cap=4)
     field, dim = space.field, space.dim
-    mats = []
-    for u in sub.basis(0):
-        m = {}
-        for j in range(dim):
-            out = u.payload.evaluate((j,))
-            for i, c in out.coords.items():
-                m[(i, j)] = c
-        mats.append(m)
+    # a degree-0 element sends e_j to sum_i c e_i for its coordinates ((j,), i)
+    mats = [{(i, j): c for ((j,), i), c in u.coords.items()} for u in sub.basis(0)]
     env = envelope_dim(field, mats, dim)
     elapsed = time.perf_counter() - t0
     ok = env == dim * dim == 16

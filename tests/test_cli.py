@@ -304,7 +304,11 @@ def test_charp_cap_below_the_arity_is_a_one_line_usage_error(capsys):
     (("1 2 3 -> 1*e4", "1 2 3 -> 1*e5"), "error: basis label 'e5' out of range e1..e4\n"),
     (("1 2 3 -> 1*e4", "1 2 3 -> 1*e4\n1 2 3 -> 5*e1\n1 2 3 -> 1*e4"),
      "error: repeated key in '1 2 3 -> 5*e1'\n"),
-], ids=["zero_denominator", "key_index_zero", "label_past_dim", "repeated_key"])
+    # e4 is odd and e1 even, so the first value has no parity
+    (("3 q 4 eeee\n1 2 3 -> 1*e4", "3 q 4 eeeo\n1 2 3 -> 1*e4 + 1*e1"),
+     "error: value at key (e1, e2, e3) mixes parities\n"),
+], ids=["zero_denominator", "key_index_zero", "label_past_dim", "repeated_key",
+        "mixed_parity_value"])
 def test_bad_table_entries_are_one_line_usage_errors(tmp_path, capsys, edit, message):
     table = tmp_path / "bad.nlie"
     table.write_text(serialize_table(algebra_O(3)).replace(*edit))

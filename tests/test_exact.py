@@ -70,6 +70,13 @@ def test_one_koszul_sorter_and_one_tuple_enumerator():
                        "sorted_key_tuples"}) == []
 
 
+def test_one_element_format_for_w():
+    # an element of W(V) is its flat span coordinates; the dense map
+    # evaluation is left to ``multilinear`` and the tests' oracle
+    assert names_used({"payload", "from_coords"}) == []
+    assert names_used({"evaluate_expand"}, skip="multilinear.py") == []
+
+
 def assert_exact(values):
     for x in values:
         assert QQ.check(x) and not isinstance(x, float), repr(x)

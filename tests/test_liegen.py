@@ -130,12 +130,13 @@ def test_mixed_parity_generation_stays_divergence_free():
     sub, trace = generate_subalgebra(mu.space, mu, cap=3)
     assert trace.reached_fixpoint
     assert sub.dims() == {-1: 3, 0: 8, 1: 12, 2: 16, 3: 20}
-    # degree 0 holds rows of both parities, each labelled with its own
-    # (the MultiMap constructor rejects a value of the wrong parity)
+    # degree 0 holds rows of both parities, each labelled with its own:
+    # a coordinate (key, i) has parity p(i) + sum of p(key)
     basis = sub.basis(0)
     assert {w.parity() for w in basis} == {0, 1}
+    par = mu.space.parities
     for w in basis:
-        MultiMap(mu.space, 1, w.parity(), w.payload.table)
+        assert {(par[i] + sum(par[k] for k in key)) % 2 for key, i in w.coords} == {w.parity()}
 
 
 def test_bounded_generation_is_not_decided():
@@ -227,7 +228,7 @@ def truncation_by_pairs(space, mu, sub):
         chains = [chain(space, mu, tup) for tup in product(range(space.dim), repeat=k)]
         span = Span(space.field)
         for h in chains:
-            span.insert(h.vectorize())
+            span.insert(h.coords)
         if span.dim != sub.dim(deg):
             sweep_ok = False
             failures.append("degree %d: swept span has dim %d, component has dim %d"

@@ -90,14 +90,6 @@ def test_canonical_tuples_respect_parities():
     assert (1, 1) in tuples and (0, 0) not in tuples and (0, 1) in tuples
 
 
-def test_bracket_elements_is_multilinear():
-    alg = algebra_O(3)
-    a, b, c = (alg.space.basis_vector(i) for i in range(3))
-    lhs = alg.bracket_elements([a.scale(2) + b, b, c])
-    rhs = alg.bracket_keys((0, 1, 2)).scale(2)
-    assert lhs == rhs
-
-
 def test_table_roundtrip_plain_and_super():
     for alg in (algebra_O(3), algebra_O(4, field=GF(7)), heisenberg_11()):
         text = serialize_table(alg)
@@ -123,6 +115,8 @@ def test_parse_table_rejects_malformed_input():
         parse_table("2 q 2 ee\n2 1 -> 1*e1\n")  # key not sorted
     with pytest.raises(ValueError):
         parse_table("1 q 2 ee\n1 -> 1*e2\n")  # arity below 2
+    with pytest.raises(ValueError):
+        parse_table("3 q 4 eeeo\n1 2 3 -> 1*e4 + 1*e1\n")  # value mixes parities
 
 
 def test_inner_maps_are_derivations():

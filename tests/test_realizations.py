@@ -14,7 +14,6 @@ from nlielab.realizations import (
     PoissonRealization,
     SplitReport,
     VectorFieldRealization,
-    antidiagonal_form,
     check_split,
     graded_dims,
     parse_handle,
@@ -228,7 +227,7 @@ def test_unconstrained_field_maps_kill_exactly_the_constants():
 
 def test_poisson_form_is_pluggable():
     ident = PoissonRealization(QQ, 0, 3)
-    anti = PoissonRealization(QQ, 0, 3, b=antidiagonal_form(3))
+    anti = PoissonRealization(QQ, 0, 3, b={(1, 3): 1, (2, 2): 1, (3, 1): 1})
     f, g = ident.ring.xi(1), ident.ring.xi(2)
     assert ident.bracket(f, f) == ident.ring.one()
     assert ident.bracket(f, g).is_zero()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlielab.fields import QQ
 from nlielab.multilinear import MultiMap, canonical_tuples, koszul_sort
-from nlielab.superspace import SuperSpace
+from nlielab.superspace import SuperSpace, SuperVector
 from nlielab.universal import (
     GradedSubalgebra,
     WElement,
@@ -59,23 +59,38 @@ def draw_element(data, space, degree):
     return out
 
 
+def as_vector(w):
+    """A degree -1 element as the vector its coordinates ((), i) hold."""
+    return SuperVector(w.space, {i: c for (_, i), c in w.coords.items()})
+
+
+def as_map(w):
+    """An element of degree >= 0 as the map its coordinates (key, i) hold."""
+    table = {}
+    for (key, i), c in w.coords.items():
+        table.setdefault(key, {})[i] = c
+    return MultiMap(w.space, w.degree + 1, w.parity(),
+                    {key: SuperVector(w.space, v) for key, v in table.items()})
+
+
 def dense_box(f, g):
     """The insertion product by its definition: every canonical key of
     the target arity, every split of its positions."""
     space = f.space
     p, q = f.degree, g.degree
+    fm = as_map(f)
     if q == -1:
-        a = g.payload
+        a = as_vector(g)
         if p == 0:
-            return WElement.from_vector(f.payload.evaluate_expand(a, ()))
+            return WElement.from_vector(fm.evaluate_expand(a, ()))
         table = {}
         for key in symmetric_keys(space, p):
-            val = f.payload.evaluate_expand(a, key)
+            val = fm.evaluate_expand(a, key)
             if not val.is_zero():
                 table[key] = val
-        parity = (f.payload.parity + (a.parity() or 0)) % 2
-        return WElement.from_map(MultiMap(space, p, parity, table, check=False))
-    fm, gm = f.payload, g.payload
+        parity = (fm.parity + (a.parity() or 0)) % 2
+        return WElement.from_map(MultiMap(space, p, parity, table))
+    gm = as_map(g)
     arity = p + q + 1
     par = space.parities
     table = {}
@@ -93,7 +108,7 @@ def dense_box(f, g):
         if not acc.is_zero():
             table[key] = acc
     parity = (fm.parity + gm.parity) % 2
-    return WElement.from_map(MultiMap(space, arity, parity, table, check=False))
+    return WElement.from_map(MultiMap(space, arity, parity, table))
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -107,9 +122,9 @@ def test_box_matches_the_dense_definition(space, p, q, data):
     got, want = box(f, g), dense_box(f, g)
     assert got == want
     assert got.parity() == want.parity()
-    if got.degree >= 0:
-        # the table is filled in canonical key order
-        assert list(got.payload.table) == list(want.payload.table)
+    # the coordinates come grouped by key, in canonical key order
+    keys = [key for key, _ in got.coords]
+    assert keys == sorted(keys)
 
 
 def test_component_dims_match_enumeration():
@@ -174,13 +189,30 @@ def test_box_plugs_constants_into_the_first_slot():
     assert box(u, b).is_zero()
 
 
-def test_vectorize_from_coords_roundtrip():
-    V = SPACES[1]
-    for w in full_component(V, 1):
-        back = WElement.from_coords(V, 1, w.vectorize(), w.parity())
-        assert back == w
-    v = WElement.from_vector(V.vector({0: 2, 1: 0}))
-    assert WElement.from_coords(V, -1, v.vectorize()) == v
+def test_elements_hold_span_rows():
+    V = SPACES[3]
+    a, x = V.basis_vector(0), V.basis_vector(2)
+    v = WElement.from_vector(V.vector({0: 2, 2: 0}))
+    assert v.coords == {((), 0): 2} and v.parity() == 0
+    mm = MultiMap(V, 2, 1, {(0, 1): x, (0, 2): a.scale(3)})
+    u = WElement.from_map(mm)
+    assert u.degree == 1 and u.parity() == 1
+    assert u.coords == {((0, 1), 2): 1, ((0, 2), 0): 3}
+    assert as_map(u) == mm
+
+
+def test_basis_elements_outlive_span_growth():
+    # the span reduces its rows in place; a basis handed out before
+    # stays the element it was
+    V = SPACES[0]
+    sub = GradedSubalgebra(V, cap=0)
+    e00, e01, e10, e11 = full_component(V, 0)
+    sub.insert(e00 + e01)
+    before = sub.basis(0)
+    assert before == [e00 + e01]
+    sub.insert(e01)
+    assert before == [e00 + e01]
+    assert sub.basis(0) == [e00, e01]
 
 
 def test_degree_mixing_is_rejected():
@@ -190,7 +222,24 @@ def test_degree_mixing_is_rejected():
     with pytest.raises(ValueError):
         a + u
     with pytest.raises(ValueError):
-        WElement(V, -1, u.payload)
+        WElement(V, -2, {})
+
+
+def test_repr_renders_the_witness_format():
+    # reports print a witness with repr: a map of degree d >= 0 as a
+    # MultiMap summary counting distinct argument keys, a constant as
+    # its vector
+    V = SPACES[3]
+    v = WElement.from_vector(V.vector({2: QQ.scalar(-1, 3), 0: 2}))
+    assert repr(v) == "W[deg=-1](2*a + -1/3*x)"
+    deg0 = full_component(V, 0)
+    u = deg0[0] + deg0[1].scale(3) + deg0[4]
+    assert repr(u) == "W[deg=0](MultiMap(arity=1, parity=0, 2 entries))"
+    deg2 = full_component(V, 2)
+    w = deg2[0] + deg2[1].scale(-2) + deg2[3] + deg2[4]
+    assert repr(w) == "W[deg=2](MultiMap(arity=3, parity=0, 2 entries))"
+    assert repr(WElement.zero(V, 1, 1)) == "W[deg=1](MultiMap(arity=2, parity=1, 0 entries))"
+    assert repr(WElement.zero(V, -1)) == "W[deg=-1](0)"
 
 
 def test_graded_subalgebra_span_bookkeeping():
