@@ -149,8 +149,14 @@ def monomials_upto(nvars: int, window: int, include_constant: bool = True):
     return out
 
 
+# the cached value of every vanishing bracket; read, never written
+_EMPTY: dict = {}
+
+
 class PolyNAryAlgebra:
-    """Shared machinery: dict elements, cached canonical brackets."""
+    """Shared machinery: dict elements, cached canonical brackets.  The
+    cache shares one empty dict among the vanishing brackets and one
+    tuple among equal monomial keys of its values."""
 
     bracket_parity = 0
 
@@ -158,6 +164,7 @@ class PolyNAryAlgebra:
         self.field = field
         self.arity = arity
         self._cache: dict = {}
+        self._monomials: dict = {}
 
     def key_parity(self, k) -> int:
         return EVEN
@@ -179,7 +186,8 @@ class PolyNAryAlgebra:
             return {}
         got = self._cache.get(ck)
         if got is None:
-            got = self.raw_bracket(ck)
+            intern = self._monomials.setdefault
+            got = {intern(k, k): v for k, v in self.raw_bracket(ck).items()} or _EMPTY
             self._cache[ck] = got
         if sgn < 0:
             return {k: -v for k, v in got.items()}

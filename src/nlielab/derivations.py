@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from .fields import Field
 from .linalg import Span, kernel, mat_mul, vec_add_scaled
 from .multilinear import canonical_tuples
-from .nlie import FiniteNAryAlgebra, check_derivation, derivation_defect, inner_derivation
+from .nlie import (FiniteNAryAlgebra, ad_table, check_derivation, derivation_defect,
+                   inner_derivation)
 from .superspace import EVEN, ODD
 
 
@@ -84,6 +85,7 @@ def derivation_space(alg: FiniteNAryAlgebra) -> DerivationSpace:
     space = alg.space
     field = alg.field
     tuples = list(canonical_tuples(range(space.dim), alg.arity, space.parities))
+    ads = ad_table(alg)
     basis = []
     for eparity in (EVEN, ODD):
         entries = endo_entries(space, eparity)
@@ -94,7 +96,7 @@ def derivation_space(alg: FiniteNAryAlgebra) -> DerivationSpace:
             dmap = matrix_dmap(alg, {(i, j): field.one()})
             col = {}
             for t_idx, keys in enumerate(tuples):
-                for out_idx, c in derivation_defect(alg, dmap, eparity, keys).items():
+                for out_idx, c in derivation_defect(alg, dmap, eparity, keys, ads).items():
                     col[(t_idx, out_idx)] = c
             columns.append(col)
         for vec in kernel(field, columns):

@@ -11,9 +11,11 @@ alpha the parity of the bracket itself:
 
 For fixed a it is the derivation law of ad_a = [a_1..a_{n-1}, .], so
 both identities run through one kernel that sums the defect into a
-single coordinate dict with integer signs and never divides.  The
-images ad_a(k) are taken once per a-block and the inner brackets [b]
-once per b.
+single coordinate dict with integer signs and never divides.  Every
+bracket the kernel reads, [b] and [b_1.. k .. b_n] included, is
++-ad_c(k) for an (n-1)-tuple c, and one table per check holds each
+ad_c(k) once, as a sign and the canonical bracket's coordinates; the
+images of ad_a are the table's row a.
 
 The kernel is written against a small duck-typed carrier protocol, so
 it runs over finite tables and over polynomial carriers alike:
@@ -36,6 +38,7 @@ __all__ = [
     "FiniteNAryAlgebra",
     "filippov_defect",
     "FJReport",
+    "ad_table",
     "check_filippov",
     "identity_mode",
     "derivation_defect",
@@ -80,7 +83,6 @@ class FiniteNAryAlgebra:
             if got != (self.bracket_parity + sum(space.parities[i] for i in key)) % 2:
                 raise ValueError("value parity mismatch at key %r" % (key,))
             self.table[key] = val
-        self._cache: dict = {}
 
     # -- carrier protocol -------------------------------------------------
     def keys(self):
@@ -90,22 +92,11 @@ class FiniteNAryAlgebra:
         return self.space.parities[k]
 
     def bracket_keys(self, keys: tuple) -> SuperVector:
-        got = self._cache.get(keys)
-        if got is not None:
-            return got
         ck, sgn = koszul_sort(keys, self.space.parities)
-        if sgn == 0:
-            out = self.space.zero()
-        else:
-            base = self.table.get(ck)
-            if base is None:
-                out = self.space.zero()
-            elif sgn < 0:
-                out = -base
-            else:
-                out = base
-        self._cache[keys] = out
-        return out
+        base = self.table.get(ck) if sgn else None
+        if base is None:
+            return self.space.zero()
+        return -base if sgn < 0 else base
 
     def coords(self, elem: SuperVector) -> dict:
         return elem.coords
@@ -125,7 +116,7 @@ class FiniteNAryAlgebra:
 
 
 class _Images(dict):
-    """key -> coordinates of a linear map's image, each taken on first use."""
+    """key -> a value taken on first use, e.g. a linear map's image."""
 
     def __init__(self, image):
         super().__init__()
@@ -136,42 +127,87 @@ class _Images(dict):
         return got
 
 
-def _ad(alg, a_keys: tuple) -> _Images:
-    """The images of ad_a = [a_1..a_{n-1}, .] on basis keys."""
+# the entry of every vanishing bracket; read, never written
+_ZERO = (0, {})
+
+
+def ad_table(alg) -> _Images:
+    """One check's brackets: an (n-1)-tuple c maps to the row of ad_c,
+    key k -> (s, coordinates of the canonical bracket) with
+    [c_1..c_{n-1}, k] = (-1)^s times them.  Each entry is one Koszul
+    sort and one carrier call on the sorted tuple; the table refers to
+    the carrier, never the other way round."""
+    parities = _Images(alg.key_parity)
     bracket, coords = alg.bracket_keys, alg.coords
-    return _Images(lambda k: coords(bracket(a_keys + (k,))))
+
+    def entry(keys):
+        ck, sgn = koszul_sort(keys, parities)
+        if sgn:
+            v = coords(bracket(ck))
+            if v:
+                return (sgn < 0, v)
+        return _ZERO
+
+    return _Images(lambda c: _Images(lambda k: entry(c + (k,))))
 
 
-def _defect(alg, images, outer: dict, keys: tuple, par: int) -> dict:
-    """RHS - LHS of the derivation law for the map D of parity ``par``
-    with the given ``images`` on ``keys``, whose bracket is ``outer``,
-    in one fresh dict (cancelled entries stay as zeros).  The right side
-    goes in first, so an even carrier's all-plus terms never negate."""
+def _slots(alg, ads, keys: tuple) -> list:
+    """Per position of ``keys``: its key x, the row of ad over the other
+    keys c, and the parity bits relating [.. k ..] (k at x's place) to
+    [c, k]: the parity before x, the parity after it (k passes it) and
+    the position sign (n-1-pos)."""
+    kp = alg.key_parity
+    last = len(keys) - 1
+    after = sum(kp(x) for x in keys) & 1
+    before, out = 0, []
+    for pos, x in enumerate(keys):
+        px = kp(x)
+        after ^= px
+        out.append((x, ads[keys[:pos] + keys[pos + 1:]], before, after, (last - pos) & 1))
+        before ^= px
+    return out
+
+
+def _defect(alg, images, slots, par: int) -> dict:
+    """RHS - LHS of the derivation law for the map D of parity ``par``,
+    whose images are entries (s, coordinates), on the keys of ``slots``,
+    in one fresh dict (cancelled entries stay as zeros).  Every sign is
+    folded into the scalar of its term; an even carrier's all-plus terms
+    never negate."""
     acc: dict = {}
     get = acc.get
-    bracket, coords = alg.bracket_keys, alg.coords
+    kp = alg.key_parity
     lead = par & alg.bracket_parity
-    flip = 0
-    for pos, x in enumerate(keys):
-        head, tail = keys[:pos], keys[pos + 1:]
-        negate = lead != (par & flip)
-        for k, c in images[x].items():
-            if negate:
+    for x, row, before, after, pos_sign in slots:
+        s_x, image = images[x]
+        flip = lead ^ (par & before) ^ pos_sign ^ s_x
+        for k, c in image.items():
+            s, v = row[k]
+            if flip ^ s ^ (after and kp(k)):
                 c = -c
-            for j, v in coords(bracket(head + (k,) + tail)).items():
-                w = get(j)
-                acc[j] = c * v if w is None else w + c * v
-        flip ^= alg.key_parity(x)
-    for k, c in outer.items():
-        for j, v in images[k].items():
-            w = get(j)
-            acc[j] = -(c * v) if w is None else w - c * v
+            for j, w in v.items():
+                y = get(j)
+                acc[j] = c * w if y is None else y + c * w
+    x, row = slots[-1][:2]
+    s_out, value = row[x]  # the bracket of all the keys
+    for k, c in value.items():
+        s, v = images[k]
+        if not s_out ^ s:
+            c = -c
+        for j, w in v.items():
+            y = get(j)
+            acc[j] = c * w if y is None else y + c * w
     return acc
 
 
 def _element(alg, acc: dict):
     """The defect LHS - RHS as a carrier element, from ``_defect``'s sum."""
     return alg.element({j: -v for j, v in acc.items() if v})
+
+
+def _map_images(alg, dmap) -> _Images:
+    """The images of a linear map as kernel entries."""
+    return _Images(lambda k: (0, alg.coords(dmap(k))))
 
 
 def filippov_defect(alg, a_keys: tuple, b_keys: tuple):
@@ -182,8 +218,8 @@ def filippov_defect(alg, a_keys: tuple, b_keys: tuple):
     if len(a_keys) != n - 1 or len(b_keys) != n:
         raise ValueError("need n-1 and n keys")
     par = sum(alg.key_parity(k) for k in a_keys) % 2
-    outer = alg.coords(alg.bracket_keys(b_keys))
-    return _element(alg, _defect(alg, _ad(alg, a_keys), outer, b_keys, par))
+    ads = ad_table(alg)
+    return _element(alg, _defect(alg, ads[a_keys], _slots(alg, ads, b_keys), par))
 
 
 @dataclass
@@ -222,13 +258,14 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
         b_iter = list(canonical_tuples(keys, n, parities))
     else:
         raise ValueError("unknown mode %r" % mode)
-    outers = [alg.coords(alg.bracket_keys(b_keys)) for b_keys in b_iter]
+    ads = ad_table(alg)
+    blocks = [_slots(alg, ads, b_keys) for b_keys in b_iter]
     count = 0
     for a_keys in a_iter:
         par = sum(alg.key_parity(k) for k in a_keys) % 2
-        images = _ad(alg, a_keys)
-        for b_keys, outer in zip(b_iter, outers):
-            d = _defect(alg, images, outer, b_keys, par)
+        images = ads[a_keys]  # the images of ad_a are its row
+        for b_keys, slots in zip(b_iter, blocks):
+            d = _defect(alg, images, slots, par)
             count += 1
             if any(d.values()):
                 return FJReport(False, count, (a_keys, b_keys, repr(_element(alg, d))), mode)
@@ -237,14 +274,14 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
     return FJReport(True, count, None, mode)
 
 
-def derivation_defect(alg, dmap, dparity: int, keys: tuple):
+def derivation_defect(alg, dmap, dparity: int, keys: tuple, ads=None):
     """D[x_1..x_n] - (-1)^{alpha p(D)} sum_k (+-) [x_1 .. D x_k .. x_n]
     on a basis key tuple, as an element of the carrier; dmap sends a key
-    to an element."""
+    to an element.  A loop over many maps passes one ``ads`` table (from
+    ``ad_table``) to every call."""
     keys = tuple(keys)
-    images = _Images(lambda k: alg.coords(dmap(k)))
-    outer = alg.coords(alg.bracket_keys(keys))
-    return _element(alg, _defect(alg, images, outer, keys, dparity))
+    slots = _slots(alg, ad_table(alg) if ads is None else ads, keys)
+    return _element(alg, _defect(alg, _map_images(alg, dmap), slots, dparity))
 
 
 @dataclass
@@ -257,10 +294,11 @@ class DerivationReport:
 def check_derivation(alg, dmap, dparity: int, keys=None) -> DerivationReport:
     if keys is None:
         keys = list(alg.keys())
-    images = _Images(lambda k: alg.coords(dmap(k)))
+    images = _map_images(alg, dmap)
+    ads = ad_table(alg)
     count = 0
     for tup in canonical_tuples(keys, alg.arity, [alg.key_parity(k) for k in keys]):
-        d = _defect(alg, images, alg.coords(alg.bracket_keys(tup)), tup, dparity)
+        d = _defect(alg, images, _slots(alg, ads, tup), dparity)
         count += 1
         if any(d.values()):
             return DerivationReport(ok=False, instances=count,

@@ -694,8 +694,7 @@ def induced_table(real, mu, keys, elem_of, coords_of, arity: int) -> dict:
 def catalog_table(cat, keys, arity: int) -> dict:
     table = {}
     for combo in combinations(keys, arity):
-        val = cat.bracket_keys(combo)
-        coords = val.coords if hasattr(val, "coords") else val
+        coords = cat.coords(cat.bracket_keys(combo))
         if coords:
             table[combo] = coords
     return table

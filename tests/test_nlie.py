@@ -9,6 +9,7 @@ from nlielab.catalog import GeneralizedJacobianNAry, algebra_O, algebra_S, algeb
 from nlielab.fields import GF, QQ
 from nlielab.nlie import (
     FiniteNAryAlgebra,
+    ad_table,
     check_derivation,
     check_filippov,
     derivation_defect,
@@ -18,7 +19,7 @@ from nlielab.nlie import (
     parse_table,
     serialize_table,
 )
-from nlielab.multilinear import canonical_tuples
+from nlielab.multilinear import canonical_tuples, koszul_sort
 from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.superspace import SuperSpace
 
@@ -233,6 +234,21 @@ def reference_check(alg, keys, mode, defect):
 
 # -- corrupted carriers ----------------------------------------------------
 
+def _repeat_instances(alg, keys):
+    """Ordered instances with a repeated odd key and with a repeated even
+    key, where the keys hold one: sorting keeps the first, kills the second."""
+    odd = [k for k in keys if alg.key_parity(k)]
+    even = [k for k in keys if not alg.key_parity(k)]
+    n = alg.arity
+    out = []
+    for k in odd[:1] + even[:1]:
+        rest = [j for j in keys if j != k] or [k]
+        a_keys = ((k,) * 2 + tuple(rest))[:n - 1]
+        b_keys = (rest[0],) + (k,) * 2 + tuple(rest[1:])
+        out.append((a_keys, (b_keys + (k,) * n)[:n]))
+    return out
+
+
 coeffs = st.integers(-2, 2)
 
 
@@ -297,9 +313,9 @@ def jacobian_sets(field):
     ]
 
 
-def _poly_case(alg, window, data):
+def _poly_case(alg, window, data, mode="sorted"):
     keys = alg.window_keys(window)
-    return corrupt_poly(alg, keys, data), keys, "sorted"
+    return corrupt_poly(alg, keys, data), keys, mode
 
 
 def _jacobian_case(field, data):
@@ -308,14 +324,17 @@ def _jacobian_case(field, data):
     return _poly_case(alg, 2, data)
 
 
-# name -> (field, data) -> (carrier, keys, mode)
+# name -> (field, data) -> (carrier, keys, mode); full mode on at most 4 keys
 CASES = {
     "O(3)": lambda F, data: (corrupt_table(algebra_O(3, field=F), data), range(4), "full"),
     "O(4)": lambda F, data: (corrupt_table(algebra_O(4, field=F), data), range(5), "sorted"),
     "heisenberg": lambda F, data: (corrupt_table(heisenberg_11(F), data, entries=3), range(2), "full"),
     "mixed": lambda F, data: (mixed_table(F, data), range(3), "full"),
+    "mixed-sorted": lambda F, data: (mixed_table(F, data), range(3), "sorted"),
     "S(3)": lambda F, data: _poly_case(algebra_S(3, F), 2, data),
+    "S(3)-full": lambda F, data: _poly_case(algebra_S(3, F), 1, data, "full"),
     "W(3)": lambda F, data: _poly_case(algebra_W(3, F), 1, data),
+    "W(3)-full": lambda F, data: _poly_case(algebra_W(3, F), 1, data, "full"),
     "SW(4)": lambda F, data: _poly_case(algebra_SW(4, F), 1, data),
     "jacobian": _jacobian_case,
 }
@@ -340,9 +359,9 @@ def test_kernel_matches_the_reference_loop(case, field, data):
 
     # defects of ordered instances, repeats and unsorted orders included
     key = st.sampled_from(keys)
-    for _ in range(4):
-        a_keys = tuple(data.draw(key) for _ in range(n - 1))
-        b_keys = tuple(data.draw(key) for _ in range(n))
+    drawn = [(tuple(data.draw(key) for _ in range(n - 1)), tuple(data.draw(key) for _ in range(n)))
+             for _ in range(4)]
+    for a_keys, b_keys in drawn + _repeat_instances(alg, keys):
         assert (_as_map(alg, filippov_defect(alg, a_keys, b_keys))
                 == _as_map(alg, reference_filippov_defect(alg, a_keys, b_keys)))
 
@@ -355,8 +374,9 @@ def test_kernel_matches_the_reference_loop(case, field, data):
     def dmap(k):  # zero off the window
         return images.get(k, zero)
 
+    ads = ad_table(alg)  # one table for every tuple, as derivation_space runs it
     for tup in canonical_keys(alg, keys, n):
-        assert (_as_map(alg, derivation_defect(alg, dmap, dparity, tup))
+        assert (_as_map(alg, derivation_defect(alg, dmap, dparity, tup, ads))
                 == _as_map(alg, reference_derivation_defect(alg, dmap, dparity, tup)))
     drep = check_derivation(alg, dmap, dparity, keys=keys)
     count, want = 0, None
@@ -366,3 +386,73 @@ def test_kernel_matches_the_reference_loop(case, field, data):
             want = tup
             break
     assert (drep.ok, drep.instances, drep.witness and drep.witness[0]) == (want is None, count, want)
+
+
+# -- one ad table per check --------------------------------------------------
+
+def test_repeats_give_vanishing_and_surviving_entries():
+    # (u | x): an even repeat vanishes, an odd repeat survives
+    V = SuperSpace(QQ, ("u", "x"), (0, 1))
+    alg = FiniteNAryAlgebra(V, 2, 0, {(1, 1): V.basis_vector(0)})
+    ads = ad_table(alg)
+    assert ads[(0,)][0] is ads[(1,)][0] and not ads[(0,)][0][1]
+    assert ads[(1,)][1] == (False, {0: 1})
+    assert ads[(0,)][1] is ads[(0,)][0]  # [u, x] is zero in the table
+
+
+def test_identity_window_asks_each_canonical_bracket_about_once():
+    # verify S --n 3 --window 3: 165,699 instances; 11,913 distinct brackets
+    alg = algebra_S(3)
+    seen = []
+    bracket = alg.bracket_keys
+
+    def spy(keys):
+        seen.append(keys)
+        return bracket(keys)
+
+    alg.bracket_keys = spy
+    rep = check_filippov(alg, keys=alg.window_keys(3))
+    assert rep.ok and rep.instances == 165699
+    assert all(koszul_sort(keys) == (keys, 1) for keys in seen)
+    assert len(set(seen)) == len(alg._cache) == 11913
+    assert len(seen) <= 15000
+
+
+def _snapshot(cache: dict) -> dict:
+    return {k: (v, dict(v)) for k, v in cache.items()}
+
+
+@pytest.mark.parametrize("make", [lambda: (algebra_S(3), 2), lambda: (algebra_W(3), 2),
+                                  lambda: (algebra_SW(4), 1)], ids=["S(3)", "W(3)", "SW(4)"])
+def test_check_filippov_leaves_cached_brackets_unchanged(make):
+    alg, window = make()
+    keys = alg.window_keys(window)
+    assert check_filippov(alg, keys=keys).ok
+    before = _snapshot(alg._cache)
+    empties = [v for v in alg._cache.values() if not v]
+    assert empties and all(v is empties[0] for v in empties)  # one shared empty dict
+    monomials = {}
+    for v in alg._cache.values():
+        for k in v:
+            assert monomials.setdefault(k, k) is k  # equal keys are one tuple
+    assert check_filippov(alg, keys=keys).ok
+    assert check_filippov(alg, keys=keys[:4], mode="full").ok
+    par, dmap = inner_derivation(alg, tuple(keys[1:alg.arity]))
+    for tup in canonical_keys(alg, keys, alg.arity):
+        assert not derivation_defect(alg, dmap, par, tup)
+    after = _snapshot(alg._cache)
+    assert after.keys() >= before.keys()
+    for k, (v, copy) in before.items():
+        assert after[k][0] is v and after[k][1] == copy
+    assert not empties[0]
+
+
+def test_finite_table_is_the_one_bracket_store():
+    alg = algebra_O(3)
+    table = {k: dict(v.coords) for k, v in alg.table.items()}
+    assert check_filippov(alg, mode="full").ok and check_filippov(alg, mode="sorted").ok
+    assert {k: v.coords for k, v in alg.table.items()} == table
+    assert not hasattr(alg, "_cache")
+    # outside callers still get sorted, signed brackets
+    assert alg.bracket_keys((2, 1, 0)) == -alg.table[(0, 1, 2)]
+    assert alg.bracket_keys((0, 0, 1)).is_zero()
