@@ -23,6 +23,12 @@ elements are dicts mapping monomial keys to coefficients, and brackets
 of basis keys are cached after canonical sorting.  Every key is even,
 so ``koszul_sort`` without parities gives both the permutation signs of
 the determinants and the canonical keys of the brackets.
+
+On monomial keys x^(a_1), .., x^(a_n) the S and W brackets are one
+monomial, x^(a_1+..+a_n-(1,..,1)), times the integer determinant of the
+exponent matrix (for W bordered by a row of ones).  There is one
+determinant, ``_det``: it expands that integer matrix for S and W and
+the ``SuperPoly`` entries D_i f_j of the operator brackets.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from .fields import QQ, Field
-from .linalg import invert_dense, vec_add_scaled
+from .linalg import invert_dense
 from .multilinear import koszul_sort
 from .nlie import FiniteNAryAlgebra
 from .polysuper import DiffOp, SuperPolyRing
@@ -92,47 +98,46 @@ def algebra_O(n: int, field: Field = QQ, form=None) -> FiniteNAryAlgebra:
 
 # -- polynomial carriers ----------------------------------------------------
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(u + v for u, v in zip(ka, kb))
-            c = ca * cb
-            w = out.get(key)
-            s = c if w is None else w + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+# n -> every permutation of range(n) with its sign
+_SIGNED_PERMUTATIONS: dict = {}
 
 
-def _det(mat) -> dict:
-    """Determinant of a matrix of dict-polynomials by expansion over
-    permutations; fine for the small arities used here."""
-    n = len(mat)
-    acc: dict = {}
-    for perm in permutations(range(n)):
-        entries = []
-        dead = False
-        for i in range(n):
-            e = mat[i][perm[i]]
+def _signed_permutations(n: int) -> tuple:
+    got = _SIGNED_PERMUTATIONS.get(n)
+    if got is None:
+        got = _SIGNED_PERMUTATIONS[n] = tuple((p, koszul_sort(p)[1])
+                                              for p in permutations(range(n)))
+    return got
+
+
+def _det(mat, zero=0):
+    """Leibniz expansion of a square determinant.  Entries are ints or
+    ``SuperPoly``s and are only multiplied and added, so a zero entry
+    must test false; a permutation is dropped at its first zero entry."""
+    total = zero
+    for perm, term in _signed_permutations(len(mat)):
+        for row, j in zip(mat, perm):
+            e = row[j]
             if not e:
-                dead = True
                 break
-            entries.append(e)
-        if dead:
-            continue
-        s = koszul_sort(perm)[1]
-        prod = entries[0]
-        for e in entries[1:]:
-            prod = _poly_mul(prod, e)
-            if not prod:
-                break
-        if not prod:
-            continue
-        vec_add_scaled(acc, prod, s)
-    return acc
+            term = term * e
+        else:
+            total = total + term
+    return total
+
+
+def _monomial_bracket(field: Field, exponents, mat, quotient: bool) -> dict:
+    """{x^(a_1+..+a_n-(1,..,1)): det(mat)} on monomial keys x^(a_j), whose
+    exponents are given by variable (row i holds a_1[i]..a_n[i]); empty
+    when the determinant vanishes in ``field`` or, with ``quotient``,
+    when the monomial is the constant."""
+    c = field.coerce(_det(mat))
+    if not c:
+        return {}
+    key = tuple(sum(row) - 1 for row in exponents)
+    if quotient and not any(key):
+        return {}
+    return {key: c}
 
 
 def monomials_upto(nvars: int, window: int, include_constant: bool = True):
@@ -172,14 +177,6 @@ class PolyNAryAlgebra:
     def raw_bracket(self, keys: tuple) -> dict:
         raise NotImplementedError
 
-    def _dmono(self, alpha: tuple, i: int) -> dict:
-        """d/dx_i of the monomial with exponents ``alpha``."""
-        e = alpha[i]
-        if not e:
-            return {}
-        key = alpha[:i] + (e - 1,) + alpha[i + 1:]
-        return {key: self.field.coerce(e)}
-
     def bracket_keys(self, keys: tuple) -> dict:
         ck, sgn = koszul_sort(keys)
         if sgn == 0:
@@ -202,9 +199,6 @@ class PolyNAryAlgebra:
     def element(self, coords: dict) -> dict:
         return coords
 
-    def elem_is_zero(self, a: dict) -> bool:
-        return not a
-
 
 class JacobianNAry(PolyNAryAlgebra):
     """[f_1..f_n] = det(d f_j / d x_i) on monomials in n variables;
@@ -215,14 +209,10 @@ class JacobianNAry(PolyNAryAlgebra):
         super().__init__(field, arity)
         self.nvars = arity
         self.quotient = quotient
-        self._zero_key = (0,) * self.nvars
 
     def raw_bracket(self, keys: tuple) -> dict:
-        mat = [[self._dmono(keys[j], i) for j in range(self.arity)] for i in range(self.nvars)]
-        out = _det(mat)
-        if self.quotient:
-            out.pop(self._zero_key, None)
-        return out
+        exponents = list(zip(*keys))
+        return _monomial_bracket(self.field, exponents, exponents, self.quotient)
 
     def window_keys(self, window: int):
         return monomials_upto(self.nvars, window, include_constant=not self.quotient)
@@ -235,15 +225,11 @@ class BorderedNAry(PolyNAryAlgebra):
     def __init__(self, field: Field, arity: int):
         super().__init__(field, arity)
         self.nvars = arity - 1
-        self._zero_key = (0,) * self.nvars
 
     def raw_bracket(self, keys: tuple) -> dict:
-        top = [[{keys[j]: self.field.one()} for j in range(self.arity)]]
-        rows = [
-            [self._dmono(keys[j], i) for j in range(self.arity)]
-            for i in range(self.nvars)
-        ]
-        return _det(top + rows)
+        exponents = list(zip(*keys))
+        return _monomial_bracket(self.field, exponents, [(1,) * self.arity] + exponents,
+                                 False)
 
     def window_keys(self, window: int):
         return monomials_upto(self.nvars, window)
@@ -310,23 +296,18 @@ class GeneralizedJacobianNAry(PolyNAryAlgebra):
                 if g[0] != "x":
                     raise ValueError("operators must involve x-derivatives only")
 
-    def _apply(self, op: DiffOp, alpha: tuple) -> dict:
-        mono = self.ring.monomial(alpha, ())
+    def _apply(self, op: DiffOp, mono):
         out = op.apply(mono)
-        res = {}
-        for (a, xis), c in out.terms.items():
-            if xis:
-                raise ValueError("operator produced an anticommuting term")
-            res[a] = c
-        return res
+        if any(xis for _, xis in out.terms):
+            raise ValueError("operator produced an anticommuting term")
+        return out
 
     def raw_bracket(self, keys: tuple) -> dict:
-        mat = []
+        monos = [self.ring.monomial(alpha) for alpha in keys]
+        mat = [[self._apply(op, f) for f in monos] for op in self.ops]
         if self.bordered:
-            mat.append([{keys[j]: self.field.one()} for j in range(self.arity)])
-        for op in self.ops:
-            mat.append([self._apply(op, keys[j]) for j in range(self.arity)])
-        out = _det(mat)
+            mat.insert(0, monos)
+        out = {alpha: c for (alpha, _), c in _det(mat, self.ring.zero()).terms.items()}
         if self.quotient:
             out.pop(self._zero_key, None)
         return out

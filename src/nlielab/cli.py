@@ -98,6 +98,12 @@ def cmd_verify(args, field) -> Report:
               "window": window, "table": args.table,
               "form": args.form, "seed": args.seed}
     rep = Report("verify", config)
+    if args.table and args.selector:
+        raise ValueError("give a selector or --table, not both")
+    if args.form and args.selector != "O":
+        raise ValueError("--form applies to selector O only")
+    if window is not None and (args.table or args.selector == "O"):
+        raise ValueError("--window applies to selectors S, W and SW only")
     if window is not None and window < 0:
         raise ValueError("--window must be at least 0")
 

@@ -6,21 +6,20 @@ which lets the same span machinery hold polynomial monomials, operator
 coordinates and multilinear-map coordinates.  No zero is ever stored.
 There is one elimination, ``Span.insert``: the pivot of a vector is its
 smallest key, and the span keeps its rows in reduced row echelon form.
-That form is unique, so every other reduced form is read off a ``Span``:
-``rref`` (and through it ``rank``, ``solve_linear``, ``nullspace`` and
-``kernel``) and ``invert_dense``.  Matrices multiplied by ``mat_mul``
-are dicts {(row, col): c}; the associative envelope of a set of them is
-one ``orbit_span``.
+That form is unique, so kernels (``nullspace`` and ``kernel``) and
+inverses (``invert_dense``) are read off a ``Span``.  Matrices multiplied
+by ``mat_mul`` are dicts {(row, col): c}; the associative envelope of a
+set of them is one ``orbit_span``.
 """
 
 from __future__ import annotations
 
 import bisect
 
-from .fields import Field, FieldError
+from .fields import Field
 
-__all__ = ["Span", "SparseMatrix", "rref", "solve_linear", "nullspace", "kernel",
-           "invert_dense", "mat_mul", "orbit_span", "envelope_dim"]
+__all__ = ["Span", "nullspace", "kernel", "invert_dense", "mat_mul", "orbit_span",
+           "envelope_dim"]
 
 
 def vec_add_scaled(target: dict, src: dict, c) -> None:
@@ -131,82 +130,20 @@ def envelope_dim(field: Field, mats, dim: int) -> int:
     return orbit_span(field, mats, {(i, i): one for i in range(dim)}).dim
 
 
-class SparseMatrix:
-    """Row-major sparse matrix over a fixed field, integer columns."""
-
-    def __init__(self, field: Field, rows: list[dict] | None = None, ncols: int | None = None):
-        self.field = field
-        self.rows = [dict(r) for r in (rows or [])]
-        for r in self.rows:
-            for k, v in r.items():
-                if not field.check(v):
-                    raise FieldError("entry %r does not live in %r" % (v, field))
-                if not v:
-                    raise ValueError("stored zero at column %r" % (k,))
-        if ncols is None:
-            ncols = 1 + max((max(r) for r in self.rows if r), default=-1)
-        self.ncols = ncols
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
-def rref(m: SparseMatrix) -> tuple[SparseMatrix, tuple[int, ...]]:
-    """Reduced row echelon form, read off a ``Span`` of the rows.
-
-    The form is unique, so the span's rows (pivot coefficient 1, fully
-    reduced, ordered by pivot column) are it.  Returns the reduced
-    matrix and the tuple of pivot columns.
-    """
-    span = Span(m.field)
-    for r in m.rows:
+def nullspace(field: Field, rows, ncols: int) -> list[dict]:
+    """Basis of the kernel of the matrix with the given rows (dicts over
+    the columns 0..ncols-1), read off one ``Span`` of the rows: one
+    vector per free column."""
+    span = Span(field)
+    for r in rows:
         span.insert(r)
-    return SparseMatrix(m.field, span.rows, m.ncols), tuple(span.pivots)
-
-
-def rank(m: SparseMatrix) -> int:
-    return len(rref(m)[1])
-
-
-def solve_linear(m: SparseMatrix, b: list) -> dict | None:
-    """One exact solution of M x = b, or None when inconsistent.
-
-    Free variables are set to zero, which makes the returned solution
-    deterministic.  ``b`` is a dense list of length nrows.
-    """
-    if len(b) != m.nrows:
-        raise ValueError("rhs length %d != %d rows" % (len(b), m.nrows))
-    aug_col = m.ncols
-    rows = []
-    for r, bi in zip(m.rows, b):
-        rr = dict(r)
-        bi = m.field.coerce(bi)
-        if bi:
-            rr[aug_col] = bi
-        rows.append(rr)
-    aug = SparseMatrix(m.field, rows, m.ncols + 1)
-    red, pivots = rref(aug)
-    if aug_col in pivots:
-        return None
-    sol: dict = {}
-    for col, row in zip(pivots, red.rows):
-        c = row.get(aug_col)
-        if c:
-            sol[col] = c
-    return sol
-
-
-def nullspace(m: SparseMatrix) -> list[dict]:
-    """Deterministic basis of the kernel, one vector per free column."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
+    one = field.one()
     basis = []
-    one = m.field.one()
-    for f in free:
+    for f in range(ncols):
+        if f in span.pivot_rows:
+            continue
         v = {f: one}
-        for col, row in zip(pivots, red.rows):
+        for col, row in zip(span.pivots, span.rows):
             c = row.get(f)
             if c:
                 v[col] = -c
@@ -221,7 +158,7 @@ def kernel(field: Field, columns) -> list[dict]:
     for j, col in enumerate(columns):
         for key, c in col.items():
             rows.setdefault(key, {})[j] = c
-    return nullspace(SparseMatrix(field, list(rows.values()), len(columns)))
+    return nullspace(field, rows.values(), len(columns))
 
 
 def invert_dense(field: Field, rows) -> list[list]:

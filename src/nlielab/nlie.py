@@ -22,7 +22,6 @@ it runs over finite tables and over polynomial carriers alike:
 ``arity``, ``bracket_parity``, ``key_parity(k)``,
 ``bracket_keys(tuple) -> element``, ``coords(element)`` (a read-only
 dict key -> nonzero scalar) and ``element(dict)`` (its inverse).
-Carriers also offer ``elem_is_zero(element)`` to callers.
 """
 
 from __future__ import annotations
@@ -103,9 +102,6 @@ class FiniteNAryAlgebra:
 
     def element(self, coords: dict) -> SuperVector:
         return SuperVector(self.space, coords)
-
-    def elem_is_zero(self, a) -> bool:
-        return a.is_zero()
 
     def __repr__(self):
         return "FiniteNAryAlgebra(arity=%d, dim=%d over %r)" % (

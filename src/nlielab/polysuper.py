@@ -88,6 +88,9 @@ class SuperPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def parity(self):
         """0, 1, or None when mixed; zero polynomial counts as even."""
         ps = {len(x) % 2 for (_, x) in self.terms}

@@ -1,6 +1,7 @@
 """The four bracket families and the determinant-bracket lab."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from nlielab.catalog import (
     GeneralizedJacobianNAry,
@@ -111,6 +112,36 @@ def test_jacobian_quotient_drops_constants():
     assert (0, 0, 0) in unquotiented.window_keys(2)
 
 
+def sympy_bracket(sympy, field, exps, bordered):
+    """The determinant bracket of the monomials x^a, a in ``exps``, by
+    sympy's ``Matrix.jacobian``: row i holds d/dx_i of every monomial,
+    under a row of the monomials themselves when ``bordered``; the
+    constant term is dropped when not."""
+    xs = sympy.symbols("x1:%d" % (len(exps[0]) + 1))
+    fs = sympy.Matrix([sympy.prod([x ** e for x, e in zip(xs, a)]) for a in exps])
+    mat = fs.jacobian(xs).T
+    if bordered:
+        mat = fs.T.col_join(mat)
+    out = {}
+    for monom, c in sympy.Poly(sympy.expand(mat.det()), *xs).terms():
+        v = field.coerce(int(c))
+        if v and (bordered or any(monom)):
+            out[monom] = v
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("bordered", [False, True], ids=["S", "W"])
+@given(data=st.data())
+def test_monomial_brackets_match_the_sympy_jacobian(field, bordered, data):
+    sympy = pytest.importorskip("sympy")
+    n = data.draw(st.integers(2, 4))
+    nvars = n - 1 if bordered else n
+    exps = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=n, max_size=n))
+    alg = (algebra_W if bordered else algebra_S)(n, field)
+    assert alg.bracket_keys(tuple(exps)) == sympy_bracket(sympy, field, exps, bordered)
+
+
 def test_bordered_bracket_window_jacobi():
     alg = algebra_W(3)
     keys = [k for k in alg.window_keys(2)]
@@ -186,3 +217,12 @@ def test_generalized_jacobian_rejects_odd_directions():
     R = SuperPolyRing(QQ, 1, 1)
     with pytest.raises(ValueError):
         GeneralizedJacobianNAry(QQ, 1, [DiffOp.ddxi(R, 1)])
+
+
+def test_generalized_jacobian_rejects_anticommuting_terms():
+    # an x-derivative with an odd coefficient passes the constructor, but
+    # the entries it makes hold xi_1
+    R = SuperPolyRing(QQ, 1, 1)
+    alg = GeneralizedJacobianNAry(QQ, 1, [DiffOp.ddx(R, 1, coeff=R.xi(1))])
+    with pytest.raises(ValueError, match="anticommuting term"):
+        alg.raw_bracket(((1,),))

@@ -240,6 +240,30 @@ def test_usage_errors_exit_two(tmp_path):
     assert main(["pairs", "i", "--n", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "S", "--n", "3", "--window", "1", "--form", "FORM"],
+     "--form applies to selector O only"),
+    (["verify", "--table", "TABLE", "--form", "FORM"], "--form applies to selector O only"),
+    (["verify", "O", "--n", "3", "--window", "5"],
+     "--window applies to selectors S, W and SW only"),
+    (["verify", "--table", "TABLE", "--window", "2"],
+     "--window applies to selectors S, W and SW only"),
+    (["verify", "O", "--table", "TABLE"], "give a selector or --table, not both"),
+], ids=["form_with_S", "form_with_table", "window_with_O", "window_with_table",
+        "selector_with_table"])
+def test_options_that_do_not_apply_are_one_line_usage_errors(tmp_path, capsys, argv,
+                                                              message):
+    # the inputs are valid, so only the combination is refused
+    table, form = tmp_path / "o3.nlie", tmp_path / "form.txt"
+    table.write_text(serialize_table(algebra_O(3)))
+    form.write_text("2 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    argv = [{"TABLE": str(table), "FORM": str(form)}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+
+
 def test_negative_window_is_a_one_line_usage_error(capsys):
     for argv in (["pairs", "i", "--n", "3", "--xwindow", "-1"], ["report", "--xwindow", "-1"]):
         assert main(argv) == 2

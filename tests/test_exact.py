@@ -14,7 +14,7 @@ from nlielab.catalog import algebra_O
 from nlielab.cli import main
 from nlielab.fields import GF, QQ
 from nlielab.liegen import check_admissible, tables_proportional
-from nlielab.linalg import SparseMatrix, Span, invert_dense, nullspace, rref, solve_linear
+from nlielab.linalg import Span, invert_dense, kernel
 from nlielab.multilinear import bracket_to_symmetric
 from nlielab.universal import WElement
 
@@ -56,9 +56,11 @@ def names_used(names, skip=None):
 
 
 def test_only_linalg_builds_matrices_or_eliminates():
-    # one elimination path: elsewhere a kernel is ``linalg.kernel`` and a
-    # reduced basis is a ``Span``
-    assert names_used({"SparseMatrix", "rref", "nullspace"}, skip="linalg.py") == []
+    # one elimination path: a reduced basis is a ``Span``, elsewhere a
+    # kernel is ``linalg.kernel``, and the catalog's one polynomial
+    # product is ``SuperPoly``'s
+    assert names_used({"SparseMatrix", "rref", "solve_linear", "_poly_mul", "_dmono"}) == []
+    assert names_used({"nullspace"}, skip="linalg.py") == []
 
 
 def test_one_koszul_sorter_and_one_tuple_enumerator():
@@ -110,17 +112,15 @@ def rational_matrices(max_dim=4):
                            min_size=n, max_size=n)))
 
 
-@given(rational_matrices(), st.lists(rationals, min_size=4, max_size=4))
-def test_elimination_stays_exact(dense, rhs):
-    rows = [{j: c for j, c in enumerate(r) if c} for r in dense]
-    m = SparseMatrix(QQ, rows, ncols=len(dense[0]))
-    red, _ = rref(m)
-    for row in red.rows:
+@given(rational_matrices())
+def test_elimination_stays_exact(dense):
+    span = Span(QQ)
+    for r in dense:
+        span.insert({j: c for j, c in enumerate(r) if c})
+    for row in span.rows:
         assert_exact(row.values())
-    sol = solve_linear(m, rhs[:m.nrows])
-    if sol is not None:
-        assert_exact(sol.values())
-    for v in nullspace(m):
+    columns = [{i: r[j] for i, r in enumerate(dense) if r[j]} for j in range(len(dense[0]))]
+    for v in kernel(QQ, columns):
         assert_exact(v.values())
 
 

@@ -7,16 +7,12 @@ from hypothesis import given, strategies as st
 
 from nlielab.fields import GF, QQ
 from nlielab.linalg import (
-    SparseMatrix,
     Span,
     envelope_dim,
     invert_dense,
     kernel,
     mat_mul,
     nullspace,
-    rank,
-    rref,
-    solve_linear,
     vec_add_scaled,
 )
 
@@ -39,12 +35,12 @@ def from_sympy(entries) -> dict:
 
 
 def matrices(field, max_rows=5, max_cols=5):
+    """(rows, ncols): a sparse matrix as its row dicts and column count."""
     def build(entries, nrows, ncols):
         rows = [{} for _ in range(nrows)]
         for (i, j, v) in entries:
             rows[i % nrows][j % ncols] = field.scalar(v)
-        rows = [{k: v for k, v in r.items() if v} for r in rows]
-        return SparseMatrix(field, rows, ncols=ncols)
+        return [{k: v for k, v in r.items() if v} for r in rows], ncols
 
     return st.builds(
         build,
@@ -54,12 +50,19 @@ def matrices(field, max_rows=5, max_cols=5):
     )
 
 
-def matvec(m: SparseMatrix, x: dict):
+def span_of(field, rows) -> Span:
+    span = Span(field)
+    for r in rows:
+        span.insert(r)
+    return span
+
+
+def matvec(field, rows, x: dict):
     out = {}
-    for i, row in enumerate(m.rows):
-        acc = m.field.zero()
+    for i, row in enumerate(rows):
+        acc = field.zero()
         for j, c in row.items():
-            acc = acc + c * x.get(j, m.field.zero())
+            acc = acc + c * x.get(j, field.zero())
         if acc:
             out[i] = acc
     return out
@@ -67,45 +70,33 @@ def matvec(m: SparseMatrix, x: dict):
 
 @given(matrices(QQ))
 def test_rank_plus_nullity(m):
-    assert rank(m) + len(nullspace(m)) == m.ncols
+    rows, ncols = m
+    assert span_of(QQ, rows).dim + len(nullspace(QQ, rows, ncols)) == ncols
 
 
 @given(matrices(F5))
 def test_rank_plus_nullity_mod_p(m):
-    assert rank(m) + len(nullspace(m)) == m.ncols
+    rows, ncols = m
+    assert span_of(F5, rows).dim + len(nullspace(F5, rows, ncols)) == ncols
 
 
 @given(matrices(QQ))
 def test_nullspace_vectors_are_solutions(m):
-    for v in nullspace(m):
-        assert matvec(m, v) == {}
+    rows, ncols = m
+    for v in nullspace(QQ, rows, ncols):
+        assert matvec(QQ, rows, v) == {}
 
 
 @given(matrices(QQ))
 def test_rref_pivots_are_unit_columns(m):
-    r, pivots = rref(m)
-    assert rank(m) == len(pivots)
-    for i, j in enumerate(pivots):
-        assert r.rows[i][j] == QQ.one()
-        for k in range(r.nrows):
+    # a span's rows are the reduced row echelon form of what it holds
+    span = span_of(QQ, m[0])
+    assert span.pivots == sorted(span.pivots)
+    for i, j in enumerate(span.pivots):
+        assert span.rows[i][j] == QQ.one()
+        for k in range(span.dim):
             if k != i:
-                assert j not in r.rows[k]
-
-
-@given(matrices(F5), st.lists(st.integers(-4, 4), min_size=5, max_size=5))
-def test_solve_linear_solves_consistent_systems(m, xs):
-    x = {j: F5.scalar(c) for j, c in enumerate(xs[: m.ncols]) if F5.scalar(c)}
-    b_dict = matvec(m, x)
-    b = [b_dict.get(i, F5.zero()) for i in range(m.nrows)]
-    sol = solve_linear(m, b)
-    assert sol is not None
-    assert matvec(m, sol) == b_dict
-
-
-def test_solve_linear_detects_inconsistency():
-    m = SparseMatrix(QQ, [{0: QQ.one()}, {0: QQ.one()}], ncols=1)
-    assert solve_linear(m, [QQ.one(), QQ.scalar(2)]) is None
-    assert solve_linear(m, [QQ.one(), QQ.one()]) == {0: QQ.one()}
+                assert j not in span.rows[k]
 
 
 def test_span_dedupes_dependent_vectors():
@@ -141,14 +132,15 @@ def dense_matrices(nrows, ncols):
 def test_elimination_matches_sympy(sympy, data):
     nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
     dense = data.draw(dense_matrices(nrows, ncols))
-    m = SparseMatrix(QQ, [{j: c for j, c in enumerate(r) if c} for r in dense], ncols)
+    rows = [{j: c for j, c in enumerate(r) if c} for r in dense]
     ref, ref_pivots = to_sympy(sympy, dense).rref()
-    red, pivots = rref(m)
-    assert pivots == ref_pivots
-    assert red.rows == [from_sympy(ref.row(i)) for i in range(len(pivots))]
-    assert nullspace(m) == [from_sympy(v) for v in to_sympy(sympy, dense).nullspace()]
+    span = span_of(QQ, rows)
+    assert tuple(span.pivots) == ref_pivots
+    assert span.rows == [from_sympy(ref.row(i)) for i in range(len(ref_pivots))]
+    basis = nullspace(QQ, rows, ncols)
+    assert basis == [from_sympy(v) for v in to_sympy(sympy, dense).nullspace()]
     columns = [{i: dense[i][j] for i in range(nrows) if dense[i][j]} for j in range(ncols)]
-    assert kernel(QQ, columns) == nullspace(m)
+    assert kernel(QQ, columns) == basis
 
 
 @given(data=st.data())

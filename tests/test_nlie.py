@@ -67,7 +67,7 @@ def test_corrupted_table_fails_with_witness():
     assert not rep.ok
     a_keys, b_keys, _ = rep.witness
     assert len(a_keys) == 2 and len(b_keys) == 3
-    assert not bad.elem_is_zero(filippov_defect(bad, a_keys, b_keys))
+    assert bad.coords(filippov_defect(bad, a_keys, b_keys)) != {}
 
 
 def test_limit_stops_early():
