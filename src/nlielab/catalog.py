@@ -19,8 +19,8 @@ operators under commutators is not necessary for the law:
 {d, x^2 d} and {x d1, x d2 + d1} satisfy the law with non-closed spans.
 
 Polynomial carriers implement the same key protocol as finite ones:
-elements are dicts mapping monomial keys to coefficients, and brackets
-of basis keys are cached after canonical sorting.  Every key is even,
+elements are dicts mapping monomial keys to coefficients, and a bracket
+of basis keys is computed on its canonical sort.  Every key is even,
 so ``koszul_sort`` without parities gives both the permutation signs of
 the determinants and the canonical keys of the brackets.
 
@@ -154,21 +154,20 @@ def monomials_upto(nvars: int, window: int, include_constant: bool = True):
     return out
 
 
-# the cached value of every vanishing bracket; read, never written
+# the value of every vanishing bracket; read, never written
 _EMPTY: dict = {}
 
 
 class PolyNAryAlgebra:
-    """Shared machinery: dict elements, cached canonical brackets.  The
-    cache shares one empty dict among the vanishing brackets and one
-    tuple among equal monomial keys of its values."""
+    """Shared machinery: dict elements, brackets on canonical sorts, no
+    cache of its own (``nlie.ad_table`` keeps one per check).  Vanishing
+    brackets share one empty dict, equal monomial keys one tuple."""
 
     bracket_parity = 0
 
     def __init__(self, field: Field, arity: int):
         self.field = field
         self.arity = arity
-        self._cache: dict = {}
         self._monomials: dict = {}
 
     def key_parity(self, k) -> int:
@@ -181,14 +180,9 @@ class PolyNAryAlgebra:
         ck, sgn = koszul_sort(keys)
         if sgn == 0:
             return {}
-        got = self._cache.get(ck)
-        if got is None:
-            intern = self._monomials.setdefault
-            got = {intern(k, k): v for k, v in self.raw_bracket(ck).items()} or _EMPTY
-            self._cache[ck] = got
-        if sgn < 0:
-            return {k: -v for k, v in got.items()}
-        return got
+        intern = self._monomials.setdefault
+        got = {intern(k, k): v for k, v in self.raw_bracket(ck).items()} or _EMPTY
+        return {k: -v for k, v in got.items()} if sgn < 0 else got
 
     def window_keys(self, window: int):
         raise NotImplementedError

@@ -93,8 +93,8 @@ def _finite_suite(rep: Report, alg):
 
 
 def cmd_verify(args, field) -> Report:
-    window = args.window
-    config = {"selector": args.selector, "n": args.n, "field": field.name,
+    window, n = args.window, 3 if args.n is None and not args.table else args.n
+    config = {"selector": args.selector, "n": n, "field": field.name,
               "window": window, "table": args.table,
               "form": args.form, "seed": args.seed}
     rep = Report("verify", config)
@@ -110,6 +110,13 @@ def cmd_verify(args, field) -> Report:
     if args.table:
         with open(args.table) as fh:
             alg = parse_table(fh.read())
+        # the table's header fixes the field and the arity it is checked over
+        if args.field is not None and field != alg.field:
+            raise ValueError("--field %s disagrees with the table's field %s"
+                             % (field.name, alg.field.name))
+        if n is not None and n != alg.arity:
+            raise ValueError("--n %d disagrees with the table's arity %d" % (n, alg.arity))
+        config.update(field=alg.field.name, n=alg.arity)
         fj = check_filippov(alg)
         rep.add("filippov_jacobi", fj.ok,
                 "%d instances on a %d-dim table of arity %d, %s"
@@ -119,7 +126,6 @@ def cmd_verify(args, field) -> Report:
 
     if not args.selector:
         raise ValueError("verify needs a selector (O, S, W, SW) or --table")
-    n = args.n
     if n < 2:
         raise ValueError("--n must be at least 2")
 
@@ -232,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command")
 
     def common(sp):
-        sp.add_argument("--field", default="q", help="q or fp:P")
+        sp.add_argument("--field", help="q (the default) or fp:P")
         sp.add_argument("--json", metavar="PATH", help="write the JSON report here")
         sp.add_argument("--seed", type=int, default=0, help="echoed into the report")
 
     v = sub.add_parser("verify", help="verification suite for one algebra")
     v.add_argument("selector", nargs="?", choices=["O", "S", "W", "SW"])
-    v.add_argument("--n", type=int, default=3, help="bracket arity")
+    v.add_argument("--n", type=int, help="bracket arity (default 3)")
     v.add_argument("--window", type=int, help="monomial degree window")
     v.add_argument("--table", metavar="FILE", help="bracket table to load instead")
     v.add_argument("--form", metavar="FILE", help="symmetric form matrix for O")
@@ -277,7 +283,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        field = field_from_name(args.field)
+        field = field_from_name("q" if args.field is None else args.field)
     except (FieldError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -4,7 +4,8 @@ Every computation in this package is exact.  A rational scalar is a
 plain ``int`` while it is integral; only a division that does not come
 out even makes a ``fractions.Fraction``.  Sums and products of
 Fractions stay Fractions even when integral, which is still exact.
-Prime-field scalars are lightweight wrappers around ints reduced mod p.
+Prime-field scalars are ``ModP`` wrappers around ints reduced mod p, kept
+at the boundary: the identity kernel sums balanced ints and reduces once.
 Scalars of the two kinds are never mixed; a :class:`Field` object
 decides which kind a computation uses and provides construction,
 coercion, parsing and the one division, :meth:`Field.div`, so no

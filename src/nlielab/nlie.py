@@ -15,7 +15,8 @@ single coordinate dict with integer signs and never divides.  Every
 bracket the kernel reads, [b] and [b_1.. k .. b_n] included, is
 +-ad_c(k) for an (n-1)-tuple c, and one table per check holds each
 ad_c(k) once, as a sign and the canonical bracket's coordinates; the
-images of ad_a are the table's row a.
+images of ad_a are the table's row a.  Over F_p those coordinates are
+balanced ints: the kernel sums plain ints and reduces once per defect.
 
 The kernel is written against a small duck-typed carrier protocol, so
 it runs over finite tables and over polynomial carriers alike:
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import field_from_name
+from .fields import ModP, field_from_name
 from .multilinear import canonical_tuples, koszul_sort
 from .superspace import EVEN, ODD, SuperSpace, SuperVector
 
@@ -123,28 +124,40 @@ class _Images(dict):
         return got
 
 
-# the entry of every vanishing bracket; read, never written
+# the entry of every vanishing bracket, its empty dict shared; read, never written
 _ZERO = (0, {})
+
+
+def _lift(field):
+    """Carrier coordinates -> kernel coordinates: the dict itself over QQ,
+    over F_p balanced ints (v if v <= p // 2, else v - p)."""
+    p = field.p
+    return (lambda v: v) if p is None else (
+        lambda v: {j: c.v if 2 * c.v <= p else c.v - p for j, c in v.items()})
 
 
 def ad_table(alg) -> _Images:
     """One check's brackets: an (n-1)-tuple c maps to the row of ad_c,
-    key k -> (s, coordinates of the canonical bracket) with
+    key k -> (s, kernel coordinates of the canonical bracket) with
     [c_1..c_{n-1}, k] = (-1)^s times them.  Each entry is one Koszul
-    sort and one carrier call on the sorted tuple; the table refers to
-    the carrier, never the other way round."""
+    sort; the memo ``.brackets`` asks the carrier once per sorted tuple
+    and keeps its lifted coordinates (``_ZERO``'s dict if zero).  The
+    table refers to the carrier, never the other way round."""
     parities = _Images(alg.key_parity)
-    bracket, coords = alg.bracket_keys, alg.coords
+    bracket, coords, lift = alg.bracket_keys, alg.coords, _lift(alg.field)
+    brackets = _Images(lambda ck: lift(coords(bracket(ck))) or _ZERO[1])
 
     def entry(keys):
         ck, sgn = koszul_sort(keys, parities)
         if sgn:
-            v = coords(bracket(ck))
+            v = brackets[ck]
             if v:
                 return (sgn < 0, v)
         return _ZERO
 
-    return _Images(lambda c: _Images(lambda k: entry(c + (k,))))
+    table = _Images(lambda c: _Images(lambda k: entry(c + (k,))))
+    table.brackets = brackets
+    return table
 
 
 def _slots(alg, ads, keys: tuple) -> list:
@@ -196,14 +209,24 @@ def _defect(alg, images, slots, par: int) -> dict:
     return acc
 
 
+def _survives(acc: dict, p) -> bool:
+    """Is a nonzero ``_defect`` sum nonzero in F_p (QQ for p None)?"""
+    return p is None or any(v % p for v in acc.values())
+
+
 def _element(alg, acc: dict):
-    """The defect LHS - RHS as a carrier element, from ``_defect``'s sum."""
-    return alg.element({j: -v for j, v in acc.items() if v})
+    """The defect LHS - RHS as a carrier element, from ``_defect``'s sum;
+    over F_p its ints become field scalars again."""
+    p = alg.field.p
+    if p is None:
+        return alg.element({j: -v for j, v in acc.items() if v})
+    return alg.element({j: ModP(-v, p) for j, v in acc.items() if v % p})
 
 
 def _map_images(alg, dmap) -> _Images:
     """The images of a linear map as kernel entries."""
-    return _Images(lambda k: (0, alg.coords(dmap(k))))
+    lift = _lift(alg.field)
+    return _Images(lambda k: (0, lift(alg.coords(dmap(k)))))
 
 
 def filippov_defect(alg, a_keys: tuple, b_keys: tuple):
@@ -254,7 +277,7 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
         b_iter = list(canonical_tuples(keys, n, parities))
     else:
         raise ValueError("unknown mode %r" % mode)
-    ads = ad_table(alg)
+    ads, p = ad_table(alg), alg.field.p
     blocks = [_slots(alg, ads, b_keys) for b_keys in b_iter]
     count = 0
     for a_keys in a_iter:
@@ -263,7 +286,7 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
         for b_keys, slots in zip(b_iter, blocks):
             d = _defect(alg, images, slots, par)
             count += 1
-            if any(d.values()):
+            if any(d.values()) and _survives(d, p):
                 return FJReport(False, count, (a_keys, b_keys, repr(_element(alg, d))), mode)
             if limit is not None and count >= limit:
                 return FJReport(True, count, None, mode)
@@ -290,13 +313,12 @@ class DerivationReport:
 def check_derivation(alg, dmap, dparity: int, keys=None) -> DerivationReport:
     if keys is None:
         keys = list(alg.keys())
-    images = _map_images(alg, dmap)
-    ads = ad_table(alg)
+    images, ads, p = _map_images(alg, dmap), ad_table(alg), alg.field.p
     count = 0
     for tup in canonical_tuples(keys, alg.arity, [alg.key_parity(k) for k in keys]):
         d = _defect(alg, images, _slots(alg, ads, tup), dparity)
         count += 1
-        if any(d.values()):
+        if any(d.values()) and _survives(d, p):
             return DerivationReport(ok=False, instances=count,
                                     witness=(tup, repr(_element(alg, d))))
     return DerivationReport(ok=True, instances=count, witness=None)

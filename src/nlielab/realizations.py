@@ -33,6 +33,7 @@ scalar), and the splitting reports full = derived (+) one line.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, monomials_upto
 from .fields import QQ, Field
@@ -239,10 +240,10 @@ class Carrier:
         out = []
         for combo in kernel(self.field,
                             [self.constraint_value(c).terms for c in cands]):
-            elem = self.zero()
-            for j in sorted(combo):
-                elem = elem + cands[j].scale(combo[j])
-            out.append(elem)
+            if self.field.p is None:  # over QQ, clear denominators: int coefficients
+                m = lcm(*(c.denominator for c in combo.values()))
+                combo = {j: c.numerator * (m // c.denominator) for j, c in combo.items()}
+            out.append(sum((cands[j].scale(combo[j]) for j in sorted(combo)), self.zero()))
         return out
 
     def window_elements(self, xwindow: int):

@@ -14,6 +14,7 @@ import pytest
 from nlielab import cli, realizations
 from nlielab.catalog import algebra_O
 from nlielab.cli import build_parser, main
+from nlielab.fields import GF
 from nlielab.nlie import serialize_table
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -249,8 +250,11 @@ def test_usage_errors_exit_two(tmp_path):
     (["verify", "--table", "TABLE", "--window", "2"],
      "--window applies to selectors S, W and SW only"),
     (["verify", "O", "--table", "TABLE"], "give a selector or --table, not both"),
+    (["verify", "--table", "TABLE", "--field", "fp:7"],
+     "--field fp:7 disagrees with the table's field q"),
+    (["verify", "--table", "TABLE", "--n", "5"], "--n 5 disagrees with the table's arity 3"),
 ], ids=["form_with_S", "form_with_table", "window_with_O", "window_with_table",
-        "selector_with_table"])
+        "selector_with_table", "field_against_table", "n_against_table"])
 def test_options_that_do_not_apply_are_one_line_usage_errors(tmp_path, capsys, argv,
                                                               message):
     # the inputs are valid, so only the combination is refused
@@ -262,6 +266,21 @@ def test_options_that_do_not_apply_are_one_line_usage_errors(tmp_path, capsys, a
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: %s\n" % message
+
+
+def test_table_header_echoes_the_tables_own_field_and_arity(tmp_path, capsys):
+    table = tmp_path / "o4.nlie"
+    table.write_text(serialize_table(algebra_O(4, GF(7))))
+    outs = []
+    for extra in ([], ["--field", "fp:7"], ["--n", "4"], ["--field", "fp:7", "--n", "4"]):
+        assert main(["verify", "--table", str(table)] + extra) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0].startswith("verify (field=fp:7, n=4, seed=0, table=")
+    assert outs == outs[:1] * 4
+    for extra, message in ((["--field", "q"], "--field q disagrees with the table's field fp:7"),
+                           (["--n", "3"], "--n 3 disagrees with the table's arity 4")):
+        assert main(["verify", "--table", str(table)] + extra) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_negative_window_is_a_one_line_usage_error(capsys):

@@ -5,8 +5,11 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlielab import nlie
 from nlielab.catalog import GeneralizedJacobianNAry, algebra_O, algebra_S, algebra_SW, algebra_W
-from nlielab.fields import GF, QQ
+from nlielab.charp import CharPSeed
+from nlielab.derivations import derivation_space, matrix_dmap
+from nlielab.fields import GF, QQ, ModP
 from nlielab.nlie import (
     FiniteNAryAlgebra,
     ad_table,
@@ -400,51 +403,132 @@ def test_repeats_give_vanishing_and_surviving_entries():
     assert ads[(0,)][1] is ads[(0,)][0]  # [u, x] is zero in the table
 
 
-def test_identity_window_asks_each_canonical_bracket_about_once():
+def _spy_tables(monkeypatch) -> list:
+    """Every ad table the kernel builds from now on, in order."""
+    tables = []
+
+    def spy(alg):
+        tables.append(ad_table(alg))
+        return tables[-1]
+
+    monkeypatch.setattr(nlie, "ad_table", spy)
+    return tables
+
+
+def test_identity_window_asks_each_canonical_bracket_about_once(monkeypatch):
     # verify S --n 3 --window 3: 165,699 instances; 11,913 distinct brackets
-    alg = algebra_S(3)
-    seen = []
-    bracket = alg.bracket_keys
+    tables = _spy_tables(monkeypatch)
+    for field in (QQ, GF(10007)):
+        alg = algebra_S(3, field)
+        seen = []
+        bracket = alg.bracket_keys
 
-    def spy(keys):
-        seen.append(keys)
-        return bracket(keys)
+        def spy(keys):
+            seen.append(keys)
+            return bracket(keys)
 
-    alg.bracket_keys = spy
-    rep = check_filippov(alg, keys=alg.window_keys(3))
-    assert rep.ok and rep.instances == 165699
-    assert all(koszul_sort(keys) == (keys, 1) for keys in seen)
-    assert len(set(seen)) == len(alg._cache) == 11913
-    assert len(seen) <= 15000
+        alg.bracket_keys = spy
+        rep = check_filippov(alg, keys=alg.window_keys(3))
+        assert rep.ok and rep.instances == 165699
+        assert all(koszul_sort(keys) == (keys, 1) for keys in seen)
+        assert len(seen) == len(set(seen)) == len(tables[-1].brackets) == 11913
 
 
 def _snapshot(cache: dict) -> dict:
     return {k: (v, dict(v)) for k, v in cache.items()}
 
 
-@pytest.mark.parametrize("make", [lambda: (algebra_S(3), 2), lambda: (algebra_W(3), 2),
-                                  lambda: (algebra_SW(4), 1)], ids=["S(3)", "W(3)", "SW(4)"])
-def test_check_filippov_leaves_cached_brackets_unchanged(make):
-    alg, window = make()
-    keys = alg.window_keys(window)
-    assert check_filippov(alg, keys=keys).ok
-    before = _snapshot(alg._cache)
-    empties = [v for v in alg._cache.values() if not v]
-    assert empties and all(v is empties[0] for v in empties)  # one shared empty dict
-    monomials = {}
-    for v in alg._cache.values():
-        for k in v:
-            assert monomials.setdefault(k, k) is k  # equal keys are one tuple
-    assert check_filippov(alg, keys=keys).ok
-    assert check_filippov(alg, keys=keys[:4], mode="full").ok
-    par, dmap = inner_derivation(alg, tuple(keys[1:alg.arity]))
-    for tup in canonical_keys(alg, keys, alg.arity):
-        assert not derivation_defect(alg, dmap, par, tup)
-    after = _snapshot(alg._cache)
-    assert after.keys() >= before.keys()
-    for k, (v, copy) in before.items():
-        assert after[k][0] is v and after[k][1] == copy
-    assert not empties[0]
+@pytest.mark.parametrize("make", [lambda f: (algebra_S(3, f), 2), lambda f: (algebra_W(3, f), 2),
+                                  lambda f: (algebra_SW(4, f), 1)], ids=["S(3)", "W(3)", "SW(4)"])
+def test_check_filippov_leaves_cached_brackets_unchanged(make, monkeypatch):
+    tables = _spy_tables(monkeypatch)
+    for field in (QQ, GF(10007)):
+        alg, window = make(field)
+        keys = alg.window_keys(window)
+        assert check_filippov(alg, keys=keys).ok
+        ads = tables[-1]
+        before = _snapshot(ads.brackets)
+        empties = [v for v in ads.brackets.values() if not v]
+        assert empties and all(v is empties[0] for v in empties)  # one shared empty dict
+        monomials = {}
+        for ck, v in ads.brackets.items():
+            assert {k: field.coerce(c) for k, c in v.items()} == alg.bracket_keys(ck)
+            for k in v:
+                assert monomials.setdefault(k, k) is k  # equal keys are one tuple
+        assert check_filippov(alg, keys=keys).ok and tables[-1].brackets == ads.brackets
+        assert check_filippov(alg, keys=keys[:4], mode="full").ok
+        par, dmap = inner_derivation(alg, tuple(keys[1:alg.arity]))
+        for tup in canonical_keys(alg, keys, alg.arity):  # the first check's table, reused
+            assert not derivation_defect(alg, dmap, par, tup, ads)
+        after = _snapshot(ads.brackets)
+        assert after.keys() >= before.keys()
+        for k, (v, copy) in before.items():
+            assert after[k][0] is v and after[k][1] == copy
+        assert not empties[0]
+
+
+# -- GF(p) on plain ints --------------------------------------------------------
+
+@pytest.mark.parametrize("make", [lambda f: (algebra_S(3, f), 2), lambda f: (algebra_W(3, f), 2),
+                                  lambda f: (algebra_SW(4, f), 1), lambda f: (algebra_O(4, f), None)],
+                         ids=["S(3)", "W(3)", "SW(4)", "O(4)"])
+def test_prime_field_verdicts_match_the_rationals(make, monkeypatch):
+    # at p = 3, 5, 7 constants such as 2, 3 or 4 wrap to balanced ints (2 -> -1 at p = 3)
+    tables = _spy_tables(monkeypatch)
+    alg, window = make(QQ)
+    keys = None if window is None else alg.window_keys(window)
+    want = check_filippov(alg, keys=keys)
+    assert want.ok
+    rational = tables[-1].brackets
+    for p in (3, 5, 7, 10007):
+        alg = make(GF(p))[0]
+        rep = check_filippov(alg, keys=keys)
+        assert (rep.ok, rep.instances, rep.mode) == (True, want.instances, want.mode)
+        lifted = tables[-1].brackets
+        assert lifted.keys() == rational.keys()
+        for ck, v in rational.items():
+            assert all(type(c) is int and -p < 2 * c <= p for c in lifted[ck].values())
+            assert {k: c % p for k, c in lifted[ck].items()} == {
+                k: c % p for k, c in v.items() if c % p}
+        if p == 3 and window is not None:  # O(4)'s constants are all +-1
+            assert any(lifted[ck] != v for ck, v in rational.items())
+
+
+def test_prime_field_reduces_a_defect_that_is_nonzero_over_the_integers(monkeypatch):
+    # CharPSeed(3, 2): arity 7, integer defect -6, which vanishes mod 3
+    sums = []
+    survives = nlie._survives
+    monkeypatch.setattr(nlie, "_survives", lambda acc, p: sums.append(dict(acc)) or survives(acc, p))
+    rep = check_filippov(CharPSeed(3, 2).algebra())
+    assert rep.ok and rep.instances == 1
+    assert sums == [{0: 6}]  # RHS - LHS over Z
+    for p, s in ((5, 1), (3, 1)):
+        rep = check_filippov(CharPSeed(p, s).algebra())
+        assert not rep.ok and rep.witness[2] == "1*a"
+
+
+def test_prime_field_witness_is_pinned():
+    text = serialize_table(algebra_O(3, GF(7)))
+    assert "1 2 3 -> 1*e4\n" in text
+    bad = parse_table(text.replace("1 2 3 -> 1*e4\n", "1 2 3 -> 1*e4 + 3*e1\n"))
+    rep = check_filippov(bad)
+    assert (rep.ok, rep.instances, rep.witness) == (False, 92, ((0, 1), (1, 2, 3), "4*e3"))
+    defect = filippov_defect(bad, (0, 1), (1, 2, 3))
+    assert defect.coords == {2: GF(7).scalar(4)} and type(defect.coords[2]) is ModP
+    assert check_filippov(parse_table(text.replace("1 2 3 -> 1*e4\n",
+                                                   "1 2 3 -> 1*e4 + 7*e1\n"))).ok
+
+
+def test_prime_field_derivation_space_matches_the_rationals():
+    for field in (QQ, GF(7)):
+        alg = algebra_O(3, field)
+        ds = derivation_space(alg)
+        assert (ds.dim, ds.inner_dim) == (6, 6)
+        for parity, mat in ds.basis:
+            assert check_derivation(alg, matrix_dmap(alg, mat), parity).ok
+        dmap = matrix_dmap(alg, {(0, 0): field.one()})  # not a derivation
+        defect = derivation_defect(alg, dmap, 0, (0, 1, 2))
+        assert defect.coords and all(field.check(c) for c in defect.coords.values())
 
 
 def test_finite_table_is_the_one_bracket_store():

@@ -214,6 +214,14 @@ def test_constraint_kernels_reject_outsiders():
     assert sko.contains(sko.ring.xi(1))
 
 
+def test_constrained_windows_have_integer_coefficients():
+    # over QQ each kernel vector is scaled by the lcm of its denominators
+    for real in realization_zoo():
+        for e in real.window_elements(2):
+            polys = list(e.coeffs.values()) if isinstance(e, DiffOp) else [e]
+            assert all(type(c) is int for f in polys for c in f.terms.values()), real.name
+
+
 def test_unconstrained_field_maps_kill_exactly_the_constants():
     P = PoissonRealization(QQ, 0, 4)
     assert P.field_of(P.ring.one()).is_zero()
