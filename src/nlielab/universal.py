@@ -19,14 +19,18 @@ dict from (argument key, output index) to a nonzero scalar, with the
 argument keys canonically sorted on the symmetric side and the key ()
 in degree -1.  The product reads and writes these dicts directly, so
 the spans of ``GradedSubalgebra`` take its results as they are.
+
+The product is one scatter pass (Gustavson 1978, see ``box``) through an
+index of the left operand by slot value, which each element builds on
+first use and keeps, so an element's ``coords`` are read-only.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from math import comb
 
 from .linalg import Span, kernel, vec_add_scaled
-from .multilinear import MultiMap, canonical_tuples, koszul_sort
+from .multilinear import MultiMap, canonical_tuples
 from .superspace import SuperSpace, SuperVector
 
 __all__ = [
@@ -56,10 +60,11 @@ class WElement:
     of length degree + 1 and the key () in degree -1.  The parity is
     kept beside them, since a zero map still has one.  Given as None,
     and always in degree -1, it is read off the coordinates: None when
-    they mix parities, even when there are none.
+    they mix parities, even when there are none.  ``coords`` is read-only
+    once the element is built: ``box`` indexes it once, in ``_slots``.
     """
 
-    __slots__ = ("space", "degree", "coords", "_parity")
+    __slots__ = ("space", "degree", "coords", "_parity", "_slots")
 
     def __init__(self, space: SuperSpace, degree: int, coords: dict, parity=None):
         if degree < -1:
@@ -72,6 +77,7 @@ class WElement:
             found = {(par[i] + sum(par[k] for k in key)) % 2 for key, i in coords}
             parity = found.pop() if len(found) == 1 else (None if found else 0)
         self._parity = parity
+        self._slots = None
 
     @classmethod
     def from_vector(cls, v: SuperVector) -> "WElement":
@@ -143,104 +149,97 @@ def full_component(space: SuperSpace, degree: int) -> list[WElement]:
             for i in range(space.dim)]
 
 
-def _by_key(coords: dict) -> dict:
-    """The coordinates of one element grouped by argument key: {key: {i: c}}."""
-    table: dict = {}
-    for (key, i), c in coords.items():
-        table.setdefault(key, {})[i] = c
-    return table
+def _bits(values) -> int:
+    """The bit mask with one bit per distinct value."""
+    return sum(1 << v for v in set(values))
 
 
-def _box_keys(ftab: dict, gtab: dict, par) -> list:
-    """Sorted canonical keys at which f*g can be nonzero.
-
-    A term of (f*g)(K) is nonzero only when K splits into a key of g and
-    the rest of a key of f that lost one slot to an index in the output
-    of g at that key; merging every such pair finds all of them.
-    """
-    rests: dict = {}  # slot index -> the keys of f with that slot removed
-    for fkey in ftab:
-        for s, i in enumerate(fkey):
-            if s and fkey[s - 1] == i:
-                continue  # the same rest as removing the previous copy
-            rests.setdefault(i, set()).add(fkey[:s] + fkey[s + 1:])
-    keys = set()
-    for gkey, val in gtab.items():
-        for i in val:
-            for rest in rests.get(i, ()):
-                key, sign = koszul_sort(gkey + rest, par, alternating=False)
-                if sign:
-                    keys.add(key)
-    return sorted(keys)
-
-
-def _plug(acc: dict, ftab: dict, par, inner: dict, rest: tuple, eps: int) -> None:
-    """acc += eps * f(inner, rest): the vector ``inner`` in the first slot
-    of the map tabled as ``ftab``, the indices ``rest`` after it."""
-    for i, c in inner.items():
-        fkey, sign = koszul_sort((i,) + rest, par, alternating=False)
-        val = ftab.get(fkey) if sign else None
-        if val is not None:
-            vec_add_scaled(acc, val, eps * sign * c)
+def _slot_index(w: WElement) -> tuple:
+    """The views through which ``box`` reads an element, built on its
+    first use and kept in its ``_slots``.  As the left operand: slot
+    value i -> one entry (rest, sign, row, odd, mask) per argument key F
+    holding i, with rest the key F less one copy of i, sign that of
+    moving i to the front of F, row the output vector at F, and odd and
+    mask the bits of the odd values and of all values of rest.  As the
+    right operand: one (G, row, below, odd, mask) per argument key G,
+    with below the XOR over the odd values a of G of the bits under a."""
+    if w._slots is None:
+        par = w.space.parities
+        rows: dict = {}
+        for (key, j), c in w.coords.items():
+            rows.setdefault(key, {})[j] = c
+        index, keys = {}, []
+        for key, row in rows.items():
+            odd = [v for v in key if par[v]]
+            below = 0
+            for a in odd:
+                below ^= (1 << a) - 1
+            keys.append((key, row, below, _bits(odd), _bits(key)))
+            for s, i in enumerate(key):
+                if s and key[s - 1] == i:
+                    continue  # the same rest as removing the previous copy
+                rest = key[:s] + key[s + 1:]
+                odd = [v for v in rest if par[v]]
+                sign = -1 if par[i] and sum(v < i for v in odd) % 2 else 1
+                index.setdefault(i, []).append((rest, sign, row, _bits(odd), _bits(rest)))
+        w._slots = index, keys
+    return w._slots
 
 
 def box(f: WElement, g: WElement) -> WElement:
     """Insertion product.  Degrees add; f*a plugs the constant a into
     the first slot of f; a*g = 0 for constant a.
 
-    Both operands are indexed by argument key once.  Only keys that can
-    carry a nonzero value are evaluated, in canonical key order, each
-    summed over its terms into one output dict.  For f*a these keys are
-    the keys of f with one slot removed whose index lies in the support
-    of a; for f*g they come from ``_box_keys``.  Every other key has a
-    zero inner or outer factor in each term, so skipping it is exact.
+    One scatter pass: each term (G, i) -> c of g meets, through f's slot
+    index, every key F of f holding the slot value i, and adds
+    c * eps * m * f(F) straight into the output key K = sorted(G + rest),
+    rest being F less one copy of i.  An odd value in both G and rest
+    kills the term.  eps is the sign of moving i to the front of F times
+    the split's sign, the parity of the odd-odd crossings (for each odd a
+    of G, the odd b of rest below it), read off one mask popcount.  The
+    C(m_K(v), m_G(v)) splits of the copies of a repeated even value v
+    give the same term, so m is their product over the values G and rest
+    share.  For f*a, G is () and the pass plugs a into the first slot.
+    The product is linear: a mixed operand gives a product of parity None.
     """
     space = f.space
     p, q = f.degree, g.degree
     if p + q < -1:
         raise ValueError("product falls below degree -1")
+    pf, pg = f.parity(), g.parity()
+    parity = None if pf is None or pg is None else (pf + pg) % 2
     if p == -1:
-        pf, pg = f.parity(), g.parity()
-        return WElement.zero(space, p + q, 0 if pf is None or pg is None else (pf + pg) % 2)
-    par = space.parities
-    ftab = _by_key(f.coords)
+        return WElement.zero(space, p + q, parity)
+    index = _slot_index(f)[0]
     out: dict = {}
-    if q == -1:
-        a = {i: c for (_, i), c in g.coords.items()}
-        keys = {fkey[:s] + fkey[s + 1:] for fkey in ftab for s, i in enumerate(fkey) if i in a}
-        for key in sorted(keys):
-            acc: dict = {}
-            _plug(acc, ftab, par, a, key, 1)
-            out.update(((key, j), c) for j, c in acc.items())
-        return WElement(space, p - 1, out, (f.parity() + (g.parity() or 0)) % 2)
-
-    gtab = _by_key(g.coords)
-    arity = p + q + 1
-    for key in _box_keys(ftab, gtab, par):
-        arg_par = [par[i] for i in key]
-        acc = {}
-        for gpos in combinations(range(arity), q + 1):
-            # a sub-tuple of a canonical key is canonical: look it up unsorted
-            inner = gtab.get(tuple(key[i] for i in gpos))
-            if inner is None:
-                continue
-            fpos = tuple(i for i in range(arity) if i not in gpos)
-            # the split's sign: the odd-odd pairs whose order it reverses
-            eps = koszul_sort(gpos + fpos, arg_par, alternating=False)[1]
-            _plug(acc, ftab, par, inner, tuple(key[i] for i in fpos), eps)
-        out.update(((key, j), c) for j, c in acc.items())
-    return WElement(space, p + q, out, (f.parity() + g.parity()) % 2)
+    for gkey, grow, below, godd, gmask in _slot_index(g)[1]:
+        for i, c in grow.items():
+            for rest, eps, row, rodd, rmask in index.get(i, ()):
+                if godd & rodd:
+                    continue
+                if (rodd & below).bit_count() % 2:  # odd crossings of the split
+                    eps = -eps
+                key = tuple(sorted(gkey + rest))
+                shared = gmask & rmask
+                while shared:  # even values of both: eps * m
+                    v = shared.bit_length() - 1
+                    m = gkey.count(v)
+                    eps *= comb(m + rest.count(v), m)
+                    shared ^= 1 << v
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                vec_add_scaled(acc, row, c if eps == 1 else -c if eps == -1 else eps * c)
+    coords = {(key, j): c for key in sorted(out) for j, c in sorted(out[key].items())}
+    return WElement(space, p + q, coords, parity)
 
 
 def w_bracket(f: WElement, g: WElement) -> WElement:
     pf, pg = f.parity(), g.parity()
     if pf is None or pg is None:
         raise ValueError("bracket needs parity-homogeneous elements")
-    fg = box(f, g)
-    gf = box(g, f)
-    if pf and pg:
-        return fg + gf
-    return fg - gf
+    fg, gf = box(f, g), box(g, f)
+    return fg + gf if pf and pg else fg - gf
 
 
 class GradedSubalgebra:

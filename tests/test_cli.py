@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -42,6 +43,16 @@ def test_verify_runs_the_finite_suite(capsys):
     assert "[PASS] pair_graded_dims: {-1: 4, 0: 6, 1: 4, 2: 1}, 3 rounds, closed yes" in out
     assert "[PASS] truncation_structure" in out
     assert "[PASS] seed_relations: 11 basis descendants, self bracket zero: True" in out
+    assert "8 passed, 0 failed, 0 not decided" in out
+
+
+def test_verify_o7_closes_on_the_exterior_powers(capsys):
+    # the generated algebra of O(7) has L_j = Lambda^(j+2) of the 8-dim space
+    assert main(["verify", "O", "--n", "7"]) == 0
+    out = capsys.readouterr().out
+    dims = ", ".join("%d: %d" % (j, math.comb(8, j + 2)) for j in range(-1, 7))
+    assert re.search(r"\[PASS\] pair_graded_dims: \{%s\}, \d+ rounds, closed yes" % dims, out)
+    assert "[PASS] seed_relations: 247 basis descendants" in out
     assert "8 passed, 0 failed, 0 not decided" in out
 
 

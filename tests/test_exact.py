@@ -77,6 +77,9 @@ def test_one_element_format_for_w():
     # evaluation is left to ``multilinear`` and the tests' oracle
     assert names_used({"payload", "from_coords"}) == []
     assert names_used({"evaluate_expand"}, skip="multilinear.py") == []
+    # and the product is one scatter pass through the left operand's slot
+    # index: no gather over candidate keys, no plug of an inner vector
+    assert names_used({"_box_keys", "_plug"}) == []
 
 
 def assert_exact(values):

@@ -267,3 +267,77 @@ def test_transitivity_of_full_low_degrees():
             sub.insert(w)
     ok, witness = is_transitive(sub, 1)
     assert ok and witness is None
+
+
+@pytest.mark.parametrize("space, f, g, want", [
+    # even (a, b), f(a, a) = a, g(a) = a: (f*g)(a, a) = f(g(a), a) + f(g(a), a)
+    # = 2a, both splits of the two positions of a giving the same term, so
+    # the multiplicity is C(2, 1) = 2
+    (SPACES[0], (1, {((0, 0), 0): 1}), (0, {((0,), 0): 1}), {((0, 0), 0): 2}),
+    # f(a, a, a) = b, g(a) = a: each of the three positions can take g, and
+    # each split gives f(a, a, a) = b, so (f*g)(a, a, a) = 3b = C(3, 1) b
+    (SPACES[0], (2, {((0, 0, 0), 1): 1}), (0, {((0,), 0): 1}), {((0, 0, 0), 1): 3}),
+    # f(a, b) = b, g(a, a) = b: each of the C(3, 2) = 3 pairs of positions of
+    # (a, a, a) gives f(g(a, a), a) = f(b, a) = f(a, b) = b, so 3b
+    (SPACES[0], (1, {((0, 1), 1): 1}), (1, {((0, 0), 1): 1}), {((0, 0, 0), 1): 3}),
+    # odd (x, y, z), f(x, y) = z, g(z) = y: (f*g)(x, z) = f(g(x), z) - f(g(z), x),
+    # the minus because the split taking z before x crosses two odd
+    # arguments; g(x) = 0 and f(y, x) = -f(x, y) = -z, so (f*g)(x, z) = z
+    (SPACES[2], (1, {((0, 1), 2): 1}), (0, {((2,), 1): 1}), {((0, 2), 2): 1}),
+], ids=["twice_repeated_even", "thrice_repeated_even", "inner_pair_on_repeats",
+        "odd_split_sign_cancels_swap"])
+def test_box_hand_proved_pins(space, f, g, want):
+    f, g = WElement(space, *f), WElement(space, *g)
+    got = box(f, g)
+    assert got.coords == want
+    assert got == dense_box(f, g)
+
+
+def test_box_of_a_mixed_constant_has_no_parity():
+    # (a|x), f(a, a) = a and f(a, x) = x, both even; a + x mixes parities:
+    # (f*(a + x))(a) = f(a, a) + f(x, a) = a + x and (f*(a + x))(x) = f(a, x) = x
+    V = SPACES[1]
+    f = WElement(V, 1, {((0, 0), 0): 1, ((0, 1), 1): 1})
+    a = WElement.from_vector(V.vector({0: 1, 1: 1}))
+    assert f.parity() == 0 and a.parity() is None
+    got = box(f, a)
+    assert got.coords == {((0,), 0): 1, ((0,), 1): 1, ((1,), 1): 1}
+    assert got.parity() is None
+    with pytest.raises(ValueError):
+        w_bracket(f, a)
+
+
+def test_box_of_a_mixed_map_is_the_sum_of_its_parts():
+    # f(a) = a + x mixes parities; the product is linear in f, so it is
+    # the sum of the products of f's even and odd parts
+    V = SPACES[1]
+    even, odd = WElement(V, 0, {((0,), 0): 1}), WElement(V, 0, {((0,), 1): 1})
+    f = even + odd
+    assert f.parity() is None
+    g = WElement(V, 1, {((0, 1), 0): 1})  # g(a, x) = a, odd
+    got = box(f, g)
+    assert got == box(even, g) + box(odd, g)
+    assert got.coords == {((0, 1), 0): 1, ((0, 1), 1): 1} and got.parity() is None
+    assert box(g, f) == box(g, even) + box(g, odd)
+    assert box(g, f).parity() is None
+    with pytest.raises(ValueError):
+        w_bracket(f, g)
+
+
+def test_slot_index_is_built_once_per_element():
+    # the left operand's slot index is kept on the element, so a closure
+    # bracketing one element with every kept one builds it once, and the
+    # coordinates it was read from stay as they were
+    V = SPACES[3]
+    even = homogeneous(V, 1, 0)
+    u = even[1] + even[4].scale(2)
+    before = dict(u.coords)
+    others = homogeneous(V, 0, 0) + homogeneous(V, 0, 1) + full_component(V, -1)
+    w_bracket(u, others[0])
+    index = u._slots
+    assert index is not None
+    for v in others[1:]:
+        w_bracket(u, v)
+        w_bracket(v, u)
+    assert u._slots is index
+    assert u.coords == before
