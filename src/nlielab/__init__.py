@@ -7,7 +7,7 @@ characteristic experiments."""
 __version__ = "0.1.0"
 
 from .fields import GF, QQ, Field, FieldError, field_from_name
-from .superspace import EVEN, ODD, SuperSpace, SuperVector
+from .superspace import EVEN, ODD, SuperSpace
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W
 from .nlie import FiniteNAryAlgebra, check_filippov, parse_table, serialize_table
 from .liegen import check_admissible, check_mu_relations, check_truncation

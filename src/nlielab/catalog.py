@@ -35,12 +35,12 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
-from .fields import QQ, Field
+from .fields import QQ, Field, LiteralError
 from .linalg import invert_dense
 from .multilinear import koszul_sort
 from .nlie import FiniteNAryAlgebra
 from .polysuper import DiffOp, SuperPolyRing
-from .superspace import EVEN, SuperSpace, SuperVector
+from .superspace import EVEN, SuperSpace
 
 __all__ = [
     "algebra_O",
@@ -90,7 +90,7 @@ def algebra_O(n: int, field: Field = QQ, form=None) -> FiniteNAryAlgebra:
             c = Binv[k][j]
             if c:
                 coords[k] = c if s > 0 else -c
-        table[combo] = SuperVector(space, coords)
+        table[combo] = coords
     alg = FiniteNAryAlgebra(space, n, 0, table)
     alg.form = B
     return alg
@@ -159,7 +159,8 @@ _EMPTY: dict = {}
 
 
 class PolyNAryAlgebra:
-    """Shared machinery: dict elements, brackets on canonical sorts, no
+    """Shared machinery: dict elements keyed by monomial, brackets on
+    canonical sorts, witnesses shown as the dict's ``repr``, no
     cache of its own (``nlie.ad_table`` keeps one per check).  Vanishing
     brackets share one empty dict, equal monomial keys one tuple."""
 
@@ -187,11 +188,8 @@ class PolyNAryAlgebra:
     def window_keys(self, window: int):
         raise NotImplementedError
 
-    def coords(self, elem: dict) -> dict:
-        return elem
-
-    def element(self, coords: dict) -> dict:
-        return coords
+    def show(self, coords: dict) -> str:
+        return repr(coords)
 
 
 class JacobianNAry(PolyNAryAlgebra):
@@ -355,7 +353,10 @@ def parse_form(text: str, field: Field):
         ln = ln.split("#", 1)[0].strip()
         if not ln:
             continue
-        rows.append([field.parse(tok) for tok in ln.replace(",", " ").split()])
+        try:
+            rows.append([field.parse(tok) for tok in ln.replace(",", " ").split()])
+        except LiteralError as exc:  # name the line
+            raise ValueError("%s in %r" % (exc, ln)) from None
     if not rows:
         raise ValueError("empty form")
     return rows

@@ -33,7 +33,7 @@ class CharPSeed:
         space = SuperSpace(self.field, ("a",), (ODD,))
         # value parity p(a) = alpha + n p(a) forces alpha = n + 1 mod 2
         alpha = (n + 1) % 2
-        table = {(0,) * n: space.basis_vector(0)}
+        table = {(0,) * n: {0: self.field.one()}}
         return FiniteNAryAlgebra(space, n, alpha, table)
 
 
@@ -51,7 +51,7 @@ def charp_fj_check(seed: CharPSeed) -> FJResidueReport:
     alg = seed.algebra()
     n = seed.n
     defect = filippov_defect(alg, (0,) * (n - 1), (0,) * n)
-    coeff = dict(defect.items()).get(0)
+    coeff = defect.get(0)
     residue = coeff.v if coeff else 0
     ok = residue == 0
     asserted = n % 2 == 1

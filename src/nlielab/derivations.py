@@ -30,16 +30,12 @@ def endo_entries(space, eparity: int):
 
 
 def matrix_dmap(alg, mat: dict):
-    """dmap function for a matrix stored as {(i, j): c}."""
-    space = alg.space
+    """dmap function for a matrix stored as {(i, j): c}: key j -> the
+    coordinates of column j."""
     cols = {}
     for (i, j), c in mat.items():
         cols.setdefault(j, {})[i] = c
-
-    def dmap(k):
-        return space.vector(cols.get(k, {}))
-
-    return dmap
+    return lambda k: cols.get(k, {})
 
 
 def matrix_of_dmap(alg, dmap) -> dict:

@@ -14,13 +14,26 @@ coercion, parsing and the one division, :meth:`Field.div`, so no
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-__all__ = ["Field", "FieldError", "QQ", "GF", "ModP", "is_prime"]
+__all__ = ["Field", "FieldError", "LiteralError", "QQ", "GF", "ModP", "is_prime", "parse_int"]
 
 
 class FieldError(ValueError):
     pass
+
+
+class LiteralError(FieldError):
+    """A malformed number; readers of a file add the line it is on."""
+
+
+def parse_int(text: str) -> int:
+    """An ASCII integer literal, [+-]?[0-9]+.  ``int`` alone would also
+    read '1_0' as 10, and digits of other scripts."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise LiteralError("bad integer literal %r" % text)
+    return int(text)
 
 
 def _reduced(q):
@@ -165,15 +178,16 @@ class Field:
         return ModP(num, self.p)
 
     def parse(self, text: str):
-        """Parse a scalar literal such as ``-3``, ``5/7``."""
+        """Parse a scalar literal such as ``-3``, ``5/7``: one ASCII
+        integer literal, or two joined by ``/``."""
         text = text.strip()
         if "/" in text:
             a, b = text.split("/", 1)
             try:
-                return self.scalar(int(a), int(b))
+                return self.scalar(parse_int(a), parse_int(b))
             except ZeroDivisionError:
                 raise FieldError("zero denominator in %r" % text) from None
-        return self.scalar(int(text))
+        return self.scalar(parse_int(text))
 
     def div(self, a, b):
         """a / b, the one division: over QQ an int when b divides a and a
@@ -238,5 +252,5 @@ def field_from_name(name: str) -> Field:
     if name == "q":
         return QQ
     if name.startswith("fp:"):
-        return GF(int(name[3:]))
+        return GF(parse_int(name[3:]))
     raise FieldError("unknown field name %r (expected 'q' or 'fp:P')" % name)

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field as dfield
 
 from .linalg import Span, envelope_dim, orbit_span
 from .multilinear import canonical_tuples, conversion_sign
-from .superspace import SuperSpace, SuperVector
-from .universal import GradedSubalgebra, WElement, box, is_transitive, w_bracket
+from .superspace import SuperSpace
+from .universal import GradedSubalgebra, WElement, box, full_component, is_transitive, w_bracket
 
 __all__ = [
     "GenerationTrace",
@@ -104,7 +104,7 @@ def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int | None = None)
     if cap < mu.degree:
         raise ValueError("cap %d cannot hold a seed of degree %d" % (cap, mu.degree))
     sub = GradedSubalgebra(space, cap)
-    seeds = [WElement.from_vector(space.basis_vector(i)) for i in range(space.dim)]
+    seeds = full_component(space, -1)
     old: list = []
     new = [w for w in seeds + [mu] if sub.insert(w)]
     trace = GenerationTrace(cap=cap)
@@ -250,7 +250,7 @@ def _descendant_levels(space: SuperSpace, mu: WElement, depth: int):
     as (tuple, c) pairs.  Level k brackets V into the basis of level k-1
     only; by linearity that spans the same space as every tuple, and each
     kept element is exactly the iterated bracket of its tuple."""
-    vs = [WElement.from_vector(space.basis_vector(i)) for i in range(space.dim)]
+    vs = full_component(space, -1)
     level = [] if mu.is_zero() else [((), mu)]
     yield level
     for _ in range(depth):
@@ -386,38 +386,32 @@ def induced_bracket_table(space: SuperSpace, mu: WElement) -> dict:
     the resulting vector with the parity-bookkeeping sign.
 
     Returns a table over canonically sorted index tuples of the reversed
-    space, directly comparable with a bracket table built the other way.
+    space with coordinate dict values, the table ``FiniteNAryAlgebra``
+    takes: on mu from ``bracket_to_symmetric`` it is the source table.
     """
     n = mu.degree + 1
-    rev = space.reversed()
+    vs = full_component(space, -1)
     table = {}
-    for key in canonical_tuples(range(space.dim), n, rev.parities):
+    for key in canonical_tuples(range(space.dim), n, space.reversed().parities):
         h = mu
         for i in key:
-            h = w_bracket(h, WElement.from_vector(space.basis_vector(i)))
+            h = w_bracket(h, vs[i])
         if h.degree != -1:
             raise ValueError("iterated bracket did not land in degree -1")
         csign = conversion_sign([space.parities[i] for i in key])
         if h.coords:
-            table[key] = SuperVector(space, {i: csign * c for (_, i), c in h.coords.items()})
+            table[key] = {i: csign * c for (_, i), c in h.coords.items()}
     return table
 
 
 def tables_proportional(t1: dict, t2: dict, field):
-    """Compare two bracket tables up to one global scalar.
-
-    Values may be SuperVector or coordinate dicts.  Returns (True, c)
-    with t1 = c * t2, or (False, witness_key).
+    """Compare two bracket tables of coordinate dicts up to one global
+    scalar.  Returns (True, c) with t1 = c * t2, or (False, witness_key).
     """
-
-    def coords(v):
-        return v.coords if isinstance(v, SuperVector) else v
-
     keys = sorted(set(t1) | set(t2))
     scalar = None
     for key in keys:
-        c1 = coords(t1.get(key, {})) if t1.get(key) is not None else {}
-        c2 = coords(t2.get(key, {})) if t2.get(key) is not None else {}
+        c1, c2 = t1.get(key) or {}, t2.get(key) or {}
         idxs = sorted(set(c1) | set(c2))
         for i in idxs:
             a = c1.get(i, field.zero())

@@ -23,24 +23,23 @@ parities of a_{n-1}, a_{n-3}, ... (every other argument, counted from
 the next-to-last one).  The convention used throughout evaluates the
 sign at the parities the arguments carry on the *symmetric* side.
 Applying the conversion twice restores the original bracket exactly.
+
+``bracket_to_symmetric`` applies it to a bracket on V and returns the
+symmetric twin in a ``MultiMap``, the container that checks the twin's
+table once (canonical keys, value parities) before
+``universal.WElement.from_map`` flattens it.  The twin's values, like
+those of every finite table, are coordinate dicts {basis index: nonzero
+scalar}.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 
-from .superspace import SuperSpace, SuperVector
+from .superspace import SuperSpace
 
-__all__ = [
-    "koszul_sort",
-    "canonical_tuples",
-    "conversion_sign",
-    "MultiMap",
-    "bracket_to_symmetric",
-    "symmetric_to_bracket",
-    "serialize_map",
-    "parse_map",
-]
+__all__ = ["koszul_sort", "canonical_tuples", "conversion_sign", "MultiMap",
+           "bracket_to_symmetric"]
 
 
 def koszul_sort(keys, parities=None, alternating=True):
@@ -107,13 +106,13 @@ def conversion_sign(parities) -> int:
 
 
 class MultiMap:
-    """A supersymmetric k-linear map S^k(V) -> V, k >= 1.
+    """A supersymmetric k-linear map S^k(V) -> V, k >= 1, as a table.
 
-    The table holds one entry per canonically sorted argument tuple
-    (indices ascending, odd indices distinct); evaluation sorts any
-    other tuple with ``koszul_sort`` on the symmetric side.  ``parity``
-    is the parity of the map itself and every stored value must satisfy
-    p(value) = parity + sum of argument parities.
+    The table holds one coordinate dict per canonically sorted argument
+    tuple (indices ascending, odd indices distinct), empty values
+    dropped.  ``parity`` is the parity of the map itself and every
+    stored value must satisfy p(value) = parity + sum of argument
+    parities.
     """
 
     __slots__ = ("space", "arity", "parity", "table")
@@ -125,70 +124,29 @@ class MultiMap:
         self.arity = arity
         self.parity = parity % 2
         self.table = {}
-        if table:
-            for key, val in table.items():
-                if val.is_zero():
-                    continue
-                skey, sign = koszul_sort(key, space.parities, alternating=False)
-                if sign == 0:
-                    raise ValueError("table key %r collapses to zero" % (key,))
-                if skey != tuple(key):
-                    raise ValueError("table key %r is not canonically sorted" % (key,))
-                self.table[skey] = val
-        self._check_parity()
-
-    def _check_parity(self):
-        par = self.space.parities
-        for key, val in self.table.items():
-            want = (self.parity + sum(par[i] for i in key)) % 2
-            got = val.parity()
-            if got is None or (not val.is_zero() and got != want):
+        par = space.parities
+        for key, val in (table or {}).items():
+            if not val:
+                continue
+            skey, sign = koszul_sort(key, par, alternating=False)
+            if sign == 0:
+                raise ValueError("table key %r collapses to zero" % (key,))
+            if skey != tuple(key):
+                raise ValueError("table key %r is not canonically sorted" % (key,))
+            got = space.parity_of(val)
+            if got != (self.parity + sum(par[i] for i in key)) % 2:
                 raise ValueError(
                     "value parity %r at %r violates p(f(a)) = p(f)+sum p(a_i)" % (got, key)
                 )
-
-    def is_zero(self) -> bool:
-        return not self.table
-
-    def evaluate(self, indices) -> SuperVector:
-        key, sign = koszul_sort(indices, self.space.parities, alternating=False)
-        if sign == 0:
-            return self.space.zero()
-        val = self.table.get(key)
-        if val is None:
-            return self.space.zero()
-        return val if sign == 1 else val.scale(sign)
-
-    def evaluate_expand(self, first: SuperVector, rest) -> SuperVector:
-        """Evaluate with a vector in the first slot and indices after it."""
-        out = self.space.zero()
-        for i, c in first.coords.items():
-            v = self.evaluate((i,) + tuple(rest))
-            if not v.is_zero():
-                out = out + v.scale(c)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiMap)
-            and self.space == other.space
-            and self.arity == other.arity
-            and self.table == other.table
-        )
-
-    def items(self):
-        return sorted(self.table.items())
-
-    def __repr__(self):
-        return "MultiMap(arity=%d, parity=%d, %d entries)" % (self.arity, self.parity, len(self.table))
+            self.table[skey] = val
 
 
 def bracket_to_symmetric(space: SuperSpace, arity: int, bracket_parity: int, eval_fn) -> MultiMap:
     """Transport an anticommutative bracket on V to its symmetric twin on
     the parity reversal of V.
 
-    ``eval_fn`` maps a canonical alternating index tuple to a
-    SuperVector in V.  The twin lives on space.reversed(); its parity is
+    ``eval_fn`` maps an alternating index tuple to the coordinate dict of
+    its bracket in V.  The twin lives on space.reversed(); its parity is
     bracket_parity + arity - 1.  Anticommutativity of the input is
     verified on adjacent transpositions; a violation raises ValueError
     with the witness tuple.
@@ -197,10 +155,6 @@ def bracket_to_symmetric(space: SuperSpace, arity: int, bracket_parity: int, eva
         raise ValueError("transport needs arity >= 2")
     pi = space.reversed()
     par = space.parities
-
-    def as_pi(v: SuperVector) -> SuperVector:
-        return SuperVector(pi, dict(v.coords))
-
     table = {}
     # the canonical tuples of the alternating side on V are those of the
     # symmetric side on its reversal
@@ -210,59 +164,10 @@ def bracket_to_symmetric(space: SuperSpace, arity: int, bracket_parity: int, eva
             # the supplied bracket must behave alternating off the
             # canonical tuples too, so probe it on the swapped tuple
             swapped = key[:pos] + (key[pos + 1], key[pos]) + key[pos + 2:]
-            lhs = eval_fn(swapped)
             want = -1 if not (par[key[pos]] and par[key[pos + 1]]) else 1
-            rhs = val.scale(want)
-            if lhs != rhs:
+            if eval_fn(swapped) != {i: want * c for i, c in val.items()}:
                 raise ValueError("input bracket is not anticommutative at %r" % (swapped,))
-        if val.is_zero():
-            continue
-        sign = conversion_sign([pi.parities[i] for i in key])
-        table[key] = as_pi(val if sign == 1 else val.scale(sign))
+        if conversion_sign([pi.parities[i] for i in key]) < 0:
+            val = {i: -c for i, c in val.items()}
+        table[key] = val
     return MultiMap(pi, arity, (bracket_parity + arity - 1) % 2, table)
-
-
-def symmetric_to_bracket(mm: MultiMap):
-    """Inverse transport: a symmetric map on U induces an anticommutative
-    bracket on U's parity reversal.  Returns (space, arity, parity, table)
-    with the table keyed by canonical alternating tuples."""
-    space = mm.space.reversed()
-    table = {}
-    for key, val in mm.table.items():
-        sign = conversion_sign([mm.space.parities[i] for i in key])
-        v = SuperVector(space, dict(val.coords))
-        table[key] = v if sign == 1 else v.scale(sign)
-    parity = (mm.parity + mm.arity - 1) % 2
-    return space, mm.arity, parity, table
-
-
-def serialize_map(mm: MultiMap) -> str:
-    """Lines ``i1,...,ik -> c*label + c*label`` over sorted entries."""
-    lines = []
-    for key, val in mm.items():
-        left = ",".join(mm.space.labels[i] for i in key)
-        right = " + ".join("%s*%s" % (c, mm.space.labels[i]) for i, c in val.items())
-        lines.append("%s -> %s" % (left, right))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_map(text: str, space: SuperSpace, arity: int, parity: int) -> MultiMap:
-    table = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" not in line:
-            raise ValueError("line %d: missing '->'" % lineno)
-        left, right = line.split("->", 1)
-        key = tuple(space.index(tok.strip()) for tok in left.split(","))
-        coords = {}
-        for term in right.split("+"):
-            term = term.strip()
-            if not term:
-                continue
-            c, lab = term.split("*", 1)
-            idx = space.index(lab.strip())
-            coords[idx] = coords.get(idx, space.field.zero()) + space.field.parse(c)
-        table[key] = space.vector(coords)
-    return MultiMap(space, arity, parity, table)

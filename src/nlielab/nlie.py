@@ -21,8 +21,10 @@ balanced ints: the kernel sums plain ints and reduces once per defect.
 The kernel is written against a small duck-typed carrier protocol, so
 it runs over finite tables and over polynomial carriers alike:
 ``arity``, ``bracket_parity``, ``key_parity(k)``,
-``bracket_keys(tuple) -> element``, ``coords(element)`` (a read-only
-dict key -> nonzero scalar) and ``element(dict)`` (its inverse).
+``bracket_keys(tuple)``, which returns the bracket's coordinates as a
+read-only dict key -> nonzero scalar, and ``show(coords)``, which
+renders such a dict for a witness.  Every element the kernel takes or
+returns, a defect or a derivation's image included, is such a dict.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import ModP, field_from_name
+from .fields import LiteralError, ModP, field_from_name, parse_int
 from .multilinear import canonical_tuples, koszul_sort
-from .superspace import EVEN, ODD, SuperSpace, SuperVector
+from .superspace import EVEN, ODD, SuperSpace
 
 __all__ = [
     "FiniteNAryAlgebra",
@@ -51,9 +53,10 @@ __all__ = [
 
 
 class FiniteNAryAlgebra:
-    """Finite-dimensional n-ary superalgebra given by a bracket table on
+    """Finite-dimensional n-ary superalgebra given by a bracket table:
     canonically sorted basis index tuples (ascending; an index may repeat
-    only when its basis vector is odd)."""
+    only when its basis vector is odd) map to coordinate dicts
+    {basis index: nonzero scalar}, which are read, never written."""
 
     def __init__(self, space: SuperSpace, arity: int, parity: int, table: dict):
         if arity < 1:
@@ -72,11 +75,9 @@ class FiniteNAryAlgebra:
                 raise ValueError("key %r vanishes by alternation" % (key,))
             if ck != key:
                 raise ValueError("table key %r is not canonically sorted" % (key,))
-            if val.space != space:
-                raise ValueError("value lives in the wrong space")
-            if val.is_zero():
+            if not val:
                 continue
-            got = val.parity()
+            got = space.parity_of(val)
             if got is None:
                 raise ValueError("value at key (%s) mixes parities"
                                  % ", ".join(space.labels[i] for i in key))
@@ -91,18 +92,15 @@ class FiniteNAryAlgebra:
     def key_parity(self, k) -> int:
         return self.space.parities[k]
 
-    def bracket_keys(self, keys: tuple) -> SuperVector:
+    def bracket_keys(self, keys: tuple) -> dict:
         ck, sgn = koszul_sort(keys, self.space.parities)
         base = self.table.get(ck) if sgn else None
         if base is None:
-            return self.space.zero()
-        return -base if sgn < 0 else base
+            return _ZERO[1]
+        return {i: -c for i, c in base.items()} if sgn < 0 else base
 
-    def coords(self, elem: SuperVector) -> dict:
-        return elem.coords
-
-    def element(self, coords: dict) -> SuperVector:
-        return SuperVector(self.space, coords)
+    def show(self, coords: dict) -> str:
+        return self.space.show(coords)
 
     def __repr__(self):
         return "FiniteNAryAlgebra(arity=%d, dim=%d over %r)" % (
@@ -144,8 +142,8 @@ def ad_table(alg) -> _Images:
     and keeps its lifted coordinates (``_ZERO``'s dict if zero).  The
     table refers to the carrier, never the other way round."""
     parities = _Images(alg.key_parity)
-    bracket, coords, lift = alg.bracket_keys, alg.coords, _lift(alg.field)
-    brackets = _Images(lambda ck: lift(coords(bracket(ck))) or _ZERO[1])
+    bracket, lift = alg.bracket_keys, _lift(alg.field)
+    brackets = _Images(lambda ck: lift(bracket(ck)) or _ZERO[1])
 
     def entry(keys):
         ck, sgn = koszul_sort(keys, parities)
@@ -214,31 +212,31 @@ def _survives(acc: dict, p) -> bool:
     return p is None or any(v % p for v in acc.values())
 
 
-def _element(alg, acc: dict):
-    """The defect LHS - RHS as a carrier element, from ``_defect``'s sum;
-    over F_p its ints become field scalars again."""
+def _negated(alg, acc: dict) -> dict:
+    """The defect LHS - RHS as carrier coordinates, from ``_defect``'s
+    sum; over F_p its ints become field scalars again."""
     p = alg.field.p
     if p is None:
-        return alg.element({j: -v for j, v in acc.items() if v})
-    return alg.element({j: ModP(-v, p) for j, v in acc.items() if v % p})
+        return {j: -v for j, v in acc.items() if v}
+    return {j: ModP(-v, p) for j, v in acc.items() if v % p}
 
 
 def _map_images(alg, dmap) -> _Images:
     """The images of a linear map as kernel entries."""
     lift = _lift(alg.field)
-    return _Images(lambda k: (0, lift(alg.coords(dmap(k)))))
+    return _Images(lambda k: (0, lift(dmap(k))))
 
 
 def filippov_defect(alg, a_keys: tuple, b_keys: tuple):
-    """LHS minus RHS of the n-ary Jacobi law on basis keys, a carrier
-    element; zero iff the identity holds on this instance."""
+    """LHS minus RHS of the n-ary Jacobi law on basis keys, as carrier
+    coordinates; empty iff the identity holds on this instance."""
     n = alg.arity
     a_keys, b_keys = tuple(a_keys), tuple(b_keys)
     if len(a_keys) != n - 1 or len(b_keys) != n:
         raise ValueError("need n-1 and n keys")
     par = sum(alg.key_parity(k) for k in a_keys) % 2
     ads = ad_table(alg)
-    return _element(alg, _defect(alg, ads[a_keys], _slots(alg, ads, b_keys), par))
+    return _negated(alg, _defect(alg, ads[a_keys], _slots(alg, ads, b_keys), par))
 
 
 @dataclass
@@ -287,7 +285,7 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
             d = _defect(alg, images, slots, par)
             count += 1
             if any(d.values()) and _survives(d, p):
-                return FJReport(False, count, (a_keys, b_keys, repr(_element(alg, d))), mode)
+                return FJReport(False, count, (a_keys, b_keys, alg.show(_negated(alg, d))), mode)
             if limit is not None and count >= limit:
                 return FJReport(True, count, None, mode)
     return FJReport(True, count, None, mode)
@@ -295,12 +293,12 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
 
 def derivation_defect(alg, dmap, dparity: int, keys: tuple, ads=None):
     """D[x_1..x_n] - (-1)^{alpha p(D)} sum_k (+-) [x_1 .. D x_k .. x_n]
-    on a basis key tuple, as an element of the carrier; dmap sends a key
-    to an element.  A loop over many maps passes one ``ads`` table (from
-    ``ad_table``) to every call."""
+    on a basis key tuple, as carrier coordinates; dmap sends a key to
+    the coordinates of its image.  A loop over many maps passes one
+    ``ads`` table (from ``ad_table``) to every call."""
     keys = tuple(keys)
     slots = _slots(alg, ad_table(alg) if ads is None else ads, keys)
-    return _element(alg, _defect(alg, _map_images(alg, dmap), slots, dparity))
+    return _negated(alg, _defect(alg, _map_images(alg, dmap), slots, dparity))
 
 
 @dataclass
@@ -320,7 +318,7 @@ def check_derivation(alg, dmap, dparity: int, keys=None) -> DerivationReport:
         count += 1
         if any(d.values()) and _survives(d, p):
             return DerivationReport(ok=False, instances=count,
-                                    witness=(tup, repr(_element(alg, d))))
+                                    witness=(tup, alg.show(_negated(alg, d))))
     return DerivationReport(ok=True, instances=count, witness=None)
 
 
@@ -347,10 +345,7 @@ def serialize_table(alg: FiniteNAryAlgebra) -> str:
         )
     ]
     for key in sorted(alg.table):
-        val = alg.table[key]
-        parts = [
-            "%s*e%d" % (c, i + 1) for i, c in sorted(val.coords.items())
-        ]
+        parts = ["%s*e%d" % (c, i + 1) for i, c in sorted(alg.table[key].items())]
         lines.append(
             "%s -> %s" % (" ".join(str(i + 1) for i in key), " + ".join(parts))
         )
@@ -358,6 +353,9 @@ def serialize_table(alg: FiniteNAryAlgebra) -> str:
 
 
 def parse_table(text: str) -> FiniteNAryAlgebra:
+    """The algebra of a ``serialize_table`` text.  Every number is an
+    ASCII literal (``fields.parse_int``); a malformed one raises
+    ValueError naming its line."""
     lines = [
         ln.strip()
         for ln in text.splitlines()
@@ -365,57 +363,52 @@ def parse_table(text: str) -> FiniteNAryAlgebra:
     ]
     if not lines:
         raise ValueError("empty table")
-    head = lines[0].split()
-    if len(head) != 4:
-        raise ValueError("bad header %r" % lines[0])
-    arity = int(head[0])
-    if arity < 2:
-        raise ValueError("table arity must be at least 2, got %d" % arity)
-    field = field_from_name(head[1])
-    dim = int(head[2])
-    pstr = head[3]
-    if len(pstr) != dim or set(pstr) - {"e", "o"}:
-        raise ValueError("bad parity string %r" % pstr)
-    parities = [ODD if ch == "o" else EVEN for ch in pstr]
+    ln = lines[0]
+    try:
+        head = ln.split()
+        if len(head) != 4:
+            raise ValueError("bad header %r" % ln)
+        arity = parse_int(head[0])
+        if arity < 2:
+            raise ValueError("table arity must be at least 2, got %d" % arity)
+        field = field_from_name(head[1])
+        dim = parse_int(head[2])
+        pstr = head[3]
+        if len(pstr) != dim or set(pstr) - {"e", "o"}:
+            raise ValueError("bad parity string %r" % pstr)
+        parities = [ODD if ch == "o" else EVEN for ch in pstr]
+        table = {}
+        for ln in lines[1:]:
+            if "->" not in ln:
+                raise ValueError("bad table line %r" % ln)
+            left, right = ln.split("->", 1)
+            key = tuple(parse_int(tok) - 1 for tok in left.split())
+            if any(not 0 <= i < dim for i in key):
+                raise ValueError("key index out of range 1..%d in %r" % (dim, ln))
+            if key in table:
+                raise ValueError("repeated key in %r" % (ln,))
+            coords = {}
+            for part in right.split("+"):
+                part = part.strip()
+                if not part or part == "0":
+                    continue
+                if "*" not in part:
+                    raise ValueError("bad term %r" % part)
+                cstr, lab = part.rsplit("*", 1)
+                lab = lab.strip()
+                if not lab.startswith("e"):
+                    raise ValueError("bad basis label %r" % lab)
+                idx = parse_int(lab[1:]) - 1
+                if not 0 <= idx < dim:
+                    raise ValueError("basis label %r out of range e1..e%d" % (lab, dim))
+                c = field.parse(cstr.strip())
+                if c:
+                    coords[idx] = coords.get(idx, field.zero()) + c
+            table[key] = {i: c for i, c in coords.items() if c}
+    except LiteralError as exc:
+        raise ValueError("%s in %r" % (exc, ln)) from None
     space = SuperSpace(field, ["e%d" % (i + 1) for i in range(dim)], parities)
-    table = {}
-    for ln in lines[1:]:
-        if "->" not in ln:
-            raise ValueError("bad table line %r" % ln)
-        left, right = ln.split("->", 1)
-        key = tuple(int(tok) - 1 for tok in left.split())
-        if any(not 0 <= i < dim for i in key):
-            raise ValueError("key index out of range 1..%d in %r" % (dim, ln))
-        if key in table:
-            raise ValueError("repeated key in %r" % (ln,))
-        coords = {}
-        for part in right.split("+"):
-            part = part.strip()
-            if not part or part == "0":
-                continue
-            if "*" not in part:
-                raise ValueError("bad term %r" % part)
-            cstr, lab = part.rsplit("*", 1)
-            lab = lab.strip()
-            if not lab.startswith("e"):
-                raise ValueError("bad basis label %r" % lab)
-            idx = int(lab[1:]) - 1
-            if not 0 <= idx < dim:
-                raise ValueError("basis label %r out of range e1..e%d" % (lab, dim))
-            c = field.parse(cstr.strip())
-            if c:
-                coords[idx] = coords.get(idx, field.zero()) + c
-        coords = {i: c for i, c in coords.items() if c}
-        table[key] = SuperVector(space, coords)
-    # parity of the bracket inferred from the first nonzero entry
-    par = None
-    for key, val in table.items():
-        vp = val.parity()
-        if vp is None:
-            continue
-        kp = sum(parities[i] for i in key) % 2
-        par = (vp - kp) % 2
-        break
-    if par is None:
-        par = (arity + 1) % 2
+    # parity of the bracket inferred from the first value of one parity
+    par = next(((vp - sum(parities[i] for i in key)) % 2 for key, val in table.items()
+                if (vp := space.parity_of(val)) is not None), (arity + 1) % 2)
     return FiniteNAryAlgebra(space, arity, par, table)

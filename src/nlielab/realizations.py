@@ -695,7 +695,7 @@ def induced_table(real, mu, keys, elem_of, coords_of, arity: int) -> dict:
 def catalog_table(cat, keys, arity: int) -> dict:
     table = {}
     for combo in combinations(keys, arity):
-        coords = cat.coords(cat.bracket_keys(combo))
+        coords = cat.bracket_keys(combo)
         if coords:
             table[combo] = coords
     return table

@@ -1,24 +1,23 @@
 """Z/2-graded vector spaces with named, parity-tagged bases.
 
-A SuperSpace fixes an ordered basis, a parity for each basis vector
-and optionally an integer degree label.  Vectors are sparse
-coordinate dicts keyed by basis position.  The zero vector reports
-parity even by convention.
+A SuperSpace fixes an ordered basis and a parity for each basis vector.
+Vectors are sparse coordinate dicts keyed by basis position, as
+everywhere in the package; ``parity_of`` reads their parity, even for
+the zero vector by convention, and ``show`` renders them.
 """
 
 from __future__ import annotations
 
 from .fields import Field
-from .linalg import vec_add_scaled
 
 EVEN = 0
 ODD = 1
 
-__all__ = ["EVEN", "ODD", "SuperSpace", "SuperVector", "parse_space", "serialize_space"]
+__all__ = ["EVEN", "ODD", "SuperSpace"]
 
 
 class SuperSpace:
-    def __init__(self, field: Field, labels, parities, zdegrees=None):
+    def __init__(self, field: Field, labels, parities):
         labels = tuple(labels)
         parities = tuple(parities)
         if len(labels) != len(parities):
@@ -31,10 +30,6 @@ class SuperSpace:
         self.field = field
         self.labels = labels
         self.parities = parities
-        self.zdegrees = tuple(zdegrees) if zdegrees is not None else None
-        if self.zdegrees is not None and len(self.zdegrees) != len(labels):
-            raise ValueError("zdegrees length mismatch")
-        self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
     def dim(self) -> int:
@@ -45,36 +40,19 @@ class SuperSpace:
         odd = sum(self.parities)
         return len(self.parities) - odd, odd
 
-    def index(self, label) -> int:
-        return self._index[label]
+    def parity_of(self, coords: dict):
+        """EVEN, ODD, or None for coordinates that mix parities.  Zero
+        counts as even."""
+        ps = {self.parities[i] for i in coords}
+        return ps.pop() if len(ps) == 1 else None if ps else EVEN
 
-    def parity(self, i: int) -> int:
-        return self.parities[i]
+    def show(self, coords: dict) -> str:
+        """``c*label`` terms joined by `` + `` in basis order; ``0`` if none."""
+        return " + ".join("%s*%s" % (c, self.labels[i]) for i, c in sorted(coords.items())) or "0"
 
     def reversed(self) -> "SuperSpace":
-        """Parity reversal: same labels and degrees, parities flipped."""
-        return SuperSpace(
-            self.field,
-            self.labels,
-            tuple(1 - p for p in self.parities),
-            self.zdegrees,
-        )
-
-    def basis_vector(self, i: int) -> "SuperVector":
-        return SuperVector(self, {i: self.field.one()})
-
-    def zero(self) -> "SuperVector":
-        return SuperVector(self, {})
-
-    def vector(self, coords: dict) -> "SuperVector":
-        clean = {}
-        for k, v in coords.items():
-            if isinstance(k, str):
-                k = self._index[k]
-            v = self.field.coerce(v)
-            if v:
-                clean[k] = v
-        return SuperVector(self, clean)
+        """Parity reversal: same labels, parities flipped."""
+        return SuperSpace(self.field, self.labels, tuple(1 - p for p in self.parities))
 
     def __eq__(self, other):
         return (
@@ -82,106 +60,11 @@ class SuperSpace:
             and self.field == other.field
             and self.labels == other.labels
             and self.parities == other.parities
-            and self.zdegrees == other.zdegrees
         )
 
     def __hash__(self):
-        return hash((self.field, self.labels, self.parities, self.zdegrees))
+        return hash((self.field, self.labels, self.parities))
 
     def __repr__(self):
         e, o = self.dims()
         return "SuperSpace(%d|%d over %r)" % (e, o, self.field)
-
-
-class SuperVector:
-    __slots__ = ("space", "coords")
-
-    def __init__(self, space: SuperSpace, coords: dict):
-        self.space = space
-        self.coords = coords
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def parity(self):
-        """EVEN, ODD, or None for a mixed vector.  Zero counts as even."""
-        ps = {self.space.parities[i] for i in self.coords}
-        if not ps:
-            return EVEN
-        if len(ps) == 1:
-            return ps.pop()
-        return None
-
-    def __add__(self, other):
-        if other.space is not self.space and other.space != self.space:
-            raise ValueError("vectors live in different spaces")
-        out = dict(self.coords)
-        vec_add_scaled(out, other.coords, self.space.field.one())
-        return SuperVector(self.space, out)
-
-    def __sub__(self, other):
-        if other.space is not self.space and other.space != self.space:
-            raise ValueError("vectors live in different spaces")
-        out = dict(self.coords)
-        vec_add_scaled(out, other.coords, -self.space.field.one())
-        return SuperVector(self.space, out)
-
-    def __neg__(self):
-        return SuperVector(self.space, {k: -v for k, v in self.coords.items()})
-
-    def scale(self, c):
-        c = self.space.field.coerce(c)
-        if not c:
-            return SuperVector(self.space, {})
-        return SuperVector(self.space, {k: c * v for k, v in self.coords.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, SuperVector) and self.space == other.space and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.space, tuple(sorted(self.coords.items(), key=lambda kv: kv[0]))))
-
-    def items(self):
-        return sorted(self.coords.items())
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for i, c in self.items():
-            parts.append("%s*%s" % (c, self.space.labels[i]))
-        return " + ".join(parts)
-
-
-def serialize_space(space: SuperSpace) -> str:
-    """One basis vector per line: ``label parity [zdegree]``."""
-    lines = []
-    for i, lab in enumerate(space.labels):
-        par = "even" if space.parities[i] == EVEN else "odd"
-        if space.zdegrees is not None:
-            lines.append("%s %s %d" % (lab, par, space.zdegrees[i]))
-        else:
-            lines.append("%s %s" % (lab, par))
-    return "\n".join(lines) + "\n"
-
-
-def parse_space(text: str, field: Field) -> SuperSpace:
-    labels, parities, zdegrees = [], [], []
-    saw_degree = False
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ValueError("line %d: expected 'label parity [zdegree]'" % lineno)
-        labels.append(parts[0])
-        if parts[1] not in ("even", "odd"):
-            raise ValueError("line %d: parity must be 'even' or 'odd'" % lineno)
-        parities.append(EVEN if parts[1] == "even" else ODD)
-        if len(parts) == 3:
-            saw_degree = True
-            zdegrees.append(int(parts[2]))
-        else:
-            zdegrees.append(0)
-    return SuperSpace(field, labels, parities, zdegrees if saw_degree else None)

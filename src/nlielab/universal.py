@@ -18,7 +18,11 @@ An element is stored in one format, the one a ``Span`` row holds: a
 dict from (argument key, output index) to a nonzero scalar, with the
 argument keys canonically sorted on the symmetric side and the key ()
 in degree -1.  The product reads and writes these dicts directly, so
-the spans of ``GradedSubalgebra`` take its results as they are.
+the spans of ``GradedSubalgebra`` take its results as they are.  A
+bracket table and the symmetric twin ``MultiMap`` hold the same
+coordinates grouped by argument key, one dict per key, which
+``WElement.from_map`` flattens; the basis of V is
+``full_component(space, -1)``.
 
 The product is one scatter pass (Gustavson 1978, see ``box``) through an
 index of the left operand by slot value, which each element builds on
@@ -31,7 +35,7 @@ from math import comb
 
 from .linalg import Span, kernel, vec_add_scaled
 from .multilinear import MultiMap, canonical_tuples
-from .superspace import SuperSpace, SuperVector
+from .superspace import SuperSpace
 
 __all__ = [
     "WElement",
@@ -80,12 +84,8 @@ class WElement:
         self._slots = None
 
     @classmethod
-    def from_vector(cls, v: SuperVector) -> "WElement":
-        return cls(v.space, -1, {((), i): c for i, c in v.coords.items()})
-
-    @classmethod
     def from_map(cls, mm: MultiMap) -> "WElement":
-        coords = {(key, i): c for key, val in mm.table.items() for i, c in val.coords.items()}
+        coords = {(key, i): c for key, val in mm.table.items() for i, c in val.items()}
         return cls(mm.space, mm.arity - 1, coords, mm.parity)
 
     @classmethod
@@ -130,9 +130,7 @@ class WElement:
 
     def __repr__(self):
         if self.degree == -1:
-            labels = self.space.labels
-            body = " + ".join("%s*%s" % (c, labels[i]) for (_, i), c in sorted(self.coords.items()))
-            return "W[deg=-1](%s)" % (body or "0")
+            return "W[deg=-1](%s)" % self.space.show({i: c for (_, i), c in self.coords.items()})
         nkeys = len({key for key, _ in self.coords})
         return "W[deg=%d](MultiMap(arity=%d, parity=%s, %d entries))" % (
             self.degree, self.degree + 1, self._parity, nkeys)
@@ -291,7 +289,7 @@ def is_transitive(sub: GradedSubalgebra, up_to: int):
     Returns (True, None) or (False, witness) where the witness is a
     nonzero element with [witness, V] = 0.
     """
-    V = [WElement.from_vector(sub.space.basis_vector(i)) for i in range(sub.space.dim)]
+    V = full_component(sub.space, -1)
     for j in range(0, up_to + 1):
         basis = sub.basis(j)
         if not basis:

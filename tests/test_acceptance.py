@@ -294,9 +294,8 @@ def test_11_prime_field_obstruction():
     n = 7
     space = SuperSpace(QQ, ("a",), (1,))
     seed_q = FiniteNAryAlgebra(space, n, (n + 1) % 2,
-                               {(0,) * n: space.basis_vector(0)})
-    residue = dict(filippov_defect(seed_q, (0,) * (n - 1),
-                                   (0,) * n).items()).get(0, QQ.zero())
+                               {(0,) * n: {0: QQ.one()}})
+    residue = filippov_defect(seed_q, (0,) * (n - 1), (0,) * n).get(0, QQ.zero())
     ctl = q_control(n, 14)
     elapsed = time.perf_counter() - t0
     q_fails = residue == QQ.coerce(-6)

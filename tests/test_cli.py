@@ -361,8 +361,20 @@ def test_charp_cap_below_the_arity_is_a_one_line_usage_error(capsys):
     # e4 is odd and e1 even, so the first value has no parity
     (("3 q 4 eeee\n1 2 3 -> 1*e4", "3 q 4 eeeo\n1 2 3 -> 1*e4 + 1*e1"),
      "error: value at key (e1, e2, e3) mixes parities\n"),
+    # int() would read these as 10, 1 and e1, and the table would pass
+    (("1 2 3 -> 1*e4", "1 2 3 -> 1_0*e4"),
+     "error: bad integer literal '1_0' in '1 2 3 -> 1_0*e4'\n"),
+    (("1 2 3 -> 1*e4", "1 2 3 -> \u0661*e4"),
+     "error: bad integer literal '\u0661' in '1 2 3 -> \u0661*e4'\n"),
+    (("1 2 3 -> 1*e4", "1 2 3 -> 1*e\u0661"),
+     "error: bad integer literal '\u0661' in '1 2 3 -> 1*e\u0661'\n"),
+    (("1 2 3 -> 1*e4", "1 2 \u0663 -> 1*e4"),
+     "error: bad integer literal '\u0663' in '1 2 \u0663 -> 1*e4'\n"),
+    (("3 q 4 eeee", "3 q 4_ eeee"), "error: bad integer literal '4_' in '3 q 4_ eeee'\n"),
+    (("1 2 3 -> 1*e4", "1 2 3 -> 1*e"), "error: bad integer literal '' in '1 2 3 -> 1*e'\n"),
 ], ids=["zero_denominator", "key_index_zero", "label_past_dim", "repeated_key",
-        "mixed_parity_value"])
+        "mixed_parity_value", "underscored_coefficient", "arabic_indic_coefficient",
+        "arabic_indic_label", "arabic_indic_key", "underscored_dim", "empty_label_index"])
 def test_bad_table_entries_are_one_line_usage_errors(tmp_path, capsys, edit, message):
     table = tmp_path / "bad.nlie"
     table.write_text(serialize_table(algebra_O(3)).replace(*edit))
@@ -370,6 +382,20 @@ def test_bad_table_entries_are_one_line_usage_errors(tmp_path, capsys, edit, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_non_ascii_and_underscored_literals_are_one_line_usage_errors(tmp_path, capsys):
+    form = tmp_path / "form.txt"
+    form.write_text("2 0 0 0\n0 1 0 0\n0 0 1_0 0\n0 0 0 \u0661\n")
+    for argv, message in (
+            (["verify", "O", "--n", "3", "--form", str(form)],
+             "bad integer literal '1_0' in '0 0 1_0 0'"),
+            (["verify", "O", "--n", "3", "--field", "fp:1_1"], "bad integer literal '1_1'")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: %s\n" % message)
+    form.write_text("2 0 0 0\n0 1 0 0\n0 0 1/3 0\n0 0 0 -1\n")
+    assert main(["verify", "O", "--n", "3", "--form", str(form)]) == 0
 
 
 def test_argparse_rejects_unknown_selectors():
@@ -408,6 +434,17 @@ def test_readme_examples_parse():
             pytest.fail("README example does not parse: nlielab %s" % " ".join(argv))
     with pytest.raises(SystemExit):
         build_parser().parse_args(["verify", "O", "--n", "3", "--cap", "5"])
+
+
+def test_readme_quick_start_runs(capsys):
+    # the bracket_to_symmetric -> WElement.from_map path of the benchmark's
+    # generation workload, as the README shows it
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        block = re.search(r"## Quick start\s+```python\n(.*?)```", fh.read(), re.S).group(1)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["rep"].graded_dims == {-1: 4, 0: 6, 1: 4, 2: 1}
+    assert capsys.readouterr().out.splitlines()[-1] == "{-1: 4, 0: 6, 1: 4, 2: 1}"
 
 
 def test_module_entry_point():

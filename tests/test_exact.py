@@ -73,10 +73,14 @@ def test_one_koszul_sorter_and_one_tuple_enumerator():
 
 
 def test_one_element_format_for_w():
-    # an element of W(V) is its flat span coordinates; the dense map
-    # evaluation is left to ``multilinear`` and the tests' oracle
+    # an element of W(V) is its flat span coordinates, and a vector or a
+    # table value is a coordinate dict: no vector class, no converter,
+    # no dense map evaluation (only the tests' oracle evaluates a map
+    # densely), no serializer of spaces or maps
     assert names_used({"payload", "from_coords"}) == []
-    assert names_used({"evaluate_expand"}, skip="multilinear.py") == []
+    assert names_used({"SuperVector", "from_vector", "zdegrees", "evaluate_expand",
+                       "symmetric_to_bracket", "serialize_map", "parse_map",
+                       "serialize_space", "parse_space"}) == []
     # and the product is one scatter pass through the left operand's slot
     # index: no gather over candidate keys, no plug of an inner vector
     assert names_used({"_box_keys", "_plug"}) == []
@@ -145,7 +149,7 @@ def test_invert_dense_stays_exact(dense):
 @given(nonzero_rationals)
 def test_tables_proportional_stays_exact(c):
     table = algebra_O(3).table
-    scaled = {k: v.scale(c) for k, v in table.items()}
+    scaled = {k: {i: c * x for i, x in v.items()} for k, v in table.items()}
     ok, scalar = tables_proportional(scaled, table, QQ)
     assert ok and scalar == c
     assert_exact([scalar])

@@ -8,7 +8,7 @@ import pytest
 
 from nlielab import liegen
 from nlielab.catalog import algebra_O
-from nlielab.fields import QQ
+from nlielab.fields import GF, QQ
 from nlielab.liegen import (
     AdmissiblePairReport,
     GenerationTrace,
@@ -23,7 +23,7 @@ from nlielab.liegen import (
 )
 from nlielab.linalg import Span
 from nlielab.multilinear import MultiMap, bracket_to_symmetric
-from nlielab.nlie import FiniteNAryAlgebra
+from nlielab.nlie import FiniteNAryAlgebra, check_filippov, serialize_table
 from nlielab.superspace import SuperSpace
 from nlielab.universal import GradedSubalgebra, WElement, box, full_component, w_bracket
 
@@ -35,8 +35,7 @@ def seed_of(alg):
 
 def sl2():
     V = SuperSpace(QQ, ("e", "h", "f"), (0, 0, 0))
-    e, h, f = (V.basis_vector(i) for i in range(3))
-    table = {(0, 1): e.scale(-2), (0, 2): h, (1, 2): f.scale(-2)}
+    table = {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}}
     return FiniteNAryAlgebra(V, 2, 0, table)
 
 
@@ -81,8 +80,8 @@ def naive_closure(space, mu, cap):
     basis of the span reached so far.  Returns (subalgebra, rounds,
     reached_fixpoint)."""
     sub = GradedSubalgebra(space, cap)
-    for i in range(space.dim):
-        sub.insert(WElement.from_vector(space.basis_vector(i)))
+    for v in full_component(space, -1):
+        sub.insert(v)
     sub.insert(mu)
     rounds = [sub.dims()]
     for _ in range(200):
@@ -102,8 +101,7 @@ def divergence_free_seed():
     """An odd quadratic field on V = (a, b | x) with every contraction
     zero: mu(a,a) = x, mu(a,x) = b, mu(b,x) = a."""
     V = SuperSpace(QQ, ("a", "b", "x"), (0, 0, 1))
-    a, b, x = (V.basis_vector(i) for i in range(3))
-    return WElement.from_map(MultiMap(V, 2, 1, {(0, 0): x, (0, 2): b, (1, 2): a}))
+    return WElement.from_map(MultiMap(V, 2, 1, {(0, 0): {2: 1}, (0, 2): {1: 1}, (1, 2): {0: 1}}))
 
 
 # the reversed spaces of O(n) are all odd, the one of sl2 is all even;
@@ -176,7 +174,7 @@ def chain(space, mu, tup):
     """[v_{i_1},[...,[v_{i_k}, mu]...]] for tup = (i_1, ..., i_k)."""
     c = mu
     for i in reversed(tup):
-        c = w_bracket(WElement.from_vector(space.basis_vector(i)), c)
+        c = w_bracket(full_component(space, -1)[i], c)
     return c
 
 
@@ -289,7 +287,7 @@ def even_square():
     """An even quadratic field mu(a, a) = a on one even line: [mu, mu]
     vanishes by parity while mu composed on itself does not."""
     V = SuperSpace(QQ, ("a",), (0,))
-    return WElement.from_map(MultiMap(V, 2, 0, {(0, 0): V.basis_vector(0)}))
+    return WElement.from_map(MultiMap(V, 2, 0, {(0, 0): {0: 1}}))
 
 
 ORACLE_SEEDS = [(seed_of(algebra_O(3)), 4), (seed_of(algebra_O(4)), 5),
@@ -496,7 +494,7 @@ def test_seed_relations_hold_and_detect_corruption():
 def test_irreducibility_detects_an_invariant_line():
     V = SuperSpace(QQ, ("a", "b"), (0, 0))
     sub = GradedSubalgebra(V, cap=1)
-    proj = MultiMap(V, 1, 0, {(0,): V.basis_vector(0)})
+    proj = MultiMap(V, 1, 0, {(0,): {0: 1}})
     sub.insert(WElement.from_map(proj))
     status, detail = check_irreducible(sub)
     assert status is False
@@ -506,8 +504,8 @@ def test_irreducibility_detects_an_invariant_line():
 def test_irreducibility_by_envelope():
     V = SuperSpace(QQ, ("a", "b"), (0, 0))
     sub = GradedSubalgebra(V, cap=1)
-    up = MultiMap(V, 1, 0, {(0,): V.basis_vector(1)})
-    down = MultiMap(V, 1, 0, {(1,): V.basis_vector(0)})
+    up = MultiMap(V, 1, 0, {(0,): {1: 1}})
+    down = MultiMap(V, 1, 0, {(1,): {0: 1}})
     sub.insert(WElement.from_map(up))
     sub.insert(WElement.from_map(down))
     status, detail = check_irreducible(sub)
@@ -525,9 +523,8 @@ def test_empty_degree_zero_is_irreducible_only_on_a_line():
 def mixed_ternary():
     """A ternary table on (a | x, y), repeated odd arguments included."""
     V = SuperSpace(QQ, ("a", "x", "y"), (0, 1, 1))
-    a, x, y = (V.basis_vector(i) for i in range(3))
-    table = {(0, 1, 2): a, (0, 1, 1): a.scale(2), (1, 1, 2): x + y,
-             (1, 2, 2): x.scale(-3), (2, 2, 2): y}
+    table = {(0, 1, 2): {0: 1}, (0, 1, 1): {0: 2}, (1, 1, 2): {1: 1, 2: 1},
+             (1, 2, 2): {1: -3}, (2, 2, 2): {2: 1}}
     return FiniteNAryAlgebra(V, 3, 0, table)
 
 
@@ -539,14 +536,29 @@ def test_induced_table_reproduces_the_source_bracket():
         assert ok and scalar == QQ.one()
 
 
+def test_bracket_table_round_trip_through_the_symmetric_twin():
+    # A -> mu -> A: the induced table builds the algebra it came from,
+    # byte for byte, with the same identity verdict; O(n) passes, the
+    # mixed table is no n-Lie algebra and fails at the same witness
+    cases = [(algebra_O(n, field), True) for n in (3, 4, 5) for field in (QQ, GF(7))]
+    for alg, lie in cases + [(mixed_ternary(), False)]:
+        mu = seed_of(alg)
+        back = FiniteNAryAlgebra(mu.space.reversed(), alg.arity, alg.bracket_parity,
+                                 induced_bracket_table(mu.space, mu))
+        assert back.space == alg.space
+        assert serialize_table(back) == serialize_table(alg)
+        rep = check_filippov(back)
+        assert rep == check_filippov(alg) and rep.ok is lie
+
+
 def test_tables_proportional_reports_scalar_and_witness():
     alg = algebra_O(3)
     t1 = dict(alg.table)
-    t2 = {k: v.scale(QQ.scalar(-7, 2)) for k, v in alg.table.items()}
+    t2 = {k: {i: QQ.scalar(-7, 2) * c for i, c in v.items()} for k, v in alg.table.items()}
     ok, scalar = tables_proportional(t2, t1, QQ)
     assert ok and scalar == QQ.scalar(-7, 2)
     t3 = dict(t2)
     key = next(iter(t3))
-    t3[key] = t3[key].scale(2)
+    t3[key] = {i: 2 * c for i, c in t3[key].items()}
     ok, witness = tables_proportional(t3, t1, QQ)
     assert not ok and witness is not None

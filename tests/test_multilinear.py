@@ -7,16 +7,11 @@ from hypothesis import given, strategies as st
 
 from nlielab.catalog import algebra_O
 from nlielab.fields import QQ
-from nlielab.multilinear import (
-    MultiMap,
-    bracket_to_symmetric,
-    conversion_sign,
-    koszul_sort,
-    parse_map,
-    serialize_map,
-    symmetric_to_bracket,
-)
+from nlielab.liegen import induced_bracket_table
+from nlielab.linalg import vec_add_scaled
+from nlielab.multilinear import MultiMap, bracket_to_symmetric, conversion_sign, koszul_sort
 from nlielab.superspace import EVEN, ODD, SuperSpace
+from nlielab.universal import WElement
 
 PARITIES = (0, 1, 0, 1, 1, 0)
 
@@ -119,35 +114,48 @@ def test_conversion_sign_small_cases():
 
 def test_multimap_parity_check():
     V = SuperSpace(QQ, ("a", "x"), (EVEN, ODD))
-    good = MultiMap(V, 2, 0, {(0, 1): V.basis_vector(1)})
-    # symmetric interchange of an even-odd pair is free
-    assert good.evaluate((1, 0)) == V.basis_vector(1)
+    good = MultiMap(V, 2, 0, {(0, 1): {1: 1}, (0, 0): {}})
+    assert good.table == {(0, 1): {1: 1}}  # an empty value is dropped
     with pytest.raises(ValueError):
-        MultiMap(V, 2, 0, {(0, 1): V.basis_vector(0)})
+        MultiMap(V, 2, 0, {(0, 1): {0: 1}})  # even value at an odd key
     with pytest.raises(ValueError):
-        MultiMap(V, 2, 0, {(1, 0): V.basis_vector(1)})  # not sorted
+        MultiMap(V, 2, 0, {(0, 0): {0: 1, 1: 1}})  # mixed value
+    with pytest.raises(ValueError):
+        MultiMap(V, 2, 0, {(1, 0): {1: 1}})  # not sorted
+    with pytest.raises(ValueError):
+        MultiMap(V, 2, 1, {(1, 1): {0: 1}})  # odd repeat on the symmetric side
+
+
+def evaluate(mm, args):
+    """A symmetric map's value on any argument tuple: its table entry at
+    the Koszul sort of the tuple, times the sort's sign."""
+    key, sign = koszul_sort(args, mm.space.parities, alternating=False)
+    return {i: sign * c for i, c in mm.table.get(key, {}).items()} if sign else {}
 
 
 def test_multimap_evaluate_signs():
     V = SuperSpace(QQ, ("x", "y"), (ODD, ODD))
-    m = MultiMap(V, 2, 1, {(0, 1): V.basis_vector(0)})
-    # odd-odd interchange on the symmetric side costs -1
-    assert m.evaluate((1, 0)) == V.basis_vector(0).scale(-1)
-    assert m.evaluate((0, 0)).is_zero()
-    v = V.vector({0: 2, 1: 3})
-    assert m.evaluate_expand(v, (1,)) == V.basis_vector(0).scale(2)
+    m = MultiMap(V, 2, 1, {(0, 1): {0: 1}})
+    # odd-odd interchange on the symmetric side costs -1, an odd repeat dies
+    assert evaluate(m, (0, 1)) == {0: 1}
+    assert evaluate(m, (1, 0)) == {0: -1}
+    assert evaluate(m, (0, 0)) == {} == evaluate(m, (1, 1))
+    # v = 2x + 3y in the first slot, y after it: only the x term survives
+    v = {0: 2, 1: 3}
+    out = {}
+    for i, c in v.items():
+        vec_add_scaled(out, evaluate(m, (i, 1)), c)
+    assert out == {0: 2}
 
 
 def test_bracket_transport_roundtrip_on_quaternary_cross_product():
     alg = algebra_O(3)
     mm = bracket_to_symmetric(alg.space, alg.arity, alg.bracket_parity, alg.bracket_keys)
-    # the twin lives on the parity reversal and is odd: 0 + 3 - 1 = 2 even? no, parity = (0 + 3 - 1) % 2 = 0
+    # the twin lives on the parity reversal with parity 0 + 3 - 1 = 0 mod 2
     assert mm.space == alg.space.reversed()
-    assert mm.parity == (alg.bracket_parity + alg.arity - 1) % 2
-    space, arity, parity, table = symmetric_to_bracket(mm)
-    assert space == alg.space
-    assert arity == alg.arity and parity == alg.bracket_parity
-    assert table == alg.table
+    assert mm.parity == (alg.bracket_parity + alg.arity - 1) % 2 == 0
+    # and the bracket read back off it through W(V) is the source table
+    assert induced_bracket_table(mm.space, WElement.from_map(mm)) == alg.table
 
 
 def test_bracket_transport_rejects_non_anticommutative_input():
@@ -160,13 +168,3 @@ def test_bracket_transport_rejects_non_anticommutative_input():
 
     with pytest.raises(ValueError):
         bracket_to_symmetric(alg.space, 3, 0, symmetric_version)
-
-
-def test_serialize_parse_map_roundtrip():
-    V = SuperSpace(QQ, ("u", "x", "y"), (EVEN, ODD, ODD))
-    m = MultiMap(V, 2, 1, {(0, 0): V.basis_vector(1), (1, 2): V.vector({1: QQ.scalar(1, 2)})})
-    text = serialize_map(m)
-    back = parse_map(text, V, 2, 1)
-    assert back == m
-    with pytest.raises(ValueError):
-        parse_map("u,u no arrow\n", V, 2, 1)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlielab.fields import QQ
+from nlielab.linalg import vec_add_scaled
 from nlielab.multilinear import MultiMap, canonical_tuples, koszul_sort
-from nlielab.superspace import SuperSpace, SuperVector
+from nlielab.superspace import SuperSpace
 from nlielab.universal import (
     GradedSubalgebra,
     WElement,
@@ -59,18 +60,29 @@ def draw_element(data, space, degree):
     return out
 
 
-def as_vector(w):
-    """A degree -1 element as the vector its coordinates ((), i) hold."""
-    return SuperVector(w.space, {i: c for (_, i), c in w.coords.items()})
-
-
 def as_map(w):
-    """An element of degree >= 0 as the map its coordinates (key, i) hold."""
+    """An element as the nested dict {argument key: {output index: c}}
+    its coordinates (key, i) hold; key () in degree -1."""
     table = {}
     for (key, i), c in w.coords.items():
         table.setdefault(key, {})[i] = c
-    return MultiMap(w.space, w.degree + 1, w.parity(),
-                    {key: SuperVector(w.space, v) for key, v in table.items()})
+    return table
+
+
+def evaluate(m, space, args):
+    """A symmetric map's value on any argument tuple, read off its
+    canonical key through the Koszul sort."""
+    key, sign = koszul_sort(args, space.parities, alternating=False)
+    return {i: sign * c for i, c in m.get(key, {}).items()} if sign else {}
+
+
+def evaluate_expand(m, space, vec, rest):
+    """The map with the vector ``vec`` in its first slot and basis
+    indices ``rest`` after it."""
+    out = {}
+    for i, c in vec.items():
+        vec_add_scaled(out, evaluate(m, space, (i,) + rest), c)
+    return out
 
 
 def dense_box(f, g):
@@ -78,37 +90,30 @@ def dense_box(f, g):
     the target arity, every split of its positions."""
     space = f.space
     p, q = f.degree, g.degree
-    fm = as_map(f)
+    fm, gm = as_map(f), as_map(g)
+    parity = (f.parity() + g.parity()) % 2
     if q == -1:
-        a = as_vector(g)
+        a = gm.get((), {})
         if p == 0:
-            return WElement.from_vector(fm.evaluate_expand(a, ()))
-        table = {}
-        for key in symmetric_keys(space, p):
-            val = fm.evaluate_expand(a, key)
-            if not val.is_zero():
-                table[key] = val
-        parity = (fm.parity + (a.parity() or 0)) % 2
-        return WElement.from_map(MultiMap(space, p, parity, table))
-    gm = as_map(g)
+            return WElement(space, -1, {((), i): c
+                                        for i, c in evaluate_expand(fm, space, a, ()).items()})
+        coords = {(key, i): c for key in symmetric_keys(space, p)
+                  for i, c in evaluate_expand(fm, space, a, key).items()}
+        return WElement(space, p - 1, coords, parity)
     arity = p + q + 1
     par = space.parities
-    table = {}
+    coords = {}
     for key in symmetric_keys(space, arity):
-        acc = space.zero()
+        acc = {}
         for gpos in combinations(range(arity), q + 1):
             fpos = tuple(i for i in range(arity) if i not in gpos)
-            inner = gm.evaluate(tuple(key[i] for i in gpos))
-            if inner.is_zero():
-                continue
+            inner = evaluate(gm, space, tuple(key[i] for i in gpos))
             swaps = sum(1 for a in gpos for b in fpos
                         if b < a and par[key[a]] and par[key[b]])
-            outer = fm.evaluate_expand(inner, tuple(key[i] for i in fpos))
-            acc = acc + outer.scale(-1 if swaps % 2 else 1)
-        if not acc.is_zero():
-            table[key] = acc
-    parity = (fm.parity + gm.parity) % 2
-    return WElement.from_map(MultiMap(space, arity, parity, table))
+            outer = evaluate_expand(fm, space, inner, tuple(key[i] for i in fpos))
+            vec_add_scaled(acc, outer, -1 if swaps % 2 else 1)
+        coords.update(((key, i), c) for i, c in acc.items())
+    return WElement(space, arity - 1, coords, parity)
 
 
 @pytest.mark.parametrize("space", SPACES)
@@ -172,33 +177,31 @@ def test_bracket_satisfies_graded_jacobi(space, degs, data):
 
 def test_constants_act_trivially_from_the_left():
     V = SPACES[1]
-    a = WElement.from_vector(V.basis_vector(0))
+    a, x = full_component(V, -1)
     u = full_component(V, 1)[0]
     assert box(a, u).is_zero()
     assert box(a, u).degree == 0
     with pytest.raises(ValueError):
-        box(a, WElement.from_vector(V.basis_vector(1)))  # would land below the bottom
+        box(a, x)  # would land below the bottom
 
 
 def test_box_plugs_constants_into_the_first_slot():
     V = SPACES[2]
     u = full_component(V, 0)[0]  # sends x to x
-    a = WElement.from_vector(V.basis_vector(0))
+    a, b, _ = full_component(V, -1)
     assert box(u, a) == a
-    b = WElement.from_vector(V.basis_vector(1))
     assert box(u, b).is_zero()
 
 
 def test_elements_hold_span_rows():
     V = SPACES[3]
-    a, x = V.basis_vector(0), V.basis_vector(2)
-    v = WElement.from_vector(V.vector({0: 2, 2: 0}))
+    v = WElement(V, -1, {((), 0): 2})
     assert v.coords == {((), 0): 2} and v.parity() == 0
-    mm = MultiMap(V, 2, 1, {(0, 1): x, (0, 2): a.scale(3)})
+    mm = MultiMap(V, 2, 1, {(0, 1): {2: 1}, (0, 2): {0: 3}})
     u = WElement.from_map(mm)
     assert u.degree == 1 and u.parity() == 1
     assert u.coords == {((0, 1), 2): 1, ((0, 2), 0): 3}
-    assert as_map(u) == mm
+    assert as_map(u) == mm.table
 
 
 def test_basis_elements_outlive_span_growth():
@@ -217,7 +220,7 @@ def test_basis_elements_outlive_span_growth():
 
 def test_degree_mixing_is_rejected():
     V = SPACES[0]
-    a = WElement.from_vector(V.basis_vector(0))
+    a = full_component(V, -1)[0]
     u = full_component(V, 0)[0]
     with pytest.raises(ValueError):
         a + u
@@ -230,7 +233,7 @@ def test_repr_renders_the_witness_format():
     # MultiMap summary counting distinct argument keys, a constant as
     # its vector
     V = SPACES[3]
-    v = WElement.from_vector(V.vector({2: QQ.scalar(-1, 3), 0: 2}))
+    v = WElement(V, -1, {((), 2): QQ.scalar(-1, 3), ((), 0): 2})
     assert repr(v) == "W[deg=-1](2*a + -1/3*x)"
     deg0 = full_component(V, 0)
     u = deg0[0] + deg0[1].scale(3) + deg0[4]
@@ -298,7 +301,7 @@ def test_box_of_a_mixed_constant_has_no_parity():
     # (f*(a + x))(a) = f(a, a) + f(x, a) = a + x and (f*(a + x))(x) = f(a, x) = x
     V = SPACES[1]
     f = WElement(V, 1, {((0, 0), 0): 1, ((0, 1), 1): 1})
-    a = WElement.from_vector(V.vector({0: 1, 1: 1}))
+    a = WElement(V, -1, {((), 0): 1, ((), 1): 1})
     assert f.parity() == 0 and a.parity() is None
     got = box(f, a)
     assert got.coords == {((0,), 0): 1, ((0,), 1): 1, ((1,), 1): 1}
