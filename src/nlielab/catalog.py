@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 
 from .fields import QQ, Field, LiteralError
-from .linalg import invert_dense
+from .linalg import invert_dense, span_of
 from .multilinear import koszul_sort
 from .nlie import FiniteNAryAlgebra
 from .polysuper import DiffOp, SuperPolyRing
@@ -232,12 +232,11 @@ class TaggedNAry(PolyNAryAlgebra):
     A bracket is nonzero only when the tags cover 1..n-1 with exactly one
     tag k repeated; the two monomials at tag k combine by the Wronskian
     f g' - f' g (up to sign) and the other factors multiply in, the result
-    carrying tag k.  ``alt_sign`` flips the global sign convention."""
+    carrying tag k."""
 
-    def __init__(self, field: Field, arity: int, alt_sign: bool = False):
+    def __init__(self, field: Field, arity: int):
         super().__init__(field, arity)
         self.ntags = arity - 1
-        self.alt_sign = alt_sign
 
     def raw_bracket(self, keys: tuple) -> dict:
         tags = [t for t, _ in keys]
@@ -257,10 +256,7 @@ class TaggedNAry(PolyNAryAlgebra):
         if not coeff:
             return {}
         total = sum(e for _, e in keys) - 1
-        exp = (self.ntags + 1 + k) % 2
-        if self.alt_sign:
-            exp ^= 1
-        if exp:
+        if (self.ntags + 1 + k) % 2:
             coeff = -coeff
         return {(k, total): coeff}
 
@@ -320,10 +316,10 @@ def algebra_W(n: int, field: Field = QQ) -> BorderedNAry:
     return BorderedNAry(field, n)
 
 
-def algebra_SW(n: int, field: Field = QQ, alt_sign: bool = False) -> TaggedNAry:
+def algebra_SW(n: int, field: Field = QQ) -> TaggedNAry:
     if n < 3:
         raise ValueError("need n >= 3")
-    return TaggedNAry(field, n, alt_sign=alt_sign)
+    return TaggedNAry(field, n)
 
 
 def dzhumadildaev_closed(ops) -> tuple:
@@ -333,12 +329,7 @@ def dzhumadildaev_closed(ops) -> tuple:
     ops = list(ops)
     if not ops:
         return True, None
-    from .linalg import Span
-
-    field = ops[0].ring.field
-    span = Span(field)
-    for op in ops:
-        span.insert(op.vectorize())
+    span = span_of(ops[0].ring.field, (op.vectorize() for op in ops))
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             br = ops[i].bracket(ops[j])

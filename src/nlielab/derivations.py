@@ -10,7 +10,7 @@ the ideal test [Der, Inder] <= Inder.
 from dataclasses import dataclass
 
 from .fields import Field
-from .linalg import Span, kernel, mat_mul, vec_add_scaled
+from .linalg import Span, kernel, mat_mul, matrix_of, span_of, vec_add_scaled
 from .multilinear import canonical_tuples
 from .nlie import (FiniteNAryAlgebra, ad_table, check_derivation, derivation_defect,
                    inner_derivation)
@@ -36,14 +36,6 @@ def matrix_dmap(alg, mat: dict):
     for (i, j), c in mat.items():
         cols.setdefault(j, {})[i] = c
     return lambda k: cols.get(k, {})
-
-
-def matrix_of_dmap(alg, dmap) -> dict:
-    mat = {}
-    for j in range(alg.space.dim):
-        for i, c in dmap(j).items():
-            mat[(i, j)] = c
-    return mat
 
 
 def mat_commutator(field: Field, a: dict, pa: int, b: dict, pb: int) -> dict:
@@ -106,7 +98,7 @@ def inner_spans(alg: FiniteNAryAlgebra) -> dict:
     spans: dict = {}
     for srcs in canonical_tuples(range(alg.space.dim), alg.arity - 1, alg.space.parities):
         par, dmap = inner_derivation(alg, srcs)
-        mat = matrix_of_dmap(alg, dmap)
+        mat = matrix_of(map(dmap, range(alg.space.dim)))
         if mat:
             spans.setdefault(par, Span(alg.field)).insert(mat)
     return spans
@@ -126,10 +118,7 @@ def analyze_derivations(alg: FiniteNAryAlgebra) -> DerReport:
     ds = derivation_space(alg)
     equals = ds.dim == ds.inner_dim
     if equals:
-        full = Span(alg.field)
-        for spans in ds.inner.values():
-            for row in spans:
-                full.insert(row)
+        full = span_of(alg.field, (row for spans in ds.inner.values() for row in spans))
         equals = all(full.contains(mat) for _, mat in ds.basis if mat)
     ideal_ok = True
     witness = None

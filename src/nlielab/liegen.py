@@ -27,14 +27,15 @@ the ``(subalgebra, trace)`` pair to each check through ``generated=``.
 
 Also provides the inverse construction: recovering an n-ary bracket on
 the reversed space from mu via iterated brackets in W(V), which must
-reproduce the multilinear map mu came from.
+reproduce the multilinear map mu came from.  Its ``induced_table`` also
+reads the bracket off the polynomial carriers of ``realizations``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
-from .linalg import Span, envelope_dim, orbit_span
+from .linalg import Span, irreducible
 from .multilinear import canonical_tuples, conversion_sign
 from .superspace import SuperSpace
 from .universal import GradedSubalgebra, WElement, box, full_component, is_transitive, w_bracket
@@ -49,6 +50,7 @@ __all__ = [
     "check_truncation",
     "MuRelationsReport",
     "check_mu_relations",
+    "induced_table",
     "induced_bracket_table",
     "tables_proportional",
 ]
@@ -133,39 +135,23 @@ def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int | None = None)
 def check_irreducible(sub: GradedSubalgebra):
     """Decide irreducibility of V under the degree-zero component.
 
-    Returns (status, detail) with status in {True, False, "not_decided"}.
-    Two exact criteria: a proper invariant subspace found by spinning a
-    basis vector proves reducibility; the associative envelope of the
-    action filling all of End(V) proves irreducibility (over any field,
-    since a proper invariant subspace would force the envelope into a
-    proper subspace of matrices).
+    Returns (status, detail) with status in {True, False, "not_decided"},
+    as ``linalg.irreducible`` decides it: a basis vector spinning out a
+    proper invariant subspace proves reducibility, an action envelope
+    filling all of End(V) proves irreducibility.
     """
-    space = sub.space
-    field = space.field
-    dim = space.dim
+    dim = sub.space.dim
     # a degree-0 element sends e_j to sum_i c e_i over its coordinates ((j,), i)
     actions = [{(i, j): c for ((j,), i), c in u.coords.items()} for u in sub.basis(0)]
     if not actions:
-        status = dim <= 1
-        return status, "degree-zero part acts by zero"
-
-    # spin each basis vector (a one-column matrix); a proper invariant
-    # span is a witness
-    for start in range(dim):
-        orbit = orbit_span(field, actions, {(start, 0): field.one()})
-        if orbit.dim < dim:
-            return False, "basis vector %d spans a %d-dim invariant subspace" % (
-                start,
-                orbit.dim,
-            )
-
-    env = envelope_dim(field, actions, dim)
-    if env == dim * dim:
+        return dim <= 1, "degree-zero part acts by zero"
+    status, info = irreducible(sub.space.field, actions, dim)
+    if status is False:
+        return False, "basis vector %d spans a %d-dim invariant subspace" % info
+    if status is True:
         return True, "action envelope fills End(V)"
-    return "not_decided", "no invariant subspace through basis vectors; envelope dim %d < %d" % (
-        env,
-        dim * dim,
-    )
+    return status, "no invariant subspace through basis vectors; envelope dim %d < %d" % (
+        info, dim * dim)
 
 
 @dataclass
@@ -380,28 +366,36 @@ def check_mu_relations(space: SuperSpace, mu: WElement) -> MuRelationsReport:
     return MuRelationsReport(self_ok, checked, self_ok, None)
 
 
+def induced_table(bracket, mu, depth, tuples, coords_of, parities) -> dict:
+    """The n-bracket an L of depth one induces from its top element:
+    [..[mu, d_k1], .., d_kn] for each tuple (k1..kn) of ``tuples``, read
+    off by ``coords_of`` and signed by the ``conversion_sign`` of the
+    keys' symmetric-side ``parities``.  ``depth[k]`` is the element of
+    L_-1 for key k and ``bracket`` the Lie bracket of L, so W(V) and the
+    polynomial carriers share this one routine."""
+    table = {}
+    for key in tuples:
+        h = mu
+        for k in key:
+            h = bracket(h, depth[k])
+        coords = coords_of(h)
+        if coords:
+            csign = conversion_sign([parities[k] for k in key])
+            table[key] = coords if csign == 1 else {i: -c for i, c in coords.items()}
+    return table
+
+
 def induced_bracket_table(space: SuperSpace, mu: WElement) -> dict:
-    """Recover an n-bracket on the reversed space from mu degree-by-degree:
-    plug basis vectors into mu via iterated brackets in W(V) and convert
-    the resulting vector with the parity-bookkeeping sign.
+    """Recover an n-bracket on the reversed space from mu: the
+    ``induced_table`` of W(V) on the basis of V.
 
     Returns a table over canonically sorted index tuples of the reversed
     space with coordinate dict values, the table ``FiniteNAryAlgebra``
     takes: on mu from ``bracket_to_symmetric`` it is the source table.
     """
-    n = mu.degree + 1
-    vs = full_component(space, -1)
-    table = {}
-    for key in canonical_tuples(range(space.dim), n, space.reversed().parities):
-        h = mu
-        for i in key:
-            h = w_bracket(h, vs[i])
-        if h.degree != -1:
-            raise ValueError("iterated bracket did not land in degree -1")
-        csign = conversion_sign([space.parities[i] for i in key])
-        if h.coords:
-            table[key] = {i: csign * c for (_, i), c in h.coords.items()}
-    return table
+    tuples = canonical_tuples(range(space.dim), mu.degree + 1, space.reversed().parities)
+    return induced_table(w_bracket, mu, full_component(space, -1), tuples,
+                         lambda h: {i: c for (_, i), c in h.coords.items()}, space.parities)
 
 
 def tables_proportional(t1: dict, t2: dict, field):

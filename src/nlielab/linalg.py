@@ -6,10 +6,13 @@ which lets the same span machinery hold polynomial monomials, operator
 coordinates and multilinear-map coordinates.  No zero is ever stored.
 There is one elimination, ``Span.insert``: the pivot of a vector is its
 smallest key, and the span keeps its rows in reduced row echelon form.
-That form is unique, so kernels (``nullspace`` and ``kernel``) and
-inverses (``invert_dense``) are read off a ``Span``.  Matrices multiplied
-by ``mat_mul`` are dicts {(row, col): c}; the associative envelope of a
-set of them is one ``orbit_span``.
+That form is unique, so kernels (``nullspace``, ``kernel``,
+``annihilator``) and inverses (``invert_dense``) are read off a ``Span``.
+Matrices are dicts {(row, col): c}, built by ``matrix_of`` and
+multiplied by ``mat_mul``; ``irreducible`` decides a matrix set from the
+``orbit_span`` of each basis vector and of the identity (its envelope).
+W(V) and the polynomial carriers test transitivity and irreducibility
+through ``annihilator`` and ``irreducible``.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import bisect
 
 from .fields import Field
 
-__all__ = ["Span", "nullspace", "kernel", "invert_dense", "mat_mul", "orbit_span",
-           "envelope_dim"]
+__all__ = ["Span", "span_of", "nullspace", "kernel", "annihilator", "invert_dense",
+           "matrix_of", "mat_mul", "orbit_span", "envelope_dim", "irreducible"]
 
 
 def vec_add_scaled(target: dict, src: dict, c) -> None:
@@ -96,6 +99,19 @@ class Span:
         return iter(self.rows)
 
 
+def span_of(field: Field, vectors) -> Span:
+    """The ``Span`` of the given vectors."""
+    span = Span(field)
+    for v in vectors:
+        span.insert(v)
+    return span
+
+
+def matrix_of(columns) -> dict:
+    """The matrix whose j-th column is the j-th vector of ``columns``."""
+    return {(i, j): c for j, col in enumerate(columns) for i, c in col.items()}
+
+
 def mat_mul(a: dict, b: dict) -> dict:
     """Product of two sparse matrices given as {(row, col): c} dicts."""
     b_rows: dict = {}
@@ -130,13 +146,26 @@ def envelope_dim(field: Field, mats, dim: int) -> int:
     return orbit_span(field, mats, {(i, i): one for i in range(dim)}).dim
 
 
+def irreducible(field: Field, mats, dim: int):
+    """Whether the dim x dim matrices ``mats`` act irreducibly: (False,
+    (j, d)) when the orbit of basis vector j is a proper invariant
+    subspace of dim d, (True, None) when the envelope is all of End (over
+    any field a proper invariant subspace keeps it smaller), else
+    ("not_decided", envelope dim)."""
+    one = field.one()
+    for j in range(dim):
+        d = orbit_span(field, mats, {(j, 0): one}).dim
+        if d < dim:
+            return False, (j, d)
+    env = envelope_dim(field, mats, dim)
+    return (True, None) if env == dim * dim else ("not_decided", env)
+
+
 def nullspace(field: Field, rows, ncols: int) -> list[dict]:
     """Basis of the kernel of the matrix with the given rows (dicts over
     the columns 0..ncols-1), read off one ``Span`` of the rows: one
     vector per free column."""
-    span = Span(field)
-    for r in rows:
-        span.insert(r)
+    span = span_of(field, rows)
     one = field.one()
     basis = []
     for f in range(ncols):
@@ -159,6 +188,14 @@ def kernel(field: Field, columns) -> list[dict]:
         for key, c in col.items():
             rows.setdefault(key, {})[j] = c
     return nullspace(field, rows.values(), len(columns))
+
+
+def annihilator(field: Field, images) -> list[dict]:
+    """Basis of the u that kill every image: the ``kernel`` of the map
+    u -> (images[u][0], images[u][1], ...), with ``images[u][j]`` the
+    coordinates of the image of basis element u against the j-th one."""
+    return kernel(field, [{(j, key): c for j, img in enumerate(row) for key, c in img.items()}
+                          for row in images])
 
 
 def invert_dense(field: Field, rows) -> list[list]:

@@ -55,8 +55,8 @@ __all__ = [
 class FiniteNAryAlgebra:
     """Finite-dimensional n-ary superalgebra given by a bracket table:
     canonically sorted basis index tuples (ascending; an index may repeat
-    only when its basis vector is odd) map to coordinate dicts
-    {basis index: nonzero scalar}, which are read, never written."""
+    only when its basis vector is odd) map to coordinate dicts {basis
+    index: scalar}, kept without their zeros and read, never written."""
 
     def __init__(self, space: SuperSpace, arity: int, parity: int, table: dict):
         if arity < 1:
@@ -75,6 +75,11 @@ class FiniteNAryAlgebra:
                 raise ValueError("key %r vanishes by alternation" % (key,))
             if ck != key:
                 raise ValueError("table key %r is not canonically sorted" % (key,))
+            if not all(i in range(space.dim) for i in val):
+                raise ValueError("value at key %r names an index outside 0..%d"
+                                 % (key, space.dim - 1))
+            if not all(val.values()):
+                val = {i: c for i, c in val.items() if c}
             if not val:
                 continue
             got = space.parity_of(val)
@@ -253,7 +258,7 @@ def identity_mode(nkeys: int, arity: int) -> str:
     return "full" if full else "sorted"
 
 
-def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None) -> FJReport:
+def check_filippov(alg, keys=None, mode: str = "auto") -> FJReport:
     """Check the n-ary Jacobi law over basis-key instances.
 
     mode 'full' runs every ordered tuple pair (finite carriers only);
@@ -286,8 +291,6 @@ def check_filippov(alg, keys=None, mode: str = "auto", limit: int | None = None)
             count += 1
             if any(d.values()) and _survives(d, p):
                 return FJReport(False, count, (a_keys, b_keys, alg.show(_negated(alg, d))), mode)
-            if limit is not None and count >= limit:
-                return FJReport(True, count, None, mode)
     return FJReport(True, count, None, mode)
 
 

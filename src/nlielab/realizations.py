@@ -28,7 +28,10 @@ it once.  ``VectorFieldRealization`` supplies the ``DiffOp`` versions of
 On top of the carriers: the top-element pairing checks (one line at the
 top, centralizing the degree-zero part, window transitivity, and the
 induced n-bracket compared against the catalog algebra up to one global
-scalar), and the splitting reports full = derived (+) one line.
+scalar), through the routines W(V) uses too: ``liegen.induced_table``
+read in carrier coordinates, ``linalg.annihilator`` and
+``linalg.irreducible``; and the splitting reports full = derived (+) one
+line.
 """
 
 from dataclasses import dataclass
@@ -37,9 +40,8 @@ from math import lcm
 
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, monomials_upto
 from .fields import QQ, Field
-from .liegen import tables_proportional
-from .linalg import Span, envelope_dim, kernel
-from .multilinear import conversion_sign
+from .liegen import induced_table, tables_proportional
+from .linalg import Span, annihilator, irreducible, kernel, matrix_of, span_of
 from .polysuper import DiffOp, SuperPoly, SuperPolyRing, delta
 
 
@@ -107,13 +109,6 @@ def _ring_monomial_keys(ring: SuperPolyRing, xwindow: int):
         for r in range(ring.n + 1):
             for xis in combinations(range(1, ring.n + 1), r):
                 yield (alpha, xis)
-
-
-def _span_of(field, vectors) -> Span:
-    sp = Span(field)
-    for v in vectors:
-        sp.insert(v)
-    return sp
 
 
 # ---------------------------------------------------------------------------
@@ -602,36 +597,8 @@ class PairSetup:
     mu: object
     catalog: object
     keys: list
-    elem_of: object
-    coords_of: object
+    elem_of: object  # catalog key -> its depth-one element
     l0_expected: object = None
-
-
-def _poisson_coords(elem):
-    out = {}
-    for (alpha, xis), c in elem.terms.items():
-        if len(xis) != 1 or any(alpha):
-            raise ValueError("element is outside the degree -1 window")
-        out[xis[0] - 1] = c
-    return out
-
-
-def _xpoly_coords(elem):
-    out = {}
-    for (alpha, xis), c in elem.terms.items():
-        if xis:
-            raise ValueError("element is outside the degree -1 window")
-        out[alpha] = c
-    return out
-
-
-def _tagged_coords(elem):
-    out = {}
-    for (g, (alpha, xis)), c in elem.vectorize().items():
-        if g[0] != "xi" or xis:
-            raise ValueError("element is outside the degree -1 window")
-        out[(g[1], alpha[0])] = c
-    return out
 
 
 def pair_setup(which: str, n: int, xwindow: int, field: Field = QQ) -> PairSetup:
@@ -641,55 +608,29 @@ def pair_setup(which: str, n: int, xwindow: int, field: Field = QQ) -> PairSetup
         real = PoissonRealization(field, 0, n + 1, quotient=True,
                                   grading=GradingSpec((), (1,) * (n + 1)))
         mu = real.ring.monomial((), tuple(range(1, n + 2)))
-        cat = algebra_O(n, field)
-        keys = list(range(n + 1))
-        return PairSetup(real, mu, cat, keys,
-                         lambda k: real.ring.xi(k + 1), _poisson_coords,
-                         l0_expected=(n + 1) * n // 2)
+        return PairSetup(real, mu, algebra_O(n, field), list(range(n + 1)),
+                         lambda k: real.ring.xi(k + 1), l0_expected=(n + 1) * n // 2)
     if which == "ii":
         real = ButtinRealization(field, n, constraint="delta", quotient=True)
         mu = real.ring.monomial((0,) * n, tuple(range(1, n + 1)))
-        cat = algebra_S(n, field)
-        keys = monomials_upto(n, xwindow, include_constant=False)
-        return PairSetup(real, mu, cat, keys,
-                         lambda a: real.ring.monomial(a, ()), _xpoly_coords)
+        return PairSetup(real, mu, algebra_S(n, field),
+                         monomials_upto(n, xwindow, include_constant=False),
+                         lambda a: real.ring.monomial(a, ()))
     if which == "iii":
         real = ContactRealization(field, n - 1, beta=1, constraint="div")
         mu = real.ring.monomial((0,) * (n - 1), tuple(range(1, n + 1)))
-        cat = algebra_W(n, field)
-        keys = monomials_upto(n - 1, xwindow)
-        return PairSetup(real, mu, cat, keys,
-                         lambda a: real.ring.monomial(a, ()), _xpoly_coords)
+        return PairSetup(real, mu, algebra_W(n, field), monomials_upto(n - 1, xwindow),
+                         lambda a: real.ring.monomial(a, ()))
     if which == "iv":
         real = VectorFieldRealization(field, 1, n - 1, constraint="div",
                                       grading=GradingSpec((0,), (1,) * (n - 1)))
         mu = DiffOp.ddx(real.ring, 1,
                         coeff=real.ring.monomial((0,), tuple(range(1, n))))
-        cat = algebra_SW(n, field)
-        keys = [(t, a) for t in range(1, n) for a in range(xwindow + 1)]
         return PairSetup(
-            real, mu, cat, keys,
-            lambda k: DiffOp.ddxi(real.ring, k[0], coeff=real.ring.monomial((k[1],), ())),
-            _tagged_coords)
+            real, mu, algebra_SW(n, field),
+            [(t, a) for t in range(1, n) for a in range(xwindow + 1)],
+            lambda k: DiffOp.ddxi(real.ring, k[0], coeff=real.ring.monomial((k[1],), ())))
     raise ValueError("unknown pair %r" % (which,))
-
-
-def induced_table(real, mu, keys, elem_of, coords_of, arity: int) -> dict:
-    """n-bracket read off by feeding depth-one elements into the top one;
-    all depth-one elements here are odd, so tuples are strictly
-    increasing and the conversion sign is a single global flip."""
-    csign = conversion_sign((1,) * arity)
-    table = {}
-    for combo in combinations(keys, arity):
-        h = mu
-        for k in combo:
-            h = real.bracket(h, elem_of(k))
-        out = coords_of(h)
-        if csign < 0:
-            out = {k: -c for k, c in out.items()}
-        if out:
-            table[combo] = out
-    return table
 
 
 def catalog_table(cat, keys, arity: int) -> dict:
@@ -701,14 +642,6 @@ def catalog_table(cat, keys, arity: int) -> dict:
     return table
 
 
-def _depth_kernel(real, slice_basis, lm1) -> int:
-    """Dimension of the part of a slice that brackets all of ``lm1`` to zero."""
-    imgs = [{(j, key): c for j, v in enumerate(lm1)
-             for key, c in real.vectorize(real.bracket(X, v)).items()}
-            for X in slice_basis]
-    return len(kernel(real.field, imgs))
-
-
 def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> PairReport:
     setup = pair_setup(which, n, xwindow, field)
     real, mu = setup.real, setup.mu
@@ -717,7 +650,7 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
     top = real.basis(n - 1, xwindow)
     top_ok = len(top) == 1
     if top_ok:
-        sp = _span_of(field, [real.vectorize(top[0])])
+        sp = span_of(field, [real.vectorize(top[0])])
         top_ok = sp.contains(real.vectorize(mu)) and real.contains(mu)
     checks.append(PairCheck("top_component_is_line", top_ok,
                             "degree %d slice has dimension %d" % (n - 1, len(top))))
@@ -731,37 +664,43 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
                                 "dim %d, expected %d" % (len(l0), setup.l0_expected)))
 
     finite_depth = which == "i"  # the window is then all of L_{-1}
-    lm1 = [setup.elem_of(k) for k in setup.keys]
+    depth = {k: setup.elem_of(k) for k in setup.keys}
+
+    def images(basis):  # [X, v] in carrier coordinates, v over the depth window
+        return [[real.vectorize(real.bracket(X, v)) for v in depth.values()] for X in basis]
+
     trans, detail = True, "degrees 0..%d against the depth window" % (n - 1,)
     for d in range(0, n):
-        kernel = _depth_kernel(real, real.basis(d, xwindow), lm1)
-        if kernel:
+        dim = len(annihilator(field, images(real.basis(d, xwindow))))
+        if dim:
             trans = False if finite_depth else None
             detail = "degree %d: %d-dim kernel against the depth %s" % (
-                d, kernel, "module" if finite_depth else "window of an infinite L_-1")
+                d, dim, "module" if finite_depth else "window of an infinite L_-1")
             break
     checks.append(PairCheck("window_transitive", trans, detail))
 
-    if which == "i":
-        kindex = {k: i for i, k in enumerate(setup.keys)}
-        mats = []
-        for X in l0:
-            m = {}
-            for j, v in enumerate(lm1):
-                for ck, c in setup.coords_of(real.bracket(X, v)).items():
-                    m[(kindex[ck], j)] = c
-            mats.append(m)
-        env = envelope_dim(field, mats, len(setup.keys))
-        full = len(setup.keys) ** 2
-        checks.append(PairCheck("depth_module_irreducible", env == full,
-                                "action envelope dim %d of %d" % (env, full)))
+    def coord(k):  # a depth-one element is one monomial, with coefficient 1
+        return next(iter(real.vectorize(setup.elem_of(k))))
+
+    if finite_depth:
+        index = {coord(k): j for j, k in enumerate(setup.keys)}
+        mats = [matrix_of([{index[key]: c for key, c in img.items()} for img in row])
+                for row in images(l0)]
+        irr, info = irreducible(field, mats, len(depth))
+        full = len(depth) ** 2
+        detail = ("depth vector %d spans a %d-dim invariant subspace" % info if irr is False
+                  else "action envelope dim %d of %d" % (full if irr is True else info, full))
+        checks.append(PairCheck("depth_module_irreducible",
+                                None if irr == "not_decided" else irr, detail))
     else:
         checks.append(PairCheck(
             "depth_module_irreducible", None,
             "infinite depth component; not decided at window level"))
 
-    ind = induced_table(real, mu, setup.keys, setup.elem_of, setup.coords_of, n)
-    cat = catalog_table(setup.catalog, setup.keys, n)
+    ind = induced_table(real.bracket, mu, depth, combinations(setup.keys, n), real.vectorize,
+                        {k: real.lie_parity(v) for k, v in depth.items()})
+    cat = {key: {coord(k): c for k, c in val.items()}
+           for key, val in catalog_table(setup.catalog, setup.keys, n).items()}
     match, info = tables_proportional(ind, cat, field)
     scalar = info if match else None
     detail = ("scalar %s over %d tuples" % (info, len(cat))) if match else \
@@ -799,20 +738,24 @@ class SplitReport:
         return bool(good)
 
 
-def check_split(real, complement, xwindow: int, gen_slack: int = 2,
-                label: str = "", asserted: bool = True, ideal_xdeg: int = 1) -> SplitReport:
+GEN_SLACK = 2  # extra x-degree of the window the derived span is generated from
+IDEAL_XDEG = 1  # x-degree of the multipliers the ideal property is sampled on
+
+
+def check_split(real, complement, xwindow: int, label: str = "",
+                asserted: bool = True) -> SplitReport:
     """Window evidence for carrier = derived part (+) one extra line.
 
-    The derived span is generated from a slackened window so the part of
-    it lying inside the window saturates; the ideal property is sampled
-    on low-degree multipliers whose brackets stay inside reach.  Each
-    element's right slots are prepared once, its left pieces once per
-    row."""
+    The derived span is generated from a window ``GEN_SLACK`` wider, so
+    the part of it lying inside the window saturates; the ideal property
+    is sampled on multipliers of x-degree up to ``IDEAL_XDEG`` whose
+    brackets stay inside reach.  Each element's right slots are prepared
+    once, its left pieces once per row."""
     field = real.field
     window = real.window_elements(xwindow)
-    wspan = _span_of(field, [real.vectorize(e) for e in window])
+    wspan = span_of(field, [real.vectorize(e) for e in window])
 
-    slack = real.window_elements(xwindow + gen_slack)
+    slack = real.window_elements(xwindow + GEN_SLACK)
     rights = [real.prepare_right(e) for e in slack]
     dspan_all = Span(field)
     dw_vectors = []
@@ -826,7 +769,7 @@ def check_split(real, complement, xwindow: int, gen_slack: int = 2,
             dspan_all.insert(v)
             if real.xdeg(r) <= xwindow:
                 dw_vectors.append(v)
-    dwspan = _span_of(field, dw_vectors)
+    dwspan = span_of(field, dw_vectors)
 
     cvec = real.vectorize(complement)
     in_carrier = bool(wspan.contains(cvec)) and real.contains(complement)
@@ -836,10 +779,10 @@ def check_split(real, complement, xwindow: int, gen_slack: int = 2,
     checked = failures = 0
     rights = [(real.xdeg(d), real.prepare_right(d))
               for d in map(real.element, dwspan.basis())]
-    for w in real.window_elements(ideal_xdeg):
+    for w in real.window_elements(IDEAL_XDEG):
         wdeg, left = real.xdeg(w), real.prepare_left(w)
         for ddeg, right in rights:
-            if wdeg + ddeg > xwindow + gen_slack:
+            if wdeg + ddeg > xwindow + GEN_SLACK:
                 continue
             r = real.bracket(left, right)
             v = real.vectorize(r)

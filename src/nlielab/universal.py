@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .linalg import Span, kernel, vec_add_scaled
+from .linalg import Span, annihilator, vec_add_scaled
 from .multilinear import MultiMap, canonical_tuples
 from .superspace import SuperSpace
 
@@ -294,10 +294,8 @@ def is_transitive(sub: GradedSubalgebra, up_to: int):
         basis = sub.basis(j)
         if not basis:
             continue
-        images = [{(i, key): c for i, v in enumerate(V)
-                   for key, c in w_bracket(u, v).coords.items()}
-                  for u in basis]
-        for kv in kernel(sub.space.field, images):
+        images = [[w_bracket(u, v).coords for v in V] for u in basis]
+        for kv in annihilator(sub.space.field, images):
             w = None
             for i, c in sorted(kv.items()):
                 t = basis[i].scale(c)

@@ -157,8 +157,6 @@ def test_tagged_bracket_values_and_window_jacobi():
     # coefficient is the exponent difference 0 - 1 and the result keeps tag 1
     val = alg.bracket_keys(((1, 0), (1, 1), (2, 1)))
     assert val == {(1, 1): -QQ.one()}
-    alt = algebra_SW(3, alt_sign=True)
-    assert alt.bracket_keys(((1, 0), (1, 1), (2, 1))) == {(1, 1): QQ.one()}
     tags_missing = alg.bracket_keys(((1, 0), (1, 1), (1, 2)))
     assert tags_missing == {}
     rep = check_filippov(alg, keys=alg.window_keys(2), mode="sorted")

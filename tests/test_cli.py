@@ -198,12 +198,30 @@ def test_pairs_window_artefacts_are_not_decided(capsys, which, xwindow, kernel):
 
 def test_pairs_kernel_on_a_finite_depth_module_fails(monkeypatch, capsys):
     # pairing i's window is all of L_-1, so a kernel there is a failure
-    monkeypatch.setattr(realizations, "_depth_kernel", lambda real, basis, lm1: len(basis))
+    monkeypatch.setattr(realizations, "annihilator", lambda field, images: [{}] * len(images))
     assert main(["pairs", "i", "--n", "3", "--xwindow", "0"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] window_transitive: degree 0: 6-dim kernel against the depth module" in out
     assert main(["pairs", "ii", "--n", "3", "--xwindow", "2"]) == 0
     assert "[----] window_transitive: degree 0:" in capsys.readouterr().out
+
+
+def test_pairs_term_off_the_depth_component_is_a_mismatch(monkeypatch, capsys):
+    # the induced table is read in carrier coordinates: a bracket that
+    # leaves a term outside degree -1 is a failed comparison (exit 1),
+    # not a usage error
+    bracket = realizations.ButtinRealization.bracket
+
+    def leaky(self, f, g):
+        h = bracket(self, f, g)
+        if h.terms and not any(xis for _, xis in h.terms):
+            h = h + self.ring.xi(1)
+        return h
+
+    monkeypatch.setattr(realizations.ButtinRealization, "bracket", leaky)
+    assert main(["pairs", "ii", "--n", "3", "--xwindow", "2"]) == 1
+    assert ("[FAIL] induced_bracket_matches_catalog: mismatch at "
+            "((0, 0, 1), (0, 1, 0), (1, 0, 1))") in capsys.readouterr().out
 
 
 def test_charp_exhibits_the_violation_and_the_control_fails(capsys):

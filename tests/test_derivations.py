@@ -9,9 +9,9 @@ from nlielab.derivations import (
     form_skew_defect,
     mat_commutator,
     matrix_dmap,
-    matrix_of_dmap,
 )
 from nlielab.fields import GF, QQ
+from nlielab.linalg import matrix_of
 from nlielab.nlie import check_derivation
 
 
@@ -68,5 +68,5 @@ def test_commutator_of_derivations_stays_inner():
 def test_matrix_roundtrip():
     alg = algebra_O(3)
     mat = {(0, 1): QQ.scalar(2), (3, 2): QQ.scalar(-1)}
-    back = matrix_of_dmap(alg, matrix_dmap(alg, mat))
+    back = matrix_of(map(matrix_dmap(alg, mat), range(alg.space.dim)))
     assert back == mat

@@ -2,6 +2,7 @@
 rational kernels yield only ints and Fractions, and QQ agrees with GF(p)."""
 
 import ast
+import inspect
 import json
 import os
 from fractions import Fraction
@@ -10,12 +11,14 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from nlielab import liegen, realizations
 from nlielab.catalog import algebra_O
 from nlielab.cli import main
 from nlielab.fields import GF, QQ
 from nlielab.liegen import check_admissible, tables_proportional
 from nlielab.linalg import Span, invert_dense, kernel
 from nlielab.multilinear import bracket_to_symmetric
+from nlielab.nlie import check_filippov
 from nlielab.universal import WElement
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "nlielab")
@@ -84,6 +87,22 @@ def test_one_element_format_for_w():
     # and the product is one scatter pass through the left operand's slot
     # index: no gather over candidate keys, no plug of an inner vector
     assert names_used({"_box_keys", "_plug"}) == []
+
+
+def test_one_set_of_lie_side_routines_for_both_models():
+    # W(V) and the polynomial carriers share the induced table
+    # (``liegen.induced_table``), the transitivity kernel
+    # (``linalg.annihilator``) and the irreducibility test
+    # (``linalg.irreducible``): no pairing-specific reader, no second
+    # kernel or envelope, no hand-rolled matrix or span loop
+    assert names_used({"_poisson_coords", "_xpoly_coords", "_tagged_coords", "_depth_kernel",
+                       "_span_of", "matrix_of_dmap"}) == []
+    assert names_used({"envelope_dim", "orbit_span"}, skip="linalg.py") == []
+    assert realizations.induced_table is liegen.induced_table
+    assert "coords_of" not in realizations.PairSetup.__dataclass_fields__
+    # and the options no caller set are gone
+    assert names_used({"alt_sign", "gen_slack", "ideal_xdeg"}) == []
+    assert "limit" not in inspect.signature(check_filippov).parameters
 
 
 def assert_exact(values):

@@ -3,8 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from nlielab.catalog import parse_form
 from nlielab.fields import GF, QQ, Field, FieldError, ModP, field_from_name, is_prime
 
 F7 = GF(7)
@@ -145,3 +146,41 @@ def test_coerce_rejects_foreign_scalars():
 def test_scalar_with_denominator_mod_p():
     # 1/2 in F_7 is 4
     assert F7.scalar(1, 2) == 4
+
+
+# field handles valid and not; P has at most 6 digits, since ``is_prime``
+# is trial division and a 17-digit P alone takes seconds
+_pieces = ["q", "fp:", "fp", ":", "0", "1", "2", "3", "7", "9", "-", "+", "/", " ", "_",
+           "\u0661", "x", "Q"]
+_handles = st.one_of(
+    st.lists(st.sampled_from(_pieces), max_size=6).map("".join),
+    st.builds("fp:{}".format, st.integers(-10, 10 ** 6)),
+    st.text(max_size=8))
+
+
+@settings(max_examples=300)
+@given(_handles)
+def test_field_from_name_accepts_or_raises_value_error(name):
+    try:
+        field = field_from_name(name)
+    except ValueError:
+        return
+    if name == "q":
+        assert field == QQ
+    else:
+        assert name.startswith("fp:") and int(name[3:]) == field.p and is_prime(field.p)
+
+
+_tokens = ["0", "1", "-2", "+3", "1/2", "-5/7", "1/0", "0/0", "3/14", "2/3/4", "/", "1/",
+           "x", "1_0", "\u0661", "1.5", "#", ",", " ", "\t", "\n", "\u00a0"]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(_tokens), st.text(max_size=4)), max_size=12)
+       .map("".join), st.sampled_from([QQ, GF(2), GF(7)]))
+def test_parse_form_accepts_or_raises_value_error(text, field):
+    try:
+        rows = parse_form(text, field)
+    except ValueError:
+        return
+    assert rows and all(field.check(c) for row in rows for c in row)

@@ -9,9 +9,12 @@ from nlielab.fields import GF, QQ
 from nlielab.linalg import (
     Span,
     envelope_dim,
+    annihilator,
     invert_dense,
+    irreducible,
     kernel,
     mat_mul,
+    matrix_of,
     nullspace,
     vec_add_scaled,
 )
@@ -228,3 +231,28 @@ def test_envelope_dim_of_known_matrix_sets():
     assert envelope_dim(QQ, [], 2) == 1          # the identity alone
     diagonal = {(0, 0): one, (1, 1): QQ.scalar(2)}
     assert envelope_dim(QQ, [diagonal], 2) == 2
+
+
+def test_irreducible_on_the_three_verdicts():
+    one = QQ.one()
+    # a rotation of QQ^2 leaves no basis line invariant, yet its envelope
+    # QQ[i] is 2-dim: over QQ neither criterion decides
+    rotation = {(0, 1): -one, (1, 0): one}
+    assert irreducible(QQ, [rotation], 2) == ("not_decided", 2)
+    # e_0 is fixed (e_1 -> e_0): the orbit of e_0 is a 1-dim invariant line
+    assert irreducible(QQ, [{(0, 1): one}], 2) == (False, (0, 1))
+    e12, e21 = {(0, 1): one}, {(1, 0): one}
+    assert irreducible(QQ, [e12, e21], 2) == (True, None)
+
+
+def test_matrix_of_and_annihilator():
+    one = QQ.one()
+    assert matrix_of([{1: one}, {}, {0: QQ.scalar(2)}]) == {(1, 0): one, (0, 2): 2}
+    # u0 sends (v0, v1) to (e0, 0), u1 to (e0, e1) and u2 to (2 e0, e1):
+    # only u0 + u1 - u2 kills both
+    images = [[{0: one}, {}], [{0: one}, {1: one}], [{0: QQ.scalar(2)}, {1: one}]]
+    ann = annihilator(QQ, images)
+    assert len(ann) == 1
+    c = ann[0]
+    assert c[0] == c[1] == -c[2] != 0
+    assert annihilator(QQ, [[{}], [{}]]) == [{0: one}, {1: one}]

@@ -74,12 +74,6 @@ def test_corrupted_table_fails_with_witness():
     assert filippov_defect(bad, a_keys, b_keys) != {}
 
 
-def test_limit_stops_early():
-    alg = algebra_O(3)
-    rep = check_filippov(alg, mode="full", limit=10)
-    assert rep.ok and rep.instances == 10
-
-
 def test_super_table_passes_binary_jacobi():
     alg = heisenberg_11()
     rep = check_filippov(alg, mode="full")
@@ -120,6 +114,25 @@ def test_parse_table_rejects_malformed_input():
         parse_table("1 q 2 ee\n1 -> 1*e2\n")  # arity below 2
     with pytest.raises(ValueError):
         parse_table("3 q 4 eeeo\n1 2 3 -> 1*e4 + 1*e1\n")  # value mixes parities
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_table_value_index_outside_the_space_is_a_value_error(index):
+    # a 2-dim space has no basis vector 5 or -1
+    V = SuperSpace(QQ, ("e1", "e2"), (0, 0))
+    with pytest.raises(ValueError, match=r"value at key \(0, 1\) names an index outside 0..1"):
+        FiniteNAryAlgebra(V, 2, 0, {(0, 1): {index: 1}})
+
+
+def test_table_value_zero_coefficients_are_dropped():
+    V = SuperSpace(QQ, ("e1", "e2"), (0, 0))
+    # no '0*e1' term, and an all-zero value keeps no key
+    alg = FiniteNAryAlgebra(V, 2, 0, {(0, 1): {0: 0}})
+    assert alg.table == {} and serialize_table(alg) == "2 q 2 ee\n"
+    value = {0: 0, 1: QQ.scalar(2)}
+    alg = FiniteNAryAlgebra(V, 2, 0, {(0, 1): value})
+    assert serialize_table(alg) == "2 q 2 ee\n1 2 -> 2*e2\n"
+    assert value == {0: 0, 1: 2}  # the caller's dict is not written
 
 
 # headers valid and not: a composite field, a bad parity string, a short header
