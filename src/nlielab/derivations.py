@@ -13,7 +13,7 @@ from .fields import Field
 from .linalg import Span, kernel, mat_mul, matrix_of, span_of, vec_add_scaled
 from .multilinear import canonical_tuples
 from .nlie import (FiniteNAryAlgebra, ad_table, check_derivation, derivation_defect,
-                   inner_derivation)
+                   independent_tuples, inner_derivation)
 from .superspace import EVEN, ODD
 
 
@@ -134,8 +134,11 @@ def analyze_derivations(alg: FiniteNAryAlgebra) -> DerReport:
                 break
         if not ideal_ok:
             break
+    # the law is linear in the inner map, so independent tuples decide it,
+    # and the first tuple to fail is one of them (see nlie's docstring)
+    tuples = canonical_tuples(range(alg.space.dim), alg.arity - 1, alg.space.parities)
     inner_ok = True
-    for srcs in canonical_tuples(range(alg.space.dim), alg.arity - 1, alg.space.parities):
+    for srcs in independent_tuples(alg, ad_table(alg), tuples, alg.keys()):
         par, dmap = inner_derivation(alg, srcs)
         rep = check_derivation(alg, dmap, par)
         if not rep.ok:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-__all__ = ["Field", "FieldError", "LiteralError", "QQ", "GF", "ModP", "is_prime", "parse_int"]
+__all__ = ["Field", "FieldError", "LiteralError", "QQ", "GF", "ModP", "PRIME_BOUND", "is_prime",
+           "parse_int"]
 
 
 class FieldError(ValueError):
@@ -41,18 +42,36 @@ def _reduced(q):
     return int(q) if q.denominator == 1 else q
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin to the prime bases 2..41 decides every n below this bound
+# (Sorenson and Webster 2015, the least strong pseudoprime to all of them)
+PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for n below ``PRIME_BOUND``; raises
+    ValueError above it."""
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if n >= PRIME_BOUND:
+        raise ValueError("primality of %d is not decided: P must be below %d"
+                         % (n, PRIME_BOUND))
+    for b in _BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -152,6 +171,8 @@ class Field:
             if p is not None:
                 raise FieldError("rationals take no characteristic")
         elif kind == "prime_field":
+            if p is not None and p >= PRIME_BOUND:
+                raise FieldError("prime_field needs p below %d, got %d" % (PRIME_BOUND, p))
             if p is None or not is_prime(p):
                 raise FieldError("prime_field needs a prime p, got %r" % (p,))
         else:

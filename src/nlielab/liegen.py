@@ -38,7 +38,8 @@ from dataclasses import dataclass, field as dfield
 from .linalg import Span, irreducible
 from .multilinear import canonical_tuples, conversion_sign
 from .superspace import SuperSpace
-from .universal import GradedSubalgebra, WElement, box, full_component, is_transitive, w_bracket
+from .universal import (GradedSubalgebra, WElement, box, bracket_of_products, full_component,
+                        is_transitive, w_bracket)
 
 __all__ = [
     "GenerationTrace",
@@ -356,9 +357,10 @@ def check_mu_relations(space: SuperSpace, mu: WElement) -> MuRelationsReport:
     for k, level in enumerate(_descendant_levels(space, mu, n - 1)):
         for tup, c in level:
             checked += 1
-            if not w_bracket(c, mu).is_zero():
+            composed = box(mu, c)  # mu o c, read by both relations
+            if not bracket_of_products(c, mu, box(c, mu), composed).is_zero():
                 witness = ("bracket", tup)
-            elif k <= n - 2 and not box(mu, c).is_zero():
+            elif k <= n - 2 and not composed.is_zero():
                 witness = ("composition", tup)
             else:
                 continue

@@ -41,6 +41,7 @@ __all__ = [
     "WElement",
     "box",
     "w_bracket",
+    "bracket_of_products",
     "component_dim",
     "full_component",
     "GradedSubalgebra",
@@ -233,10 +234,14 @@ def box(f: WElement, g: WElement) -> WElement:
 
 
 def w_bracket(f: WElement, g: WElement) -> WElement:
+    return bracket_of_products(f, g, box(f, g), box(g, f))
+
+
+def bracket_of_products(f: WElement, g: WElement, fg: WElement, gf: WElement) -> WElement:
+    """[f, g] = f*g -+ g*f from the two products f*g and g*f."""
     pf, pg = f.parity(), g.parity()
     if pf is None or pg is None:
         raise ValueError("bracket needs parity-homogeneous elements")
-    fg, gf = box(f, g), box(g, f)
     return fg + gf if pf and pg else fg - gf
 
 

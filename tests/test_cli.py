@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from itertools import product
 
 import pytest
@@ -141,6 +142,16 @@ def test_verify_over_a_prime_field(capsys):
     assert main(["verify", "O", "--n", "3", "--field", "fp:7"]) == 0
     out = capsys.readouterr().out
     assert "field=fp:7" in out
+
+
+def test_verify_over_a_17_digit_prime_starts_at_once(capsys):
+    # a deterministic Miller-Rabin decides P; trial division took seconds
+    start = time.perf_counter()
+    assert main(["verify", "O", "--n", "3", "--field", "fp:10000000000000061"]) == 0
+    assert time.perf_counter() - start < 2
+    assert "field=fp:10000000000000061" in capsys.readouterr().out
+    assert main(["verify", "O", "--n", "3", "--field", "fp:%d" % 10 ** 30]) == 2
+    assert "below" in capsys.readouterr().err
 
 
 def test_verify_loaded_table_good_and_corrupted(tmp_path, capsys):

@@ -12,7 +12,8 @@ from nlielab.derivations import (
 )
 from nlielab.fields import GF, QQ
 from nlielab.linalg import matrix_of
-from nlielab.nlie import check_derivation
+from nlielab.multilinear import canonical_tuples
+from nlielab.nlie import check_derivation, inner_derivation, parse_table, serialize_table
 
 
 def test_quaternary_derivations_are_all_inner():
@@ -70,3 +71,24 @@ def test_matrix_roundtrip():
     mat = {(0, 1): QQ.scalar(2), (3, 2): QQ.scalar(-1)}
     back = matrix_of(map(matrix_dmap(alg, mat), range(alg.space.dim)))
     assert back == mat
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("line, term", [(1, " + 1*e1"), (-1, " + 1*e2"), (2, " + 2*e3")])
+def test_inner_witness_is_the_first_failing_tuple(field, n, line, term):
+    # only independent inner maps are checked, yet the witness is the first
+    # canonical tuple whose inner map fails, as in a scan of every tuple
+    lines = serialize_table(algebra_O(n, field)).splitlines()
+    lines[line] += term
+    alg = parse_table("\n".join(lines))
+    want = None
+    for srcs in canonical_tuples(range(n + 1), n - 1, [0] * (n + 1)):
+        par, dmap = inner_derivation(alg, srcs)
+        drep = check_derivation(alg, dmap, par)
+        if not drep.ok:
+            want = ("inner", srcs, drep.witness)
+            break
+    rep = analyze_derivations(alg)
+    assert rep.ideal_ok and rep.all_inner_are_derivations == (want is None)
+    assert rep.witness == want

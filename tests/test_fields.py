@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlielab.catalog import parse_form
-from nlielab.fields import GF, QQ, Field, FieldError, ModP, field_from_name, is_prime
+from nlielab.fields import (GF, PRIME_BOUND, QQ, Field, FieldError, ModP, field_from_name,
+                            is_prime)
 
 F7 = GF(7)
 
@@ -117,6 +118,34 @@ def test_is_prime_small():
         assert is_prime(k) == (k in primes)
 
 
+def _trial_division(k):
+    return k >= 2 and all(k % d for d in range(2, int(k ** 0.5) + 1))
+
+
+def test_is_prime_agrees_with_a_sieve_and_trial_division():
+    sieve = [False, False] + [True] * (10 ** 5 - 2)
+    for d in range(2, 317):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, 10 ** 5, d))
+    assert [k for k in range(10 ** 5) if is_prime(k)] == [k for k in range(10 ** 5) if sieve[k]]
+    for k in (7919, 7921, 99991, 99989 * 3):
+        assert is_prime(k) == _trial_division(k)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to all prime bases up to 2, 3, 5, 7, 31 and 37
+    for k in (2047, 1373653, 25326001, 3215031751, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(k)
+    assert PRIME_BOUND == 3317044064679887385961981  # the least one to 2..41
+    assert is_prime(10000000000000061) and is_prime(2 ** 61 - 1) and is_prime(2 ** 64 - 59)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_BOUND)
+    with pytest.raises(FieldError):
+        field_from_name("fp:%d" % (PRIME_BOUND + 4))
+    assert GF(10000000000000061).scalar(-1) == 10000000000000060
+
+
 def test_parse_and_name_roundtrip():
     assert QQ.parse("-3/4") == q(-3, 4)
     assert F7.parse("10") == 3
@@ -148,13 +177,14 @@ def test_scalar_with_denominator_mod_p():
     assert F7.scalar(1, 2) == 4
 
 
-# field handles valid and not; P has at most 6 digits, since ``is_prime``
-# is trial division and a 17-digit P alone takes seconds
+# field handles valid and not; P runs past ``PRIME_BOUND``, where the
+# field is refused, since ``is_prime`` is Miller-Rabin and instant
 _pieces = ["q", "fp:", "fp", ":", "0", "1", "2", "3", "7", "9", "-", "+", "/", " ", "_",
            "\u0661", "x", "Q"]
 _handles = st.one_of(
     st.lists(st.sampled_from(_pieces), max_size=6).map("".join),
     st.builds("fp:{}".format, st.integers(-10, 10 ** 6)),
+    st.builds("fp:{}".format, st.integers(10 ** 6, 10 ** 26)),
     st.text(max_size=8))
 
 

@@ -10,7 +10,7 @@ from nlielab.catalog import GeneralizedJacobianNAry, algebra_O, algebra_S, algeb
 from nlielab.charp import CharPSeed
 from nlielab.derivations import derivation_space, matrix_dmap
 from nlielab.fields import GF, QQ, ModP
-from nlielab.linalg import vec_add_scaled
+from nlielab.linalg import Span, matrix_of, vec_add_scaled
 from nlielab.nlie import (
     FiniteNAryAlgebra,
     ad_table,
@@ -19,6 +19,7 @@ from nlielab.nlie import (
     derivation_defect,
     filippov_defect,
     identity_mode,
+    independent_tuples,
     inner_derivation,
     parse_table,
     serialize_table,
@@ -573,3 +574,129 @@ def test_finite_table_is_the_one_bracket_store():
     # outside callers still get sorted, signed brackets
     assert alg.bracket_keys((2, 1, 0)) == {i: -c for i, c in alg.table[(0, 1, 2)].items()}
     assert alg.bracket_keys((0, 0, 1)) == {}
+
+
+# -- the identity on a basis of the inner maps -----------------------------------
+
+def ordered_scan(alg, keys, mode):
+    """(ok, instances, witness) of the scan of every pair in order through
+    ``filippov_defect``, which the basis scan must reproduce."""
+    ok, count, first = reference_check(alg, list(keys), mode, filippov_defect)
+    return ok, count, first and first + (alg.show(filippov_defect(alg, *first)),)
+
+
+def flip_bracket(alg, tup):
+    """The carrier with the determinant sign of one canonical tuple flipped."""
+    base = alg.raw_bracket
+    alg.raw_bracket = lambda ck: {k: -v for k, v in base(ck).items()} if ck == tup else base(ck)
+    return alg
+
+
+def bump_table(alg, pos, index):
+    """The table with e_index added to the value at its pos-th sorted key."""
+    table = {k: dict(v) for k, v in alg.table.items()}
+    value = table[sorted(table)[pos]]
+    vec_add_scaled(value, {index: alg.field.one()}, 1)
+    return FiniteNAryAlgebra(alg.space, alg.arity, alg.bracket_parity, table)
+
+
+def heisenberg_twisted(field):
+    """heisenberg_11 with [e1, e2] = e2 added: [e2, [e2, e2]] = -e2, so the
+    odd key e2 breaks the super Jacobi identity."""
+    alg = heisenberg_11(field)
+    return FiniteNAryAlgebra(alg.space, 2, 0, {**alg.table, (0, 1): {1: field.one()}})
+
+
+BASIS_CASES = {
+    "S(3) flipped": lambda F: (flip_bracket(algebra_S(3, F), ((0, 1, 0), (0, 1, 1), (2, 0, 0))),
+                               2, False),
+    "S(3) flipped, identity kept": lambda F: (
+        flip_bracket(algebra_S(3, F), ((0, 1, 0), (1, 0, 0), (0, 0, 2))), 2, True),
+    "W(3) flipped": lambda F: (flip_bracket(algebra_W(3, F), ((0, 1), (1, 1), (2, 0))), 2, False),
+    "SW(4) flipped": lambda F: (flip_bracket(algebra_SW(4, F), ((1, 0), (2, 0), (2, 1), (3, 0))),
+                                1, False),
+    "O(3) bumped": lambda F: (bump_table(algebra_O(3, F), -1, 1), None, False),
+    "O(4) bumped first": lambda F: (bump_table(algebra_O(4, F), 0, 0), None, False),
+    "O(4) bumped last": lambda F: (bump_table(algebra_O(4, F), -1, 1), None, False),
+    "O(5) bumped": lambda F: (bump_table(algebra_O(5, F), -1, 1), None, False),
+    "heisenberg": lambda F: (heisenberg_11(F), None, True),
+    "heisenberg twisted": lambda F: (heisenberg_twisted(F), None, False),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("case", sorted(BASIS_CASES))
+def test_basis_scan_matches_the_ordered_scan(case, field):
+    alg, window, ok = BASIS_CASES[case](field)
+    keys = list(alg.keys() if window is None else alg.window_keys(window))
+    rep = check_filippov(alg, keys=keys)
+    assert (rep.ok, rep.instances, rep.witness) == ordered_scan(alg, keys, rep.mode)
+    assert rep.ok == ok
+    if ok:  # every kept tuple against every b-block
+        assert rep.defects < rep.instances
+    else:  # the scan stops at the witness, which comes no later than in the ordered scan
+        assert rep.defects <= rep.instances
+
+
+def test_identity_window_scans_85_inner_maps():
+    # S(3), window 3: 171 a-tuples, 85 independent inner maps
+    # (3 C(7,3) - C(6,3) divergence-free fields), 969 b-blocks
+    for field in (QQ, GF(10007)):
+        alg = algebra_S(3, field)
+        keys = alg.window_keys(3)
+        tuples = list(canonical_keys(alg, keys, 2))
+        assert len(independent_tuples(alg, ad_table(alg), tuples, keys)) == 85
+        rep = check_filippov(alg, keys=keys)
+        assert (rep.ok, rep.instances, rep.defects) == (True, 165699, 82365) == (
+            True, 171 * 969, 85 * 969)
+
+
+@pytest.mark.parametrize("alg", [algebra_O(4, GF(7)), algebra_O(5, GF(3)),
+                                 bump_table(algebra_O(4, GF(5)), 2, 0),
+                                 heisenberg_twisted(GF(3))], ids=["O(4)", "O(5)", "O(4) bumped",
+                                                                  "heisenberg twisted"])
+def test_every_inner_map_lies_in_the_span_of_the_kept_tuples(alg):
+    F = alg.field
+    keys = list(alg.keys())
+    for mode in ("full", "sorted"):
+        tuples = list(product(keys, repeat=alg.arity - 1) if mode == "full"
+                      else canonical_keys(alg, keys, alg.arity - 1))
+        kept = independent_tuples(alg, ad_table(alg), tuples, keys)
+        assert kept == [a for a in tuples if a in kept]  # in scan order
+        spans = {0: Span(F), 1: Span(F)}
+
+        def matrix(a):  # the carrier's own scalars of ad_a
+            par, dmap = inner_derivation(alg, a)
+            return spans[par], matrix_of(map(dmap, keys))
+
+        for a in kept:
+            span, mat = matrix(a)
+            assert span.insert(mat)
+        for a in tuples:
+            span, mat = matrix(a)
+            assert span.contains(mat)
+        if mode == "full" and alg.arity > 2:  # reordered tuples are dependent
+            assert len(kept) < len(tuples)
+
+
+def test_kept_tuples_are_independent_over_the_checks_field():
+    # balanced rows (1, 2) and (2, -1) are proportional mod 5 only, and
+    # (1, 0) = ((1, 2) + 2 (2, -1)) / 5 lies in their span over QQ only
+    rows = [{0: 1, 1: 2}, {0: 2, 1: -1}, {0: 1}]
+    for field, want in ((QQ, [(0,), (1,)]), (GF(5), [(0,), (2,)])):
+        alg = FiniteNAryAlgebra(SuperSpace(field, ("u", "v", "w"), (0, 0, 0)), 2, 0, {})
+        ads = {(a,): {0: (False, row)} for a, row in enumerate(rows)}
+        assert independent_tuples(alg, ads, [(0,), (1,), (2,)], [0]) == want
+
+
+
+def test_the_read_set_holds_the_keys_of_each_bracket_value(monkeypatch):
+    # the kernel reads ad_a on the keys of b and on those of the value [b],
+    # so inner maps are compared there: e4 = [e1 e2 e3] lies off the keys
+    reads = []
+    independent = nlie.independent_tuples
+    monkeypatch.setattr(nlie, "independent_tuples", lambda alg, ads, tuples, read: (
+        reads.append(list(read)) or independent(alg, ads, tuples, read)))
+    assert check_filippov(algebra_O(3), keys=[0, 1, 2]).ok
+    assert check_filippov(algebra_S(3), keys=[(1, 0, 0), (0, 1, 0), (0, 0, 2)]).ok
+    assert reads == [[0, 1, 2, 3], [(1, 0, 0), (0, 1, 0), (0, 0, 2), (0, 0, 1)]]
