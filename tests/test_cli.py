@@ -1,6 +1,7 @@
 """Command line behavior: records, exit codes, deterministic output."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -479,3 +480,71 @@ def test_readme_quick_start_runs(capsys):
 def test_module_entry_point():
     proc = run_cli(["verify", "O", "--n", "3"], check_code=0)
     assert "filippov_jacobi" in proc.stdout
+
+
+# sha256 of stdout and of the --json file, with the exit code, of prime-field
+# runs whose scalars reach the reports (witnesses, scalars, residues)
+GOLDEN = [
+    ("verify O --n 4 --field fp:7", 0,
+     "84b9ab25c77fb8f3851ea85607e6719213b9bae945619960cc1e6bd0659f8a53",
+     "0db5f3c5f2710c8fed965e31a72847633f4421fd930a45061763ed376faab6d0"),
+    ("verify S --n 3 --window 2 --field fp:3", 0,
+     "74deb3410bc6d770c2fffbc9679a2ab6f1ef9b8086859f1d10d4ae18b80d49e7",
+     "6b66ab4b8cac3555201787094c4c39c4465e80bff4c49caefefd56b6e34e721b"),
+    ("verify S --n 3 --window 2 --field fp:7", 0,
+     "626ca3ee5ed01e1cc1b5eec82078a5523610a1710165f092222020df6d0a373f",
+     "774b52edafa8d4b24b89ae7a4b8160134208b6208b8d57a26d04be3953dd4ab3"),
+    ("verify W --n 3 --window 2 --field fp:3", 0,
+     "c27564c57bdcee501a4aaed37d17c2ac615ef574a2dbbd5068466315ca82af40",
+     "57a7eb3eace76f820616b5d58f6062d270bdb524bd2b62b2935f94950c8e941e"),
+    ("verify W --n 3 --window 2 --field fp:7", 0,
+     "a315811698c0e3ec5c8119180184199b6111dce9c3141805c6e285c0728d62bb",
+     "8943b9431740875c075fd5612a50d92f2825951a51b9dc9a9ff418dc94ab856e"),
+    ("verify SW --n 3 --window 2 --field fp:3", 0,
+     "de144b788b62ecd0b67431496f1f3ab2295c81bee636957195e7b7e64f690728",
+     "3cc4b13539065a29044205a72e53daf104b4c96fe896a9d66562fc8d81a3a3e9"),
+    ("verify SW --n 3 --window 2 --field fp:7", 0,
+     "578fb409d3100710362b616387d267b157fa7bd726e2eeb79b7b79252252e7a5",
+     "ca5648ce0830ec4f0ceb1514253494f6bdb9f1dd457e160a3ec55dadc4444bde"),
+    ("pairs i --n 3 --field fp:2", 0,
+     "b7567da6011a96aaaa6708230881a5bb304ec127fce59c3a98f0913d1d56cbec",
+     "d00179e649f1a165fd112376ddf52accf66990a4a100412ac58d6d03e74f2ed7"),
+    ("pairs i --n 3 --field fp:7", 0,
+     "4b562759062a361ab3aa8d3d8b76ee57602be80e57464eddca2f4a4aae453952",
+     "364560ad489ccbe99ec8638b9964c78574d15b3100f7e1b8f6825e41430e6c65"),
+    ("pairs ii --n 3 --field fp:2", 1,
+     "9b05ca3acb28a6f09786d6ddce9a86b4f1def1ec10dcd49c5dd70fa5499b3fae",
+     "1a9985ad7d832e945cee76d42d32e5fb99f55640f4b8405aaa0d209b2c71b855"),
+    ("pairs ii --n 3 --field fp:7", 0,
+     "43deba4cfcd3b199f04470be147315a52ca1c468c8a526520c38578f4de366f0",
+     "0fddf9771b35307dc818a394f0c565c77382629475782bf89d24df415b3b8942"),
+    ("pairs iii --n 3 --field fp:2", 1,
+     "a5eb3a70ddba162ba62c5295090a290d3c47345347b757f0bc3aeb6ba6dad8ea",
+     "bf2a4969af36f7a4dcd5bcb829414d5e5d9a482b607e0fccae8793820d42caeb"),
+    ("pairs iii --n 3 --field fp:7", 0,
+     "59170d63950b53de784178610425fdde5e59984ccb27288fa35c00610efc7e96",
+     "3fdba6ad52ebca7f853a39b358e3c755d985c20f53bbfbba177613bf1213297b"),
+    ("pairs iv --n 3 --field fp:2", 1,
+     "e47394ccaf1b4d373f1fcde712280ba74f34ded06639c9b2c9b59d3a72b0170a",
+     "4e2f763d4d6ffeb09b351c33407e6c634a0482671946b61b64c55b450ddc3fd3"),
+    ("pairs iv --n 3 --field fp:7", 0,
+     "f45ea0470e904de9d417ee6a2dd66dfecb2a46a6df5be931797f50ad9662e144",
+     "c5071216d64cb4e52cfb2f53f569f383c8ba206c1f44521b35f1d9ef21a272a4"),
+    ("report --xwindow 1 --field fp:2", 1,
+     "b0ac234187cbf9f830b9895ff920c507b1c3634e5d1c099e031859a9da1ea4e7",
+     "4fe2f374d5f6baf7bd60a83ceaebe2235368d4cc28623f0eca63a301ccca9764"),
+    ("charp --p 3", 1,
+     "a74bee3486cf88ee3b30ba93bde603136a0da70e22d5e56e4c93a0346ca638b9",
+     "a67c40142de6feb5ad9d4bf0bad4c11ff3db656ddc6e6377994f15438b900f81"),
+]
+
+
+@pytest.mark.parametrize("command,code,stdout_sha,json_sha", GOLDEN,
+                         ids=[g[0] for g in GOLDEN])
+def test_prime_field_output_bytes_are_pinned(command, code, stdout_sha, json_sha, tmp_path,
+                                             capsys):
+    path = tmp_path / "report.json"
+    assert main(command.split() + ["--json", str(path)]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
