@@ -90,7 +90,7 @@ def algebra_O(n: int, field: Field = QQ, form=None) -> FiniteNAryAlgebra:
             c = Binv[k][j]
             if c:
                 coords[k] = c if s > 0 else -c
-        table[combo] = coords
+        table[combo] = field.reduced(coords)
     alg = FiniteNAryAlgebra(space, n, 0, table)
     alg.form = B
     return alg
@@ -183,7 +183,7 @@ class PolyNAryAlgebra:
             return {}
         intern = self._monomials.setdefault
         got = {intern(k, k): v for k, v in self.raw_bracket(ck).items()} or _EMPTY
-        return {k: -v for k, v in got.items()} if sgn < 0 else got
+        return self.field.reduced({k: -v for k, v in got.items()}) if sgn < 0 else got
 
     def window_keys(self, window: int):
         raise NotImplementedError
@@ -252,13 +252,10 @@ class TaggedNAry(PolyNAryAlgebra):
         # keys are sorted tag-major, so the tag-k pair sits at positions k-1, k
         a = keys[k - 1][1]
         b = keys[k][1]
-        coeff = self.field.coerce(a - b)
+        coeff = self.field.coerce(b - a if (self.ntags + 1 + k) % 2 else a - b)
         if not coeff:
             return {}
-        total = sum(e for _, e in keys) - 1
-        if (self.ntags + 1 + k) % 2:
-            coeff = -coeff
-        return {(k, total): coeff}
+        return {(k, sum(e for _, e in keys) - 1): coeff}
 
     def window_keys(self, window: int):
         return [(t, e) for t in range(1, self.ntags + 1) for e in range(window + 1)]

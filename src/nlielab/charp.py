@@ -50,9 +50,7 @@ class FJResidueReport:
 def charp_fj_check(seed: CharPSeed) -> FJResidueReport:
     alg = seed.algebra()
     n = seed.n
-    defect = filippov_defect(alg, (0,) * (n - 1), (0,) * n)
-    coeff = defect.get(0)
-    residue = coeff.v if coeff else 0
+    residue = filippov_defect(alg, (0,) * (n - 1), (0,) * n).get(0, 0)
     ok = residue == 0
     asserted = n % 2 == 1
     note = "" if asserted else (

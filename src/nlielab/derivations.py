@@ -40,9 +40,9 @@ def matrix_dmap(alg, mat: dict):
 
 def mat_commutator(field: Field, a: dict, pa: int, b: dict, pb: int) -> dict:
     """Super commutator a b - (-1)^{pa pb} b a of two matrices."""
-    out = mat_mul(a, b)
-    sign = -field.one() if (pa and pb) else field.one()
-    vec_add_scaled(out, mat_mul(b, a), -sign)
+    p = field.p
+    out = mat_mul(a, b, p)
+    vec_add_scaled(out, mat_mul(b, a, p), 1 if (pa and pb) else -1, p)
     return out
 
 
@@ -165,4 +165,4 @@ def form_skew_defect(form, mat: dict, field: Field, dim: int) -> dict:
                     acc = acc + form[v][k] * c
             if acc:
                 out[(u, v)] = acc
-    return out
+    return field.reduced(out)

@@ -4,9 +4,14 @@ Every computation in this package is exact.  A rational scalar is a
 plain ``int`` while it is integral; only a division that does not come
 out even makes a ``fractions.Fraction``.  Sums and products of
 Fractions stay Fractions even when integral, which is still exact.
-Prime-field scalars are ``ModP`` wrappers around ints reduced mod p, kept
-at the boundary: the identity kernel sums balanced ints and reduces once.
-Scalars of the two kinds are never mixed; a :class:`Field` object
+A prime-field scalar is a plain ``int`` in 0..p-1.  The field is reduced
+where a value is stored (``Field.coerce``, ``Field.reduced``, the
+``linalg.vec_add_scaled`` kernel, ``Span`` rows, the ``SuperPoly`` and
+``WElement`` operations), so loops in between may sum exact ints and
+reduce once: the identity kernel sums a whole defect before it tests it
+mod p (delayed reduction, Dumas, Giorgi and Pernet 2008).  Each loop
+picks its reducing variant once per call from ``Field.p``, which is None
+over QQ, so rational runs never pay for it.  A :class:`Field` object
 decides which kind a computation uses and provides construction,
 coercion, parsing and the one division, :meth:`Field.div`, so no
 ``int / int`` ever makes a float.
@@ -17,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-__all__ = ["Field", "FieldError", "LiteralError", "QQ", "GF", "ModP", "PRIME_BOUND", "is_prime",
+__all__ = ["Field", "FieldError", "LiteralError", "QQ", "GF", "PRIME_BOUND", "is_prime",
            "parse_int"]
 
 
@@ -75,92 +80,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class ModP:
-    """An element of Z/pZ.  Arithmetic accepts ints on either side."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, ModP):
-            if other.p != self.p:
-                raise FieldError("mixed prime fields: p=%d vs p=%d" % (self.p, other.p))
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModP(self.v + w, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModP(self.v - w, self.p)
-
-    def __rsub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModP(w - self.v, self.p)
-
-    def __mul__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return ModP(self.v * w, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        if w % self.p == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return ModP(self.v * pow(w, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        if self.v == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return ModP(w * pow(self.v, -1, self.p), self.p)
-
-    def __neg__(self):
-        return ModP(-self.v, self.p)
-
-    def __pow__(self, k: int):
-        return ModP(pow(self.v, k, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, ModP):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other
-        return NotImplemented
-
-    def __hash__(self):
-        # ModP(v, p) equals only the reduced int v, so it hashes like v
-        return hash(self.v)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return str(self.v)
-
-
 class Field:
     """The rationals, or Z/pZ for a prime p."""
 
@@ -188,15 +107,7 @@ class Field:
         return self.scalar(1)
 
     def scalar(self, num, den=1):
-        if den != 1:
-            return self.div(num, den)
-        if self.kind == "rationals":
-            return num if type(num) is int else _reduced(Fraction(num))
-        if isinstance(num, ModP):
-            if num.p != self.p:
-                raise FieldError("wrong characteristic")
-            return num
-        return ModP(num, self.p)
+        return self.coerce(num) if den == 1 else self.div(num, den)
 
     def parse(self, text: str):
         """Parse a scalar literal such as ``-3``, ``5/7``: one ASCII
@@ -212,32 +123,38 @@ class Field:
 
     def div(self, a, b):
         """a / b, the one division: over QQ an int when b divides a and a
-        Fraction otherwise, over F_p a ``ModP``.  Raises ZeroDivisionError
-        when b is zero."""
-        if self.kind == "rationals":
+        Fraction otherwise, over F_p an int in 0..p-1.  Raises
+        ZeroDivisionError when b is zero."""
+        p = self.p
+        if p is None:
             if type(a) is int and type(b) is int and a % b == 0:
                 return a // b
             return _reduced(Fraction(a, b))
-        return self.scalar(a) / b
+        if not b % p:
+            raise ZeroDivisionError("division by zero in F_%d" % p)
+        return self.coerce(a) * pow(b, -1, p) % p
 
     def coerce(self, x):
-        """Accept ints and already-typed scalars; reject foreign kinds."""
+        """x as a scalar: over QQ an int, or a Fraction when x is not
+        integral; over F_p an int in 0..p-1, from an int only."""
+        p = self.p
+        if p is None:
+            return x if type(x) is int else _reduced(Fraction(x))
         if isinstance(x, int):
-            return self.scalar(x)
-        if self.kind == "rationals":
-            if isinstance(x, ModP):
-                raise FieldError("prime-field scalar in a rational computation")
-            return _reduced(Fraction(x))
-        if isinstance(x, ModP):
-            if x.p != self.p:
-                raise FieldError("wrong characteristic")
-            return x
-        raise FieldError("cannot coerce %r into F_%d" % (x, self.p))
+            return x % p
+        raise FieldError("cannot coerce %r into F_%d" % (x, p))
+
+    def reduced(self, vec: dict) -> dict:
+        """A coordinate dict of exact ints taken into F_p: each value mod
+        p, the zeros dropped.  Over QQ, whose values need no reduction,
+        ``vec`` itself."""
+        p = self.p
+        return vec if p is None else {k: r for k, v in vec.items() if (r := v % p)}
 
     def check(self, x) -> bool:
-        if self.kind == "rationals":
+        if self.p is None:
             return isinstance(x, (Fraction, int))
-        return isinstance(x, ModP) and x.p == self.p
+        return type(x) is int and 0 <= x < self.p
 
     # -- identity ------------------------------------------------------
     def __eq__(self, other):

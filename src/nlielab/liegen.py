@@ -380,10 +380,9 @@ def induced_table(bracket, mu, depth, tuples, coords_of, parities) -> dict:
         h = mu
         for k in key:
             h = bracket(h, depth[k])
-        coords = coords_of(h)
+        coords = coords_of(h if conversion_sign([parities[k] for k in key]) == 1 else -h)
         if coords:
-            csign = conversion_sign([parities[k] for k in key])
-            table[key] = coords if csign == 1 else {i: -c for i, c in coords.items()}
+            table[key] = coords
     return table
 
 

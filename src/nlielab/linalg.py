@@ -25,8 +25,18 @@ __all__ = ["Span", "span_of", "nullspace", "kernel", "annihilator", "invert_dens
            "matrix_of", "mat_mul", "orbit_span", "envelope_dim", "irreducible"]
 
 
-def vec_add_scaled(target: dict, src: dict, c) -> None:
-    """target += c*src, dropping entries that cancel to zero."""
+def vec_add_scaled(target: dict, src: dict, c, p=None) -> None:
+    """target += c*src, dropping entries that cancel to zero; over F_p
+    (``p`` given) each written entry is reduced into 0..p-1."""
+    if p is not None:
+        get = target.get
+        for k, v in src.items():
+            w = (get(k, 0) + c * v) % p
+            if w:
+                target[k] = w
+            else:
+                target.pop(k, None)
+        return
     for k, v in src.items():
         w = target.get(k)
         if w is None:
@@ -48,6 +58,8 @@ class Span:
     reduced against the others, so no row holds another row's pivot key.
     Reducing a vector therefore only needs the rows whose pivots occur
     among its own keys, each scaled by the vector's own coefficient.
+    Over F_p a vector may hold any ints that are nonzero mod p; the rows
+    hold ints in 0..p-1.
     """
 
     def __init__(self, field: Field):
@@ -62,11 +74,11 @@ class Span:
 
     def reduce(self, vec: dict) -> dict:
         v = dict(vec)
-        pivot_rows = self.pivot_rows
+        pivot_rows, p = self.pivot_rows, self.field.p
         for key, c in vec.items():
             row = pivot_rows.get(key)
             if row is not None:
-                vec_add_scaled(v, row, -c)
+                vec_add_scaled(v, row, -c, p)
         return v
 
     def contains(self, vec: dict) -> bool:
@@ -78,13 +90,17 @@ class Span:
         if not v:
             return False
         pivot = min(v.keys())
-        pc = v[pivot]
-        div = self.field.div
-        v = {k: div(val, pc) for k, val in v.items()}
+        pc, p = v[pivot], self.field.p
+        if p is None:
+            div = self.field.div
+            v = {k: div(val, pc) for k, val in v.items()}
+        else:
+            inv = pow(pc, -1, p)
+            v = {k: val * inv % p for k, val in v.items()}
         for row in self.rows:
             c = row.get(pivot)
             if c is not None:
-                vec_add_scaled(row, v, -c)
+                vec_add_scaled(row, v, -c, p)
         # keep rows ordered by pivot key for reproducible bases
         pos = bisect.bisect_left(self.pivots, pivot)
         self.pivots.insert(pos, pivot)
@@ -112,8 +128,9 @@ def matrix_of(columns) -> dict:
     return {(i, j): c for j, col in enumerate(columns) for i, c in col.items()}
 
 
-def mat_mul(a: dict, b: dict) -> dict:
-    """Product of two sparse matrices given as {(row, col): c} dicts."""
+def mat_mul(a: dict, b: dict, p=None) -> dict:
+    """Product of two sparse matrices given as {(row, col): c} dicts,
+    over F_p when ``p`` is given."""
     b_rows: dict = {}
     for (k, j), c in b.items():
         b_rows.setdefault(k, {})[j] = c
@@ -121,7 +138,7 @@ def mat_mul(a: dict, b: dict) -> dict:
     for (i, k), c in a.items():
         row = b_rows.get(k)
         if row:
-            vec_add_scaled(rows.setdefault(i, {}), row, c)
+            vec_add_scaled(rows.setdefault(i, {}), row, c, p)
     return {(i, j): c for i, row in rows.items() for j, c in row.items()}
 
 
@@ -133,9 +150,9 @@ def orbit_span(field: Field, mats, start: dict) -> Span:
     while work:
         m = work.pop()
         for g in mats:
-            p = mat_mul(g, m)
-            if p and span.insert(p):
-                work.append(p)
+            gm = mat_mul(g, m, field.p)
+            if gm and span.insert(gm):
+                work.append(gm)
     return span
 
 
@@ -176,7 +193,7 @@ def nullspace(field: Field, rows, ncols: int) -> list[dict]:
             c = row.get(f)
             if c:
                 v[col] = -c
-        basis.append(v)
+        basis.append(field.reduced(v))
     return basis
 
 

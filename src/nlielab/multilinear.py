@@ -154,7 +154,7 @@ def bracket_to_symmetric(space: SuperSpace, arity: int, bracket_parity: int, eva
     if arity < 2:
         raise ValueError("transport needs arity >= 2")
     pi = space.reversed()
-    par = space.parities
+    par, reduced = space.parities, space.field.reduced
     table = {}
     # the canonical tuples of the alternating side on V are those of the
     # symmetric side on its reversal
@@ -165,9 +165,9 @@ def bracket_to_symmetric(space: SuperSpace, arity: int, bracket_parity: int, eva
             # canonical tuples too, so probe it on the swapped tuple
             swapped = key[:pos] + (key[pos + 1], key[pos]) + key[pos + 2:]
             want = -1 if not (par[key[pos]] and par[key[pos + 1]]) else 1
-            if eval_fn(swapped) != {i: want * c for i, c in val.items()}:
+            if eval_fn(swapped) != reduced({i: want * c for i, c in val.items()}):
                 raise ValueError("input bracket is not anticommutative at %r" % (swapped,))
         if conversion_sign([pi.parities[i] for i in key]) < 0:
-            val = {i: -c for i, c in val.items()}
+            val = reduced({i: -c for i, c in val.items()})
         table[key] = val
     return MultiMap(pi, arity, (bracket_parity + arity - 1) % 2, table)

@@ -16,7 +16,8 @@ bracket the kernel reads, [b] and [b_1.. k .. b_n] included, is
 +-ad_c(k) for an (n-1)-tuple c, and one table per check holds each
 ad_c(k) once, as a sign and the canonical bracket's coordinates; the
 images of ad_a are the table's row a.  Over F_p those coordinates are
-balanced ints: the kernel sums plain ints and reduces once per defect.
+the carrier's own ints in 0..p-1: the kernel sums exact ints and
+reduces once per defect (delayed reduction).
 
 The defect is linear in ad_a, so ``check_filippov`` scans only a basis
 of the inner maps.  Proof: fix the parity of a and a b-block.  The
@@ -30,7 +31,7 @@ defect(a, b) = sum_i l_i defect(a_i, b) for every b.  Hence the defects
 of an independent family (``independent_tuples``: one ``Span`` per
 parity of a, over the carrier's own field, since a relation over QQ can
 fail mod p) decide all len(a) * len(b) instances.  Over F_p the kernel's
-balanced ints map to F_p linearly, so the relation survives the
+exact ints map to F_p linearly, so the relation survives the
 reduction.  The family is taken greedily in scan order, so the first a
 that fails is in it: an a left out is a combination of kept tuples
 before it, and those all pass when a is the first to fail.  The first
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import LiteralError, ModP, field_from_name, parse_int
+from .fields import LiteralError, field_from_name, parse_int
 from .linalg import Span
 from .multilinear import canonical_tuples, koszul_sort
 from .superspace import EVEN, ODD, SuperSpace
@@ -123,7 +124,7 @@ class FiniteNAryAlgebra:
         base = self.table.get(ck) if sgn else None
         if base is None:
             return _ZERO[1]
-        return {i: -c for i, c in base.items()} if sgn < 0 else base
+        return self.field.reduced({i: -c for i, c in base.items()}) if sgn < 0 else base
 
     def show(self, coords: dict) -> str:
         return self.space.show(coords)
@@ -152,24 +153,16 @@ class _Images(dict):
 _ZERO = (0, {})
 
 
-def _lift(field):
-    """Carrier coordinates -> kernel coordinates: the dict itself over QQ,
-    over F_p balanced ints (v if v <= p // 2, else v - p)."""
-    p = field.p
-    return (lambda v: v) if p is None else (
-        lambda v: {j: c.v if 2 * c.v <= p else c.v - p for j, c in v.items()})
-
-
 def ad_table(alg) -> _Images:
     """One check's brackets: an (n-1)-tuple c maps to the row of ad_c,
-    key k -> (s, kernel coordinates of the canonical bracket) with
+    key k -> (s, coordinates of the canonical bracket) with
     [c_1..c_{n-1}, k] = (-1)^s times them.  Each entry is one Koszul
     sort; the memo ``.brackets`` asks the carrier once per sorted tuple
-    and keeps its lifted coordinates (``_ZERO``'s dict if zero).  The
-    table refers to the carrier, never the other way round."""
+    and keeps its coordinates as they come (``_ZERO``'s dict if zero).
+    The table refers to the carrier, never the other way round."""
     parities = _Images(alg.key_parity)
-    bracket, lift = alg.bracket_keys, _lift(alg.field)
-    brackets = _Images(lambda ck: lift(bracket(ck)) or _ZERO[1])
+    bracket = alg.bracket_keys
+    brackets = _Images(lambda ck: bracket(ck) or _ZERO[1])
 
     def entry(keys):
         ck, sgn = koszul_sort(keys, parities)
@@ -240,17 +233,13 @@ def _survives(acc: dict, p) -> bool:
 
 def _negated(alg, acc: dict) -> dict:
     """The defect LHS - RHS as carrier coordinates, from ``_defect``'s
-    sum; over F_p its ints become field scalars again."""
-    p = alg.field.p
-    if p is None:
-        return {j: -v for j, v in acc.items() if v}
-    return {j: ModP(-v, p) for j, v in acc.items() if v % p}
+    sum; over F_p its ints are reduced into 0..p-1."""
+    return alg.field.reduced({j: -v for j, v in acc.items() if v})
 
 
 def _map_images(alg, dmap) -> _Images:
     """The images of a linear map as kernel entries."""
-    lift = _lift(alg.field)
-    return _Images(lambda k: (0, lift(dmap(k))))
+    return _Images(lambda k: (0, dmap(k)))
 
 
 def filippov_defect(alg, a_keys: tuple, b_keys: tuple):
@@ -271,10 +260,9 @@ def independent_tuples(alg, ads, tuples, read) -> list:
     with the same parity.  The row is the vector {(position of k in
     ``read``, j): (-1)^s c} of the entries (s, {j: c}) of ``ads[a]``; it
     goes into one ``Span`` per parity of a over the carrier's field, and
-    a is kept when its insert grew that span.  Over F_p the balanced ints
-    are field scalars there, so a relation found holds mod p."""
+    a is kept when its insert grew that span.  Over F_p the span reduces
+    mod p, so a relation found holds mod p."""
     field = alg.field
-    scalar = (lambda c: c) if field.p is None else field.scalar
     kp = alg.key_parity
     read = list(read)
     spans = {0: Span(field), 1: Span(field)}
@@ -285,7 +273,7 @@ def independent_tuples(alg, ads, tuples, read) -> list:
         for pos, k in enumerate(read):
             s, v = row[k]
             for j, c in v.items():
-                vec[(pos, j)] = scalar(-c if s else c)
+                vec[(pos, j)] = -c if s else c
         if vec and spans[sum(kp(x) for x in a) & 1].insert(vec):
             kept.append(a)
     return kept
@@ -466,8 +454,8 @@ def parse_table(text: str) -> FiniteNAryAlgebra:
                     raise ValueError("basis label %r out of range e1..e%d" % (lab, dim))
                 c = field.parse(cstr.strip())
                 if c:
-                    coords[idx] = coords.get(idx, field.zero()) + c
-            table[key] = {i: c for i, c in coords.items() if c}
+                    coords[idx] = coords.get(idx, 0) + c
+            table[key] = field.reduced({i: c for i, c in coords.items() if c})
     except LiteralError as exc:
         raise ValueError("%s in %r" % (exc, ln)) from None
     space = SuperSpace(field, ["e%d" % (i + 1) for i in range(dim)], parities)

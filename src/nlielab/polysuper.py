@@ -108,7 +108,7 @@ class SuperPoly:
 
     def __add__(self, other):
         out = dict(self.terms)
-        vec_add_scaled(out, other.terms, 1)
+        vec_add_scaled(out, other.terms, 1, self.ring.field.p)
         return SuperPoly(self.ring, out)
 
     def __sub__(self, other):
@@ -118,10 +118,11 @@ class SuperPoly:
         return self.scale(-1)
 
     def scale(self, c) -> "SuperPoly":
-        c = self.ring.field.coerce(c)
+        field = self.ring.field
+        c = field.coerce(c)
         if not c:
             return self.ring.zero()
-        return SuperPoly(self.ring, {k: c * v for k, v in self.terms.items()})
+        return SuperPoly(self.ring, field.reduced({k: c * v for k, v in self.terms.items()}))
 
     def __mul__(self, other):
         if not isinstance(other, SuperPoly):
@@ -131,7 +132,8 @@ class SuperPoly:
     def mul_into(self, out: dict, other: "SuperPoly", sign: int = 1) -> dict:
         """Accumulate sign*(self*other) into the term dict ``out`` in place
         (sign is +1 or -1) and return it; cancelled terms are removed.
-        ``out`` must not be the terms of either factor."""
+        ``out`` must not be the terms of either factor.  Over F_p the loop
+        sums exact ints and ``out`` is reduced once, at the end."""
         products = self.ring.xi_products
         for (a1, x1), c1 in self.terms.items():
             if sign < 0:
@@ -159,6 +161,10 @@ class SuperPoly:
                         out[key] = w
                     else:
                         del out[key]
+        if self.ring.field.p is not None:
+            reduced = self.ring.field.reduced(out)
+            out.clear()
+            out.update(reduced)
         return out
 
     __rmul__ = __mul__
@@ -168,10 +174,8 @@ class SuperPoly:
         for (alpha, xis), c in self.terms.items():
             e = alpha[i - 1]
             if e:
-                v = c * e  # vanishes when p divides e
-                if v:
-                    out[(alpha[: i - 1] + (e - 1,) + alpha[i:], xis)] = v
-        return SuperPoly(self.ring, out)
+                out[(alpha[: i - 1] + (e - 1,) + alpha[i:], xis)] = c * e
+        return SuperPoly(self.ring, self.ring.field.reduced(out))  # drops p | e
 
     def dxi(self, j: int) -> "SuperPoly":
         out = {}  # so does dropping xi_j from the words that hold it
@@ -179,7 +183,7 @@ class SuperPoly:
             if j in xis:
                 pos = xis.index(j)
                 out[(alpha, xis[:pos] + xis[pos + 1:])] = -c if pos % 2 else c
-        return SuperPoly(self.ring, out)
+        return SuperPoly(self.ring, self.ring.field.reduced(out))
 
     def weighted(self, weight_fn) -> "SuperPoly":
         """Scale each term by an integer weight (e.g. Euler operators)."""
@@ -187,10 +191,8 @@ class SuperPoly:
         for key, c in self.terms.items():
             w = weight_fn(key)
             if w:
-                v = c * w
-                if v:
-                    out[key] = v
-        return SuperPoly(self.ring, out)
+                out[key] = c * w
+        return SuperPoly(self.ring, self.ring.field.reduced(out))
 
     def euler(self, xset=None, xiset=None) -> "SuperPoly":
         """sum x_i d/dx_i + xi_j d/dxi_j over selected variables."""

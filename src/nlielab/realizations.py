@@ -348,7 +348,7 @@ class ContactRealization(Carrier):
         self.m = m
         self.cidx = m + 1
         self.beta = field.coerce(beta)
-        self.mbeta = field.coerce(m) * self.beta
+        self.mbeta = field.coerce(m * self.beta)
         self.pairing = [(("2-E", 0), ("xi", m + 1), 1, False),
                         (("xi", m + 1), ("2-E", 0), -1, True)]
         self.pairing += [row for i in range(1, m + 1)

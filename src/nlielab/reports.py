@@ -18,8 +18,8 @@ NOT_DECIDED = "not_decided"
 
 def _plain(value):
     """Recursively reduce to JSON-safe data with deterministic ordering.
-    Fractions and prime-field elements render as strings; ints, among
-    them the integral rationals, stay numbers."""
+    Fractions render as strings; ints, among them the integral rationals
+    and the prime-field scalars, stay numbers."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, (list, tuple)):

@@ -103,7 +103,7 @@ class WElement:
         if self.degree != other.degree:
             raise ValueError("cannot add degrees %d and %d" % (self.degree, other.degree))
         coords = dict(self.coords)
-        vec_add_scaled(coords, other.coords, c)
+        vec_add_scaled(coords, other.coords, c, self.space.field.p)
         parity = self._parity if self._parity == other._parity else None
         return WElement(self.space, self.degree, coords, parity)
 
@@ -114,8 +114,9 @@ class WElement:
         return self._plus(other, -1)
 
     def scale(self, c):
-        c = self.space.field.coerce(c)
-        coords = {k: c * v for k, v in self.coords.items()} if c else {}
+        field = self.space.field
+        c = field.coerce(c)
+        coords = field.reduced({k: c * v for k, v in self.coords.items()}) if c else {}
         return WElement(self.space, self.degree, coords, self._parity)
 
     def __neg__(self):
@@ -209,7 +210,7 @@ def box(f: WElement, g: WElement) -> WElement:
     parity = None if pf is None or pg is None else (pf + pg) % 2
     if p == -1:
         return WElement.zero(space, p + q, parity)
-    index = _slot_index(f)[0]
+    index, fp = _slot_index(f)[0], space.field.p
     out: dict = {}
     for gkey, grow, below, godd, gmask in _slot_index(g)[1]:
         for i, c in grow.items():
@@ -228,7 +229,7 @@ def box(f: WElement, g: WElement) -> WElement:
                 acc = out.get(key)
                 if acc is None:
                     acc = out[key] = {}
-                vec_add_scaled(acc, row, c if eps == 1 else -c if eps == -1 else eps * c)
+                vec_add_scaled(acc, row, c if eps == 1 else -c if eps == -1 else eps * c, fp)
     coords = {(key, j): c for key in sorted(out) for j, c in sorted(out[key].items())}
     return WElement(space, p + q, coords, parity)
 
@@ -238,11 +239,14 @@ def w_bracket(f: WElement, g: WElement) -> WElement:
 
 
 def bracket_of_products(f: WElement, g: WElement, fg: WElement, gf: WElement) -> WElement:
-    """[f, g] = f*g -+ g*f from the two products f*g and g*f."""
+    """[f, g] = f*g -+ g*f from the two products f*g and g*f, formed in
+    place: g*f is added into the coordinates of ``fg``, so ``fg`` must be
+    a fresh product that nothing else reads."""
     pf, pg = f.parity(), g.parity()
     if pf is None or pg is None:
         raise ValueError("bracket needs parity-homogeneous elements")
-    return fg + gf if pf and pg else fg - gf
+    vec_add_scaled(fg.coords, gf.coords, 1 if pf and pg else -1, f.space.field.p)
+    return WElement(f.space, fg.degree, fg.coords, fg.parity())  # degree -1 reads it anew
 
 
 class GradedSubalgebra:

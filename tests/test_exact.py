@@ -1,5 +1,6 @@
 """No float ever appears: every division goes through ``Field.div``, the
-rational kernels yield only ints and Fractions, and QQ agrees with GF(p)."""
+rational kernels yield only ints and Fractions, GF(p) scalars are ints in
+0..p-1, and QQ agrees with GF(p)."""
 
 import ast
 import inspect
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nlielab import liegen, realizations
-from nlielab.catalog import algebra_O
+from nlielab.catalog import algebra_O, algebra_S, algebra_SW, algebra_W
 from nlielab.cli import main
 from nlielab.fields import GF, QQ
-from nlielab.liegen import check_admissible, tables_proportional
+from nlielab.liegen import check_admissible, generate_subalgebra, tables_proportional
 from nlielab.linalg import Span, invert_dense, kernel
 from nlielab.multilinear import bracket_to_symmetric
-from nlielab.nlie import check_filippov
+from nlielab.nlie import check_filippov, filippov_defect, parse_table, serialize_table
+from nlielab.realizations import pair_setup
 from nlielab.universal import WElement
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src", "nlielab")
@@ -103,6 +105,11 @@ def test_one_set_of_lie_side_routines_for_both_models():
     # and the options no caller set are gone
     assert names_used({"alt_sign", "gen_slack", "ideal_xdeg"}) == []
     assert "limit" not in inspect.signature(check_filippov).parameters
+
+
+def test_one_scalar_representation_per_field():
+    # a GF(p) scalar is a plain int: no wrapper class, no lift into the kernel
+    assert names_used({"ModP", "_lift"}) == []
 
 
 def assert_exact(values):
@@ -243,3 +250,81 @@ def test_pairings_agree_over_qq_and_prime_fields(tmp_path, capsys, which):
                 for code, checks in records]
     assert verdicts[0][0] == 0
     assert verdicts[1] == verdicts[0] and verdicts[2] == verdicts[0]
+
+
+# -- GF(p) scalars are ints in 0..p-1 ---------------------------------------
+
+PRIME_FIELDS = [GF(2), GF(3), GF(7), GF(10007)]
+
+
+def assert_in_range(field, values):
+    for x in values:
+        assert field.check(x), (field, x)
+
+
+def assert_table_in_range(field, table):
+    for val in table.values():
+        assert_in_range(field, val.values())
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=lambda f: f.name)
+def test_prime_field_scalars_stay_in_range(field):
+    for n in (3, 4, 5):
+        alg = algebra_O(n, field)
+        assert_table_in_range(field, alg.table)
+        key = tuple(range(n))
+        assert_in_range(field, alg.bracket_keys((key[1], key[0]) + key[2:]).values())
+        mu = WElement.from_map(bracket_to_symmetric(
+            alg.space, alg.arity, alg.bracket_parity, alg.bracket_keys))
+        assert_in_range(field, mu.coords.values())
+        if n == 3:
+            sub, _ = generate_subalgebra(mu.space, mu)
+            for d in sub.degrees():
+                for w in sub.basis(d):
+                    assert_in_range(field, w.coords.values())
+    # window brackets, on sorted and on swapped keys
+    for alg in (algebra_S(3, field), algebra_W(3, field), algebra_SW(3, field)):
+        keys = alg.window_keys(2)
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                for c in keys[:4]:
+                    assert_in_range(field, alg.bracket_keys((a, b, c)).values())
+                    assert_in_range(field, alg.bracket_keys((b, a, c)).values())
+    # the carriers' window elements and their brackets
+    for which in ("i", "ii", "iii", "iv"):
+        real = pair_setup(which, 3, 1, field).real
+        elems = real.window_elements(1)
+        vecs = [real.vectorize(e) for e in elems]
+        for v in vecs:
+            assert_in_range(field, v.values())
+        for e in elems[:6]:
+            for f in elems:
+                assert_in_range(field, real.vectorize(real.bracket(e, f)).values())
+        # Span rows, from the window and from ints outside 0..p-1
+        span = Span(field)
+        for v in vecs:
+            span.insert(v)
+        span.insert({k: -3 * field.p - 1 for k in vecs[0]})
+        for row in span.rows:
+            assert_in_range(field, row.values())
+    # filippov_defect on a table that breaks the identity
+    text = serialize_table(algebra_O(3, field)).replace("1 2 3 -> 1*e4\n",
+                                                        "1 2 3 -> 1*e4 + 1*e1\n")
+    bad = parse_table(text)
+    defects = [filippov_defect(bad, (0, 1), b) for b in ((1, 2, 3), (0, 2, 3), (0, 1, 3))]
+    assert any(defects)
+    for d in defects:
+        assert_in_range(field, d.values())
+    # the scalar of tables_proportional
+    table = algebra_O(3, field).table
+    c = field.coerce(-1)
+    scaled = {k: field.reduced({i: c * x for i, x in v.items()}) for k, v in table.items()}
+    ok, scalar = tables_proportional(scaled, table, field)
+    assert ok and scalar == c
+    assert_in_range(field, [scalar])
+
+
+def test_parse_table_sums_repeated_terms_mod_p():
+    alg = parse_table("3 fp:7 4 eeee\n1 2 3 -> 3*e1 + 4*e1\n1 2 4 -> 5*e3 + 6*e3\n")
+    assert alg.bracket_keys((0, 1, 2)) == {}
+    assert alg.bracket_keys((0, 1, 3)) == {2: 4}

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlielab.catalog import parse_form
-from nlielab.fields import (GF, PRIME_BOUND, QQ, Field, FieldError, ModP, field_from_name,
-                            is_prime)
+from nlielab.fields import GF, PRIME_BOUND, QQ, Field, FieldError, field_from_name, is_prime
 
 F7 = GF(7)
+PRIME_FIELDS = [GF(2), GF(3), F7, GF(10007)]
 
 
 def q(n, d=1):
@@ -17,7 +17,9 @@ def q(n, d=1):
 
 
 rat = st.builds(q, st.integers(-40, 40), st.integers(1, 12))
-f7 = st.builds(lambda n: F7.scalar(n), st.integers(-20, 20))
+# a prime field with three of its scalars, each made by ``Field.coerce``
+gfp = st.sampled_from(PRIME_FIELDS).flatmap(
+    lambda F: st.tuples(st.just(F), *[st.integers(-3 * F.p, 3 * F.p).map(F.coerce)] * 3))
 
 
 @given(rat, rat, rat)
@@ -34,37 +36,33 @@ def test_rational_inverse(a):
         assert a / a == QQ.one()
 
 
-@given(f7, f7, f7)
-def test_prime_field_ring_axioms(a, b, c):
-    assert (a + b) + c == a + (b + c)
-    assert a * b == b * a
-    assert a * (b + c) == a * b + a * c
-    assert a - a == F7.zero()
+@given(gfp)
+def test_prime_field_ring_axioms(fabc):
+    F, a, b, c = fabc
+    add, mul = (lambda x, y: F.coerce(x + y)), (lambda x, y: F.coerce(x * y))
+    assert all(F.check(x) for x in (a, b, c, add(a, b), mul(a, b), F.coerce(-a)))
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(a, b) == mul(b, a)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(a, F.coerce(-a)) == F.zero()
 
 
-@given(f7)
-def test_prime_field_inverse(a):
-    if a != F7.zero():
-        assert a / a == F7.one()
-        assert a ** 6 == F7.one()  # Fermat
+@given(gfp)
+def test_prime_field_inverse(fabc):
+    F, a, b, _ = fabc
+    if a != F.zero():
+        assert F.div(a, a) == F.one()
+        assert F.coerce(F.div(b, a) * a) == b and F.check(F.div(b, a))
+        assert pow(a, F.p - 1, F.p) == F.one()  # Fermat
 
 
-@given(st.integers(-50, 50))
-def test_modp_hashes_like_its_reduced_int(v):
-    a = ModP(v, 7)
-    assert hash(a) == hash(v % 7)
-    assert len({a, v % 7}) == 1
-    assert {a: "x"}[v % 7] == "x"
-
-
-residues = st.one_of(st.builds(ModP, st.integers(-30, 30), st.just(7)), st.integers(-30, 30))
-
-
-@given(residues, residues)
-def test_modp_equality_agrees_with_hash(a, b):
-    if a == b:
-        assert hash(a) == hash(b)
-    assert (a == b) == (len({a, b}) == 1)
+@given(st.sampled_from(PRIME_FIELDS), st.integers(-10 ** 6, 10 ** 6), st.integers(-5, 5))
+def test_prime_field_scalars_are_canonical_residues(F, v, k):
+    # one int per residue class, so equal scalars are equal ints with equal hashes
+    a = F.coerce(v)
+    assert type(a) is int and 0 <= a < F.p and F.check(a)
+    assert F.coerce(v + k * F.p) == a and F.scalar(v) == a and F.parse(str(v)) == a
+    assert F.coerce(v + 1) != a
 
 
 def test_integral_rationals_are_ints():
@@ -80,28 +78,27 @@ def test_div_is_the_one_exact_division():
     assert QQ.div(6, 3) == 2 and type(QQ.div(6, 3)) is int
     assert QQ.div(1, 3) == Fraction(1, 3) and type(QQ.div(1, 3)) is Fraction
     assert type(QQ.div(Fraction(1, 2), Fraction(1, 4))) is int
-    assert type(F7.div(6, 3)) is ModP and F7.div(1, 2) == 4
-    assert F7.div(ModP(1, 7), ModP(2, 7)) == 4
+    assert type(F7.div(6, 3)) is int and F7.div(6, 3) == 2 and F7.div(1, 2) == 4
+    assert F7.div(-1, -2) == 4 and F7.div(3, 10) == 1
     for field in (QQ, F7):
         with pytest.raises(ZeroDivisionError):
             field.div(1, 0)
 
 
-def test_modp_basics():
-    a = ModP(10, 7)
-    assert a.v == 3
-    assert a == 3
-    assert a != 10 and a != -4  # equal only to the reduced int, as its hash
-    assert a + 5 == 1
-    assert 5 - a == 2
-    assert 2 / ModP(3, 7) == 3
-    assert bool(ModP(7, 7)) is False
-    with pytest.raises(ZeroDivisionError):
-        a / ModP(0, 7)
-    with pytest.raises(ZeroDivisionError):
-        1 / ModP(0, 7)
+def test_prime_field_scalars_are_ints_in_range():
+    assert F7.coerce(10) == 3 and F7.coerce(-3) == 4 and F7.coerce(7) == 0
+    assert F7.zero() == 0 and F7.one() == 1 and F7.scalar(-4) == 3
+    assert F7.div(2, 3) == 3
+    assert F7.reduced({0: 10, 1: -7, 2: -1}) == {0: 3, 2: 6}
+    assert QQ.reduced({0: q(1, 2)}) == {0: q(1, 2)}
+    for bad in (0, 7, -14):
+        with pytest.raises(ZeroDivisionError):
+            F7.div(3, bad)
     with pytest.raises(FieldError):
-        a + ModP(1, 5)
+        F7.coerce(Fraction(1, 3))
+    for x in (3, 4):
+        assert F7.check(x) and not F7.check(x + 7) and not F7.check(x - 7)
+    assert not F7.check(True) and not F7.check(Fraction(3))
 
 
 def test_gf_requires_prime():
@@ -164,9 +161,7 @@ def test_parse_and_name_roundtrip():
 
 def test_coerce_rejects_foreign_scalars():
     with pytest.raises(FieldError):
-        QQ.coerce(ModP(1, 5))
-    with pytest.raises(FieldError):
-        F7.coerce(ModP(1, 5))
+        F7.coerce(q(1, 2))
     assert F7.coerce(9) == 2
     assert QQ.coerce(3) == q(3)
     assert QQ.check(q(1, 2)) and not F7.check(q(1, 2))

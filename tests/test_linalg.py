@@ -165,6 +165,9 @@ def test_vec_add_scaled_cancels():
     target = {0: QQ.one(), 1: QQ.scalar(2)}
     vec_add_scaled(target, {0: QQ.one(), 2: QQ.one()}, QQ.scalar(-1))
     assert target == {1: QQ.scalar(2), 2: QQ.scalar(-1)}
+    target = {0: 1, 1: 2}  # over F_5 each written entry is reduced
+    vec_add_scaled(target, {0: 3, 2: 1, 3: 4}, 3, 5)
+    assert target == {1: 2, 2: 3, 3: 2}
 
 
 def full_scan_reduce(span: Span, vec: dict) -> dict:
@@ -174,7 +177,7 @@ def full_scan_reduce(span: Span, vec: dict) -> dict:
     for key, row in zip(span.pivots, span.rows):
         c = v.get(key)
         if c is not None:
-            vec_add_scaled(v, row, -c)
+            vec_add_scaled(v, row, -c, span.field.p)
     return v
 
 
@@ -219,7 +222,7 @@ def test_mat_mul_matches_the_dense_product(field, data):
                 c = c + a.get((i, k), zero) * b.get((k, j), zero)
             if c:
                 dense[(i, j)] = c
-    assert mat_mul(a, b) == dense
+    assert mat_mul(a, b, field.p) == field.reduced(dense)
 
 
 def test_envelope_dim_of_known_matrix_sets():

@@ -9,7 +9,7 @@ from nlielab import nlie
 from nlielab.catalog import GeneralizedJacobianNAry, algebra_O, algebra_S, algebra_SW, algebra_W
 from nlielab.charp import CharPSeed
 from nlielab.derivations import derivation_space, matrix_dmap
-from nlielab.fields import GF, QQ, ModP
+from nlielab.fields import GF, QQ
 from nlielab.linalg import Span, matrix_of, vec_add_scaled
 from nlielab.nlie import (
     FiniteNAryAlgebra,
@@ -198,7 +198,7 @@ def _plus(alg, a: dict, b: dict, c=1) -> dict:
     """a + c*b on coordinate dicts, in a fresh dict without zeros."""
     out = dict(a)
     for k, v in b.items():
-        w = out.get(k, alg.field.zero()) + v * c
+        w = alg.field.coerce(out.get(k, alg.field.zero()) + v * c)
         if w:
             out[k] = w
         else:
@@ -305,7 +305,7 @@ def corrupt_table(alg, data, entries=2):
         par = (alg.bracket_parity + sum(space.parities[i] for i in key)) % 2
         value = dict(table.get(key, {}))
         vec_add_scaled(value, {i: field.coerce(data.draw(coeffs)) for i in range(space.dim)
-                               if space.parities[i] == par}, 1)
+                               if space.parities[i] == par}, 1, field.p)
         table[key] = value
     return FiniteNAryAlgebra(space, alg.arity, alg.bracket_parity, table)
 
@@ -507,7 +507,7 @@ def test_check_filippov_leaves_cached_brackets_unchanged(make, monkeypatch):
                                   lambda f: (algebra_SW(4, f), 1), lambda f: (algebra_O(4, f), None)],
                          ids=["S(3)", "W(3)", "SW(4)", "O(4)"])
 def test_prime_field_verdicts_match_the_rationals(make, monkeypatch):
-    # at p = 3, 5, 7 constants such as 2, 3 or 4 wrap to balanced ints (2 -> -1 at p = 3)
+    # at p = 3, 5, 7 constants such as -1, 3 or 4 wrap to residues (-1 -> 2 at p = 3)
     tables = _spy_tables(monkeypatch)
     alg, window = make(QQ)
     keys = None if window is None else alg.window_keys(window)
@@ -518,14 +518,14 @@ def test_prime_field_verdicts_match_the_rationals(make, monkeypatch):
         alg = make(GF(p))[0]
         rep = check_filippov(alg, keys=keys)
         assert (rep.ok, rep.instances, rep.mode) == (True, want.instances, want.mode)
-        lifted = tables[-1].brackets
-        assert lifted.keys() == rational.keys()
+        stored = tables[-1].brackets
+        assert stored.keys() == rational.keys()
         for ck, v in rational.items():
-            assert all(type(c) is int and -p < 2 * c <= p for c in lifted[ck].values())
-            assert {k: c % p for k, c in lifted[ck].items()} == {
+            assert all(type(c) is int and 0 < c < p for c in stored[ck].values())
+            assert {k: c % p for k, c in stored[ck].items()} == {
                 k: c % p for k, c in v.items() if c % p}
         if p == 3 and window is not None:  # O(4)'s constants are all +-1
-            assert any(lifted[ck] != v for ck, v in rational.items())
+            assert any(stored[ck] != v for ck, v in rational.items())
 
 
 def test_prime_field_reduces_a_defect_that_is_nonzero_over_the_integers(monkeypatch):
@@ -548,7 +548,7 @@ def test_prime_field_witness_is_pinned():
     rep = check_filippov(bad)
     assert (rep.ok, rep.instances, rep.witness) == (False, 92, ((0, 1), (1, 2, 3), "4*e3"))
     defect = filippov_defect(bad, (0, 1), (1, 2, 3))
-    assert defect == {2: GF(7).scalar(4)} and type(defect[2]) is ModP
+    assert defect == {2: GF(7).scalar(4)} and type(defect[2]) is int
     assert check_filippov(parse_table(text.replace("1 2 3 -> 1*e4\n",
                                                    "1 2 3 -> 1*e4 + 7*e1\n"))).ok
 
@@ -588,7 +588,8 @@ def ordered_scan(alg, keys, mode):
 def flip_bracket(alg, tup):
     """The carrier with the determinant sign of one canonical tuple flipped."""
     base = alg.raw_bracket
-    alg.raw_bracket = lambda ck: {k: -v for k, v in base(ck).items()} if ck == tup else base(ck)
+    alg.raw_bracket = lambda ck: (alg.field.reduced({k: -v for k, v in base(ck).items()})
+                                  if ck == tup else base(ck))
     return alg
 
 
@@ -596,7 +597,7 @@ def bump_table(alg, pos, index):
     """The table with e_index added to the value at its pos-th sorted key."""
     table = {k: dict(v) for k, v in alg.table.items()}
     value = table[sorted(table)[pos]]
-    vec_add_scaled(value, {index: alg.field.one()}, 1)
+    vec_add_scaled(value, {index: alg.field.one()}, 1, alg.field.p)
     return FiniteNAryAlgebra(alg.space, alg.arity, alg.bracket_parity, table)
 
 
@@ -680,7 +681,7 @@ def test_every_inner_map_lies_in_the_span_of_the_kept_tuples(alg):
 
 
 def test_kept_tuples_are_independent_over_the_checks_field():
-    # balanced rows (1, 2) and (2, -1) are proportional mod 5 only, and
+    # the rows (1, 2) and (2, -1) are proportional mod 5 only, and
     # (1, 0) = ((1, 2) + 2 (2, -1)) / 5 lies in their span over QQ only
     rows = [{0: 1, 1: 2}, {0: 2, 1: -1}, {0: 1}]
     for field, want in ((QQ, [(0,), (1,)]), (GF(5), [(0,), (2,)])):

@@ -61,8 +61,8 @@ def test_version_is_the_package_version():
 
 
 def test_plain_handles_exact_scalars_and_tuple_keys():
-    # integral rationals are ints and pass through as JSON numbers;
-    # Fractions and prime-field scalars render as strings
+    # integral rationals and prime-field scalars are ints and pass through
+    # as JSON numbers; Fractions render as strings
     data = {
         (0, 1): QQ.scalar(1, 2),
         "z": [QQ.scalar(3), None, True],
@@ -70,7 +70,7 @@ def test_plain_handles_exact_scalars_and_tuple_keys():
         "p": GF(7).scalar(-1),
     }
     out = _plain(data)
-    assert out == {"0 1": "1/2", "a b": {"nested": -1}, "p": "6", "z": [3, None, True]}
+    assert out == {"0 1": "1/2", "a b": {"nested": -1}, "p": 6, "z": [3, None, True]}
     assert json.dumps(out, sort_keys=True)
 
 
