@@ -65,6 +65,24 @@ def test_prime_field_scalars_are_canonical_residues(F, v, k):
     assert F.coerce(v + 1) != a
 
 
+@given(st.integers(-50, 50))
+def test_modp_hashes_like_its_reduced_int(v):
+    a = F7.coerce(v)
+    assert hash(a) == hash(v % 7)
+    assert len({a, v % 7}) == 1
+    assert {a: "x"}[v % 7] == "x"
+
+
+residues = st.one_of(st.integers(-30, 30).map(F7.coerce), st.integers(-30, 30))
+
+
+@given(residues, residues)
+def test_modp_equality_agrees_with_hash(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (len({a, b}) == 1)
+
+
 def test_integral_rationals_are_ints():
     assert type(QQ.scalar(3)) is int
     assert type(QQ.zero()) is int and type(QQ.one()) is int
