@@ -43,21 +43,17 @@ class FJResidueReport:
     n: int
     residue: int            # LHS - RHS coefficient on a, reduced mod p
     ok: bool
-    asserted: bool          # even-n seeds are reported, not asserted
-    note: str = ""
 
 
 def charp_fj_check(seed: CharPSeed) -> FJResidueReport:
+    """The residue of the one basis instance.  ad_a has parity
+    alpha + (n - 1) = (n + 1) + (n - 1), even at every arity, so the
+    identity has no signs: LHS a, RHS n a, residue (1 - n) a = -s p a,
+    which is 0 in F_p."""
     alg = seed.algebra()
     n = seed.n
     residue = filippov_defect(alg, (0,) * (n - 1), (0,) * n).get(0, 0)
-    ok = residue == 0
-    asserted = n % 2 == 1
-    note = "" if asserted else (
-        "even arity: the alternating sum on the right collapses, the "
-        "residue is reported without a pass/fail claim"
-    )
-    return FJResidueReport(seed.p, n, residue, ok, asserted, note)
+    return FJResidueReport(seed.p, n, residue, residue == 0)
 
 
 @dataclass

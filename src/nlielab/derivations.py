@@ -4,7 +4,8 @@ The Leibniz rule is linear in the endomorphism, so the space of
 derivations of a fixed parity is the exact kernel of one sparse system
 assembled over canonical source tuples.  Inner maps x -> [a_1..a_{n-1}, x]
 are collected into parity-tagged spans for the Der = Inder comparison and
-the ideal test [Der, Inder] <= Inder.
+the ideal test [Der, Inder] <= Inder; that they are derivations at all is
+the n-ary Jacobi identity, read off ``check_filippov``.
 """
 
 from dataclasses import dataclass
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 from .fields import Field
 from .linalg import Span, kernel, mat_mul, matrix_of, span_of, vec_add_scaled
 from .multilinear import canonical_tuples
-from .nlie import (FiniteNAryAlgebra, ad_table, check_derivation, derivation_defect,
-                   independent_tuples, inner_derivation)
+from .nlie import FiniteNAryAlgebra, ad_table, check_filippov, derivation_defect, inner_parity
 from .superspace import EVEN, ODD
 
 
@@ -94,13 +94,14 @@ def derivation_space(alg: FiniteNAryAlgebra) -> DerivationSpace:
 
 def inner_spans(alg: FiniteNAryAlgebra) -> dict:
     """Parity -> span of matrices of x -> [a_1..a_{n-1}, x] over canonical
-    basis source tuples."""
+    basis source tuples, read off the rows of ``ad_table``."""
     spans: dict = {}
+    ads = ad_table(alg)
     for srcs in canonical_tuples(range(alg.space.dim), alg.arity - 1, alg.space.parities):
-        par, dmap = inner_derivation(alg, srcs)
-        mat = matrix_of(map(dmap, range(alg.space.dim)))
+        mat = matrix_of({j: -c if s else c for j, c in v.items()}
+                        for s, v in map(ads[srcs].__getitem__, range(alg.space.dim)))
         if mat:
-            spans.setdefault(par, Span(alg.field)).insert(mat)
+            spans.setdefault(inner_parity(alg, srcs), Span(alg.field)).insert(mat)
     return spans
 
 
@@ -134,19 +135,13 @@ def analyze_derivations(alg: FiniteNAryAlgebra) -> DerReport:
                 break
         if not ideal_ok:
             break
-    # the law is linear in the inner map, so independent tuples decide it,
-    # and the first tuple to fail is one of them (see nlie's docstring)
-    tuples = canonical_tuples(range(alg.space.dim), alg.arity - 1, alg.space.parities)
-    inner_ok = True
-    for srcs in independent_tuples(alg, ad_table(alg), tuples, alg.keys()):
-        par, dmap = inner_derivation(alg, srcs)
-        rep = check_derivation(alg, dmap, par)
-        if not rep.ok:
-            inner_ok = False
-            witness = witness or ("inner", srcs, rep.witness)
-            break
-    return DerReport(ds.dim, ds.inner_dim, equals, ideal_ok, inner_ok,
-                     witness)
+    # the identity is the derivation law of the inner maps, and its sorted
+    # scan's witness is the first canonical a whose ad_a fails
+    fj = check_filippov(alg, mode="sorted")
+    if not fj.ok:
+        a_keys, b_keys, shown = fj.witness
+        witness = witness or ("inner", a_keys, (b_keys, shown))
+    return DerReport(ds.dim, ds.inner_dim, equals, ideal_ok, fj.ok, witness)
 
 
 def form_skew_defect(form, mat: dict, field: Field, dim: int) -> dict:

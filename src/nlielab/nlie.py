@@ -2,17 +2,18 @@
 Jacobi identity (the n-ary derivation law) as an exactly computed
 defect.
 
-The identity checked is, with p(a) the total parity of a_1..a_{n-1} and
-alpha the parity of the bracket itself:
+The identity checked is, with alpha the parity of the bracket itself and
+d = alpha + p(a_1) + .. + p(a_{n-1}) the parity of the inner map
+ad_a = [a_1..a_{n-1}, .] (``inner_parity``):
 
   [a_1..a_{n-1},[b_1..b_n]]
-    = (-1)^{alpha p(a)} sum_k (-1)^{p(a)(p(b_1)+..+p(b_{k-1}))}
-                              [b_1.. [a_1..a_{n-1}, b_k] .. b_n]
+    = (-1)^{alpha d} sum_k (-1)^{d(p(b_1)+..+p(b_{k-1}))}
+                           [b_1.. [a_1..a_{n-1}, b_k] .. b_n]
 
-For fixed a it is the derivation law of ad_a = [a_1..a_{n-1}, .], so
-both identities run through one kernel that sums the defect into a
-single coordinate dict with integer signs and never divides.  Every
-bracket the kernel reads, [b] and [b_1.. k .. b_n] included, is
+For fixed a it is the derivation law of ad_a, so the identity and the
+derivation law of any map run through one kernel that sums the defect
+into a single coordinate dict with integer signs and never divides.
+Every bracket the kernel reads, [b] and [b_1.. k .. b_n] included, is
 +-ad_c(k) for an (n-1)-tuple c, and one table per check holds each
 ad_c(k) once, as a sign and the canonical bracket's coordinates; the
 images of ad_a are the table's row a.  Over F_p those coordinates are
@@ -65,10 +66,8 @@ __all__ = [
     "independent_tuples",
     "check_filippov",
     "identity_mode",
+    "inner_parity",
     "derivation_defect",
-    "DerivationReport",
-    "check_derivation",
-    "inner_derivation",
     "serialize_table",
     "parse_table",
 ]
@@ -237,9 +236,9 @@ def _negated(alg, acc: dict) -> dict:
     return alg.field.reduced({j: -v for j, v in acc.items() if v})
 
 
-def _map_images(alg, dmap) -> _Images:
-    """The images of a linear map as kernel entries."""
-    return _Images(lambda k: (0, dmap(k)))
+def inner_parity(alg, a_keys: tuple) -> int:
+    """The parity alpha + p(a_1) + .. + p(a_{n-1}) of ad_a."""
+    return (alg.bracket_parity + sum(alg.key_parity(k) for k in a_keys)) & 1
 
 
 def filippov_defect(alg, a_keys: tuple, b_keys: tuple):
@@ -249,9 +248,9 @@ def filippov_defect(alg, a_keys: tuple, b_keys: tuple):
     a_keys, b_keys = tuple(a_keys), tuple(b_keys)
     if len(a_keys) != n - 1 or len(b_keys) != n:
         raise ValueError("need n-1 and n keys")
-    par = sum(alg.key_parity(k) for k in a_keys) % 2
     ads = ad_table(alg)
-    return _negated(alg, _defect(alg, ads[a_keys], _slots(alg, ads, b_keys), par))
+    return _negated(alg, _defect(alg, ads[a_keys], _slots(alg, ads, b_keys),
+                                 inner_parity(alg, a_keys)))
 
 
 def independent_tuples(alg, ads, tuples, read) -> list:
@@ -330,7 +329,7 @@ def check_filippov(alg, keys=None, mode: str = "auto") -> FJReport:
         read.update(dict.fromkeys(row[x][1]))
     defects = 0
     for a_keys in independent_tuples(alg, ads, a_iter, read):
-        par = sum(alg.key_parity(k) for k in a_keys) % 2
+        par = inner_parity(alg, a_keys)
         images = ads[a_keys]  # the images of ad_a are its row
         for j, (b_keys, slots) in enumerate(zip(b_iter, blocks), 1):
             d = _defect(alg, images, slots, par)
@@ -349,36 +348,7 @@ def derivation_defect(alg, dmap, dparity: int, keys: tuple, ads=None):
     ``ads`` table (from ``ad_table``) to every call."""
     keys = tuple(keys)
     slots = _slots(alg, ad_table(alg) if ads is None else ads, keys)
-    return _negated(alg, _defect(alg, _map_images(alg, dmap), slots, dparity))
-
-
-@dataclass
-class DerivationReport:
-    ok: bool
-    instances: int
-    witness: object
-
-
-def check_derivation(alg, dmap, dparity: int, keys=None) -> DerivationReport:
-    if keys is None:
-        keys = list(alg.keys())
-    images, ads, p = _map_images(alg, dmap), ad_table(alg), alg.field.p
-    count = 0
-    for tup in canonical_tuples(keys, alg.arity, [alg.key_parity(k) for k in keys]):
-        d = _defect(alg, images, _slots(alg, ads, tup), dparity)
-        count += 1
-        if any(d.values()) and _survives(d, p):
-            return DerivationReport(ok=False, instances=count,
-                                    witness=(tup, alg.show(_negated(alg, d))))
-    return DerivationReport(ok=True, instances=count, witness=None)
-
-
-def inner_derivation(alg, a_keys: tuple):
-    """The map x -> [a_1..a_{n-1}, x]; returns (parity, dmap)."""
-    if len(a_keys) != alg.arity - 1:
-        raise ValueError("need n-1 keys")
-    par = (alg.bracket_parity + sum(alg.key_parity(k) for k in a_keys)) % 2
-    return par, lambda k: alg.bracket_keys(tuple(a_keys) + (k,))
+    return _negated(alg, _defect(alg, _Images(lambda k: (0, dmap(k))), slots, dparity))
 
 
 # -- plain-text bracket tables --------------------------------------------

@@ -58,37 +58,10 @@ class GradingSpec:
     xweights: tuple
     xiweights: tuple
 
-    @classmethod
-    def parse(cls, text: str) -> "GradingSpec":
-        if "|" not in text:
-            raise ValueError("grading must look like 'k1,..,km|s1,..,sn'")
-        left, right = text.split("|", 1)
-
-        def side(s):
-            s = s.strip()
-            if not s:
-                return ()
-            return tuple(int(p) for p in s.split(","))
-
-        return cls(side(left), side(right))
-
     def weight_key(self, key) -> int:
         alpha, xis = key
         w = sum(k * e for k, e in zip(self.xweights, alpha))
         return w + sum(self.xiweights[j - 1] for j in xis)
-
-    def weight(self, f: SuperPoly):
-        """Common weight of the terms, or None when mixed or zero."""
-        ws = {self.weight_key(k) for k in f.terms}
-        if len(ws) == 1:
-            return ws.pop()
-        return None
-
-    def __str__(self):
-        return "%s|%s" % (
-            ",".join(str(k) for k in self.xweights),
-            ",".join(str(s) for s in self.xiweights),
-        )
 
 
 def principal_grading(m: int, n: int) -> GradingSpec:
@@ -647,7 +620,8 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
     real, mu = setup.real, setup.mu
     checks = []
 
-    top = real.basis(n - 1, xwindow)
+    bases = [real.basis(d, xwindow) for d in range(n)]  # L_0 .. L_{n-1}
+    top = bases[n - 1]
     top_ok = len(top) == 1
     if top_ok:
         sp = span_of(field, [real.vectorize(top[0])])
@@ -655,7 +629,7 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
     checks.append(PairCheck("top_component_is_line", top_ok,
                             "degree %d slice has dimension %d" % (n - 1, len(top))))
 
-    l0 = real.basis(0, xwindow)
+    l0 = bases[0]
     cent = all(not real.vectorize(real.bracket(mu, X)) for X in l0)
     checks.append(PairCheck("top_centralizes_degree_zero", cent,
                             "%d degree-0 elements" % len(l0)))
@@ -670,8 +644,8 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
         return [[real.vectorize(real.bracket(X, v)) for v in depth.values()] for X in basis]
 
     trans, detail = True, "degrees 0..%d against the depth window" % (n - 1,)
-    for d in range(0, n):
-        dim = len(annihilator(field, images(real.basis(d, xwindow))))
+    for d, basis in enumerate(bases):
+        dim = len(annihilator(field, images(basis)))
         if dim:
             trans = False if finite_depth else None
             detail = "degree %d: %d-dim kernel against the depth %s" % (

@@ -288,7 +288,7 @@ def test_11_prime_field_obstruction():
     fj_ok = True
     for p, s in [(2, 1), (3, 2), (5, 2)]:
         rep = charp_fj_check(CharPSeed(p, s))
-        fj_ok = fj_ok and rep.ok and rep.asserted
+        fj_ok = fj_ok and rep.ok
     gen = charp_generation(CharPSeed(3, 2), cap=12)
     exhibited = (not gen.bound_holds) and gen.max_degree == 11 > gen.n - 1
     n = 7

@@ -22,7 +22,7 @@ def test_seed_arity_is_sp_plus_one():
 def test_odd_arity_seeds_satisfy_the_identity(p, s):
     rep = charp_fj_check(CharPSeed(p, s))
     assert rep.residue == 0
-    assert rep.ok and rep.asserted
+    assert rep.ok
     assert rep.n == s * p + 1
 
 
@@ -31,10 +31,12 @@ def test_odd_arity_seed_passes_the_direct_checker():
     assert check_filippov(alg, mode="full").ok
 
 
-def test_even_arity_regime_is_reported_not_asserted():
-    rep = charp_fj_check(CharPSeed(3, 1))  # n = 4
-    assert not rep.asserted
-    assert rep.note
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_even_arity_seeds_satisfy_the_identity(p):
+    # n = p + 1 is even, the bracket odd and ad_a even: residue (1 - n) a = -p a
+    rep = charp_fj_check(CharPSeed(p, 1))
+    assert (rep.n, rep.residue, rep.ok) == (p + 1, 0, True)
+    assert check_filippov(CharPSeed(p, 1).algebra(), mode="full").ok
 
 
 def test_generation_exceeds_the_characteristic_zero_bound():

@@ -247,11 +247,20 @@ def test_charp_exhibits_the_violation_and_the_control_fails(capsys):
     assert "bound exceeded" in out
 
 
-def test_charp_even_arity_is_reported_only(capsys):
+def test_charp_even_arity_passes_the_identity(capsys):
     code = main(["charp", "--p", "3", "--s", "1", "--cap", "9"])
     out = capsys.readouterr().out
-    assert "[----] fj_residue_zero" in out
+    assert "[PASS] fj_residue_zero: residue 0 at arity 4 over fp:3\n" in out
     assert code == 1  # the rational control still fails honestly
+
+
+@pytest.mark.parametrize("field", ["fp:3", "fp:2", "q", "fp:4"])
+def test_charp_field_is_a_one_line_usage_error(field, capsys):
+    # charp's field is fp:P from --p; a --field would go unread
+    assert main(["charp", "--p", "2", "--field", field]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 def test_report_command(capsys):
@@ -359,6 +368,18 @@ def test_empty_identity_window_is_not_decided(tmp_path, capsys):
     assert "0 passed, 0 failed, 2 not decided" in text
     record = json.loads(out.read_bytes())["checks"][0]
     assert (record["name"], record["status"]) == ("filippov_jacobi", "not_decided")
+
+
+def test_odd_bracket_table_fails_the_koszul_law(tmp_path, capsys):
+    # the bracket is odd, so ad_e1 is: [e1, [e1, e2]] = [e1, e3] = e2, while
+    # the right side is -([[e1, e1], e2] + [e1, [e1, e2]]) = -e2
+    table = tmp_path / "odd.nlie"
+    table.write_text("2 q 3 eeo\n1 2 -> 1*e3\n1 3 -> 1*e2\n")
+    path = tmp_path / "odd.json"
+    assert main(["verify", "--table", str(table), "--json", str(path)]) == 1
+    assert "       witness: [[0], [0, 1], '2*e2']\n" in capsys.readouterr().out
+    record = json.loads(path.read_bytes())["checks"][0]
+    assert (record["status"], record["witness"]) == ("fail", [[0], [0, 1], "2*e2"])
 
 
 def test_table_identity_detail_names_the_mode(tmp_path, capsys):
@@ -534,8 +555,8 @@ GOLDEN = [
      "b0ac234187cbf9f830b9895ff920c507b1c3634e5d1c099e031859a9da1ea4e7",
      "4fe2f374d5f6baf7bd60a83ceaebe2235368d4cc28623f0eca63a301ccca9764"),
     ("charp --p 3", 1,
-     "a74bee3486cf88ee3b30ba93bde603136a0da70e22d5e56e4c93a0346ca638b9",
-     "a67c40142de6feb5ad9d4bf0bad4c11ff3db656ddc6e6377994f15438b900f81"),
+     "93a51a76f8ea506fc4023d6ba1fd338abe6e569c4922c0bd17e5aa0c81202f1e",
+     "9ca4aca0aa32ffefea44e62b065ab50be87c59d53b167b6c28beaaa39c016137"),
 ]
 
 

@@ -10,23 +10,23 @@ from nlielab.catalog import GeneralizedJacobianNAry, algebra_O, algebra_S, algeb
 from nlielab.charp import CharPSeed
 from nlielab.derivations import derivation_space, matrix_dmap
 from nlielab.fields import GF, QQ
+from nlielab.liegen import check_mu_relations
 from nlielab.linalg import Span, matrix_of, vec_add_scaled
 from nlielab.nlie import (
     FiniteNAryAlgebra,
     ad_table,
-    check_derivation,
     check_filippov,
     derivation_defect,
     filippov_defect,
     identity_mode,
     independent_tuples,
-    inner_derivation,
     parse_table,
     serialize_table,
 )
-from nlielab.multilinear import canonical_tuples, koszul_sort
+from nlielab.multilinear import bracket_to_symmetric, canonical_tuples, koszul_sort
 from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.superspace import SuperSpace
+from nlielab.universal import WElement
 
 
 def heisenberg_11(field=QQ):
@@ -39,6 +39,20 @@ def canonical_keys(alg, keys, r):
     """The canonical r-tuples of a carrier's ordered keys."""
     keys = list(keys)
     return canonical_tuples(keys, r, [alg.key_parity(k) for k in keys])
+
+
+def inner_map(alg, a_keys):
+    """(parity, dmap) of ad_a: x -> [a_1..a_{n-1}, x] through the carrier's
+    own brackets, of parity alpha + p(a)."""
+    par = (alg.bracket_parity + sum(alg.key_parity(k) for k in a_keys)) % 2
+    return par, lambda k: alg.bracket_keys(tuple(a_keys) + (k,))
+
+
+def derivation_failures(alg, dmap, dparity):
+    """The canonical tuples on which ``dmap`` breaks the derivation law."""
+    ads = ad_table(alg)
+    return [tup for tup in canonical_keys(alg, alg.keys(), alg.arity)
+            if derivation_defect(alg, dmap, dparity, tup, ads)]
 
 
 def test_full_mode_counts_every_ordered_instance():
@@ -164,9 +178,8 @@ def test_parse_table_accepts_or_raises_value_error(header, lines):
 def test_inner_maps_are_derivations():
     alg = algebra_O(3)
     for a_keys in ((0, 1), (1, 2), (0, 3)):
-        par, dmap = inner_derivation(alg, a_keys)
-        rep = check_derivation(alg, dmap, dparity=par)
-        assert rep.ok, rep.witness
+        par, dmap = inner_map(alg, a_keys)
+        assert derivation_failures(alg, dmap, par) == []
 
 
 def test_non_derivation_is_caught():
@@ -176,8 +189,7 @@ def test_non_derivation_is_caught():
         # projection onto a line is not compatible with the bracket
         return {0: 1} if k == 0 else {}
 
-    rep = check_derivation(alg, squash, dparity=0)
-    assert not rep.ok and rep.witness is not None
+    assert derivation_failures(alg, squash, 0)
 
 
 def test_identity_mode_counts_ordered_instances():
@@ -216,7 +228,7 @@ def _reference_substituted(alg, keys: tuple, pos: int, elem: dict) -> dict:
 
 def reference_filippov_defect(alg, a_keys: tuple, b_keys: tuple):
     n = alg.arity
-    pa = sum(alg.key_parity(k) for k in a_keys) % 2
+    pa = (alg.bracket_parity + sum(alg.key_parity(k) for k in a_keys)) % 2  # of ad_a
     inner = alg.bracket_keys(tuple(b_keys))
     lhs = {}
     for k, c in sorted(inner.items()):
@@ -310,15 +322,31 @@ def corrupt_table(alg, data, entries=2):
     return FiniteNAryAlgebra(space, alg.arity, alg.bracket_parity, table)
 
 
-def mixed_table(field, data):
+def mixed_table(field, data, alpha=None):
     """A random table on a mixed-parity space with odd basis vectors, so odd
-    repeats, odd a-blocks and an odd bracket all occur."""
+    repeats, odd a-blocks and an odd bracket all occur; the bracket's
+    parity is ``alpha``, or drawn."""
     parities = data.draw(st.sampled_from([(0, 1, 1), (0, 0, 1), (1, 1, 0)]))
     space = SuperSpace(field, ("u", "v", "w"), parities)
     arity = data.draw(st.sampled_from([2, 3]))
-    alpha = data.draw(st.sampled_from([0, 1]))
+    if alpha is None:
+        alpha = data.draw(st.sampled_from([0, 1]))
     empty = FiniteNAryAlgebra(space, arity, alpha, {})
     return corrupt_table(empty, data, entries=6)
+
+
+@pytest.mark.parametrize("alpha", [0, 1], ids=["even bracket", "odd bracket"])
+@settings(max_examples=300)
+@given(data=st.data())
+def test_identity_is_the_derivation_law_of_the_inner_maps_and_the_seed_relations(alpha, data):
+    # three checks of one law: the identity, ad_a as a derivation of parity
+    # alpha + p(a) for every canonical a, and the relations of the seed mu
+    # that the transport to the symmetric side makes of the bracket
+    alg = mixed_table(QQ, data, alpha)
+    inner = not any(derivation_failures(alg, dmap, par) for par, dmap in (
+        inner_map(alg, a) for a in canonical_keys(alg, alg.keys(), alg.arity - 1)))
+    mu = WElement.from_map(bracket_to_symmetric(alg.space, alg.arity, alpha, alg.bracket_keys))
+    assert check_filippov(alg).ok == inner == check_mu_relations(mu.space, mu).ok
 
 
 def corrupt_poly(alg, keys, data):
@@ -415,14 +443,6 @@ def test_kernel_matches_the_reference_loop(case, field, data):
     for tup in canonical_keys(alg, keys, n):
         assert (derivation_defect(alg, dmap, dparity, tup, ads)
                 == reference_derivation_defect(alg, dmap, dparity, tup))
-    drep = check_derivation(alg, dmap, dparity, keys=keys)
-    count, want = 0, None
-    for tup in canonical_keys(alg, keys, n):
-        count += 1
-        if reference_derivation_defect(alg, dmap, dparity, tup):
-            want = tup
-            break
-    assert (drep.ok, drep.instances, drep.witness and drep.witness[0]) == (want is None, count, want)
 
 
 # -- one ad table per check --------------------------------------------------
@@ -491,7 +511,7 @@ def test_check_filippov_leaves_cached_brackets_unchanged(make, monkeypatch):
                 assert monomials.setdefault(k, k) is k  # equal keys are one tuple
         assert check_filippov(alg, keys=keys).ok and tables[-1].brackets == ads.brackets
         assert check_filippov(alg, keys=keys[:4], mode="full").ok
-        par, dmap = inner_derivation(alg, tuple(keys[1:alg.arity]))
+        par, dmap = inner_map(alg, tuple(keys[1:alg.arity]))
         for tup in canonical_keys(alg, keys, alg.arity):  # the first check's table, reused
             assert not derivation_defect(alg, dmap, par, tup, ads)
         after = _snapshot(ads.brackets)
@@ -529,16 +549,16 @@ def test_prime_field_verdicts_match_the_rationals(make, monkeypatch):
 
 
 def test_prime_field_reduces_a_defect_that_is_nonzero_over_the_integers(monkeypatch):
-    # CharPSeed(3, 2): arity 7, integer defect -6, which vanishes mod 3
+    # CharPSeed(p, s): arity n = s p + 1 and ad_a even at any n, so the
+    # integer defect RHS - LHS is n a - a = s p a, which vanishes mod p
     sums = []
     survives = nlie._survives
     monkeypatch.setattr(nlie, "_survives", lambda acc, p: sums.append(dict(acc)) or survives(acc, p))
-    rep = check_filippov(CharPSeed(3, 2).algebra())
-    assert rep.ok and rep.instances == 1
-    assert sums == [{0: 6}]  # RHS - LHS over Z
-    for p, s in ((5, 1), (3, 1)):
+    for p, s in ((3, 2), (5, 1), (3, 1)):
+        sums.clear()
         rep = check_filippov(CharPSeed(p, s).algebra())
-        assert not rep.ok and rep.witness[2] == "1*a"
+        assert rep.ok and rep.instances == 1
+        assert sums == [{0: s * p}]
 
 
 def test_prime_field_witness_is_pinned():
@@ -559,7 +579,7 @@ def test_prime_field_derivation_space_matches_the_rationals():
         ds = derivation_space(alg)
         assert (ds.dim, ds.inner_dim) == (6, 6)
         for parity, mat in ds.basis:
-            assert check_derivation(alg, matrix_dmap(alg, mat), parity).ok
+            assert derivation_failures(alg, matrix_dmap(alg, mat), parity) == []
         dmap = matrix_dmap(alg, {(0, 0): field.one()})  # not a derivation
         defect = derivation_defect(alg, dmap, 0, (0, 1, 2))
         assert defect and all(field.check(c) for c in defect.values())
@@ -667,7 +687,7 @@ def test_every_inner_map_lies_in_the_span_of_the_kept_tuples(alg):
         spans = {0: Span(F), 1: Span(F)}
 
         def matrix(a):  # the carrier's own scalars of ad_a
-            par, dmap = inner_derivation(alg, a)
+            par, dmap = inner_map(alg, a)
             return spans[par], matrix_of(map(dmap, keys))
 
         for a in kept:

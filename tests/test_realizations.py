@@ -244,25 +244,6 @@ def test_poisson_form_is_pluggable():
     assert anti.bracket(f, anti.ring.xi(3)) == anti.ring.one()
 
 
-def test_grading_spec_parse_and_weights():
-    spec = GradingSpec.parse("2,1|1,1")
-    assert spec.xweights == (2, 1) and spec.xiweights == (1, 1)
-    assert str(spec) == "2,1|1,1"
-    assert spec.weight_key(((1, 0), (1,))) == 3
-    assert GradingSpec.parse("|1,1,1").xweights == ()
-    with pytest.raises(ValueError):
-        GradingSpec.parse("1,2")
-
-
-def test_mixed_weight_polynomials_have_no_weight():
-    P = PoissonRealization(QQ, 0, 4)
-    g = P.grading
-    R = P.ring
-    assert g.weight(R.xi(1)) == 1
-    assert g.weight(R.xi(1) * R.xi(2) + R.xi(3) * R.xi(4)) == 2
-    assert g.weight(R.xi(1) + R.xi(1) * R.xi(2)) is None
-
-
 def test_parse_handle_constructs_the_advertised_models():
     assert parse_handle("W(1,2)").name == "W(1,2)"
     assert parse_handle("S'(1,2)").name == "S'(1,2)"
@@ -320,6 +301,8 @@ def test_incompatible_gradings_are_rejected():
     for build in bad:
         with pytest.raises(ValueError, match="not compatible"):
             build()
+    # x_1 xi_1 weighs 2 + 1 under weights (2, 1 | 1, 1)
+    assert GradingSpec((2, 1), (1, 1)).weight_key(((1, 0), (1,))) == 3
     # the shift is the one weight sum the bracket pairs
     assert PoissonRealization(QQ, 0, 4).shift == 2
     assert PoissonRealization(QQ, 0, 0).shift == 0
