@@ -266,16 +266,13 @@ class GeneralizedJacobianNAry(PolyNAryAlgebra):
     in commuting variables: entry (i,j) is D_i applied to f_j, with an
     optional bordered first row of the functions themselves."""
 
-    def __init__(self, field: Field, nvars: int, ops, bordered: bool = False,
-                 quotient: bool = False):
+    def __init__(self, field: Field, nvars: int, ops, bordered: bool = False):
         self.ops = list(ops)
         arity = len(self.ops) + (1 if bordered else 0)
         super().__init__(field, arity)
         self.nvars = nvars
         self.bordered = bordered
-        self.quotient = quotient
         self.ring = SuperPolyRing(field, nvars, 0)
-        self._zero_key = (0,) * nvars
         for op in self.ops:
             for g in op.coeffs:
                 if g[0] != "x":
@@ -292,13 +289,10 @@ class GeneralizedJacobianNAry(PolyNAryAlgebra):
         mat = [[self._apply(op, f) for f in monos] for op in self.ops]
         if self.bordered:
             mat.insert(0, monos)
-        out = {alpha: c for (alpha, _), c in _det(mat, self.ring.zero()).terms.items()}
-        if self.quotient:
-            out.pop(self._zero_key, None)
-        return out
+        return {alpha: c for (alpha, _), c in _det(mat, self.ring.zero()).terms.items()}
 
     def window_keys(self, window: int):
-        return monomials_upto(self.nvars, window, include_constant=not self.quotient)
+        return monomials_upto(self.nvars, window)
 
 
 def algebra_S(n: int, field: Field = QQ) -> JacobianNAry:

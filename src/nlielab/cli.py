@@ -237,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verification suites for n-ary bracket algebras")
     sub = p.add_subparsers(dest="command")
 
-    def common(sp):
-        sp.add_argument("--field", help="q (the default) or fp:P")
+    def common(sp, field_help="q (the default) or fp:P"):
+        sp.add_argument("--field", help=field_help)
         sp.add_argument("--json", metavar="PATH", help="write the JSON report here")
         sp.add_argument("--seed", type=int, default=0, help="echoed into the report")
 
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True)
     c.add_argument("--s", type=int, default=1)
     c.add_argument("--cap", type=int)
-    common(c)
+    common(c, argparse.SUPPRESS)  # charp runs over fp:P and refuses --field
 
     r = sub.add_parser("report", help="carrier splitting reports")
     r.add_argument("--xwindow", type=int, default=2)

@@ -6,12 +6,12 @@ out even makes a ``fractions.Fraction``.  Sums and products of
 Fractions stay Fractions even when integral, which is still exact.
 A prime-field scalar is a plain ``int`` in 0..p-1.  The field is reduced
 where a value is stored (``Field.coerce``, ``Field.reduced``, the
-``linalg.vec_add_scaled`` kernel, ``Span`` rows, the ``SuperPoly`` and
-``WElement`` operations), so loops in between may sum exact ints and
-reduce once: the identity kernel sums a whole defect before it tests it
-mod p (delayed reduction, Dumas, Giorgi and Pernet 2008).  Each loop
-picks its reducing variant once per call from ``Field.p``, which is None
-over QQ, so rational runs never pay for it.  A :class:`Field` object
+``linalg.vec_add_scaled`` kernel, which the identity kernel sums
+through, ``Span`` rows, the ``SuperPoly`` and ``WElement``
+operations); only ``SuperPoly.mul_into`` sums exact ints across a whole
+product and reduces once at its end.  Each loop picks its reducing
+variant once per call from ``Field.p``, which is None over QQ, so
+rational runs never pay for it.  A :class:`Field` object
 decides which kind a computation uses and provides construction,
 coercion, parsing and the one division, :meth:`Field.div`, so no
 ``int / int`` ever makes a float.

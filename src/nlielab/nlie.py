@@ -11,14 +11,15 @@ ad_a = [a_1..a_{n-1}, .] (``inner_parity``):
                            [b_1.. [a_1..a_{n-1}, b_k] .. b_n]
 
 For fixed a it is the derivation law of ad_a, so the identity and the
-derivation law of any map run through one kernel that sums the defect
-into a single coordinate dict with integer signs and never divides.
-Every bracket the kernel reads, [b] and [b_1.. k .. b_n] included, is
-+-ad_c(k) for an (n-1)-tuple c, and one table per check holds each
-ad_c(k) once, as a sign and the canonical bracket's coordinates; the
-images of ad_a are the table's row a.  Over F_p those coordinates are
-the carrier's own ints in 0..p-1: the kernel sums exact ints and
-reduces once per defect (delayed reduction).
+derivation law of any map run through one kernel that adds each signed
+term into one coordinate dict through ``linalg.vec_add_scaled`` and
+never divides.  Every bracket the kernel reads, [b] and [b_1.. k .. b_n]
+included, is +-ad_c(k) for an (n-1)-tuple c, and one table per check
+holds each ad_c(k) once, as a sign and the canonical bracket's
+coordinates; the images of ad_a are the table's row a.  Over F_p those
+coordinates are the carrier's own ints in 0..p-1, and the kernel
+reduces each entry where it stores it: a defect is computed in F_p and
+comes back without zeros.
 
 The defect is linear in ad_a, so ``check_filippov`` scans only a basis
 of the inner maps.  Proof: fix the parity of a and a b-block.  The
@@ -31,12 +32,12 @@ satisfy ad_a = sum_i l_i ad_{a_i} with every a_i of a's parity, then
 defect(a, b) = sum_i l_i defect(a_i, b) for every b.  Hence the defects
 of an independent family (``independent_tuples``: one ``Span`` per
 parity of a, over the carrier's own field, since a relation over QQ can
-fail mod p) decide all len(a) * len(b) instances.  Over F_p the kernel's
-exact ints map to F_p linearly, so the relation survives the
-reduction.  The family is taken greedily in scan order, so the first a
+fail mod p) decide all len(a) * len(b) instances.  Over F_p the kernel
+computes in F_p, where the relation holds, so the argument is the same
+there.  The family is taken greedily in scan order, so the first a
 that fails is in it: an a left out is a combination of kept tuples
 before it, and those all pass when a is the first to fail.  The first
-surviving defect of the basis scan is therefore the first of the plain
+nonzero defect of the basis scan is therefore the first of the plain
 scan of every pair, and its instance count is read off a's position.
 
 The kernel is written against a small duck-typed carrier protocol, so
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .fields import LiteralError, field_from_name, parse_int
-from .linalg import Span
+from .linalg import Span, vec_add_scaled
 from .multilinear import canonical_tuples, koszul_sort
 from .superspace import EVEN, ODD, SuperSpace
 
@@ -196,11 +197,12 @@ def _slots(alg, ads, keys: tuple) -> list:
 def _defect(alg, images, slots, par: int) -> dict:
     """RHS - LHS of the derivation law for the map D of parity ``par``,
     whose images are entries (s, coordinates), on the keys of ``slots``,
-    in one fresh dict (cancelled entries stay as zeros).  Every sign is
-    folded into the scalar of its term; an even carrier's all-plus terms
-    never negate."""
+    as carrier coordinates without zeros: each term goes in through
+    ``vec_add_scaled``, which reduces over F_p where it stores.  Every
+    sign is folded into the scalar of its term; an even carrier's
+    all-plus terms never negate."""
     acc: dict = {}
-    get = acc.get
+    p = alg.field.p
     kp = alg.key_parity
     lead = par & alg.bracket_parity
     for x, row, before, after, pos_sign in slots:
@@ -208,32 +210,19 @@ def _defect(alg, images, slots, par: int) -> dict:
         flip = lead ^ (par & before) ^ pos_sign ^ s_x
         for k, c in image.items():
             s, v = row[k]
-            if flip ^ s ^ (after and kp(k)):
-                c = -c
-            for j, w in v.items():
-                y = get(j)
-                acc[j] = c * w if y is None else y + c * w
+            vec_add_scaled(acc, v, -c if flip ^ s ^ (after and kp(k)) else c, p)
     x, row = slots[-1][:2]
     s_out, value = row[x]  # the bracket of all the keys
     for k, c in value.items():
         s, v = images[k]
-        if not s_out ^ s:
-            c = -c
-        for j, w in v.items():
-            y = get(j)
-            acc[j] = c * w if y is None else y + c * w
+        vec_add_scaled(acc, v, c if s_out ^ s else -c, p)
     return acc
-
-
-def _survives(acc: dict, p) -> bool:
-    """Is a nonzero ``_defect`` sum nonzero in F_p (QQ for p None)?"""
-    return p is None or any(v % p for v in acc.values())
 
 
 def _negated(alg, acc: dict) -> dict:
     """The defect LHS - RHS as carrier coordinates, from ``_defect``'s
-    sum; over F_p its ints are reduced into 0..p-1."""
-    return alg.field.reduced({j: -v for j, v in acc.items() if v})
+    sum."""
+    return alg.field.reduced({j: -v for j, v in acc.items()})
 
 
 def inner_parity(alg, a_keys: tuple) -> int:
@@ -320,7 +309,7 @@ def check_filippov(alg, keys=None, mode: str = "auto") -> FJReport:
         b_iter = list(canonical_tuples(keys, n, parities))
     else:
         raise ValueError("unknown mode %r" % mode)
-    ads, p = ad_table(alg), alg.field.p
+    ads = ad_table(alg)
     blocks = [_slots(alg, ads, b_keys) for b_keys in b_iter]
     read = {}  # the keys whose images the kernel reads: b's and those of [b]
     for slots in blocks:
@@ -334,7 +323,7 @@ def check_filippov(alg, keys=None, mode: str = "auto") -> FJReport:
         for j, (b_keys, slots) in enumerate(zip(b_iter, blocks), 1):
             d = _defect(alg, images, slots, par)
             defects += 1
-            if any(d.values()) and _survives(d, p):
+            if d:
                 count = a_iter.index(a_keys) * len(b_iter) + j
                 return FJReport(False, count, (a_keys, b_keys, alg.show(_negated(alg, d))),
                                 mode, defects)
@@ -396,7 +385,7 @@ def parse_table(text: str) -> FiniteNAryAlgebra:
         dim = parse_int(head[2])
         pstr = head[3]
         if len(pstr) != dim or set(pstr) - {"e", "o"}:
-            raise ValueError("bad parity string %r" % pstr)
+            raise ValueError("bad parity string %r" % (pstr,))
         parities = [ODD if ch == "o" else EVEN for ch in pstr]
         table = {}
         for ln in lines[1:]:
@@ -414,7 +403,7 @@ def parse_table(text: str) -> FiniteNAryAlgebra:
                 if not part or part == "0":
                     continue
                 if "*" not in part:
-                    raise ValueError("bad term %r" % part)
+                    raise ValueError("bad term %r" % (part,))
                 cstr, lab = part.rsplit("*", 1)
                 lab = lab.strip()
                 if not lab.startswith("e"):
@@ -422,10 +411,8 @@ def parse_table(text: str) -> FiniteNAryAlgebra:
                 idx = parse_int(lab[1:]) - 1
                 if not 0 <= idx < dim:
                     raise ValueError("basis label %r out of range e1..e%d" % (lab, dim))
-                c = field.parse(cstr.strip())
-                if c:
-                    coords[idx] = coords.get(idx, 0) + c
-            table[key] = field.reduced({i: c for i, c in coords.items() if c})
+                vec_add_scaled(coords, {idx: field.parse(cstr.strip())}, 1, field.p)
+            table[key] = coords
     except LiteralError as exc:
         raise ValueError("%s in %r" % (exc, ln)) from None
     space = SuperSpace(field, ["e%d" % (i + 1) for i in range(dim)], parities)

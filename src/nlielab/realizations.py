@@ -154,13 +154,17 @@ class Carrier:
         return self.project(SuperPoly(self.ring, out))
 
     def field_of(self, f) -> DiffOp:
-        """The vector field g -> [f, g] before ``project``, each left piece
-        the coefficient of its slot's derivation; every slot must be one.
-        Its kernel is the center (the constants for P and PO)."""
+        """The vector field g -> [f, g] before ``project``, summed over the
+        left pieces by ``_slot_field``.  Its kernel is the center (the
+        constants for P and PO)."""
         op = DiffOp.zero(self.ring)
         for piece, slot in self.prepare_left(f):
-            op = op + DiffOp(self.ring, {slot: piece})
+            op = op + self._slot_field(piece, slot)
         return op
+
+    def _slot_field(self, piece, slot) -> DiffOp:
+        """The field g -> piece * R(g) of a derivation slot R."""
+        return DiffOp(self.ring, {slot: piece})
 
     def zero(self):
         return self.ring.zero()
@@ -350,28 +354,16 @@ class ContactRealization(Carrier):
     def _derive(self, op, f):
         return self._two_minus_e(f) if op[0] == "2-E" else Carrier._derive(self, op, f)
 
-    def field_of(self, f: SuperPoly) -> DiffOp:
-        N = self.cidx
-        op = DiffOp.zero(self.ring)
-        for fh in f.homogeneous_parts():
-            if fh.is_zero():
-                continue
-            eps = 1 if self.lie_parity(fh) == 0 else -1
-            op = op + DiffOp.ddxi(self.ring, N, coeff=self._two_minus_e(fh))
-            h = fh.dxi(N)
-            if not h.is_zero():
-                # h times the Euler field
-                ecoeffs = {}
-                for i in range(1, self.m + 1):
-                    ecoeffs[("x", i)] = h * self.ring.x(i)
-                    ecoeffs[("xi", i)] = h * self.ring.xi(i)
-                eop = DiffOp(self.ring, ecoeffs)
-                op = op + (eop if eps > 0 else -eop)
-            for i in range(1, self.m + 1):
-                op = op - DiffOp.ddxi(self.ring, i, coeff=fh.dx(i))
-                t = DiffOp.ddx(self.ring, i, coeff=fh.dxi(i))
-                op = op + (t if eps > 0 else -t)
-        return op
+    def _slot_field(self, piece, slot) -> DiffOp:
+        # piece * (2 - E): -piece times the Euler field on x_1..x_m,
+        # xi_1..xi_m; the zero-order 2 * piece is not a field and is dropped
+        if slot != ("2-E", 0):
+            return Carrier._slot_field(self, piece, slot)
+        ring, euler = self.ring, {}
+        for i in range(1, self.m + 1):
+            euler["x", i] = piece * ring.x(i)
+            euler["xi", i] = piece * ring.xi(i)
+        return -DiffOp(ring, euler)
 
     def div_beta(self, f: SuperPoly) -> SuperPoly:
         h, sel = f.dxi(self.cidx), range(1, self.m + 1)

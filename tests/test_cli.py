@@ -17,7 +17,7 @@ import pytest
 from nlielab import cli, realizations
 from nlielab.catalog import algebra_O
 from nlielab.cli import build_parser, main
-from nlielab.fields import GF
+from nlielab.fields import GF, field_from_name
 from nlielab.nlie import serialize_table
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -261,6 +261,15 @@ def test_charp_field_is_a_one_line_usage_error(field, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
+def test_charp_help_does_not_offer_field(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["charp", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--p P" in out and "--json PATH" in out
+    assert "--field" not in out
 
 
 def test_report_command(capsys):
@@ -569,3 +578,30 @@ def test_prime_field_output_bytes_are_pinned(command, code, stdout_sha, json_sha
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, out
     assert hashlib.sha256(path.read_bytes()).hexdigest() == json_sha
+
+
+# the identity witnesses of a corrupted O(3) table (one term 3*e1 added to
+# [e1 e2 e3]): stdout and --json sha256 with exit 1; the only CLI bytes that
+# the identity kernel's reduction reaches
+WITNESS_GOLDEN = [
+    ("q", "f2d0e08a478d74104891525cf0a0db267509dfbfd1902080658d64d70dc79da0",
+     "2fc712c6828ca28c9815115e47b2a6709762fdabfc8758160f301c184648c494"),
+    ("fp:7", "de7be75b5edecbdced81f93779efb5ca7e31f938fc65766e7205e187fdd30d3e",
+     "e52daba1dd4bc0ab144b4cdf7937b1d1d1448d06f20c3d060848fe0b136d8f52"),
+]
+
+
+@pytest.mark.parametrize("field,stdout_sha,json_sha", WITNESS_GOLDEN,
+                         ids=[g[0] for g in WITNESS_GOLDEN])
+def test_identity_witness_output_bytes_are_pinned(field, stdout_sha, json_sha, tmp_path,
+                                                  monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a relative name keeps the echoed table= stable
+    text = serialize_table(algebra_O(3, field_from_name(field)))
+    (tmp_path / "bad.nlie").write_text(text.replace("1 2 3 -> 1*e4\n",
+                                                    "1 2 3 -> 1*e4 + 3*e1\n"))
+    argv = ["verify", "--table", "bad.nlie", "--field", field, "--json", "report.json"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] filippov_jacobi: 92 instances" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, out
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == json_sha

@@ -20,12 +20,13 @@ from nlielab.nlie import (
     filippov_defect,
     identity_mode,
     independent_tuples,
+    inner_parity,
     parse_table,
     serialize_table,
 )
 from nlielab.multilinear import bracket_to_symmetric, canonical_tuples, koszul_sort
 from nlielab.polysuper import DiffOp, SuperPolyRing
-from nlielab.superspace import SuperSpace
+from nlielab.superspace import ODD, SuperSpace
 from nlielab.universal import WElement
 
 
@@ -428,8 +429,13 @@ def test_kernel_matches_the_reference_loop(case, field, data):
     key = st.sampled_from(keys)
     drawn = [(tuple(data.draw(key) for _ in range(n - 1)), tuple(data.draw(key) for _ in range(n)))
              for _ in range(4)]
+    ads = ad_table(alg)  # one table for every tuple, as derivation_space runs it
     for a_keys, b_keys in drawn + _repeat_instances(alg, keys):
         assert filippov_defect(alg, a_keys, b_keys) == reference_filippov_defect(alg, a_keys, b_keys)
+        # the kernel's own sum keeps no zero entry, and over F_p only field scalars
+        d = nlie._defect(alg, ads[a_keys], nlie._slots(alg, ads, b_keys), inner_parity(alg, a_keys))
+        assert all(d.values())
+        assert field.p is None or all(type(c) is int and 0 < c < field.p for c in d.values())
 
     # a random map of a drawn parity through the derivation defect
     images = {k: {j: alg.field.coerce(c) for j in keys if (c := data.draw(coeffs))}
@@ -439,7 +445,6 @@ def test_kernel_matches_the_reference_loop(case, field, data):
     def dmap(k):  # zero off the window
         return images.get(k, {})
 
-    ads = ad_table(alg)  # one table for every tuple, as derivation_space runs it
     for tup in canonical_keys(alg, keys, n):
         assert (derivation_defect(alg, dmap, dparity, tup, ads)
                 == reference_derivation_defect(alg, dmap, dparity, tup))
@@ -548,17 +553,19 @@ def test_prime_field_verdicts_match_the_rationals(make, monkeypatch):
             assert any(stored[ck] != v for ck, v in rational.items())
 
 
-def test_prime_field_reduces_a_defect_that_is_nonzero_over_the_integers(monkeypatch):
+def test_prime_field_reduces_a_defect_that_is_nonzero_over_the_integers():
     # CharPSeed(p, s): arity n = s p + 1 and ad_a even at any n, so the
-    # integer defect RHS - LHS is n a - a = s p a, which vanishes mod p
-    sums = []
-    survives = nlie._survives
-    monkeypatch.setattr(nlie, "_survives", lambda acc, p: sums.append(dict(acc)) or survives(acc, p))
+    # defect LHS - RHS is a - n a = -s p a: nonzero over QQ, zero in F_p
     for p, s in ((3, 2), (5, 1), (3, 1)):
-        sums.clear()
-        rep = check_filippov(CharPSeed(p, s).algebra())
+        seed = CharPSeed(p, s)
+        n = seed.n
+        rep = check_filippov(seed.algebra())
         assert rep.ok and rep.instances == 1
-        assert sums == [{0: s * p}]
+        rational = FiniteNAryAlgebra(SuperSpace(QQ, ("a",), (ODD,)), n, (n + 1) % 2,
+                                     {(0,) * n: {0: 1}})
+        rep = check_filippov(rational)
+        assert not rep.ok and rep.instances == 1
+        assert filippov_defect(rational, (0,) * (n - 1), (0,) * n) == {0: -s * p}
 
 
 def test_prime_field_witness_is_pinned():

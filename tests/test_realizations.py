@@ -189,7 +189,8 @@ def test_constrained_windows_close_under_the_bracket(real):
             assert real.contains(real.bracket(f, g))
 
 
-@pytest.mark.parametrize("real", realization_zoo(), ids=lambda r: r.name)
+@pytest.mark.parametrize("real", realization_zoo() + [ContactRealization(QQ, 2)],
+                         ids=lambda r: r.name)
 def test_field_map_is_a_lie_homomorphism(real):
     elems = samples(real, 4)
     for f in elems:
