@@ -10,7 +10,7 @@ Four commands:
 * ``report``  -- the carrier splitting reports.
 
 Exit code 0 when every record passes, 1 when any record fails, 2 on
-usage errors or unreadable inputs.  Reports render deterministically:
+usage errors or unreadable inputs, 3 on an internal error.  Reports render deterministically:
 rerunning a configuration reproduces the bytes.
 """
 
@@ -295,6 +295,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:  # a broken invariant, never a failed check
+        print("internal error: %r" % exc, file=sys.stderr)
+        return 3
     print(rep.to_text())
     return rep.exit_code()
 

@@ -11,19 +11,20 @@ enumerator, and its distinguished divergence:
 * the odd contact bracket ``KO(n,n+1)`` and the div_beta-kernel
   ``SKO'(n,n+1;beta)``.
 
-They share the base class ``Carrier``, which holds the grading and its
-compatibility test, the windows and graded bases (monomial candidates
-cut to the kernel of the constraint), the quotient by the constants,
-the Lie parity, membership, and the one polynomial bracket: bilinear,
-[f, g] = sum_s c_s L_s(f) R_s(g) with left pieces L_s derivatives (or
-2 - E) of f or of f_odd - f_even, and right slots R_s = d/dx_i g,
-d/dxi_j g or (2 - E) g.  A subclass declares these rows as its
-``pairing`` table, its ``constraint_value`` and the grading hook
-``_paired_weights``.  ``bracket`` takes an element or its prepared
-pieces on either side, so pairing one element with many differentiates
-it once.  ``VectorFieldRealization`` supplies the ``DiffOp`` versions of
-``bracket``, ``zero``, ``vectorize``, ``element``, ``xdeg`` and
-``_candidates``, and prepares nothing.
+They share the base class ``Carrier``, which holds the weight grading
+and the x-grading with their one compatibility test, the windows and
+graded bases (monomial candidates cut to the kernel of the constraint),
+the quotient by the constants, the Lie parity, membership, and the one
+polynomial bracket: bilinear, [f, g] = sum_s c_s L_s(f) R_s(g) with left
+pieces L_s derivatives (or 2 - E) of f or of f_odd - f_even, and right
+slots R_s = d/dx_i g, d/dxi_j g or (2 - E) g.  A subclass declares these
+rows as its ``pairing`` table, its ``constraint_value`` and the grading
+hooks ``_paired_weights`` and ``_x_grading``.  ``bracket`` takes an
+element or its prepared pieces on either side, so pairing one element
+with many differentiates it once.  ``VectorFieldRealization`` supplies
+the ``DiffOp`` versions of ``bracket``, ``zero``, ``vectorize``,
+``element``, ``xdeg``, ``_keys`` and ``_key_weight``, and prepares
+nothing.
 
 On top of the carriers: the top-element pairing checks (one line at the
 top, centralizing the degree-zero part, window transitivity, and the
@@ -74,17 +75,6 @@ def depth_one_grading(m: int, n: int) -> GradingSpec:
 
 
 # ---------------------------------------------------------------------------
-# shared helpers
-
-
-def _ring_monomial_keys(ring: SuperPolyRing, xwindow: int):
-    for alpha in monomials_upto(ring.m, xwindow):
-        for r in range(ring.n + 1):
-            for xis in combinations(range(1, ring.n + 1), r):
-                yield (alpha, xis)
-
-
-# ---------------------------------------------------------------------------
 # carriers
 
 
@@ -104,17 +94,39 @@ class Carrier:
         self.grading = grading
         self.constraint = constraint
         self.quotient = quotient
-        sums = self._paired_weights()
-        if len(sums) != 1:
-            raise ValueError("grading is not compatible with the bracket")
-        self.shift = sums.pop()
+        self.xgrading = self._x_grading()
+        self.shift, self.xshift = map(self._shift, (grading, self.xgrading))
         self.name = name
 
-    def _paired_weights(self) -> set:
+    def _shift(self, grading: GradingSpec) -> int:
+        sums = self._paired_weights(grading)
+        if len(sums) != 1:
+            raise ValueError("grading is not compatible with the bracket")
+        return sums.pop()
+
+    def _paired_weights(self, grading: GradingSpec) -> set:
         """Weight sums of the generator pairs the bracket contracts; the
         grading is compatible with the bracket when there is exactly one,
         and it is the shift."""
         raise NotImplementedError
+
+    def _x_grading(self) -> GradingSpec:
+        """The grading ``check_split`` cuts by, with shift ``xshift``: x_i
+        weigh 1, odd generators 0 unless the bracket pairs them with more."""
+        return GradingSpec((1,) * self.ring.m, (0,) * self.ring.n)
+
+    def _keys(self, xwindow: int):
+        """The ``vectorize`` keys of x-degree at most ``xwindow``."""
+        n = self.ring.n
+        return [(alpha, xis) for alpha in monomials_upto(self.ring.m, xwindow)
+                for r in range(n + 1) for xis in combinations(range(1, n + 1), r)]
+
+    def _key_weight(self, grading: GradingSpec, key) -> int:
+        return grading.weight_key(key)
+
+    def xdegrees(self, f) -> set:
+        """The x-grading weights of the terms of f."""
+        return {self._key_weight(self.xgrading, key) for key in self.vectorize(f)}
 
     def _derive(self, op, f):
         kind, i = op
@@ -197,12 +209,12 @@ class Carrier:
 
     def _candidates(self, xwindow: int, degree=None):
         want = None if degree is None else degree + self.shift
-        out = []
-        for key in _ring_monomial_keys(self.ring, xwindow):
+        one, out = self.field.one(), []
+        for key in self._keys(xwindow):
             if self.quotient and not key[1] and not any(key[0]):
                 continue
-            if want is None or self.grading.weight_key(key) == want:
-                out.append(self.ring.monomial(*key))
+            if want is None or self._key_weight(self.grading, key) == want:
+                out.append(self.element({key: one}))
         return out
 
     def _cut(self, cands):
@@ -266,13 +278,16 @@ class PoissonRealization(Carrier):
                          grading if grading is not None else principal_grading(m, n),
                          name, quotient=quotient)
 
-    def _paired_weights(self) -> set:
-        xw, sw = self.grading.xweights, self.grading.xiweights
+    def _paired_weights(self, grading: GradingSpec) -> set:
+        xw, sw = grading.xweights, grading.xiweights
         sums = {sw[i - 1] + sw[j - 1] for (i, j) in self.b}
-        sums.update(xw[i - 1] + xw[self.npairs + i - 1]
-                    for i in range(1, self.npairs + 1))
+        sums.update(xw[i] + xw[self.npairs + i] for i in range(self.npairs))
         # a bracket that pairs nothing leaves the grading unshifted
         return sums or {0}
+
+    def _x_grading(self) -> GradingSpec:
+        # odd pairs beside even ones must weigh as much, 1 each
+        return GradingSpec((1,) * self.ring.m, (min(self.ring.m, 1),) * self.ring.n)
 
 
 class ButtinRealization(Carrier):
@@ -299,9 +314,8 @@ class ButtinRealization(Carrier):
                          grading if grading is not None else depth_one_grading(n, n),
                          name, constraint, quotient)
 
-    def _paired_weights(self) -> set:
-        return {self.grading.xweights[i] + self.grading.xiweights[i]
-                for i in range(self.nvars)}
+    def _paired_weights(self, grading: GradingSpec) -> set:
+        return {grading.xweights[i] + grading.xiweights[i] for i in range(self.nvars)}
 
     def constraint_value(self, f: SuperPoly):
         return None if self.constraint is None else delta(f, self.nvars)
@@ -339,11 +353,14 @@ class ContactRealization(Carrier):
                          grading if grading is not None else depth_one_grading(m, m + 1),
                          name, constraint)
 
-    def _paired_weights(self) -> set:
-        sums = {self.grading.xiweights[self.cidx - 1]}
-        sums.update(self.grading.xweights[i] + self.grading.xiweights[i]
-                    for i in range(self.m))
+    def _paired_weights(self, grading: GradingSpec) -> set:
+        sums = {grading.xiweights[self.cidx - 1]}
+        sums.update(grading.xweights[i] + grading.xiweights[i] for i in range(self.m))
         return sums
+
+    def _x_grading(self) -> GradingSpec:
+        # the contact variable pairs with 2 - E, which keeps degrees
+        return GradingSpec((1,) * self.m, (0,) * self.m + (1,))
 
     def _two_minus_e(self, f: SuperPoly) -> SuperPoly:
         # 2 - E with E the Euler operator on x_1..x_m, xi_1..xi_m
@@ -392,9 +409,19 @@ class VectorFieldRealization(Carrier):
                          grading if grading is not None else principal_grading(m, n),
                          name, constraint)
 
-    def _paired_weights(self) -> set:
+    def _paired_weights(self, grading: GradingSpec) -> set:
         # the commutator pairs each generator with its own derivation
         return {0}
+
+    def _keys(self, xwindow: int):
+        gens = [("x", i) for i in range(1, self.m + 1)] + [("xi", j) for j in range(1, self.n + 1)]
+        return [(g, key) for key in Carrier._keys(self, xwindow) for g in gens]
+
+    def _key_weight(self, grading: GradingSpec, key) -> int:
+        # a field weighs its coefficient less the generator it differentiates
+        (kind, i), mono = key
+        return grading.weight_key(mono) - (grading.xweights if kind == "x"
+                                           else grading.xiweights)[i - 1]
 
     def zero(self):
         return DiffOp.zero(self.ring)
@@ -426,17 +453,6 @@ class VectorFieldRealization(Carrier):
     def constraint_value(self, X: DiffOp):
         return None if self.constraint is None else X.divergence()
 
-    def _candidates(self, xwindow: int, degree=None):
-        gw = self.grading
-        gens = ([(i, gw.xweights[i - 1], DiffOp.ddx) for i in range(1, self.m + 1)]
-                + [(j, gw.xiweights[j - 1], DiffOp.ddxi) for j in range(1, self.n + 1)])
-        out = []
-        for key in _ring_monomial_keys(self.ring, xwindow):
-            w = gw.weight_key(key)
-            for i, gwt, make in gens:
-                if degree is None or w - gwt == degree:
-                    out.append(make(self.ring, i, coeff=self.ring.monomial(*key)))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -716,18 +732,39 @@ def check_split(real, complement, xwindow: int, label: str = "",
     the part of it lying inside the window saturates; the ideal property
     is sampled on multipliers of x-degree up to ``IDEAL_XDEG`` whose
     brackets stay inside reach.  Each element's right slots are prepared
-    once, its left pieces once per row."""
+    once, its left pieces once per row.
+
+    Only the slack pairs whose bracket lands in an x-grading weight some
+    test reads are bracketed.  The constraints are x-homogeneous, so the
+    kernel's RREF vectors are (else RuntimeError), and the derived span D
+    is the sum of its homogeneous parts D_d.  Every vector tested against
+    D has its terms in weights <= top: the complement, each bracket of
+    x-degree <= ``xwindow`` and the ideal sample [w, d].  A bracket of
+    weights a and b lands in weight a + b - xshift, so the pairs beyond
+    top only add to D_{>top}, and no answer or window part changes."""
     field = real.field
     window = real.window_elements(xwindow)
     wspan = span_of(field, [real.vectorize(e) for e in window])
 
     slack = real.window_elements(xwindow + GEN_SLACK)
+    degs = [real.xdegrees(e) for e in slack]
+    if any(len(d) != 1 for d in degs):
+        raise RuntimeError("%s: a slack element is not x-homogeneous" % real.name)
+    degs = [d.pop() for d in degs]
+    wtop, itop = (max(real._key_weight(real.xgrading, key) for key in real._keys(k))
+                  for k in (xwindow, IDEAL_XDEG))
+    top = max(wtop, max(real.xdegrees(complement), default=wtop),
+              itop + wtop - real.xshift)
+    reach = top + real.xshift  # bracket the pairs of weights a + b <= reach
     rights = [real.prepare_right(e) for e in slack]
     dspan_all = Span(field)
     dw_vectors = []
     for i, e in enumerate(slack):
+        partners = [rights[j] for j in range(i, len(slack)) if degs[i] + degs[j] <= reach]
+        if not partners:
+            continue
         left = real.prepare_left(e)
-        for right in rights[i:]:
+        for right in partners:
             r = real.bracket(left, right)
             v = real.vectorize(r)
             if not v:

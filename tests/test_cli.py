@@ -289,6 +289,20 @@ def test_report_over_a_field_without_one_third_is_a_usage_error(capsys):
     assert err == ["error: the SKO'(3,4;1/3) case needs beta = 1/3, which fp:3 lacks"]
 
 
+def test_internal_errors_exit_three_with_one_line(tmp_path, monkeypatch, capsys):
+    # exit 1 means a check failed, so a broken invariant must not reach it
+    def broken(xwindow, field):
+        raise RuntimeError("S'(1,2): a slack element is not x-homogeneous")
+
+    monkeypatch.setattr(cli, "check_splits", broken)
+    path = tmp_path / "report.json"
+    assert main(["report", "--xwindow", "0", "--json", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and not path.exists()
+    assert err.splitlines() == [
+        "internal error: RuntimeError(\"S'(1,2): a slack element is not x-homogeneous\")"]
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert main([]) == 2
     assert main(["verify"]) == 2  # selector or table required
@@ -513,7 +527,8 @@ def test_module_entry_point():
 
 
 # sha256 of stdout and of the --json file, with the exit code, of prime-field
-# runs whose scalars reach the reports (witnesses, scalars, residues)
+# runs whose scalars reach the reports (witnesses, scalars, residues), and
+# of the split reports that the x-degree cut of check_split must not move
 GOLDEN = [
     ("verify O --n 4 --field fp:7", 0,
      "84b9ab25c77fb8f3851ea85607e6719213b9bae945619960cc1e6bd0659f8a53",
@@ -563,6 +578,12 @@ GOLDEN = [
     ("report --xwindow 1 --field fp:2", 1,
      "b0ac234187cbf9f830b9895ff920c507b1c3634e5d1c099e031859a9da1ea4e7",
      "4fe2f374d5f6baf7bd60a83ceaebe2235368d4cc28623f0eca63a301ccca9764"),
+    ("report --xwindow 1 --field fp:7", 0,
+     "1c313e013d29b807d4be1c067ca1bba52d5a9567bb67105e06821026ccddecd2",
+     "51fe192b3d841312eebd39e0a0635b1c07db77dd832be2b65210fa45209f3516"),
+    ("report --xwindow 2", 0,
+     "512a4908eaafa82e8807ee9feaeb27b6c49207377e41ac9debcf76ee06c599ab",
+     "b7ebdad1ed18715c8df09e8ca351ab35aef6683d44d6c514dc03cf7f7066d761"),
     ("charp --p 3", 1,
      "93a51a76f8ea506fc4023d6ba1fd338abe6e569c4922c0bd17e5aa0c81202f1e",
      "9ca4aca0aa32ffefea44e62b065ab50be87c59d53b167b6c28beaaa39c016137"),

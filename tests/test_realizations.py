@@ -10,6 +10,7 @@ from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.realizations import (
     ButtinRealization,
     ContactRealization,
+    GEN_SLACK,
     GradingSpec,
     PoissonRealization,
     SplitReport,
@@ -405,11 +406,12 @@ def test_pairings_reproduce_the_catalog_brackets(which, scalar, tuples, l0):
         assert by_name["depth_module_irreducible"].ok is None
 
 
-def check_split_ref(real, complement, xwindow, gen_slack=2, label="",
+def check_split_ref(real, complements, xwindow, gen_slack=2, label="",
                     asserted=True, ideal_xdeg=1):
-    """``check_split`` as first written: every bracket from plain
-    elements, the ideal sample filtered pair by pair; the oracle for the
-    prepared pieces in the library."""
+    """``check_split`` as first written, one report per complement:
+    every slack pair bracketed from plain elements, the ideal sample
+    filtered pair by pair; the oracle for the prepared pieces and the
+    x-degree cut in the library."""
     field = real.field
     wspan = Span(field)
     for e in real.window_elements(xwindow):
@@ -425,9 +427,6 @@ def check_split_ref(real, complement, xwindow, gen_slack=2, label="",
             dspan_all.insert(v)
             if real.xdeg(r) <= xwindow:
                 dwspan.insert(v)
-    cvec = real.vectorize(complement)
-    in_carrier = bool(wspan.contains(cvec)) and real.contains(complement)
-    in_derived = bool(dspan_all.contains(cvec))
     checked = failures = 0
     dw_elems = [real.element(row) for row in dwspan.basis()]
     for w in real.window_elements(ideal_xdeg):
@@ -438,15 +437,82 @@ def check_split_ref(real, complement, xwindow, gen_slack=2, label="",
             checked += 1
             if v and not dspan_all.contains(v):
                 failures += 1
-    return SplitReport(label or real.name, xwindow, wspan.dim, dwspan.dim, in_carrier,
-                       in_derived, dwspan.dim == wspan.dim - 1, checked, failures, asserted)
+    return [SplitReport(label or real.name, xwindow, wspan.dim, dwspan.dim,
+                        bool(wspan.contains(real.vectorize(c))) and real.contains(c),
+                        bool(dspan_all.contains(real.vectorize(c))),
+                        dwspan.dim == wspan.dim - 1, checked, failures, asserted)
+            for c in complements]
 
 
-@pytest.mark.parametrize("xwindow", [0, 1])
-def test_split_reports_match_the_all_pairs_reference(xwindow):
-    for label, real, comp, asserted in split_cases(xwindow):
-        got = check_split(real, comp, xwindow, label=label, asserted=asserted)
-        assert got == check_split_ref(real, comp, xwindow, label=label, asserted=asserted)
+def complements_to_try(real, comp, xwindow):
+    """The case's complement, one mixing the lowest and the highest
+    x-degree of the window, a nonzero bracket of slack elements inside
+    the window (so inside the derived part), the complement plus it, the
+    complement plus the slack element of top x-degree, and a nonzero
+    bracket of top x-degree with a slack element of top x-degree in it
+    (derived, above the window)."""
+    window, slack = real.window_elements(xwindow), real.window_elements(xwindow + 2)
+    by_degree = sorted(window, key=lambda e: min(real.xdegrees(e)))
+    inside = next(r for f in slack for g in slack
+                  if real.vectorize(r := real.bracket(f, g)) and real.xdeg(r) <= xwindow)
+    high = max(slack, key=lambda e: min(real.xdegrees(e)))
+    for f in sorted(slack, key=lambda e: -min(real.xdegrees(e))):
+        brackets = [r for e in slack if real.vectorize(r := real.bracket(f, e))]
+        if brackets:
+            far = max(brackets, key=lambda r: max(real.xdegrees(r)))
+            break
+    return [comp, by_degree[0] + by_degree[-1], inside, comp + inside, comp + high, far]
+
+
+# ids: the window alone over QQ, fp:P-window over GF(P)
+@pytest.mark.parametrize("field,xwindow", [
+    pytest.param(GF(p) if p else QQ, w, id="%d" % w if p is None else "fp:%d-%d" % (p, w))
+    for p in (None, 2, 7) for w in (0, 1)])
+def test_split_reports_match_the_all_pairs_reference(field, xwindow):
+    verdicts = []
+    for label, real, comp, asserted in split_cases(xwindow, field):
+        tried = complements_to_try(real, comp, xwindow)
+        got = [check_split(real, c, xwindow, label=label, asserted=asserted) for c in tried]
+        assert got == check_split_ref(real, tried, xwindow, label=label, asserted=asserted)
+        assert got[2].complement_in_derived and not got[2].ok
+        verdicts.append(got[0].ok)
+    # over GF(2) the window of SKO'(3,4;1) is not derived part plus one line
+    assert verdicts[3] is (field.p != 2)
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_split_carriers_are_x_graded(case):
+    label, real, comp, asserted = split_cases(1)[case]
+    for e in real.window_elements(1 + GEN_SLACK):
+        assert len(real.xdegrees(e)) == 1, (label, e)
+    window = real.window_elements(1)
+    for f in window:
+        for g in window:
+            r = real.bracket(f, g)
+            if real.vectorize(r):
+                (df,), (dg,) = real.xdegrees(f), real.xdegrees(g)
+                assert real.xdegrees(r) == {df + dg - real.xshift}, (label, f, g)
+
+
+def test_x_grading_shifts_and_the_flat_contact_variable():
+    assert [real.xshift for _, real, _, _ in split_cases(1)] == [0, 0, 1, 1, 1]
+    assert PoissonRealization(QQ, 2, 0).xshift == 2
+    assert PoissonRealization(QQ, 2, 2).xshift == 2
+    assert ButtinRealization(QQ, 2).xshift == ContactRealization(QQ, 2).xshift == 1
+
+    class FlatContact(ContactRealization):  # tau at weight 0, unlike the x_i
+        def _x_grading(self):
+            return GradingSpec((1,) * self.m, (0,) * (self.m + 1))
+
+    with pytest.raises(ValueError, match="not compatible"):
+        FlatContact(QQ, 3, constraint="div")
+
+
+def test_split_refuses_a_slack_element_off_the_x_grading(monkeypatch):
+    label, real, comp, asserted = split_cases(0)[2]
+    monkeypatch.setattr(real, "xdegrees", lambda f: {0, 1})
+    with pytest.raises(RuntimeError, match="not x-homogeneous"):
+        check_split(real, comp, 0, label=label)
 
 
 def test_pairing_report_carries_the_names():
