@@ -19,7 +19,7 @@ import sys
 
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, parse_form
 from .charp import CharPSeed, charp_fj_check, charp_generation, q_control
-from .fields import FieldError, field_from_name
+from .fields import field_from_name
 from .liegen import (check_admissible, check_mu_relations, check_truncation,
                      generate_subalgebra)
 from .multilinear import bracket_to_symmetric
@@ -284,10 +284,6 @@ def main(argv=None) -> int:
         return 2
     try:
         field = field_from_name("q" if args.field is None else args.field)
-    except (FieldError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    try:
         rep = COMMANDS[args.command](args, field)
         if args.json:
             with open(args.json, "w") as fh:

@@ -185,6 +185,10 @@ class SuperPoly:
                 out[(alpha, xis[:pos] + xis[pos + 1:])] = -c if pos % 2 else c
         return SuperPoly(self.ring, self.ring.field.reduced(out))
 
+    def derive(self, g) -> "SuperPoly":
+        """d/dx_i or d/dxi_i for the generator g = ("x" | "xi", i)."""
+        return self.dx(g[1]) if g[0] == "x" else self.dxi(g[1])
+
     def weighted(self, weight_fn) -> "SuperPoly":
         """Scale each term by an integer weight (e.g. Euler operators)."""
         out = {}
@@ -292,13 +296,10 @@ class DiffOp:
                 target[g] = target.get(g, self.ring.zero()) + part
         return DiffOp(self.ring, even), DiffOp(self.ring, odd)
 
-    def _derive(self, g, f: SuperPoly) -> SuperPoly:
-        return f.dx(g[1]) if g[0] == "x" else f.dxi(g[1])
-
     def apply(self, f: SuperPoly) -> SuperPoly:
         out = self.ring.zero()
         for g, p in self.coeffs.items():
-            df = self._derive(g, f)
+            df = f.derive(g)
             if not df.is_zero():
                 out = out + p * df
         return out

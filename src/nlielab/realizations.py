@@ -40,7 +40,7 @@ from itertools import combinations
 from math import lcm
 
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, monomials_upto
-from .fields import QQ, Field
+from .fields import QQ, Field, parse_int
 from .liegen import induced_table, tables_proportional
 from .linalg import Span, annihilator, irreducible, kernel, matrix_of, span_of
 from .polysuper import DiffOp, SuperPoly, SuperPolyRing, delta
@@ -124,13 +124,16 @@ class Carrier:
     def _key_weight(self, grading: GradingSpec, key) -> int:
         return grading.weight_key(key)
 
+    def _weights(self, grading: GradingSpec, f) -> set:
+        """The ``grading`` weights of the terms of f."""
+        return {self._key_weight(grading, key) for key in self.vectorize(f)}
+
     def xdegrees(self, f) -> set:
         """The x-grading weights of the terms of f."""
-        return {self._key_weight(self.xgrading, key) for key in self.vectorize(f)}
+        return self._weights(self.xgrading, f)
 
     def _derive(self, op, f):
-        kind, i = op
-        return f.dx(i) if kind == "x" else f.dxi(i)
+        return f.derive(op)
 
     def prepare_left(self, f) -> list:
         """The nonzero pieces c * L(f) of the rows of ``pairing``, each
@@ -207,15 +210,10 @@ class Carrier:
         v = self.constraint_value(f)
         return v is None or v.is_zero()
 
-    def _candidates(self, xwindow: int, degree=None):
-        want = None if degree is None else degree + self.shift
-        one, out = self.field.one(), []
-        for key in self._keys(xwindow):
-            if self.quotient and not key[1] and not any(key[0]):
-                continue
-            if want is None or self._key_weight(self.grading, key) == want:
-                out.append(self.element({key: one}))
-        return out
+    def _candidates(self, xwindow: int):
+        one = self.field.one()
+        return [self.element({key: one}) for key in self._keys(xwindow)
+                if not (self.quotient and not key[1] and not any(key[0]))]
 
     def _cut(self, cands):
         """A basis of the combinations of ``cands`` inside the carrier."""
@@ -231,10 +229,28 @@ class Carrier:
         return out
 
     def window_elements(self, xwindow: int):
+        """The window of x-degree <= ``xwindow``: the constraint's kernel on
+        its candidates, the one kernel a carrier solves.  ``_keys`` grades
+        the candidates by x-degree, so window k's are a prefix of window
+        K's (k <= K); ``Span`` pivots on the smallest key, so the RREF of
+        the prefix columns is the full RREF's rows with pivots there, and
+        window k is the elements of window K of ``xdeg`` <= k, in order.
+        Each constraint shifts the weight grading by one amount (what
+        ``_shift`` checks), so the matrix is block-diagonal by weight and
+        each kernel vector is the one of its block's own kernel: the
+        pieces of ``graded_bases``."""
         return self._cut(self._candidates(xwindow))
 
-    def basis(self, degree: int, xwindow: int = 0):
-        return self._cut(self._candidates(xwindow, degree))
+    def graded_bases(self, xwindow: int) -> dict:
+        """{degree: basis} read off ``window_elements(xwindow)``; an element
+        off the grading is a broken invariant (RuntimeError)."""
+        out: dict = {}
+        for e in self.window_elements(xwindow):
+            weights = self._weights(self.grading, e)
+            if len(weights) != 1:
+                raise RuntimeError("%s: a window element is not homogeneous" % self.name)
+            out.setdefault(weights.pop() - self.shift, []).append(e)
+        return out
 
 
 class PoissonRealization(Carrier):
@@ -369,7 +385,7 @@ class ContactRealization(Carrier):
                           + (N in key[1]))
 
     def _derive(self, op, f):
-        return self._two_minus_e(f) if op[0] == "2-E" else Carrier._derive(self, op, f)
+        return self._two_minus_e(f) if op[0] == "2-E" else f.derive(op)
 
     def _slot_field(self, piece, slot) -> DiffOp:
         # piece * (2 - E): -piece times the Euler field on x_1..x_m,
@@ -454,7 +470,6 @@ class VectorFieldRealization(Carrier):
         return None if self.constraint is None else X.divergence()
 
 
-
 # ---------------------------------------------------------------------------
 # the lambda-twisted action on functions
 
@@ -470,15 +485,11 @@ def pi_act(X: DiffOp, f: SuperPoly, lam, div_fn=None):
         return out
     div = div_fn if div_fn is not None else (lambda Z: Z.divergence())
     for Xh in X.homogeneous_parts():
-        if Xh.is_zero():
-            continue
         d = div(Xh)
         if d.is_zero():
             continue
         px = Xh.parity()
         for fh in f.homogeneous_parts():
-            if fh.is_zero():
-                continue
             t = (fh * d).scale(lam)
             out = out + (-t if (px and fh.parity()) else t)
     return out
@@ -515,7 +526,9 @@ def parse_handle(text: str, field: Field = QQ, beta=None):
     parts = body.split(",")
     if len(parts) != 2:
         raise ValueError("bad handle %r" % (text,))
-    m, n = int(parts[0]), int(parts[1])
+    m, n = map(parse_int, parts)
+    if m < 0 or n < 0:
+        raise ValueError("negative variable count in handle %r" % (text,))
     if btext is not None:
         beta = field.parse(btext)
     if head in ("PO", "SHO'") and m != n:
@@ -543,7 +556,8 @@ def parse_handle(text: str, field: Field = QQ, beta=None):
 
 
 def graded_dims(real, degrees, xwindow: int) -> dict:
-    return {d: len(real.basis(d, xwindow)) for d in degrees}
+    bases = real.graded_bases(xwindow)
+    return {d: len(bases.get(d, ())) for d in degrees}
 
 
 # ---------------------------------------------------------------------------
@@ -614,21 +628,13 @@ def pair_setup(which: str, n: int, xwindow: int, field: Field = QQ) -> PairSetup
     raise ValueError("unknown pair %r" % (which,))
 
 
-def catalog_table(cat, keys, arity: int) -> dict:
-    table = {}
-    for combo in combinations(keys, arity):
-        coords = cat.bracket_keys(combo)
-        if coords:
-            table[combo] = coords
-    return table
-
-
 def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> PairReport:
     setup = pair_setup(which, n, xwindow, field)
     real, mu = setup.real, setup.mu
     checks = []
 
-    bases = [real.basis(d, xwindow) for d in range(n)]  # L_0 .. L_{n-1}
+    graded = real.graded_bases(xwindow)
+    bases = [graded.get(d, []) for d in range(n)]  # L_0 .. L_{n-1}
     top = bases[n - 1]
     top_ok = len(top) == 1
     if top_ok:
@@ -675,14 +681,13 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
         checks.append(PairCheck("depth_module_irreducible",
                                 None if irr == "not_decided" else irr, detail))
     else:
-        checks.append(PairCheck(
-            "depth_module_irreducible", None,
-            "infinite depth component; not decided at window level"))
+        checks.append(PairCheck("depth_module_irreducible", None,
+                                "infinite depth component; not decided at window level"))
 
     ind = induced_table(real.bracket, mu, depth, combinations(setup.keys, n), real.vectorize,
                         {k: real.lie_parity(v) for k, v in depth.items()})
-    cat = {key: {coord(k): c for k, c in val.items()}
-           for key, val in catalog_table(setup.catalog, setup.keys, n).items()}
+    cat = {key: {coord(k): c for k, c in val.items()} for key in combinations(setup.keys, n)
+           if (val := setup.catalog.bracket_keys(key))}
     match, info = tables_proportional(ind, cat, field)
     scalar = info if match else None
     detail = ("scalar %s over %d tuples" % (info, len(cat))) if match else \
@@ -715,9 +720,8 @@ class SplitReport:
 
     @property
     def ok(self) -> bool:
-        good = (self.complement_in_carrier and not self.complement_in_derived
-                and self.codim_one and self.ideal_failures == 0)
-        return bool(good)
+        return bool(self.complement_in_carrier and not self.complement_in_derived
+                    and self.codim_one and self.ideal_failures == 0)
 
 
 GEN_SLACK = 2  # extra x-degree of the window the derived span is generated from
@@ -731,8 +735,10 @@ def check_split(real, complement, xwindow: int, label: str = "",
     The derived span is generated from a window ``GEN_SLACK`` wider, so
     the part of it lying inside the window saturates; the ideal property
     is sampled on multipliers of x-degree up to ``IDEAL_XDEG`` whose
-    brackets stay inside reach.  Each element's right slots are prepared
-    once, its left pieces once per row.
+    brackets stay inside reach.  The window and the ideal sample are the
+    slack elements of x-degree <= ``xwindow`` and <= ``IDEAL_XDEG`` (see
+    ``window_elements``).  Each element's right slots are prepared once,
+    its left pieces once per row.
 
     Only the slack pairs whose bracket lands in an x-grading weight some
     test reads are bracketed.  The constraints are x-homogeneous, so the
@@ -743,14 +749,12 @@ def check_split(real, complement, xwindow: int, label: str = "",
     weights a and b lands in weight a + b - xshift, so the pairs beyond
     top only add to D_{>top}, and no answer or window part changes."""
     field = real.field
-    window = real.window_elements(xwindow)
-    wspan = span_of(field, [real.vectorize(e) for e in window])
-
     slack = real.window_elements(xwindow + GEN_SLACK)
     degs = [real.xdegrees(e) for e in slack]
     if any(len(d) != 1 for d in degs):
         raise RuntimeError("%s: a slack element is not x-homogeneous" % real.name)
     degs = [d.pop() for d in degs]
+    wspan = span_of(field, [real.vectorize(e) for e in slack if real.xdeg(e) <= xwindow])
     wtop, itop = (max(real._key_weight(real.xgrading, key) for key in real._keys(k))
                   for k in (xwindow, IDEAL_XDEG))
     top = max(wtop, max(real.xdegrees(complement), default=wtop),
@@ -782,7 +786,7 @@ def check_split(real, complement, xwindow: int, label: str = "",
     checked = failures = 0
     rights = [(real.xdeg(d), real.prepare_right(d))
               for d in map(real.element, dwspan.basis())]
-    for w in real.window_elements(IDEAL_XDEG):
+    for w in (e for e in slack if real.xdeg(e) <= IDEAL_XDEG):
         wdeg, left = real.xdeg(w), real.prepare_left(w)
         for ddeg, right in rights:
             if wdeg + ddeg > xwindow + GEN_SLACK:
@@ -827,8 +831,5 @@ def split_cases(xwindow: int = 2, field: Field = QQ):
 
 
 def check_splits(xwindow: int = 2, field: Field = QQ):
-    reports = []
-    for label, real, comp, asserted in split_cases(xwindow, field):
-        reports.append(check_split(real, comp, xwindow, label=label,
-                                   asserted=asserted))
-    return reports
+    return [check_split(real, comp, xwindow, label=label, asserted=asserted)
+            for label, real, comp, asserted in split_cases(xwindow, field)]

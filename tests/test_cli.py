@@ -527,8 +527,10 @@ def test_module_entry_point():
 
 
 # sha256 of stdout and of the --json file, with the exit code, of prime-field
-# runs whose scalars reach the reports (witnesses, scalars, residues), and
-# of the split reports that the x-degree cut of check_split must not move
+# runs whose scalars reach the reports (witnesses, scalars, residues), of
+# the split reports that the x-degree cut of check_split must not move, and
+# of QQ split and pair runs whose graded pieces and windows are read off one
+# constraint kernel (at --xwindow 1 the ideal sample is the window itself)
 GOLDEN = [
     ("verify O --n 4 --field fp:7", 0,
      "84b9ab25c77fb8f3851ea85607e6719213b9bae945619960cc1e6bd0659f8a53",
@@ -575,6 +577,18 @@ GOLDEN = [
     ("pairs iv --n 3 --field fp:7", 0,
      "f45ea0470e904de9d417ee6a2dd66dfecb2a46a6df5be931797f50ad9662e144",
      "c5071216d64cb4e52cfb2f53f569f383c8ba206c1f44521b35f1d9ef21a272a4"),
+    ("pairs ii --n 4", 0,
+     "4e42f31bc1b9a363f83735d3f36737375d446150c6dd1c902385c9b084b46106",
+     "90bb97f6f3627bd42783951785ae1406350f441c9b96c4d5cb3995547ebb0b5a"),
+    ("pairs iii --n 4", 0,
+     "d323bddcd54a43e5406f5660f2564111bf5146a6c6924a39d1b91f4673d5d288",
+     "410e870fd687712a896f525d38956a50ede7366ae27d55cf5b3a527c612a9bf6"),
+    ("report --xwindow 0", 0,
+     "c05a92043f2190726fc7532d9974efb9374f70b694f2e738dbf21ec101368a7e",
+     "46de9cbda9999550b38df7cc32466c177d18c3124513b7121e399fea7f6ace4d"),
+    ("report --xwindow 1", 0,
+     "778f1066833ba2167c52be1056871a229fa9567e64ca26a28fabb1c29c116e27",
+     "c8284f8638a52ac3c5ac2197845bc0f2ee10304fd84fe31a9711af28f709154a"),
     ("report --xwindow 1 --field fp:2", 1,
      "b0ac234187cbf9f830b9895ff920c507b1c3634e5d1c099e031859a9da1ea4e7",
      "4fe2f374d5f6baf7bd60a83ceaebe2235368d4cc28623f0eca63a301ccca9764"),

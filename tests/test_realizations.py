@@ -4,7 +4,9 @@ the twisted action on functions, pairings and splittings."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlielab.fields import GF, QQ
+from nlielab import realizations
+from nlielab.cli import main
+from nlielab.fields import GF, QQ, field_from_name
 from nlielab.linalg import Span
 from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.realizations import (
@@ -17,6 +19,7 @@ from nlielab.realizations import (
     VectorFieldRealization,
     check_split,
     graded_dims,
+    pair_setup,
     parse_handle,
     pi_act,
     pi_defect,
@@ -261,6 +264,13 @@ def test_parse_handle_constructs_the_advertised_models():
             parse_handle(bad)
 
 
+# int() would read these as W(10,2), KO(3,4), W(-1,2) and P(0,-1)
+@pytest.mark.parametrize("bad", ["W(1_0,2)", "KO(\u0663,4)", "W(-1,2)", "P(0,-1)"])
+def test_parse_handle_rejects_malformed_counts(bad):
+    with pytest.raises(ValueError):
+        parse_handle(bad)
+
+
 WINDOW_TWO_DIMS = {
     "W(1,2)": {-1: 3, 0: 9, 1: 12, 2: 9, 3: 3},
     "S'(1,2)": {-1: 3, 0: 8, 1: 9, 2: 5},
@@ -275,10 +285,29 @@ WINDOW_TWO_DIMS = {
 }
 
 
+def per_degree_bases(real, xwindow):
+    """The graded pieces as first computed, one kernel per degree: the
+    window candidates of each weight, cut on their own."""
+    by_degree = {}
+    for c in real._candidates(xwindow):
+        (weight,) = {real._key_weight(real.grading, key) for key in real.vectorize(c)}
+        by_degree.setdefault(weight - real.shift, []).append(c)
+    return {d: basis for d, cands in by_degree.items() if (basis := real._cut(cands))}
+
+
+def assert_read_off_one_kernel(real, xwindow):
+    """The graded split equals the per-degree kernels element by element,
+    and the window is the wider window's elements of x-degree <= xwindow."""
+    assert real.graded_bases(xwindow) == per_degree_bases(real, xwindow), real.name
+    wider = real.window_elements(xwindow + 2)
+    assert real.window_elements(xwindow) == [e for e in wider if real.xdeg(e) <= xwindow]
+
+
 @pytest.mark.parametrize("handle", sorted(WINDOW_TWO_DIMS))
 def test_graded_bases_partition_the_window(handle):
     real = parse_handle(handle)
     for xwindow in range(3):
+        assert_read_off_one_kernel(real, xwindow)
         window = real.window_elements(xwindow)
         dims = graded_dims(real, range(-3, 7), xwindow)
         assert sum(dims.values()) == len(window)
@@ -286,10 +315,57 @@ def test_graded_bases_partition_the_window(handle):
         for e in window:
             wspan.insert(real.vectorize(e))
             assert real.element(real.vectorize(e)) == e
-        for d in range(-3, 7):
-            for e in real.basis(d, xwindow):
+        for basis in real.graded_bases(xwindow).values():
+            for e in basis:
                 assert real.contains(e) and wspan.contains(real.vectorize(e))
     assert {d: k for d, k in dims.items() if k} == WINDOW_TWO_DIMS[handle]
+
+
+CARRIERS = ["split:%d" % i for i in range(5)] + [
+    "pair:%s:%d" % (which, n) for which in ("i", "ii", "iii", "iv") for n in (3, 4)]
+
+
+def carrier(source, xwindow, field):
+    kind, *args = source.split(":")
+    if kind == "split":
+        return split_cases(xwindow, field)[int(args[0])][1]
+    return pair_setup(args[0], int(args[1]), xwindow, field).real
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2", "fp:7"])
+@pytest.mark.parametrize("source", CARRIERS)
+def test_windows_and_graded_pieces_are_read_off_one_kernel(source, field):
+    for xwindow in (0, 1):
+        assert_read_off_one_kernel(carrier(source, xwindow, field_from_name(field)), xwindow)
+
+
+def test_graded_bases_refuse_an_element_off_the_grading(monkeypatch, capsys):
+    real = parse_handle("SHO'(3,3)")
+    monkeypatch.setattr(real, "_weights", lambda grading, f: {0, 1})
+    with pytest.raises(RuntimeError, match="not homogeneous"):
+        real.graded_bases(1)
+    # a broken invariant, so the CLI exits 3, not 2 (usage)
+    monkeypatch.setattr(realizations.Carrier, "_weights", lambda self, grading, f: {0, 1})
+    assert main(["pairs", "ii", "--n", "3"]) == 3
+    assert "not homogeneous" in capsys.readouterr().err
+
+
+def test_each_split_and_pairing_solves_one_kernel(monkeypatch):
+    calls = []
+    for cls in (PoissonRealization, ButtinRealization, ContactRealization,
+                VectorFieldRealization):
+        def counted(self, xwindow, solve=cls.window_elements):
+            calls.append(xwindow)
+            return solve(self, xwindow)
+        monkeypatch.setattr(cls, "window_elements", counted)
+    for label, real, comp, asserted in split_cases(1):
+        calls.clear()
+        check_split(real, comp, 1, label=label, asserted=asserted)
+        assert calls == [1 + GEN_SLACK], label
+    for which in ("i", "ii", "iii", "iv"):
+        calls.clear()
+        verify_pair(which, 3, xwindow=1)
+        assert calls == [1], which
 
 
 def test_incompatible_gradings_are_rejected():
