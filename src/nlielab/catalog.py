@@ -192,10 +192,36 @@ class PolyNAryAlgebra:
         return repr(coords)
 
 
+def _variable_swaps(nvars: int) -> list:
+    """The adjacent transpositions x_i <-> x_{i+1} of the variables, as
+    maps of monomial keys (exponent tuples)."""
+    return [lambda k, i=i: k[:i] + (k[i + 1], k[i]) + k[i + 2:] for i in range(nvars - 1)]
+
+
 class JacobianNAry(PolyNAryAlgebra):
     """[f_1..f_n] = det(d f_j / d x_i) on monomials in n variables;
     with ``quotient`` the constant term is discarded and the constant
-    monomial is excluded from the key window."""
+    monomial is excluded from the key window.
+
+    It declares two facts that ``nlie.check_filippov`` uses.
+
+    Key symmetries: let s swap x_i and x_{i+1}.  On monomial keys s
+    swaps rows i and i+1 of the exponent matrix, so the determinant
+    changes sign, and it swaps entries i and i+1 of the row sums, so the
+    value's monomial is s of the old one.  Hence
+    [s k_1..s k_n] = -s[k_1..k_n], and s maps the constant to itself,
+    so the quotient keeps the formula.
+
+    Determining keys: expanding det along the column of f gives
+    [a_1..a_{n-1}, f] = sum_i C_i d f / d x_i with polynomial cofactors
+    C_i, so a combination Z of inner maps is a vector field
+    sum_i Z_i d/dx_i, modulo constants with ``quotient``.  Say Z
+    vanishes on the monomials of degree 1 and 2.  Then every
+    Z(x_j) = Z_j is a constant c_j, and for j != k the constant
+    Z(x_j x_k) = c_j x_k + c_k x_j gives c_j = c_k = 0 (n >= 2, in any
+    characteristic).  So Z = 0 on every polynomial.  Without the
+    quotient, Z(x_j) = Z_j = 0 already, so degree 1 suffices.
+    """
 
     def __init__(self, field: Field, arity: int, quotient: bool = True):
         super().__init__(field, arity)
@@ -209,10 +235,34 @@ class JacobianNAry(PolyNAryAlgebra):
     def window_keys(self, window: int):
         return monomials_upto(self.nvars, window, include_constant=not self.quotient)
 
+    def key_symmetries(self) -> list:
+        return _variable_swaps(self.nvars)
+
+    def determining_keys(self):
+        if self.quotient and self.nvars < 2:
+            return None  # d/dx on one variable modulo constants: x^2 -> 2x is 0 in char 2
+        return monomials_upto(self.nvars, 2 if self.quotient else 1,
+                              include_constant=not self.quotient)
+
 
 class BorderedNAry(PolyNAryAlgebra):
     """[f_1..f_n] = det of the matrix with first row f_j and remaining
-    rows d f_j / d x_i, on monomials in n-1 variables."""
+    rows d f_j / d x_i, on monomials in n-1 variables.
+
+    It declares two facts that ``nlie.check_filippov`` uses.
+
+    Key symmetries: let s swap x_i and x_{i+1}.  On monomial keys s
+    swaps rows i and i+1 of the exponent matrix and leaves the bordering
+    row of ones in place, so the determinant changes sign, and the
+    value's monomial is s of the old one: [s k_1..s k_n] = -s[k_1..k_n].
+
+    Determining keys: expanding det along the column of f gives
+    [a_1..a_{n-1}, f] = C_0 f + sum_i C_i d f / d x_i with polynomial
+    cofactors, so a combination Z of inner maps is a multiplier g plus a
+    vector field sum_i Z_i d/dx_i.  If Z vanishes on the monomials of
+    degree at most 1, then g = Z(1) = 0 and Z_j = Z(x_j) - g x_j = 0, so
+    Z = 0 on every polynomial, in any characteristic.
+    """
 
     def __init__(self, field: Field, arity: int):
         super().__init__(field, arity)
@@ -225,6 +275,12 @@ class BorderedNAry(PolyNAryAlgebra):
 
     def window_keys(self, window: int):
         return monomials_upto(self.nvars, window)
+
+    def key_symmetries(self) -> list:
+        return _variable_swaps(self.nvars)
+
+    def determining_keys(self):
+        return monomials_upto(self.nvars, 1)
 
 
 class TaggedNAry(PolyNAryAlgebra):

@@ -40,6 +40,32 @@ before it, and those all pass when a is the first to fail.  The first
 nonzero defect of the basis scan is therefore the first of the plain
 scan of every pair, and its instance count is read off a's position.
 
+A polynomial carrier may declare two facts, each with its hand proof in
+the carrier's docstring; a carrier that declares neither is checked as
+above.
+
+* ``determining_keys()``: keys D such that a linear relation among the
+  inner maps that holds on D holds on every element, so on R, and the
+  argument above runs with the rows on D.  ``independent_tuples`` reads
+  them when the checked keys hold D, so no bracket off the window is
+  asked to pick the basis.  Where D also lies in R, as on the windows
+  of S and W, a relation holds on D iff it holds on R, and the kept
+  tuples are those on R.
+* ``key_symmetries()``: key maps g, each an injective relabelling of
+  even keys with [g k_1 .. g k_n] = e_g g[k_1 .. k_n] for one sign e_g
+  and every key tuple, g acting on coordinates by relabelling their
+  keys.  Each side of the identity holds two brackets, so
+  defect(g a, g b) = e_g^2 g defect(a, b) = g defect(a, b), and the two
+  vanish together.  When g maps the checked keys onto
+  themselves, g b sorts, up to a sign, to a b-block of the scan, and
+  g^-1 a to an a-tuple of it.  So if every kept a passes against b,
+  every a does, and then every a passes against the sorted g b as well.
+  Hence one b-block per orbit of the group the maps generate
+  (``block_representatives``) decides all instances.  The first nonzero
+  defect of that pass only says the check fails; the scan of every
+  b-block then runs again, so the witness and the count stay those of
+  the plain scan.
+
 The kernel is written against a small duck-typed carrier protocol, so
 it runs over finite tables and over polynomial carriers alike:
 ``arity``, ``bracket_parity``, ``key_parity(k)``,
@@ -65,6 +91,7 @@ __all__ = [
     "FJReport",
     "ad_table",
     "independent_tuples",
+    "block_representatives",
     "check_filippov",
     "identity_mode",
     "inner_parity",
@@ -282,6 +309,63 @@ def identity_mode(nkeys: int, arity: int) -> str:
     return "full" if full else "sorted"
 
 
+def block_representatives(alg, keys, blocks, mode: str):
+    """The first block, in scan order, of each orbit of ``blocks`` under
+    the group generated by the carrier's ``key_symmetries()``, the image
+    of a block sorted as the scan lists it ('sorted' mode: by position
+    in ``keys``, which need not be key order).  None when the carrier
+    declares no map or one of them does not map ``keys`` onto itself."""
+    declared = getattr(alg, "key_symmetries", None)
+    maps = declared() if declared else ()
+    keyset = set(keys)
+    if not maps or any({g(k) for k in keyset} != keyset for g in maps):
+        return None
+    pos = {k: i for i, k in enumerate(keys)}
+    order = (lambda t: tuple(sorted(t, key=pos.__getitem__))) if mode == "sorted" else tuple
+    seen, reps = set(), []
+    for block in blocks:
+        if block in seen:
+            continue
+        reps.append(block)
+        seen.add(block)
+        todo = [block]
+        while todo:
+            block = todo.pop()
+            for g in maps:
+                image = order(map(g, block))
+                if image not in seen:
+                    seen.add(image)
+                    todo.append(image)
+    return reps
+
+
+def _read_set(ads, blocks) -> list:
+    """The keys whose images the kernel reads: those of each b-block and
+    those of its value [b], in order of first use."""
+    read = {}
+    for b_keys in blocks:
+        read.update(dict.fromkeys(b_keys))
+        read.update(dict.fromkeys(ads[b_keys[:-1]][b_keys[-1]][1]))
+    return list(read)
+
+
+def _scan(alg, ads, kept, blocks) -> tuple:
+    """(defects evaluated, first failure) of each a-tuple of ``kept``
+    against every b-block in order; a failure is (a_keys, the b-block's
+    index, the kernel's sum), or None when every defect vanishes."""
+    slots = [_slots(alg, ads, b_keys) for b_keys in blocks]
+    defects = 0
+    for a_keys in kept:
+        par = inner_parity(alg, a_keys)
+        images = ads[a_keys]  # the images of ad_a are its row
+        for j, block in enumerate(slots):
+            d = _defect(alg, images, block, par)
+            defects += 1
+            if d:
+                return defects, (a_keys, j, d)
+    return defects, None
+
+
 def check_filippov(alg, keys=None, mode: str = "auto") -> FJReport:
     """Check the n-ary Jacobi law over basis-key instances.
 
@@ -291,9 +375,10 @@ def check_filippov(alg, keys=None, mode: str = "auto") -> FJReport:
     both blocks.  'auto' asks :func:`identity_mode`.
 
     Only the a-tuples of an independent family of inner maps are
-    scanned against every b-block (see the module docstring); the
-    verdict, the witness and the instance count are those of the scan of
-    every pair.
+    scanned, against one b-block per orbit of the carrier's declared key
+    symmetries or else against every b-block (see the module
+    docstring); the verdict, the witness and the instance count are
+    those of the scan of every pair.
     """
     n = alg.arity
     keys = list(alg.keys() if keys is None else keys)
@@ -310,23 +395,23 @@ def check_filippov(alg, keys=None, mode: str = "auto") -> FJReport:
     else:
         raise ValueError("unknown mode %r" % mode)
     ads = ad_table(alg)
-    blocks = [_slots(alg, ads, b_keys) for b_keys in b_iter]
-    read = {}  # the keys whose images the kernel reads: b's and those of [b]
-    for slots in blocks:
-        read.update(dict.fromkeys(x for x, *_ in slots))
-        x, row = slots[-1][:2]
-        read.update(dict.fromkeys(row[x][1]))
-    defects = 0
-    for a_keys in independent_tuples(alg, ads, a_iter, read):
-        par = inner_parity(alg, a_keys)
-        images = ads[a_keys]  # the images of ad_a are its row
-        for j, (b_keys, slots) in enumerate(zip(b_iter, blocks), 1):
-            d = _defect(alg, images, slots, par)
-            defects += 1
-            if d:
-                count = a_iter.index(a_keys) * len(b_iter) + j
-                return FJReport(False, count, (a_keys, b_keys, alg.show(_negated(alg, d))),
-                                mode, defects)
+    declared = getattr(alg, "determining_keys", None)
+    read = declared() if declared else None
+    if read is None or not set(read) <= set(keys):
+        read = _read_set(ads, b_iter)
+    kept = independent_tuples(alg, ads, a_iter, read)
+    defects, failure = 0, None
+    reps = block_representatives(alg, keys, b_iter, mode)
+    if reps is not None:
+        defects, failure = _scan(alg, ads, kept, reps)
+    if reps is None or failure:
+        more, failure = _scan(alg, ads, kept, b_iter)
+        defects += more
+    if failure:
+        a_keys, j, d = failure
+        count = a_iter.index(a_keys) * len(b_iter) + j + 1
+        return FJReport(False, count, (a_keys, b_iter[j], alg.show(_negated(alg, d))),
+                        mode, defects)
     return FJReport(True, len(a_iter) * len(b_iter), None, mode, defects)
 
 

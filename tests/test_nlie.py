@@ -1,6 +1,6 @@
 """n-ary bracket tables, the n-ary Jacobi checker and derivation defects."""
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,6 +367,14 @@ def corrupt_poly(alg, keys, data):
         return _plus(alg, got, extra) if extra else got
 
     alg.raw_bracket = raw_bracket
+    return drop_declarations(alg)
+
+
+def drop_declarations(alg):
+    """The carrier without its declared key symmetries and determining
+    keys: a corrupted bracket no longer has the formula they were proved
+    from, so the check must run the plain scan on the read set."""
+    alg.key_symmetries = alg.determining_keys = None
     return alg
 
 
@@ -475,7 +483,7 @@ def _spy_tables(monkeypatch) -> list:
 
 
 def test_identity_window_asks_each_canonical_bracket_about_once(monkeypatch):
-    # verify S --n 3 --window 3: 165,699 instances; 11,913 distinct brackets
+    # verify S --n 3 --window 3: 165,699 instances; 7,230 distinct brackets
     tables = _spy_tables(monkeypatch)
     for field in (QQ, GF(10007)):
         alg = algebra_S(3, field)
@@ -490,7 +498,7 @@ def test_identity_window_asks_each_canonical_bracket_about_once(monkeypatch):
         rep = check_filippov(alg, keys=alg.window_keys(3))
         assert rep.ok and rep.instances == 165699
         assert all(koszul_sort(keys) == (keys, 1) for keys in seen)
-        assert len(seen) == len(set(seen)) == len(tables[-1].brackets) == 11913
+        assert len(seen) == len(set(seen)) == len(tables[-1].brackets) == 7230
 
 
 def _snapshot(cache: dict) -> dict:
@@ -612,12 +620,17 @@ def ordered_scan(alg, keys, mode):
     return ok, count, first and first + (alg.show(filippov_defect(alg, *first)),)
 
 
-def flip_bracket(alg, tup):
-    """The carrier with the determinant sign of one canonical tuple flipped."""
+def flip_brackets(alg, tuples):
+    """The carrier with the determinant sign of some canonical tuples flipped."""
     base = alg.raw_bracket
     alg.raw_bracket = lambda ck: (alg.field.reduced({k: -v for k, v in base(ck).items()})
-                                  if ck == tup else base(ck))
+                                  if ck in tuples else base(ck))
     return alg
+
+
+def flip_bracket(alg, tup):
+    """The carrier with the determinant sign of one canonical tuple flipped."""
+    return drop_declarations(flip_brackets(alg, {tup}))
 
 
 def bump_table(alg, pos, index):
@@ -668,15 +681,15 @@ def test_basis_scan_matches_the_ordered_scan(case, field):
 
 def test_identity_window_scans_85_inner_maps():
     # S(3), window 3: 171 a-tuples, 85 independent inner maps
-    # (3 C(7,3) - C(6,3) divergence-free fields), 969 b-blocks
+    # (3 C(7,3) - C(6,3) divergence-free fields), 969 b-blocks in 186 orbits
     for field in (QQ, GF(10007)):
         alg = algebra_S(3, field)
         keys = alg.window_keys(3)
         tuples = list(canonical_keys(alg, keys, 2))
         assert len(independent_tuples(alg, ad_table(alg), tuples, keys)) == 85
         rep = check_filippov(alg, keys=keys)
-        assert (rep.ok, rep.instances, rep.defects) == (True, 165699, 82365) == (
-            True, 171 * 969, 85 * 969)
+        assert (rep.ok, rep.instances, rep.defects) == (True, 165699, 15810) == (
+            True, 171 * 969, 85 * 186)
 
 
 @pytest.mark.parametrize("alg", [algebra_O(4, GF(7)), algebra_O(5, GF(3)),
@@ -728,3 +741,139 @@ def test_the_read_set_holds_the_keys_of_each_bracket_value(monkeypatch):
     assert check_filippov(algebra_O(3), keys=[0, 1, 2]).ok
     assert check_filippov(algebra_S(3), keys=[(1, 0, 0), (0, 1, 0), (0, 0, 2)]).ok
     assert reads == [[0, 1, 2, 3], [(1, 0, 0), (0, 1, 0), (0, 0, 2), (0, 0, 1)]]
+
+
+# -- declared symmetries and determining keys ------------------------------------
+
+def sorted_blocks(alg, keys):
+    return list(canonical_keys(alg, keys, alg.arity))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("make, n, window", [(algebra_S, 3, 3), (algebra_S, 4, 2), (algebra_S, 5, 2),
+                                             (algebra_W, 3, 3), (algebra_W, 4, 2), (algebra_W, 5, 2)],
+                         ids=["S(3)", "S(4)", "S(5)", "W(3)", "W(4)", "W(5)"])
+def test_declared_transpositions_hold_on_every_canonical_bracket(make, n, window, field):
+    # [g k_1..g k_n] = -g[k_1..k_n] for each swap g of adjacent variables
+    alg = make(n, field)
+    keys = alg.window_keys(window)
+    maps = alg.key_symmetries()
+    assert len(maps) == alg.nvars - 1
+    brackets = {}
+    for block in sorted_blocks(alg, keys):
+        ck = koszul_sort(block)[0]
+        brackets[ck] = alg.bracket_keys(ck)
+    for i, g in enumerate(maps):
+        swapped = [k[:i] + (k[i + 1], k[i]) + k[i + 2:] for k in keys]
+        assert [g(k) for k in keys] == swapped and set(swapped) == set(keys)
+        for ck, value in brackets.items():
+            image, sign = koszul_sort(tuple(map(g, ck)))
+            assert {g(k): c for k, c in value.items()} == field.reduced(
+                {k: -sign * c for k, c in brackets[image].items()})
+
+
+def test_block_orbits_are_counted_without_a_scan(monkeypatch):
+    # b-blocks -> orbits under the permutations of the variables
+    monkeypatch.setattr(nlie, "_defect", None)  # no defect is evaluated
+    for alg, window, blocks, orbits in ((algebra_S(3), 3, 969, 186), (algebra_S(4), 2, 1001, 68),
+                                        (algebra_W(4), 2, 210, 47), (algebra_S(5), 2, 15504, 239)):
+        keys = alg.window_keys(window)
+        tuples = sorted_blocks(alg, keys)
+        reps = nlie.block_representatives(alg, keys, tuples, "sorted")
+        assert (len(tuples), len(reps)) == (blocks, orbits)
+        assert reps == [b for b in tuples if b in set(reps)]  # first of each orbit, in scan order
+        assert reps[0] == tuples[0]
+
+
+def test_block_orbits_need_a_declaration_and_stable_keys():
+    S3 = algebra_S(3)
+    keys = S3.window_keys(2)
+    assert nlie.block_representatives(S3, keys[:-1], sorted_blocks(S3, keys[:-1]), "sorted") is None
+    for alg, keys in ((algebra_O(4), range(5)), (algebra_SW(4), algebra_SW(4).window_keys(1)),
+                      (drop_declarations(algebra_S(3)), keys)):
+        assert nlie.block_representatives(alg, list(keys), sorted_blocks(alg, keys), "sorted") is None
+    # ordered blocks are not sorted: the 27 ordered triples of x, y, z fall into
+    # 5 orbits, by which positions hold equal keys
+    full = list(product(S3.window_keys(1), repeat=3))
+    assert len(nlie.block_representatives(S3, S3.window_keys(1), full, "full")) == 5
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)], ids=["QQ", "GF10007"])
+@pytest.mark.parametrize("make, window, kept", [(lambda F: algebra_S(3, F), 3, 85),
+                                                (lambda F: algebra_S(4, F), 2, 125),
+                                                (lambda F: algebra_W(4, F), 2, 70)],
+                         ids=["S(3) w3", "S(4) w2", "W(4) w2"])
+def test_determining_keys_keep_the_tuples_of_the_read_set(make, window, kept, field):
+    alg = make(field)
+    keys = alg.window_keys(window)
+    ads = ad_table(alg)
+    tuples = list(canonical_keys(alg, keys, alg.arity - 1))
+    read = nlie._read_set(ads, sorted_blocks(alg, keys))
+    determining = alg.determining_keys()
+    assert set(determining) <= set(keys) <= set(read)
+    on_read = independent_tuples(alg, ads, tuples, read)
+    assert independent_tuples(alg, ads, tuples, determining) == on_read
+    assert len(on_read) == kept
+    # every inner map of the window, on R, lies in the span of the kept ones
+    span = Span(field)
+    for a in on_read:
+        assert span.insert(matrix_of(map(inner_map(alg, a)[1], read)))
+    for a in tuples:
+        assert span.contains(matrix_of(map(inner_map(alg, a)[1], read)))
+
+
+def _spy_scans(monkeypatch) -> list:
+    """The number of b-blocks of every scan pass, in order."""
+    passes = []
+    scan = nlie._scan
+
+    def spy(alg, ads, kept, blocks):
+        passes.append(len(blocks))
+        return scan(alg, ads, kept, blocks)
+
+    monkeypatch.setattr(nlie, "_scan", spy)
+    return passes
+
+
+def flip_orbit(alg, tup):
+    """The carrier with the sign flipped on every canonical tuple in the
+    orbit of ``tup`` under the permutations of the variables: it keeps
+    the declared key symmetries but loses its determinant formula, so
+    it drops its determining keys."""
+    orbit = {koszul_sort(tuple(tuple(k[i] for i in perm) for k in tup))[0]
+             for perm in permutations(range(alg.nvars))}
+    alg = flip_brackets(alg, orbit)
+    alg.determining_keys = None
+    return alg
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("make, keys, tup", [
+    (algebra_S, algebra_S(3).window_keys(2), ((0, 1, 0), (0, 1, 1), (2, 0, 0))),
+    (algebra_S, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2)],
+     ((0, 0, 2), (0, 1, 0), (1, 0, 0))),
+    (algebra_W, algebra_W(3).window_keys(2), ((0, 1), (1, 1), (2, 0))),
+], ids=["S(3) sorted", "S(3) full", "W(3) full"])
+def test_symmetric_corruption_fails_through_the_orbit_pass(make, keys, tup, field, monkeypatch):
+    alg = flip_orbit(make(3, field), tup)
+    passes = _spy_scans(monkeypatch)
+    rep = check_filippov(alg, keys=keys)
+    want = ordered_scan(alg, keys, rep.mode)
+    assert (rep.ok, rep.instances, rep.witness) == want and not rep.ok
+    tuples = (sorted_blocks(alg, keys) if rep.mode == "sorted"
+              else list(product(keys, repeat=alg.arity)))
+    reps = nlie.block_representatives(alg, keys, tuples, rep.mode)
+    assert passes == [len(reps), len(tuples)] and len(reps) < len(tuples)
+
+
+def test_keys_that_are_not_stable_fall_back_to_the_plain_scan(monkeypatch):
+    passes = _spy_scans(monkeypatch)
+    alg = algebra_S(3)
+    keys = [k for k in alg.window_keys(2) if k != (0, 0, 2)]
+    rep = check_filippov(alg, keys=keys)
+    assert (rep.ok, rep.instances, rep.witness) == ordered_scan(alg, keys, rep.mode)
+    blocks = sorted_blocks(alg, keys)
+    assert passes == [len(blocks)]
+    kept = independent_tuples(alg, ad_table(alg), list(canonical_keys(alg, keys, 2)),
+                              alg.determining_keys())
+    assert rep.defects == len(kept) * len(blocks)
