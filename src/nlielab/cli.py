@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="verification suite for one algebra")
     v.add_argument("selector", nargs="?", choices=["O", "S", "W", "SW"])
     v.add_argument("--n", type=int, help="bracket arity (default 3)")
-    v.add_argument("--window", type=int, help="monomial degree window")
+    v.add_argument("--window", type=int, help="monomial degree window (default 3)")
     v.add_argument("--table", metavar="FILE", help="bracket table to load instead")
     v.add_argument("--form", metavar="FILE", help="symmetric form matrix for O")
     common(v)
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("pairs", help="top-element pairing checks")
     pr.add_argument("which", choices=["i", "ii", "iii", "iv"])
     pr.add_argument("--n", type=int, default=3, help="bracket arity")
-    pr.add_argument("--xwindow", type=int, default=2)
+    pr.add_argument("--xwindow", type=int, default=2, help="x-degree window (default 2)")
     common(pr)
 
     c = sub.add_parser("charp", help="prime characteristic experiments")
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(c, argparse.SUPPRESS)  # charp runs over fp:P and refuses --field
 
     r = sub.add_parser("report", help="carrier splitting reports")
-    r.add_argument("--xwindow", type=int, default=2)
+    r.add_argument("--xwindow", type=int, default=2, help="x-degree window (default 2)")
     common(r)
     return p
 

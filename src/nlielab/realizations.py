@@ -35,9 +35,10 @@ read in carrier coordinates, ``linalg.annihilator`` and
 line.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import inf, lcm
 
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, monomials_upto
 from .fields import QQ, Field, parse_int
@@ -535,24 +536,18 @@ def parse_handle(text: str, field: Field = QQ, beta=None):
         raise ValueError("this carrier needs equal variable counts")
     if head in ("KO", "SKO'") and n != m + 1:
         raise ValueError("this carrier needs one extra odd variable")
-    if head == "W":
-        return VectorFieldRealization(field, m, n)
-    if head == "S'":
-        return VectorFieldRealization(field, m, n, constraint="div")
-    if head == "P":
-        return PoissonRealization(field, m, n)
-    if head == "H'":
-        return PoissonRealization(field, m, n, quotient=True)
-    if head == "PO":
-        return ButtinRealization(field, n)
-    if head == "SHO'":
-        return ButtinRealization(field, n, constraint="delta", quotient=True)
-    if head == "KO":
-        return ContactRealization(field, m, beta=beta if beta is not None else 1)
-    if head == "SKO'":
-        return ContactRealization(field, m, beta=beta if beta is not None else 1,
-                                  constraint="div")
-    raise ValueError("unknown handle %r" % (text,))
+    beta = 1 if beta is None else beta
+    make = {"W": lambda: VectorFieldRealization(field, m, n),
+            "S'": lambda: VectorFieldRealization(field, m, n, constraint="div"),
+            "P": lambda: PoissonRealization(field, m, n),
+            "H'": lambda: PoissonRealization(field, m, n, quotient=True),
+            "PO": lambda: ButtinRealization(field, n),
+            "SHO'": lambda: ButtinRealization(field, n, constraint="delta", quotient=True),
+            "KO": lambda: ContactRealization(field, m, beta=beta),
+            "SKO'": lambda: ContactRealization(field, m, beta=beta, constraint="div")}
+    if head not in make:
+        raise ValueError("unknown handle %r" % (text,))
+    return make[head]()
 
 
 def graded_dims(real, degrees, xwindow: int) -> dict:
@@ -716,7 +711,6 @@ class SplitReport:
     ideal_checked: int = 0
     ideal_failures: int = 0
     asserted: bool = True
-    note: str = ""
 
     @property
     def ok(self) -> bool:
@@ -728,6 +722,12 @@ GEN_SLACK = 2  # extra x-degree of the window the derived span is generated from
 IDEAL_XDEG = 1  # x-degree of the multipliers the ideal property is sampled on
 
 
+def saturation_edge(real, xdegree: int):
+    """The least x-weight of the keys of x-degree ``xdegree`` + 1, inf if none."""
+    beyond = set(real._keys(xdegree + 1)).difference(real._keys(xdegree))
+    return min((real._key_weight(real.xgrading, k) for k in beyond), default=inf)
+
+
 def check_split(real, complement, xwindow: int, label: str = "",
                 asserted: bool = True) -> SplitReport:
     """Window evidence for carrier = derived part (+) one extra line.
@@ -737,8 +737,7 @@ def check_split(real, complement, xwindow: int, label: str = "",
     is sampled on multipliers of x-degree up to ``IDEAL_XDEG`` whose
     brackets stay inside reach.  The window and the ideal sample are the
     slack elements of x-degree <= ``xwindow`` and <= ``IDEAL_XDEG`` (see
-    ``window_elements``).  Each element's right slots are prepared once,
-    its left pieces once per row.
+    ``window_elements``); each element is prepared once per side, left lazily.
 
     Only the slack pairs whose bracket lands in an x-grading weight some
     test reads are bracketed.  The constraints are x-homogeneous, so the
@@ -747,8 +746,18 @@ def check_split(real, complement, xwindow: int, label: str = "",
     D has its terms in weights <= top: the complement, each bracket of
     x-degree <= ``xwindow`` and the ideal sample [w, d].  A bracket of
     weights a and b lands in weight a + b - xshift, so the pairs beyond
-    top only add to D_{>top}, and no answer or window part changes."""
-    field = real.field
+    top only add to D_{>top}, and no answer or window part changes.
+
+    Nor are the pairs landing in a full weight.  The carrier C is a
+    subalgebra, so D_d lies in C_d, and a bracket off C that grows D is a
+    RuntimeError.  Each x_i adds 1 to a key's weight, so below
+    ``saturation_edge`` every key has x-degree <= the slack's and the
+    slack elements of weight d span C_d.  Once D_d has that many rows,
+    D_d = C_d holds every later bracket into d: D, its unique RREF and
+    each answer are those of all the pairs.  A weight the slack misses
+    stays bracketed; the check sees its brackets vanish.  The window
+    part is read off the RREF rows of x-degree <= ``xwindow``."""
+    field, xshift = real.field, real.xshift
     slack = real.window_elements(xwindow + GEN_SLACK)
     degs = [real.xdegrees(e) for e in slack]
     if any(len(d) != 1 for d in degs):
@@ -757,47 +766,38 @@ def check_split(real, complement, xwindow: int, label: str = "",
     wspan = span_of(field, [real.vectorize(e) for e in slack if real.xdeg(e) <= xwindow])
     wtop, itop = (max(real._key_weight(real.xgrading, key) for key in real._keys(k))
                   for k in (xwindow, IDEAL_XDEG))
-    top = max(wtop, max(real.xdegrees(complement), default=wtop),
-              itop + wtop - real.xshift)
-    reach = top + real.xshift  # bracket the pairs of weights a + b <= reach
+    top = max(wtop, max(real.xdegrees(complement), default=wtop), itop + wtop - xshift)
+    edge = saturation_edge(real, xwindow + GEN_SLACK)
+    room = Counter(d for d in degs if d < edge)  # dim C_d - dim D_d; others go below 0
     rights = [real.prepare_right(e) for e in slack]
     dspan_all = Span(field)
-    dw_vectors = []
     for i, e in enumerate(slack):
-        partners = [rights[j] for j in range(i, len(slack)) if degs[i] + degs[j] <= reach]
-        if not partners:
-            continue
-        left = real.prepare_left(e)
-        for right in partners:
-            r = real.bracket(left, right)
-            v = real.vectorize(r)
-            if not v:
+        left = None
+        for j in range(i, len(slack)):
+            if (d := degs[i] + degs[j] - xshift) > top or room.get(d) == 0:
                 continue
-            dspan_all.insert(v)
-            if real.xdeg(r) <= xwindow:
-                dw_vectors.append(v)
-    dwspan = span_of(field, dw_vectors)
+            left = real.prepare_left(e) if left is None else left
+            r = real.bracket(left, rights[j])
+            if (v := real.vectorize(r)) and dspan_all.insert(v):
+                if not real.contains(r):
+                    raise RuntimeError("%s: a bracket leaves the carrier" % real.name)
+                room[d] -= 1
+    dwindow = [d for d in map(real.element, dspan_all.rows) if real.xdeg(d) <= xwindow]
 
     cvec = real.vectorize(complement)
     in_carrier = bool(wspan.contains(cvec)) and real.contains(complement)
     in_derived = bool(dspan_all.contains(cvec))
-    codim = dwspan.dim == wspan.dim - 1
+    codim = len(dwindow) == wspan.dim - 1
 
     checked = failures = 0
-    rights = [(real.xdeg(d), real.prepare_right(d))
-              for d in map(real.element, dwspan.basis())]
+    rights = [(real.xdeg(d), real.prepare_right(d)) for d in dwindow]
     for w in (e for e in slack if real.xdeg(e) <= IDEAL_XDEG):
         wdeg, left = real.xdeg(w), real.prepare_left(w)
-        for ddeg, right in rights:
-            if wdeg + ddeg > xwindow + GEN_SLACK:
-                continue
-            r = real.bracket(left, right)
-            v = real.vectorize(r)
+        for right in (r for ddeg, r in rights if wdeg + ddeg <= xwindow + GEN_SLACK):
             checked += 1
-            if v and not dspan_all.contains(v):
-                failures += 1
+            failures += not dspan_all.contains(real.vectorize(real.bracket(left, right)))
 
-    return SplitReport(label or real.name, xwindow, wspan.dim, dwspan.dim,
+    return SplitReport(label or real.name, xwindow, wspan.dim, len(dwindow),
                        in_carrier, in_derived, codim, checked, failures, asserted)
 
 

@@ -272,6 +272,17 @@ def test_charp_help_does_not_offer_field(capsys):
     assert "--field" not in out
 
 
+@pytest.mark.parametrize("command,default", [
+    ("verify", "monomial degree window (default 3)"),
+    ("pairs", "x-degree window (default 2)"),
+    ("report", "x-degree window (default 2)")])
+def test_window_help_states_the_default(command, default, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert default in " ".join(capsys.readouterr().out.split())
+
+
 def test_report_command(capsys):
     code = main(["report", "--xwindow", "1"])
     out = capsys.readouterr().out
@@ -528,7 +539,7 @@ def test_module_entry_point():
 
 # sha256 of stdout and of the --json file, with the exit code, of prime-field
 # runs whose scalars reach the reports (witnesses, scalars, residues), of
-# the split reports that the x-degree cut of check_split must not move, and
+# the split reports that the pair cuts of check_split must not move, and
 # of QQ split and pair runs whose graded pieces and windows are read off one
 # constraint kernel (at --xwindow 1 the ideal sample is the window itself)
 GOLDEN = [
@@ -598,6 +609,12 @@ GOLDEN = [
     ("report --xwindow 2", 0,
      "512a4908eaafa82e8807ee9feaeb27b6c49207377e41ac9debcf76ee06c599ab",
      "b7ebdad1ed18715c8df09e8ca351ab35aef6683d44d6c514dc03cf7f7066d761"),
+    ("report --xwindow 2 --field fp:7", 0,
+     "824557fbb505e07b117dc0383aa9098475630ff65adc38f34517ea6efb301efc",
+     "e4967df2c7c2edde1343d646944d77a2b5de407de25a32cb89ab84d51b45a521"),
+    ("report --xwindow 3", 0,
+     "1a99272d57561f0d998e4a2fffbe594511ea12e3d103ef810ee4fab542a11e8f",
+     "a23c608e0b8997462206a7c9e5a76ed32f7b0bc6e6577f05c255838c3568166e"),
     ("charp --p 3", 1,
      "93a51a76f8ea506fc4023d6ba1fd338abe6e569c4922c0bd17e5aa0c81202f1e",
      "9ca4aca0aa32ffefea44e62b065ab50be87c59d53b167b6c28beaaa39c016137"),

@@ -1,6 +1,9 @@
 """Polynomial models: bracket axioms, constraint kernels, field maps,
 the twisted action on functions, pairings and splittings."""
 
+from itertools import combinations_with_replacement
+from math import inf
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +26,7 @@ from nlielab.realizations import (
     parse_handle,
     pi_act,
     pi_defect,
+    saturation_edge,
     split_cases,
     verify_pair,
 )
@@ -589,6 +593,70 @@ def test_split_refuses_a_slack_element_off_the_x_grading(monkeypatch):
     monkeypatch.setattr(real, "xdegrees", lambda f: {0, 1})
     with pytest.raises(RuntimeError, match="not x-homogeneous"):
         check_split(real, comp, 0, label=label)
+
+
+def test_split_brackets_only_the_slack_pairs_below_a_full_weight():
+    # --xwindow 2: of the 29,234 slack pairs that reach a tested weight,
+    # 4,088 land below a full weight and are bracketed; the ideal sample is
+    # bracketed in full
+    slack_brackets, ideal = [], []
+    for label, real, comp, asserted in split_cases(2):
+        calls = []
+
+        def counted(f, g, bracket=real.bracket):
+            calls.append(1)
+            return bracket(f, g)
+
+        real.bracket = counted
+        rep = check_split(real, comp, 2, label=label, asserted=asserted)
+        slack_brackets.append(len(calls) - rep.ideal_checked)
+        ideal.append(rep.ideal_checked)
+    assert slack_brackets == [92, 120, 227, 2449, 1200]
+    assert ideal == [408, 210, 1296, 3705, 2765]
+
+
+def test_split_keeps_bracketing_a_weight_the_slack_cannot_span(monkeypatch):
+    # S'(1,2) at --xwindow 2: x^5 d/dx weighs 4 but lies past the slack
+    # window, so its 5 slack elements of weight 4 span less of the carrier
+    # than the 8 rows the derived part has there
+    label, real, comp, asserted = split_cases(2)[0]
+    slack = real.window_elements(2 + GEN_SLACK)
+    assert saturation_edge(real, 2 + GEN_SLACK) == 4
+    assert sum(real.xdegrees(e) == {4} for e in slack) == 5
+    derived = Span(QQ)
+    for f, g in combinations_with_replacement(slack, 2):
+        if v := real.vectorize(real.bracket(f, g)):
+            derived.insert(v)
+    tried = [d for d in map(real.element, derived.rows) if real.xdegrees(d) == {4}]
+    assert len(tried) == 8
+    got = [check_split(real, c, 2, label=label) for c in tried]
+    assert got == check_split_ref(real, tried, 2, label=label)
+    assert all(rep.complement_in_derived for rep in got)
+    # counting weight 4 as full would stop its derived rows at 5
+    monkeypatch.setattr(realizations, "saturation_edge", lambda real, xdegree: inf)
+    assert not all(check_split(real, c, 2, label=label).complement_in_derived
+                   for c in tried)
+
+
+def test_split_counts_every_weight_of_h04_as_full():
+    # no even variable: every key lies in every slack window
+    label, real, comp, asserted = split_cases(2)[1]
+    assert saturation_edge(real, 2 + GEN_SLACK) == inf
+
+
+def test_split_refuses_a_bracket_outside_the_carrier(monkeypatch, capsys):
+    # x1 d/dx1 has divergence 1, so every bracket it is added to is off S'(1,2)
+    def broken(self, X, Y):
+        return X.bracket(Y) + DiffOp.ddx(self.ring, 1, coeff=self.ring.x(1))
+
+    monkeypatch.setattr(VectorFieldRealization, "bracket", broken)
+    label, real, comp, asserted = split_cases(0)[0]
+    with pytest.raises(RuntimeError, match=r"S'\(1,2\): a bracket leaves the carrier"):
+        check_split(real, comp, 0, label=label)
+    assert main(["report", "--xwindow", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "internal error: RuntimeError(\"S'(1,2): a bracket leaves the carrier\")"]
 
 
 def test_pairing_report_carries_the_names():
