@@ -19,7 +19,7 @@ import sys
 
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, parse_form
 from .charp import CharPSeed, charp_fj_check, charp_generation, q_control
-from .fields import field_from_name
+from .fields import field_from_name, parse_int
 from .liegen import (check_admissible, check_mu_relations, check_truncation,
                      generate_subalgebra)
 from .multilinear import bracket_to_symmetric
@@ -30,6 +30,9 @@ from .universal import WElement
 
 
 MODE_NAMES = {"full": "exhaustive", "sorted": "sorted"}
+# read by ``fields.parse_int`` in ``main``: argparse's int takes '1_0' and
+# digits of other scripts
+INT_OPTIONS = ("n", "window", "xwindow", "p", "s", "cap", "seed")
 
 
 def _fmt_dims(dims: dict) -> str:
@@ -75,8 +78,7 @@ def _finite_suite(rep: Report, alg):
             witness=adm.centralizer_witness)
     top_dim = adm.graded_dims.get(adm.arity - 1, 0)
     rep.add("pair_top_is_line", held(adm.top_is_line, top_dim >= 2), "")
-    irr = adm.irreducible if adm.irreducible != "not_decided" else None
-    rep.add("pair_irreducible", held(irr), adm.irreducibility_detail)
+    rep.add("pair_irreducible", held(adm.irreducible), adm.irreducibility_detail)
 
     trep = check_truncation(rev, mu, generated=generated)
     detail = ("vanishing above top %s, line %s, swept %s, opposite %s, ideal %s"
@@ -240,30 +242,30 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, field_help="q (the default) or fp:P"):
         sp.add_argument("--field", help=field_help)
         sp.add_argument("--json", metavar="PATH", help="write the JSON report here")
-        sp.add_argument("--seed", type=int, default=0, help="echoed into the report")
+        sp.add_argument("--seed", default=0, help="echoed into the report")
 
     v = sub.add_parser("verify", help="verification suite for one algebra")
     v.add_argument("selector", nargs="?", choices=["O", "S", "W", "SW"])
-    v.add_argument("--n", type=int, help="bracket arity (default 3)")
-    v.add_argument("--window", type=int, help="monomial degree window (default 3)")
+    v.add_argument("--n", help="bracket arity (default 3)")
+    v.add_argument("--window", help="monomial degree window (default 3)")
     v.add_argument("--table", metavar="FILE", help="bracket table to load instead")
     v.add_argument("--form", metavar="FILE", help="symmetric form matrix for O")
     common(v)
 
     pr = sub.add_parser("pairs", help="top-element pairing checks")
     pr.add_argument("which", choices=["i", "ii", "iii", "iv"])
-    pr.add_argument("--n", type=int, default=3, help="bracket arity")
-    pr.add_argument("--xwindow", type=int, default=2, help="x-degree window (default 2)")
+    pr.add_argument("--n", default=3, help="bracket arity")
+    pr.add_argument("--xwindow", default=2, help="x-degree window (default 2)")
     common(pr)
 
     c = sub.add_parser("charp", help="prime characteristic experiments")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--s", type=int, default=1)
-    c.add_argument("--cap", type=int)
+    c.add_argument("--p", required=True)
+    c.add_argument("--s", default=1)
+    c.add_argument("--cap")
     common(c, argparse.SUPPRESS)  # charp runs over fp:P and refuses --field
 
     r = sub.add_parser("report", help="carrier splitting reports")
-    r.add_argument("--xwindow", type=int, default=2, help="x-degree window (default 2)")
+    r.add_argument("--xwindow", default=2, help="x-degree window (default 2)")
     common(r)
     return p
 
@@ -283,6 +285,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        for name in INT_OPTIONS:
+            if isinstance(text := getattr(args, name, None), str):
+                setattr(args, name, parse_int(text))
         field = field_from_name("q" if args.field is None else args.field)
         rep = COMMANDS[args.command](args, field)
         if args.json:

@@ -136,7 +136,7 @@ def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int | None = None)
 def check_irreducible(sub: GradedSubalgebra):
     """Decide irreducibility of V under the degree-zero component.
 
-    Returns (status, detail) with status in {True, False, "not_decided"},
+    Returns (status, detail) with status True, False or None (not decided),
     as ``linalg.irreducible`` decides it: a basis vector spinning out a
     proper invariant subspace proves reducibility, an action envelope
     filling all of End(V) proves irreducibility.
@@ -163,25 +163,18 @@ class AdmissiblePairReport:
     transitivity_witness: object
     mu_centralizes_degree_zero: bool
     centralizer_witness: object
-    irreducible: object  # True / False / "not_decided"
+    irreducible: object  # True / False / None (not decided)
     irreducibility_detail: str
     top_is_line: bool
     generation: GenerationTrace
 
     @property
     def admissible(self):
+        """True, False, or None when not decided."""
         if not self.generation.closed:
-            return "not_decided"  # the generated algebra may be incomplete
-        parts = [
-            self.transitive,
-            self.mu_centralizes_degree_zero,
-            self.top_is_line,
-        ]
-        if not all(parts) or self.irreducible is False:
-            return False
-        if self.irreducible == "not_decided":
-            return "not_decided"
-        return True
+            return None  # the generated algebra may be incomplete
+        parts = (self.transitive, self.mu_centralizes_degree_zero, self.top_is_line)
+        return self.irreducible if all(parts) else False
 
 
 def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None, *,

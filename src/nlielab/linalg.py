@@ -167,15 +167,15 @@ def irreducible(field: Field, mats, dim: int):
     """Whether the dim x dim matrices ``mats`` act irreducibly: (False,
     (j, d)) when the orbit of basis vector j is a proper invariant
     subspace of dim d, (True, None) when the envelope is all of End (over
-    any field a proper invariant subspace keeps it smaller), else
-    ("not_decided", envelope dim)."""
+    any field a proper invariant subspace keeps it smaller), else (None,
+    envelope dim): not decided."""
     one = field.one()
     for j in range(dim):
         d = orbit_span(field, mats, {(j, 0): one}).dim
         if d < dim:
             return False, (j, d)
     env = envelope_dim(field, mats, dim)
-    return (True, None) if env == dim * dim else ("not_decided", env)
+    return (True, None) if env == dim * dim else (None, env)
 
 
 def nullspace(field: Field, rows, ncols: int) -> list[dict]:

@@ -25,11 +25,12 @@ sign at the parities the arguments carry on the *symmetric* side.
 Applying the conversion twice restores the original bracket exactly.
 
 ``bracket_to_symmetric`` applies it to a bracket on V and returns the
-symmetric twin in a ``MultiMap``, the container that checks the twin's
-table once (canonical keys, value parities) before
-``universal.WElement.from_map`` flattens it.  The twin's values, like
-those of every finite table, are coordinate dicts {basis index: nonzero
-scalar}.
+symmetric twin in a ``MultiMap`` before ``universal.WElement.from_map``
+flattens it.  Its values, like those of every finite table, are
+coordinate dicts {basis index: nonzero scalar}.  ``checked_table`` is
+the one check of such a table (key lengths, canonical keys, indices in
+range, value parities, zeros dropped), on the symmetric side for a
+``MultiMap`` and on the alternating side for ``nlie.FiniteNAryAlgebra``.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from itertools import combinations, combinations_with_replacement
 
 from .superspace import SuperSpace
 
-__all__ = ["koszul_sort", "canonical_tuples", "conversion_sign", "MultiMap",
-           "bracket_to_symmetric"]
+__all__ = ["koszul_sort", "canonical_tuples", "conversion_sign", "checked_table",
+           "MultiMap", "bracket_to_symmetric"]
 
 
 def koszul_sort(keys, parities=None, alternating=True):
@@ -105,40 +106,66 @@ def conversion_sign(parities) -> int:
     return -1 if e % 2 else 1
 
 
+def checked_table(space: SuperSpace, arity: int, parity: int, table: dict,
+                  alternating: bool) -> dict:
+    """The one check of a finite table of a k-linear map of ``parity`` on
+    ``space``, on the ``alternating`` or the symmetric side of
+    ``koszul_sort``.  The arity must be at least 1, each key an
+    ``arity``-tuple of basis indices, canonical on that side, and each
+    value a coordinate dict over the basis of parity p(map) + sum of the
+    key's parities.  Zero entries and empty values are dropped; a value
+    without zeros is kept as the same dict.  A violation raises
+    ValueError."""
+    if arity < 1:
+        raise ValueError("arity must be at least 1")
+    dim, par = space.dim, space.parities
+    out = {}
+    for key, val in table.items():
+        key = tuple(key)
+        if len(key) != arity:
+            raise ValueError("key %r has wrong length" % (key,))
+        if not all(i in range(dim) for i in key):
+            raise ValueError("key %r names an index outside 0..%d" % (key, dim - 1))
+        ck, sgn = koszul_sort(key, par, alternating)
+        if sgn == 0:
+            raise ValueError("key %r vanishes by %s"
+                             % (key, "alternation" if alternating else "symmetry"))
+        if ck != key:
+            raise ValueError("table key %r is not canonically sorted" % (key,))
+        if not all(i in range(dim) for i in val):
+            raise ValueError("value at key %r names an index outside 0..%d"
+                             % (key, dim - 1))
+        if not all(val.values()):
+            val = {i: c for i, c in val.items() if c}
+        if not val:
+            continue
+        got = space.parity_of(val)
+        if got is None:
+            raise ValueError("value at key (%s) mixes parities"
+                             % ", ".join(space.labels[i] for i in key))
+        if got != (parity + sum(par[i] for i in key)) % 2:
+            raise ValueError("value parity mismatch at key %r" % (key,))
+        out[key] = val
+    return out
+
+
 class MultiMap:
     """A supersymmetric k-linear map S^k(V) -> V, k >= 1, as a table.
 
     The table holds one coordinate dict per canonically sorted argument
-    tuple (indices ascending, odd indices distinct), empty values
-    dropped.  ``parity`` is the parity of the map itself and every
-    stored value must satisfy p(value) = parity + sum of argument
-    parities.
+    tuple (indices ascending, odd indices distinct), as
+    ``checked_table`` keeps it.  ``parity`` is the parity of the map
+    itself and every stored value must satisfy p(value) = parity + sum
+    of argument parities.
     """
 
     __slots__ = ("space", "arity", "parity", "table")
 
     def __init__(self, space: SuperSpace, arity: int, parity: int, table: dict | None = None):
-        if arity < 1:
-            raise ValueError("arity must be >= 1")
         self.space = space
         self.arity = arity
         self.parity = parity % 2
-        self.table = {}
-        par = space.parities
-        for key, val in (table or {}).items():
-            if not val:
-                continue
-            skey, sign = koszul_sort(key, par, alternating=False)
-            if sign == 0:
-                raise ValueError("table key %r collapses to zero" % (key,))
-            if skey != tuple(key):
-                raise ValueError("table key %r is not canonically sorted" % (key,))
-            got = space.parity_of(val)
-            if got != (self.parity + sum(par[i] for i in key)) % 2:
-                raise ValueError(
-                    "value parity %r at %r violates p(f(a)) = p(f)+sum p(a_i)" % (got, key)
-                )
-            self.table[skey] = val
+        self.table = checked_table(space, arity, self.parity, table or {}, alternating=False)
 
 
 def bracket_to_symmetric(space: SuperSpace, arity: int, bracket_parity: int, eval_fn) -> MultiMap:

@@ -82,7 +82,7 @@ from itertools import product
 
 from .fields import LiteralError, field_from_name, parse_int
 from .linalg import Span, vec_add_scaled
-from .multilinear import canonical_tuples, koszul_sort
+from .multilinear import canonical_tuples, checked_table, koszul_sort
 from .superspace import EVEN, ODD, SuperSpace
 
 __all__ = [
@@ -105,39 +105,15 @@ class FiniteNAryAlgebra:
     """Finite-dimensional n-ary superalgebra given by a bracket table:
     canonically sorted basis index tuples (ascending; an index may repeat
     only when its basis vector is odd) map to coordinate dicts {basis
-    index: scalar}, kept without their zeros and read, never written."""
+    index: scalar}, checked by ``multilinear.checked_table``, kept
+    without their zeros and read, never written."""
 
     def __init__(self, space: SuperSpace, arity: int, parity: int, table: dict):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
         self.space = space
         self.arity = arity
         self.bracket_parity = parity % 2
         self.field = space.field
-        self.table = {}
-        for key, val in table.items():
-            key = tuple(key)
-            if len(key) != arity:
-                raise ValueError("key %r has wrong length" % (key,))
-            ck, sgn = koszul_sort(key, space.parities)
-            if sgn == 0:
-                raise ValueError("key %r vanishes by alternation" % (key,))
-            if ck != key:
-                raise ValueError("table key %r is not canonically sorted" % (key,))
-            if not all(i in range(space.dim) for i in val):
-                raise ValueError("value at key %r names an index outside 0..%d"
-                                 % (key, space.dim - 1))
-            if not all(val.values()):
-                val = {i: c for i, c in val.items() if c}
-            if not val:
-                continue
-            got = space.parity_of(val)
-            if got is None:
-                raise ValueError("value at key (%s) mixes parities"
-                                 % ", ".join(space.labels[i] for i in key))
-            if got != (self.bracket_parity + sum(space.parities[i] for i in key)) % 2:
-                raise ValueError("value parity mismatch at key %r" % (key,))
-            self.table[key] = val
+        self.table = checked_table(space, arity, self.bracket_parity, table, alternating=True)
 
     # -- carrier protocol -------------------------------------------------
     def keys(self):

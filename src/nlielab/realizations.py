@@ -26,6 +26,10 @@ the ``DiffOp`` versions of ``bracket``, ``zero``, ``vectorize``,
 ``element``, ``xdeg``, ``_keys`` and ``_key_weight``, and prepares
 nothing.
 
+``parse_handle`` is the one table from a carrier's name, such as H'(0,4)
+or SKO'(3,4;1), to its constructor; the pairings and the splittings
+build their named carriers through it.
+
 On top of the carriers: the top-element pairing checks (one line at the
 top, centralizing the degree-zero part, window transitivity, and the
 induced n-bracket compared against the catalog algebra up to one global
@@ -256,37 +260,20 @@ class Carrier:
 
 class PoissonRealization(Carrier):
     """Free supercommutative carrier with even pairs {p_i, q_i} = 1
-    (p_i = x_i, q_i = x_{k+i}) and a symmetric pairing b on the odd
-    generators; b defaults to the identity.  With ``quotient`` the
-    constants are factored out."""
+    (p_i = x_i, q_i = x_{k+i}) and odd pairs {xi_i, xi_i} = 1.  With
+    ``quotient`` the constants are factored out."""
 
     # class-own attributes: perfbench's tracer wraps these per class
     window_elements = Carrier.window_elements
     bracket = Carrier.bracket
 
-    def __init__(self, field: Field, m: int, n: int, b=None, quotient: bool = False,
+    def __init__(self, field: Field, m: int, n: int, quotient: bool = False,
                  grading: GradingSpec | None = None):
         if m % 2:
             raise ValueError("even generators must come in p,q pairs")
-        self.npairs = m // 2
-        if b is None:
-            b = {(i, i): 1 for i in range(1, n + 1)}
-        bb: dict = {}
-        for (i, j), c in b.items():
-            c = field.coerce(c)
-            if not c:
-                continue
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError("pairing index out of range")
-            for key in ((i, j), (j, i)):
-                old = bb.get(key)
-                if old is not None and old != c:
-                    raise ValueError("pairing must be symmetric")
-                bb[key] = c
-        self.b = bb
-        k = self.npairs
+        self.npairs = k = m // 2
         # odd pairs carry (-1)^{p(f)+1}
-        self.pairing = ([(("xi", i), ("xi", j), c, True) for (i, j), c in bb.items()]
+        self.pairing = ([(("xi", i), ("xi", i), 1, True) for i in range(1, n + 1)]
                         + [row for i in range(1, k + 1)
                            for row in ((("x", i), ("x", k + i), 1, False),
                                        (("x", k + i), ("x", i), -1, False))])
@@ -297,7 +284,7 @@ class PoissonRealization(Carrier):
 
     def _paired_weights(self, grading: GradingSpec) -> set:
         xw, sw = grading.xweights, grading.xiweights
-        sums = {sw[i - 1] + sw[j - 1] for (i, j) in self.b}
+        sums = {2 * w for w in sw}
         sums.update(xw[i] + xw[self.npairs + i] for i in range(self.npairs))
         # a bracket that pairs nothing leaves the grading unshifted
         return sums or {0}
@@ -595,25 +582,24 @@ def pair_setup(which: str, n: int, xwindow: int, field: Field = QQ) -> PairSetup
     if n < 3:
         raise ValueError("the pairing needs arity at least 3")
     if which == "i":
-        real = PoissonRealization(field, 0, n + 1, quotient=True,
-                                  grading=GradingSpec((), (1,) * (n + 1)))
+        real = parse_handle("H'(0,%d)" % (n + 1), field)
         mu = real.ring.monomial((), tuple(range(1, n + 2)))
         return PairSetup(real, mu, algebra_O(n, field), list(range(n + 1)),
                          lambda k: real.ring.xi(k + 1), l0_expected=(n + 1) * n // 2)
     if which == "ii":
-        real = ButtinRealization(field, n, constraint="delta", quotient=True)
+        real = parse_handle("SHO'(%d,%d)" % (n, n), field)
         mu = real.ring.monomial((0,) * n, tuple(range(1, n + 1)))
         return PairSetup(real, mu, algebra_S(n, field),
                          monomials_upto(n, xwindow, include_constant=False),
                          lambda a: real.ring.monomial(a, ()))
     if which == "iii":
-        real = ContactRealization(field, n - 1, beta=1, constraint="div")
+        real = parse_handle("SKO'(%d,%d;1)" % (n - 1, n), field)
         mu = real.ring.monomial((0,) * (n - 1), tuple(range(1, n + 1)))
         return PairSetup(real, mu, algebra_W(n, field), monomials_upto(n - 1, xwindow),
                          lambda a: real.ring.monomial(a, ()))
     if which == "iv":
         real = VectorFieldRealization(field, 1, n - 1, constraint="div",
-                                      grading=GradingSpec((0,), (1,) * (n - 1)))
+                                      grading=depth_one_grading(1, n - 1))
         mu = DiffOp.ddx(real.ring, 1,
                         coeff=real.ring.monomial((0,), tuple(range(1, n))))
         return PairSetup(
@@ -623,7 +609,7 @@ def pair_setup(which: str, n: int, xwindow: int, field: Field = QQ) -> PairSetup
     raise ValueError("unknown pair %r" % (which,))
 
 
-def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> PairReport:
+def verify_pair(which: str, n: int, xwindow: int, field: Field = QQ) -> PairReport:
     setup = pair_setup(which, n, xwindow, field)
     real, mu = setup.real, setup.mu
     checks = []
@@ -673,8 +659,7 @@ def verify_pair(which: str, n: int, xwindow: int = 3, field: Field = QQ) -> Pair
         full = len(depth) ** 2
         detail = ("depth vector %d spans a %d-dim invariant subspace" % info if irr is False
                   else "action envelope dim %d of %d" % (full if irr is True else info, full))
-        checks.append(PairCheck("depth_module_irreducible",
-                                None if irr == "not_decided" else irr, detail))
+        checks.append(PairCheck("depth_module_irreducible", irr, detail))
     else:
         checks.append(PairCheck("depth_module_irreducible", None,
                                 "infinite depth component; not decided at window level"))
@@ -801,35 +786,24 @@ def check_split(real, complement, xwindow: int, label: str = "",
                        in_carrier, in_derived, codim, checked, failures, asserted)
 
 
-def split_cases(xwindow: int = 2, field: Field = QQ):
-    """The four asserted splittings plus the reported borderline one."""
-    out = []
-
-    real = VectorFieldRealization(field, 1, 2, constraint="div")
-    comp = DiffOp.ddx(real.ring, 1, coeff=real.ring.monomial((0,), (1, 2)))
-    out.append(("S'(1,2)", real, comp, True))
-
-    real = PoissonRealization(field, 0, 4, quotient=True)
-    comp = real.ring.monomial((), (1, 2, 3, 4))
-    out.append(("H'(0,4)", real, comp, True))
-
-    real = ButtinRealization(field, 3, constraint="delta", quotient=True)
-    comp = real.ring.monomial((0, 0, 0), (1, 2, 3))
-    out.append(("SHO'(3,3)", real, comp, True))
-
-    real = ContactRealization(field, 3, beta=1, constraint="div")
-    comp = real.ring.monomial((0, 0, 0), (1, 2, 3, 4))
-    out.append(("SKO'(3,4;1)", real, comp, True))
-
+def split_cases(field: Field = QQ):
+    """The four asserted splittings plus the reported borderline one, each
+    (handle, carrier, complement, asserted)."""
     if field.p == 3:
         raise ValueError("the SKO'(3,4;1/3) case needs beta = 1/3, which fp:3 lacks")
-    real = ContactRealization(field, 3, beta=field.scalar(1, 3), constraint="div")
-    comp = real.ring.monomial((0, 0, 0), (1, 2, 3))
-    out.append(("SKO'(3,4;1/3)", real, comp, False))
-
+    out = []
+    for label, xis, asserted in (("S'(1,2)", (1, 2), True), ("H'(0,4)", (1, 2, 3, 4), True),
+                                 ("SHO'(3,3)", (1, 2, 3), True),
+                                 ("SKO'(3,4;1)", (1, 2, 3, 4), True),
+                                 ("SKO'(3,4;1/3)", (1, 2, 3), False)):
+        real = parse_handle(label, field)
+        comp = real.ring.monomial((0,) * real.ring.m, xis)
+        if isinstance(real, VectorFieldRealization):  # S' splits off xi_1 xi_2 d/dx_1
+            comp = DiffOp.ddx(real.ring, 1, coeff=comp)
+        out.append((label, real, comp, asserted))
     return out
 
 
 def check_splits(xwindow: int = 2, field: Field = QQ):
     return [check_split(real, comp, xwindow, label=label, asserted=asserted)
-            for label, real, comp, asserted in split_cases(xwindow, field)]
+            for label, real, comp, asserted in split_cases(field)]

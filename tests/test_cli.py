@@ -483,6 +483,19 @@ def test_non_ascii_and_underscored_literals_are_one_line_usage_errors(tmp_path, 
     assert main(["verify", "O", "--n", "3", "--form", str(form)]) == 0
 
 
+@pytest.mark.parametrize("literal", ["1_0", "\u0663"], ids=["underscored", "arabic_indic"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "S", "--n", "{}"], ["verify", "S", "--window", "{}"],
+    ["verify", "O", "--seed", "{}"], ["pairs", "i", "--n", "{}"],
+    ["pairs", "i", "--xwindow", "{}"], ["charp", "--p", "{}"], ["charp", "--p", "3", "--s", "{}"],
+    ["charp", "--p", "3", "--cap", "{}"], ["report", "--xwindow", "{}"]],
+    ids=lambda argv: "_".join(argv[:-1]))
+def test_int_options_refuse_non_ascii_and_underscored_literals(capsys, argv, literal):
+    # int() reads these as 10 and 3, so a typo could start a huge run
+    assert main([a.format(literal) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: bad integer literal %r\n" % literal)
+
+
 def test_argparse_rejects_unknown_selectors():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "Q"])
@@ -541,7 +554,9 @@ def test_module_entry_point():
 # runs whose scalars reach the reports (witnesses, scalars, residues), of
 # the split reports that the pair cuts of check_split must not move, and
 # of QQ split and pair runs whose graded pieces and windows are read off one
-# constraint kernel (at --xwindow 1 the ideal sample is the window itself)
+# constraint kernel (at --xwindow 1 the ideal sample is the window itself),
+# and of QQ pair and finite-suite runs whose carriers are built from their
+# handles and whose tables pass ``multilinear.checked_table``
 GOLDEN = [
     ("verify O --n 4 --field fp:7", 0,
      "84b9ab25c77fb8f3851ea85607e6719213b9bae945619960cc1e6bd0659f8a53",
@@ -594,6 +609,15 @@ GOLDEN = [
     ("pairs iii --n 4", 0,
      "d323bddcd54a43e5406f5660f2564111bf5146a6c6924a39d1b91f4673d5d288",
      "410e870fd687712a896f525d38956a50ede7366ae27d55cf5b3a527c612a9bf6"),
+    ("pairs i --n 4", 0,
+     "b02e21a893f072c79e2255b293d9ab12506959e64d2f1a7f365f46a736c6b182",
+     "c565a045e2e92b13783d0dc1643008a3696c2e8402084336659507c310278014"),
+    ("pairs iv --n 4", 0,
+     "ea151d064001899af571f29506f191f930f755c863096849863f3ee561f1a78b",
+     "8969439e1008e89d8139af91f4dd82b42b6e2692192bf39e048442e813a297fc"),
+    ("verify O --n 5", 0,
+     "73f88265281b88482657697443c242fdf6e04dcbfb5f1f7ca5d18a8902c4e9fa",
+     "d8573c188c51087c441147539173a35236c046f68d0626d5acb9282dd9e63262"),
     ("report --xwindow 0", 0,
      "c05a92043f2190726fc7532d9974efb9374f70b694f2e738dbf21ec101368a7e",
      "46de9cbda9999550b38df7cc32466c177d18c3124513b7121e399fea7f6ace4d"),

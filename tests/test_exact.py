@@ -105,6 +105,29 @@ def test_one_set_of_lie_side_routines_for_both_models():
     # and the options no caller set are gone
     assert names_used({"alt_sign", "gen_slack", "ideal_xdeg"}) == []
     assert "limit" not in inspect.signature(check_filippov).parameters
+    assert "b" not in inspect.signature(realizations.PoissonRealization).parameters
+    assert "xwindow" not in inspect.signature(realizations.split_cases).parameters
+    xwindow = inspect.signature(realizations.verify_pair).parameters["xwindow"]
+    assert xwindow.default is inspect.Parameter.empty
+
+
+def test_named_carriers_come_from_their_handles():
+    # ``parse_handle``'s table is the one map from a carrier's name to its
+    # constructor: no other code builds a P/H', PO/SHO' or KO/SKO' carrier
+    carriers = {"PoissonRealization", "ButtinRealization", "ContactRealization"}
+    assert names_used(carriers, skip="realizations.py") == []
+    with open(os.path.join(PACKAGE, "realizations.py")) as fh:
+        tree = ast.parse(fh.read())
+    builders = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in carriers}
+    assert builders == {"parse_handle"}
+
+
+def test_one_encoding_of_not_decided():
+    # a check that decides nothing returns None; only the report renders
+    # that, as ``reports.NOT_DECIDED``
+    assert names_used({"not_decided"}, skip="reports.py") == []
 
 
 def test_one_scalar_representation_per_field():

@@ -147,7 +147,7 @@ def test_bounded_generation_is_not_decided():
             generation=trace)
 
     assert report(GenerationTrace(reached_fixpoint=True)).admissible is True
-    assert report(GenerationTrace(reached_fixpoint=False)).admissible == "not_decided"
+    assert report(GenerationTrace(reached_fixpoint=False)).admissible is None
 
 
 def test_generate_subalgebra_validates_input():
@@ -377,7 +377,7 @@ def test_an_escape_is_a_nonzero_bracket_above_the_top():
         a, b = trace.escape
         assert a + b > mu.degree and not trace.closed
         assert any(not w_bracket(u, v).is_zero() for u in sub.basis(a) for v in sub.basis(b))
-        assert check_admissible(mu.space, mu, generated=(sub, trace)).admissible == "not_decided"
+        assert check_admissible(mu.space, mu, generated=(sub, trace)).admissible is None
     assert escaped >= 2
 
 
@@ -466,7 +466,7 @@ def test_without_a_fixpoint_truncation_is_not_decided():
     assert rep.ok is None and rep.failures == []
     assert rep.generation is open_trace
     adm = check_admissible(mu.space, mu, generated=(sub, open_trace))
-    assert adm.admissible == "not_decided" and adm.graded_dims == sub.dims()
+    assert adm.admissible is None and adm.graded_dims == sub.dims()
 
 
 def test_seed_relations_hold_and_detect_corruption():

@@ -241,7 +241,7 @@ def test_irreducible_on_the_three_verdicts():
     # a rotation of QQ^2 leaves no basis line invariant, yet its envelope
     # QQ[i] is 2-dim: over QQ neither criterion decides
     rotation = {(0, 1): -one, (1, 0): one}
-    assert irreducible(QQ, [rotation], 2) == ("not_decided", 2)
+    assert irreducible(QQ, [rotation], 2) == (None, 2)
     # e_0 is fixed (e_1 -> e_0): the orbit of e_0 is a 1-dim invariant line
     assert irreducible(QQ, [{(0, 1): one}], 2) == (False, (0, 1))
     e12, e21 = {(0, 1): one}, {(1, 0): one}

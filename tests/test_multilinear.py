@@ -126,6 +126,21 @@ def test_multimap_parity_check():
         MultiMap(V, 2, 1, {(1, 1): {0: 1}})  # odd repeat on the symmetric side
 
 
+def test_multimap_table_goes_through_the_one_check():
+    # the check nlie.FiniteNAryAlgebra runs, on the symmetric side
+    V = SuperSpace(QQ, ("a", "x", "y"), (EVEN, ODD, ODD))
+    zero = MultiMap(V, 2, 1, {(0, 1): {0: 0}})
+    assert zero.table == {} and WElement.from_map(zero).is_zero()
+    value = {0: 1}
+    assert MultiMap(V, 2, 1, {(0, 2): value}).table[0, 2] is value  # kept, not copied
+    for table, message in (({(0,): {1: 1}}, r"key \(0,\) has wrong length"),
+                           ({(0, 7): {1: 1}}, r"key \(0, 7\) names an index outside 0..2"),
+                           ({(0, 0): {5: 1}},
+                            r"value at key \(0, 0\) names an index outside 0..2")):
+        with pytest.raises(ValueError, match=message):
+            MultiMap(V, 2, 1, table)
+
+
 def evaluate(mm, args):
     """A symmetric map's value on any argument tuple: its table entry at
     the Koszul sort of the tuple, times the sort's sign."""
