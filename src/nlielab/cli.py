@@ -72,13 +72,12 @@ def _finite_suite(rep: Report, alg):
             witness=escape and "[degree %d, degree %d] bracket lands above degree %d"
             % (*escape, trace.cap),
             dims=adm.graded_dims)
-    rep.add("pair_transitive", held(adm.transitive, True), "",
-            witness=adm.transitivity_witness)
-    rep.add("pair_top_centralizes", held(adm.mu_centralizes_degree_zero, True), "",
-            witness=adm.centralizer_witness)
-    top_dim = adm.graded_dims.get(adm.arity - 1, 0)
-    rep.add("pair_top_is_line", held(adm.top_is_line, top_dim >= 2), "")
-    rep.add("pair_irreducible", held(adm.irreducible), adm.irreducibility_detail)
+    found = adm.structure
+    rep.add("pair_transitive", held(found.transitive, True), "",
+            witness=found.kernel and found.kernel[2])
+    rep.add("pair_top_centralizes", held(found.centralizes, True), "", witness=found.moves_mu)
+    rep.add("pair_top_is_line", held(found.top_is_line, found.top_dim >= 2), "")
+    rep.add("pair_irreducible", held(found.irreducibility[0]), adm.irreducibility_detail)
 
     trep = check_truncation(rev, mu, generated=generated)
     detail = ("vanishing above top %s, line %s, swept %s, opposite %s, ideal %s"

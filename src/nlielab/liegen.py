@@ -4,6 +4,11 @@ admissible: transitivity, mu commuting with the degree-zero part,
 irreducibility of V under the degree-zero part, and truncation of the
 generated algebra at degree n-1.
 
+Admissibility is ``structure_of`` a ``GradedModel``, one routine for
+both models of L (this closure's ``closure_model`` and the carrier windows
+of ``realizations``), with ``universal.is_transitive`` and
+``check_irreducible`` as its transitivity loop and irreducibility step.
+
 The checks prove statements about every element, or every basis tuple,
 while computing on bases only.  Two arguments carry this:
 
@@ -34,8 +39,9 @@ reads the bracket off the polynomial carriers of ``realizations``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from operator import attrgetter
 
-from .linalg import Span, irreducible
+from .linalg import Span, irreducible, matrix_of
 from .multilinear import canonical_tuples, conversion_sign
 from .superspace import SuperSpace
 from .universal import (GradedSubalgebra, WElement, box, bracket_of_products, full_component,
@@ -46,11 +52,15 @@ __all__ = [
     "generate_subalgebra",
     "AdmissiblePairReport",
     "check_admissible",
-    "check_irreducible",
     "TruncationReport",
     "check_truncation",
     "MuRelationsReport",
     "check_mu_relations",
+    "GradedModel",
+    "closure_model",
+    "check_irreducible",
+    "Structure",
+    "structure_of",
     "induced_table",
     "induced_bracket_table",
     "tables_proportional",
@@ -133,39 +143,12 @@ def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int | None = None)
     return sub, trace
 
 
-def check_irreducible(sub: GradedSubalgebra):
-    """Decide irreducibility of V under the degree-zero component.
-
-    Returns (status, detail) with status True, False or None (not decided),
-    as ``linalg.irreducible`` decides it: a basis vector spinning out a
-    proper invariant subspace proves reducibility, an action envelope
-    filling all of End(V) proves irreducibility.
-    """
-    dim = sub.space.dim
-    # a degree-0 element sends e_j to sum_i c e_i over its coordinates ((j,), i)
-    actions = [{(i, j): c for ((j,), i), c in u.coords.items()} for u in sub.basis(0)]
-    if not actions:
-        return dim <= 1, "degree-zero part acts by zero"
-    status, info = irreducible(sub.space.field, actions, dim)
-    if status is False:
-        return False, "basis vector %d spans a %d-dim invariant subspace" % info
-    if status is True:
-        return True, "action envelope fills End(V)"
-    return status, "no invariant subspace through basis vectors; envelope dim %d < %d" % (
-        info, dim * dim)
-
-
 @dataclass
 class AdmissiblePairReport:
     arity: int
     graded_dims: dict
-    transitive: bool
-    transitivity_witness: object
-    mu_centralizes_degree_zero: bool
-    centralizer_witness: object
-    irreducible: object  # True / False / None (not decided)
+    structure: Structure  # the closure's top line, centralizer, kernel, irreducibility
     irreducibility_detail: str
-    top_is_line: bool
     generation: GenerationTrace
 
     @property
@@ -173,43 +156,29 @@ class AdmissiblePairReport:
         """True, False, or None when not decided."""
         if not self.generation.closed:
             return None  # the generated algebra may be incomplete
-        parts = (self.transitive, self.mu_centralizes_degree_zero, self.top_is_line)
-        return self.irreducible if all(parts) else False
+        s = self.structure
+        return s.irreducibility[0] if s.transitive and s.centralizes and s.top_is_line else False
 
 
 def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None, *,
                      generated=None) -> AdmissiblePairReport:
-    """Admissibility of (mu, V).  ``generated`` is the pair that
+    """Admissibility of (mu, V): the ``structure_of`` the closure's
+    ``closure_model``.  ``generated`` is the pair that
     ``generate_subalgebra(space, mu, cap)`` returned, when the caller
     has it already; ``cap`` is then ignored."""
     n = mu.degree + 1
     if n < 2:
         raise ValueError("mu must have degree at least 1")
     sub, trace = generated or generate_subalgebra(space, mu, cap)
-    transitive, witness = is_transitive(sub, up_to=max(sub.degrees(), default=0))
-    cent_ok = True
-    cent_witness = None
-    for u in sub.basis(0):
-        h = w_bracket(mu, u)
-        if not h.is_zero():
-            cent_ok = False
-            cent_witness = (u, h)
-            break
-    irr, irr_detail = check_irreducible(sub)
-    top = sub.spans.get(n - 1)
-    top_is_line = top is not None and top.dim == 1 and sub.contains(mu)
-    return AdmissiblePairReport(
-        arity=n,
-        graded_dims=sub.dims(),
-        transitive=transitive,
-        transitivity_witness=witness,
-        mu_centralizes_degree_zero=cent_ok,
-        centralizer_witness=cent_witness,
-        irreducible=irr,
-        irreducibility_detail=irr_detail,
-        top_is_line=top_is_line,
-        generation=trace,
-    )
+    found = structure_of(closure_model(sub, mu))
+    irr, info = found.irreducibility
+    detail = ("degree-zero part acts by zero" if not sub.dim(0)
+              else "basis vector %d spans a %d-dim invariant subspace" % info if irr is False
+              else "action envelope fills End(V)" if irr
+              else "no invariant subspace through basis vectors; envelope dim %d < %d"
+              % (info, space.dim ** 2))
+    return AdmissiblePairReport(arity=n, graded_dims=sub.dims(), structure=found,
+                                irreducibility_detail=detail, generation=trace)
 
 
 @dataclass
@@ -359,6 +328,89 @@ def check_mu_relations(space: SuperSpace, mu: WElement) -> MuRelationsReport:
                 continue
             return MuRelationsReport(False, checked, self_ok, witness)
     return MuRelationsReport(self_ok, checked, self_ok, None)
+
+
+@dataclass
+class GradedModel:
+    """A graded model of L = (+)_{j >= -1} L_j as ``structure_of`` reads
+    it: ``pieces`` {degree: basis} over the degrees >= 0 it reads, an
+    element's ``coords`` (a coordinate dict), ``depth`` elements of L_-1,
+    each one unit coordinate vector, and whether they are all of it."""
+
+    field: object
+    pieces: dict
+    bracket: object
+    coords: object
+    depth: list
+    depth_is_all: bool
+    mu: object
+    top: int  # the degree of mu
+    _images: dict = dfield(default_factory=dict, init=False, repr=False)
+
+    def images(self, degree: int) -> list:
+        """The coords of [u, v] for u in the piece, v in the depth; degree
+        0's, which ``check_irreducible`` reads again, are bracketed once."""
+        got = self._images.get(degree)
+        if got is None:
+            got = [[self.coords(self.bracket(u, v)) for v in self.depth]
+                   for u in self.pieces.get(degree, ())]
+            if degree == 0:
+                self._images[0] = got
+        return got
+
+
+def closure_model(sub: GradedSubalgebra, mu: WElement) -> GradedModel:
+    """The W(V) closure as a ``GradedModel``: each of its degrees >= 0,
+    with all of V as the depth elements."""
+    space = sub.space
+    return GradedModel(space.field, {d: sub.basis(d) for d in sub.degrees() if d >= 0},
+                       w_bracket, attrgetter("coords"), full_component(space, -1), True,
+                       mu, mu.degree)
+
+
+def check_irreducible(model: GradedModel):
+    """``linalg.irreducible`` on the action of L_0 on the depth elements:
+    the matrix of u has column j the coordinates of [u, e_j], read off
+    the degree-0 images that the transitivity loop bracketed."""
+    index = {key: j for j, e in enumerate(model.depth) for key in model.coords(e)}
+    mats = [matrix_of([{index[key]: c for key, c in img.items()} for img in row])
+            for row in model.images(0)]
+    return irreducible(model.field, mats, len(model.depth))
+
+
+@dataclass
+class Structure:
+    top_dim: int
+    top_is_line: bool  # dim L_top = 1 and mu spans it
+    moves_mu: object  # (u, [mu, u]) for the first u in L_0 with [mu, u] != 0
+    kernel: object  # ``is_transitive``'s (degree, dim, witness) of a kernel
+    irreducibility: object  # ``check_irreducible``'s pair when depth_is_all
+
+    @property
+    def transitive(self) -> bool:
+        return self.kernel is None
+
+    @property
+    def centralizes(self) -> bool:  # mu commutes with L_0
+        return self.moves_mu is None
+
+
+def structure_of(model: GradedModel) -> Structure:
+    """The facts the bijection asks of every L = (+)_{j=-1}^{n-1} L_j,
+    read off either model of it (``closure_model``, and the carrier
+    window of ``realizations.pair_model``): the top piece is the line
+    through mu, mu centralizes L_0, L is transitive (``is_transitive``),
+    and L_-1 is irreducible under L_0 (``check_irreducible``, only when
+    the depth elements are all of L_-1).  Each caller reads its verdicts
+    off these facts under its own policy."""
+    top = model.pieces.get(model.top, [])
+    line = len(top) == 1 and tables_proportional(
+        {0: model.coords(model.mu)}, {0: model.coords(top[0])}, model.field)[0]
+    moves = next(((u, h) for u in model.pieces.get(0, ())
+                  if model.coords(h := model.bracket(model.mu, u))), None)
+    kernel = is_transitive(model)[1]
+    irr = check_irreducible(model) if model.depth_is_all else None
+    return Structure(len(top), line, moves, kernel, irr)
 
 
 def induced_table(bracket, mu, depth, tuples, coords_of, parities) -> dict:

@@ -30,13 +30,12 @@ nothing.
 or SKO'(3,4;1), to its constructor; the pairings and the splittings
 build their named carriers through it.
 
-On top of the carriers: the top-element pairing checks (one line at the
-top, centralizing the degree-zero part, window transitivity, and the
-induced n-bracket compared against the catalog algebra up to one global
-scalar), through the routines W(V) uses too: ``liegen.induced_table``
-read in carrier coordinates, ``linalg.annihilator`` and
-``linalg.irreducible``; and the splitting reports full = derived (+) one
-line.
+On top of the carriers: the top-element pairing checks, read through
+the routines W(V) uses too: ``liegen.structure_of`` on the window's
+``pair_model`` (top line, centralizer, transitivity, irreducibility) and
+``liegen.induced_table`` in carrier coordinates against the catalog
+algebra, up to one global scalar; and the splitting reports full =
+derived (+) one line.
 """
 
 from collections import Counter
@@ -46,8 +45,8 @@ from math import inf, lcm
 
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, monomials_upto
 from .fields import QQ, Field, parse_int
-from .liegen import induced_table, tables_proportional
-from .linalg import Span, annihilator, irreducible, kernel, matrix_of, span_of
+from .liegen import GradedModel, induced_table, structure_of, tables_proportional
+from .linalg import Span, kernel, span_of
 from .polysuper import DiffOp, SuperPoly, SuperPolyRing, delta
 
 
@@ -500,46 +499,39 @@ def pi_defect(X: DiffOp, Y: DiffOp, f: SuperPoly, lam, div_fn=None) -> SuperPoly
 # handles
 
 
-def parse_handle(text: str, field: Field = QQ, beta=None):
+def parse_handle(text: str, field: Field = QQ):
     """Build a realization from a short name such as W(1,2), S'(1,2),
-    P(0,4), H'(0,4), PO(3,3), SHO'(3,3), KO(2,3), SKO'(2,3;1)."""
+    P(0,4), H'(0,4), PO(3,3), SHO'(3,3), KO(2,3), SKO'(2,3;1).  Only SKO'
+    reads a beta (default 1); a beta on any other handle is an error."""
     s = text.strip().replace(" ", "")
     head, sep, rest = s.partition("(")
     if not sep or not rest.endswith(")"):
         raise ValueError("bad handle %r" % (text,))
-    body = rest[:-1]
-    btext = None
-    if ";" in body:
-        body, btext = body.split(";", 1)
+    body, semi, btext = rest[:-1].partition(";")
     parts = body.split(",")
     if len(parts) != 2:
         raise ValueError("bad handle %r" % (text,))
     m, n = map(parse_int, parts)
     if m < 0 or n < 0:
         raise ValueError("negative variable count in handle %r" % (text,))
-    if btext is not None:
-        beta = field.parse(btext)
+    if semi and head != "SKO'":
+        raise ValueError("only SKO' takes a beta, not %r" % (text,))
+    beta = field.parse(btext) if semi else 1
     if head in ("PO", "SHO'") and m != n:
         raise ValueError("this carrier needs equal variable counts")
     if head in ("KO", "SKO'") and n != m + 1:
         raise ValueError("this carrier needs one extra odd variable")
-    beta = 1 if beta is None else beta
     make = {"W": lambda: VectorFieldRealization(field, m, n),
             "S'": lambda: VectorFieldRealization(field, m, n, constraint="div"),
             "P": lambda: PoissonRealization(field, m, n),
             "H'": lambda: PoissonRealization(field, m, n, quotient=True),
             "PO": lambda: ButtinRealization(field, n),
             "SHO'": lambda: ButtinRealization(field, n, constraint="delta", quotient=True),
-            "KO": lambda: ContactRealization(field, m, beta=beta),
+            "KO": lambda: ContactRealization(field, m),
             "SKO'": lambda: ContactRealization(field, m, beta=beta, constraint="div")}
     if head not in make:
         raise ValueError("unknown handle %r" % (text,))
     return make[head]()
-
-
-def graded_dims(real, degrees, xwindow: int) -> dict:
-    bases = real.graded_bases(xwindow)
-    return {d: len(bases.get(d, ())) for d in degrees}
 
 
 # ---------------------------------------------------------------------------
@@ -609,65 +601,52 @@ def pair_setup(which: str, n: int, xwindow: int, field: Field = QQ) -> PairSetup
     raise ValueError("unknown pair %r" % (which,))
 
 
+def pair_model(setup: PairSetup, n: int, xwindow: int) -> GradedModel:
+    """The window as a ``GradedModel`` of L_0..L_{n-1} over the depth
+    elements of ``setup.keys``; with no even variable no x-window cuts
+    the carrier, so they are all of L_-1 (pairing i)."""
+    real = setup.real
+    graded = real.graded_bases(xwindow)
+    return GradedModel(real.field, {d: graded.get(d, []) for d in range(n)}, real.bracket,
+                       real.vectorize, [setup.elem_of(k) for k in setup.keys],
+                       not real.ring.m, setup.mu, n - 1)
+
+
 def verify_pair(which: str, n: int, xwindow: int, field: Field = QQ) -> PairReport:
     setup = pair_setup(which, n, xwindow, field)
     real, mu = setup.real, setup.mu
-    checks = []
-
-    graded = real.graded_bases(xwindow)
-    bases = [graded.get(d, []) for d in range(n)]  # L_0 .. L_{n-1}
-    top = bases[n - 1]
-    top_ok = len(top) == 1
-    if top_ok:
-        sp = span_of(field, [real.vectorize(top[0])])
-        top_ok = sp.contains(real.vectorize(mu)) and real.contains(mu)
-    checks.append(PairCheck("top_component_is_line", top_ok,
-                            "degree %d slice has dimension %d" % (n - 1, len(top))))
-
-    l0 = bases[0]
-    cent = all(not real.vectorize(real.bracket(mu, X)) for X in l0)
-    checks.append(PairCheck("top_centralizes_degree_zero", cent,
-                            "%d degree-0 elements" % len(l0)))
+    model = pair_model(setup, n, xwindow)
+    found, finite_depth = structure_of(model), model.depth_is_all
+    l0 = len(model.pieces[0])
+    checks = [PairCheck("top_component_is_line", found.top_is_line,
+                        "degree %d slice has dimension %d" % (n - 1, found.top_dim)),
+              PairCheck("top_centralizes_degree_zero", found.centralizes,
+                        "%d degree-0 elements" % l0)]
     if setup.l0_expected is not None:
-        checks.append(PairCheck("degree_zero_dimension", len(l0) == setup.l0_expected,
-                                "dim %d, expected %d" % (len(l0), setup.l0_expected)))
+        checks.append(PairCheck("degree_zero_dimension", l0 == setup.l0_expected,
+                                "dim %d, expected %d" % (l0, setup.l0_expected)))
 
-    finite_depth = which == "i"  # the window is then all of L_{-1}
-    depth = {k: setup.elem_of(k) for k in setup.keys}
-
-    def images(basis):  # [X, v] in carrier coordinates, v over the depth window
-        return [[real.vectorize(real.bracket(X, v)) for v in depth.values()] for X in basis]
-
+    # a kernel on a depth window of an infinite L_-1 decides nothing
     trans, detail = True, "degrees 0..%d against the depth window" % (n - 1,)
-    for d, basis in enumerate(bases):
-        dim = len(annihilator(field, images(basis)))
-        if dim:
-            trans = False if finite_depth else None
-            detail = "degree %d: %d-dim kernel against the depth %s" % (
-                d, dim, "module" if finite_depth else "window of an infinite L_-1")
-            break
+    if not found.transitive:
+        trans = False if finite_depth else None
+        detail = "degree %d: %d-dim kernel against the depth %s" % (
+            *found.kernel[:2], "module" if finite_depth else "window of an infinite L_-1")
     checks.append(PairCheck("window_transitive", trans, detail))
 
-    def coord(k):  # a depth-one element is one monomial, with coefficient 1
-        return next(iter(real.vectorize(setup.elem_of(k))))
+    irr, info = found.irreducibility or (None, None)
+    full = len(model.depth) ** 2
+    detail = ("infinite depth component; not decided at window level" if not finite_depth
+              else "depth vector %d spans a %d-dim invariant subspace" % info if irr is False
+              else "action envelope dim %d of %d" % (full if irr is True else info, full))
+    checks.append(PairCheck("depth_module_irreducible", irr, detail))
 
-    if finite_depth:
-        index = {coord(k): j for j, k in enumerate(setup.keys)}
-        mats = [matrix_of([{index[key]: c for key, c in img.items()} for img in row])
-                for row in images(l0)]
-        irr, info = irreducible(field, mats, len(depth))
-        full = len(depth) ** 2
-        detail = ("depth vector %d spans a %d-dim invariant subspace" % info if irr is False
-                  else "action envelope dim %d of %d" % (full if irr is True else info, full))
-        checks.append(PairCheck("depth_module_irreducible", irr, detail))
-    else:
-        checks.append(PairCheck("depth_module_irreducible", None,
-                                "infinite depth component; not decided at window level"))
-
+    depth = dict(zip(setup.keys, model.depth))
     ind = induced_table(real.bracket, mu, depth, combinations(setup.keys, n), real.vectorize,
                         {k: real.lie_parity(v) for k, v in depth.items()})
-    cat = {key: {coord(k): c for k, c in val.items()} for key in combinations(setup.keys, n)
-           if (val := setup.catalog.bracket_keys(key))}
+    # a depth-one element is one monomial, with coefficient 1
+    cat = {key: {next(iter(real.vectorize(setup.elem_of(k)))): c for k, c in val.items()}
+           for key in combinations(setup.keys, n) if (val := setup.catalog.bracket_keys(key))}
     match, info = tables_proportional(ind, cat, field)
     scalar = info if match else None
     detail = ("scalar %s over %d tuples" % (info, len(cat))) if match else \

@@ -27,11 +27,14 @@ coordinates grouped by argument key, one dict per key, which
 The product is one scatter pass (Gustavson 1978, see ``box``) through an
 index of the left operand by slot value, which each element builds on
 first use and keeps, so an element's ``coords`` are read-only.
+``is_transitive`` is the transitivity loop of both models of L.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb
+from operator import add
 
 from .linalg import Span, annihilator, vec_add_scaled
 from .multilinear import MultiMap, canonical_tuples
@@ -292,22 +295,13 @@ class GradedSubalgebra:
         return sorted(d for d, s in self.spans.items() if s.dim)
 
 
-def is_transitive(sub: GradedSubalgebra, up_to: int):
-    """Check that no nonzero element of degree 0..up_to kills all of V.
-
-    Returns (True, None) or (False, witness) where the witness is a
-    nonzero element with [witness, V] = 0.
-    """
-    V = full_component(sub.space, -1)
-    for j in range(0, up_to + 1):
-        basis = sub.basis(j)
-        if not basis:
-            continue
-        images = [[w_bracket(u, v).coords for v in V] for u in basis]
-        for kv in annihilator(sub.space.field, images):
-            w = None
-            for i, c in sorted(kv.items()):
-                t = basis[i].scale(c)
-                w = t if w is None else w + t
-            return False, w
+def is_transitive(model):
+    """Whether no nonzero element of a piece of a ``liegen.GradedModel``
+    kills every depth element: (True, None), or (False, (degree, dim,
+    witness)) for the least degree whose images have a kernel."""
+    for d in sorted(model.pieces):
+        kernel = annihilator(model.field, model.images(d))
+        if kernel:
+            terms = [model.pieces[d][i].scale(c) for i, c in sorted(kernel[0].items())]
+            return False, (d, len(kernel), reduce(add, terms) if terms else None)
     return True, None

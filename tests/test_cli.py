@@ -14,10 +14,11 @@ from itertools import product
 
 import pytest
 
-from nlielab import cli, realizations
+from nlielab import cli, realizations, universal
 from nlielab.catalog import algebra_O
 from nlielab.cli import build_parser, main
 from nlielab.fields import GF, field_from_name
+from nlielab.liegen import Structure
 from nlielab.nlie import serialize_table
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -102,9 +103,8 @@ def test_a_generation_without_fixpoint_keeps_lasting_failures(
     # stay in any larger closure; a reducible action may not
     def failing(space, mu, cap=None, *, generated=None):
         adm = cli_admissible(space, mu, cap, generated=generated)
-        return dataclasses.replace(
-            adm, transitive=False, mu_centralizes_degree_zero=False, top_is_line=False,
-            irreducible=False, graded_dims={**adm.graded_dims, 2: top_dim})
+        return dataclasses.replace(adm, structure=Structure(
+            top_dim, False, ("u", "[mu, u]"), (0, 1, None), (False, (0, 1))))
 
     _stop_short(monkeypatch)
     cli_admissible = cli.check_admissible
@@ -210,7 +210,7 @@ def test_pairs_window_artefacts_are_not_decided(capsys, which, xwindow, kernel):
 
 def test_pairs_kernel_on_a_finite_depth_module_fails(monkeypatch, capsys):
     # pairing i's window is all of L_-1, so a kernel there is a failure
-    monkeypatch.setattr(realizations, "annihilator", lambda field, images: [{}] * len(images))
+    monkeypatch.setattr(universal, "annihilator", lambda field, images: [{}] * len(images))
     assert main(["pairs", "i", "--n", "3", "--xwindow", "0"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] window_transitive: degree 0: 6-dim kernel against the depth module" in out

@@ -101,11 +101,19 @@ def test_one_set_of_lie_side_routines_for_both_models():
                        "_span_of", "matrix_of_dmap"}) == []
     assert names_used({"envelope_dim", "orbit_span"}, skip="linalg.py") == []
     assert realizations.induced_table is liegen.induced_table
+    # and one structure routine (``liegen.structure_of``) over either model
+    # of L: only it, its transitivity loop ``universal.is_transitive`` and
+    # ``linalg`` name the two kernels, never ``realizations`` or ``cli``
+    kernels = names_used({"annihilator", "irreducible"})
+    assert {hit.split(":")[0] for hit in kernels} == {"linalg.py", "liegen.py", "universal.py"}
+    assert realizations.structure_of is liegen.structure_of
+    assert not hasattr(realizations, "graded_dims")
     assert "coords_of" not in realizations.PairSetup.__dataclass_fields__
     # and the options no caller set are gone
     assert names_used({"alt_sign", "gen_slack", "ideal_xdeg"}) == []
     assert "limit" not in inspect.signature(check_filippov).parameters
     assert "b" not in inspect.signature(realizations.PoissonRealization).parameters
+    assert "beta" not in inspect.signature(realizations.parse_handle).parameters
     assert "xwindow" not in inspect.signature(realizations.split_cases).parameters
     xwindow = inspect.signature(realizations.verify_pair).parameters["xwindow"]
     assert xwindow.default is inspect.Parameter.empty

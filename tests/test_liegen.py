@@ -13,10 +13,12 @@ from nlielab.liegen import (
     AdmissiblePairReport,
     GenerationTrace,
     MuRelationsReport,
+    Structure,
     check_admissible,
     check_irreducible,
     check_mu_relations,
     check_truncation,
+    closure_model,
     generate_subalgebra,
     induced_bracket_table,
     tables_proportional,
@@ -46,10 +48,9 @@ def test_quaternary_seed_generates_the_expected_dims():
     rep = check_admissible(rev, mu, cap=4)
     assert rep.arity == 3
     assert rep.graded_dims == {-1: 4, 0: 6, 1: 4, 2: 1}
-    assert rep.transitive and rep.transitivity_witness is None
-    assert rep.mu_centralizes_degree_zero and rep.centralizer_witness is None
-    assert rep.irreducible is True
-    assert rep.top_is_line
+    # the top is the line through mu, mu centralizes L_0, no kernel, irreducible
+    assert rep.structure == Structure(1, True, None, None, (True, None))
+    assert rep.structure.transitive and rep.structure.centralizes
     assert rep.admissible is True
     assert rep.generation.reached_fixpoint
     assert rep.generation.nrounds <= alg.arity + 2
@@ -72,7 +73,7 @@ def test_binary_seed_from_a_classical_algebra():
     assert rep.admissible is True
     # degree zero is the image of the inner action, here all of the
     # classical algebra itself
-    assert rep.irreducible is True
+    assert rep.structure.irreducibility == (True, None)
 
 
 def naive_closure(space, mu, cap):
@@ -140,11 +141,9 @@ def test_mixed_parity_generation_stays_divergence_free():
 def test_bounded_generation_is_not_decided():
     def report(trace):
         return AdmissiblePairReport(
-            arity=3, graded_dims={-1: 4, 0: 6, 1: 4, 2: 1}, transitive=True,
-            transitivity_witness=None, mu_centralizes_degree_zero=True,
-            centralizer_witness=None, irreducible=True,
-            irreducibility_detail="action envelope fills End(V)", top_is_line=True,
-            generation=trace)
+            arity=3, graded_dims={-1: 4, 0: 6, 1: 4, 2: 1},
+            structure=Structure(1, True, None, None, (True, None)),
+            irreducibility_detail="action envelope fills End(V)", generation=trace)
 
     assert report(GenerationTrace(reached_fixpoint=True)).admissible is True
     assert report(GenerationTrace(reached_fixpoint=False)).admissible is None
@@ -491,14 +490,24 @@ def test_seed_relations_hold_and_detect_corruption():
         assert trunc.failures
 
 
+def irreducibility(sub):
+    """``check_irreducible``'s raw pair and ``check_admissible``'s detail on
+    a hand-built subalgebra; neither reads the seed, so a zero of degree 1
+    stands in."""
+    mu = WElement.zero(sub.space, 1)
+    generated = (sub, GenerationTrace(reached_fixpoint=True))
+    detail = check_admissible(sub.space, mu, generated=generated).irreducibility_detail
+    return check_irreducible(closure_model(sub, mu)), detail
+
+
 def test_irreducibility_detects_an_invariant_line():
     V = SuperSpace(QQ, ("a", "b"), (0, 0))
     sub = GradedSubalgebra(V, cap=1)
     proj = MultiMap(V, 1, 0, {(0,): {0: 1}})
     sub.insert(WElement.from_map(proj))
-    status, detail = check_irreducible(sub)
-    assert status is False
-    assert "invariant" in detail
+    status, detail = irreducibility(sub)
+    assert status == (False, (0, 1))
+    assert detail == "basis vector 0 spans a 1-dim invariant subspace"
 
 
 def test_irreducibility_by_envelope():
@@ -508,16 +517,29 @@ def test_irreducibility_by_envelope():
     down = MultiMap(V, 1, 0, {(1,): {0: 1}})
     sub.insert(WElement.from_map(up))
     sub.insert(WElement.from_map(down))
-    status, detail = check_irreducible(sub)
-    assert status is True
-    assert "envelope" in detail
+    status, detail = irreducibility(sub)
+    assert status == (True, None)
+    assert detail == "action envelope fills End(V)"
+
+
+def test_a_rotation_alone_is_not_decided():
+    # no basis vector spans a proper invariant subspace over QQ, but the
+    # envelope of one quarter turn J is span(1, J), 2 < 4
+    V = SuperSpace(QQ, ("a", "b"), (0, 0))
+    sub = GradedSubalgebra(V, cap=1)
+    sub.insert(WElement.from_map(MultiMap(V, 1, 0, {(0,): {1: 1}, (1,): {0: -1}})))
+    status, detail = irreducibility(sub)
+    assert status == (None, 2)
+    assert detail == "no invariant subspace through basis vectors; envelope dim 2 < 4"
 
 
 def test_empty_degree_zero_is_irreducible_only_on_a_line():
     V1 = SuperSpace(QQ, ("a",), (0,))
-    assert check_irreducible(GradedSubalgebra(V1, cap=0))[0] is True
+    status, detail = irreducibility(GradedSubalgebra(V1, cap=0))
+    assert status[0] is True and detail == "degree-zero part acts by zero"
     V2 = SuperSpace(QQ, ("a", "b"), (0, 0))
-    assert check_irreducible(GradedSubalgebra(V2, cap=0))[0] is False
+    status, detail = irreducibility(GradedSubalgebra(V2, cap=0))
+    assert status[0] is False and detail == "degree-zero part acts by zero"
 
 
 def mixed_ternary():

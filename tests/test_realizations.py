@@ -2,15 +2,18 @@
 the twisted action on functions, pairings and splittings."""
 
 from itertools import combinations_with_replacement
-from math import inf
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlielab import realizations
+from nlielab.catalog import algebra_O
 from nlielab.cli import main
 from nlielab.fields import GF, QQ, field_from_name
-from nlielab.linalg import Span
+from nlielab.liegen import Structure, closure_model, generate_subalgebra, structure_of
+from nlielab.linalg import Span, matrix_of
+from nlielab.multilinear import bracket_to_symmetric
 from nlielab.polysuper import DiffOp, SuperPolyRing
 from nlielab.realizations import (
     ButtinRealization,
@@ -21,7 +24,7 @@ from nlielab.realizations import (
     SplitReport,
     VectorFieldRealization,
     check_split,
-    graded_dims,
+    pair_model,
     pair_setup,
     parse_handle,
     pi_act,
@@ -30,6 +33,7 @@ from nlielab.realizations import (
     split_cases,
     verify_pair,
 )
+from nlielab.universal import WElement
 
 
 # The carrier brackets as first written, summing out of place term by
@@ -255,8 +259,8 @@ def test_parse_handle_constructs_the_advertised_models():
     assert parse_handle("PO(3,3)").name == "PO(3,3)"
     assert parse_handle("SHO'(3,3)").name == "SHO'(3,3)"
     assert parse_handle("KO(2,3)").name == "KO(2,3)"
-    sko = parse_handle("SKO'(2,3)", beta=QQ.scalar(1, 3))
-    assert "SKO'" in sko.name
+    sko = parse_handle("SKO'(2,3;1/3)")
+    assert sko.name == "SKO'(2,3;1/3)" and sko.beta == QQ.scalar(1, 3)
     for bad in ("Q(1,1)", "PO(2,3)", "KO(2,4)", "W(1)"):
         with pytest.raises(ValueError):
             parse_handle(bad)
@@ -266,6 +270,15 @@ def test_parse_handle_constructs_the_advertised_models():
 @pytest.mark.parametrize("bad", ["W(1_0,2)", "KO(\u0663,4)", "W(-1,2)", "P(0,-1)"])
 def test_parse_handle_rejects_malformed_counts(bad):
     with pytest.raises(ValueError):
+        parse_handle(bad)
+
+
+# each carrier but SKO' ignores beta: a beta there would build the carrier
+# without it, under a name that drops it
+@pytest.mark.parametrize("bad", ["W(1,2;3)", "S'(1,2;3)", "P(0,4;2)", "H'(0,4;2)",
+                                 "PO(3,3;2)", "SHO'(3,3;2)", "KO(2,3;5)"])
+def test_parse_handle_rejects_a_beta_it_would_not_read(bad):
+    with pytest.raises(ValueError, match="only SKO' takes a beta"):
         parse_handle(bad)
 
 
@@ -307,7 +320,7 @@ def test_graded_bases_partition_the_window(handle):
     for xwindow in range(3):
         assert_read_off_one_kernel(real, xwindow)
         window = real.window_elements(xwindow)
-        dims = graded_dims(real, range(-3, 7), xwindow)
+        dims = {d: len(basis) for d, basis in real.graded_bases(xwindow).items()}
         assert sum(dims.values()) == len(window)
         wspan = Span(QQ)
         for e in window:
@@ -390,7 +403,7 @@ def test_incompatible_gradings_are_rejected():
 
 def test_graded_dims_of_the_top_quotient_model():
     real = PoissonRealization(QQ, 0, 4, quotient=True)
-    dims = graded_dims(real, range(-1, 3), xwindow=0)
+    dims = {d: len(basis) for d, basis in real.graded_bases(0).items()}
     assert dims == {-1: 4, 0: 6, 1: 4, 2: 1}
 
 
@@ -449,6 +462,46 @@ def test_defect_requires_homogeneous_operators():
     assert pi_act(mixed, R.x(1), QQ.one()) == R.one()
     with pytest.raises(ValueError):
         pi_defect(mixed, even, R.x(1), QQ.one())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "fp:7"])
+def test_both_models_of_the_orthogonal_l_agree(field, n):
+    # O(n)'s L as the W(V) closure of its seed and as the carrier
+    # H'(0,n+1), whose window is all of L: the same pieces, dim
+    # C(n+1, d+2) in degree d, and the same structure
+    alg = algebra_O(n, field)
+    mu = WElement.from_map(bracket_to_symmetric(alg.space, n, alg.bracket_parity,
+                                                alg.bracket_keys))
+    sub, trace = generate_subalgebra(mu.space, mu)
+    assert trace.closed
+    closure, carrier = closure_model(sub, mu), pair_model(pair_setup("i", n, 2, field), n, 2)
+    want = {d: comb(n + 1, d + 2) for d in range(-1, n)}
+    for model in (closure, carrier):
+        dims = {d: len(basis) for d, basis in model.pieces.items()}
+        assert {-1: len(model.depth), **dims} == want and model.depth_is_all
+        # a line at the top, centralized, transitive and irreducible
+        assert structure_of(model) == Structure(1, True, None, None, (True, None))
+    # the L_0 action read off the images [u, e_j] is the coordinate
+    # reading u(e_j) = sum_i c e_i over the coordinates ((j,), i) of u
+    for u, row in zip(closure.pieces[0], closure.images(0)):
+        assert matrix_of([{i: c for (_, i), c in img.items()} for img in row]) == {
+            (i, j): c for ((j,), i), c in u.coords.items()}
+
+
+def test_pairing_i_brackets_the_degree_zero_images_once(monkeypatch):
+    # 6 centralizer, (6 + 4 + 1) * 4 transitivity and 12 induced-table
+    # brackets; irreducibility reads transitivity's degree-0 images
+    calls = []
+    bracket = realizations.PoissonRealization.bracket
+
+    def counted(self, f, g):
+        calls.append(1)
+        return bracket(self, f, g)
+
+    monkeypatch.setattr(realizations.PoissonRealization, "bracket", counted)
+    assert verify_pair("i", 3, xwindow=2).ok
+    assert len(calls) == 62
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlielab.fields import QQ
+from nlielab.liegen import closure_model
 from nlielab.linalg import vec_add_scaled
 from nlielab.multilinear import MultiMap, canonical_tuples, koszul_sort
 from nlielab.superspace import SuperSpace
@@ -268,7 +269,7 @@ def test_transitivity_of_full_low_degrees():
     for d in (-1, 0, 1):
         for w in full_component(V, d):
             sub.insert(w)
-    ok, witness = is_transitive(sub, 1)
+    ok, witness = is_transitive(closure_model(sub, WElement.zero(V, 1)))
     assert ok and witness is None
 
 
