@@ -181,20 +181,16 @@ def irreducible(field: Field, mats, dim: int):
 def nullspace(field: Field, rows, ncols: int) -> list[dict]:
     """Basis of the kernel of the matrix with the given rows (dicts over
     the columns 0..ncols-1), read off one ``Span`` of the rows: one
-    vector per free column."""
+    vector per free column, {f: 1} then -row[f] at each pivot in span
+    order, built in one pass over the rows."""
     span = span_of(field, rows)
     one = field.one()
-    basis = []
-    for f in range(ncols):
-        if f in span.pivot_rows:
-            continue
-        v = {f: one}
-        for col, row in zip(span.pivots, span.rows):
-            c = row.get(f)
-            if c:
-                v[col] = -c
-        basis.append(field.reduced(v))
-    return basis
+    free = {f: {f: one} for f in range(ncols) if f not in span.pivot_rows}
+    for col, row in zip(span.pivots, span.rows):
+        for f, c in row.items():
+            if f != col:
+                free[f][col] = -c
+    return [field.reduced(v) for v in free.values()]
 
 
 def kernel(field: Field, columns) -> list[dict]:

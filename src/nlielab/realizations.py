@@ -701,7 +701,8 @@ def check_split(real, complement, xwindow: int, label: str = "",
     is sampled on multipliers of x-degree up to ``IDEAL_XDEG`` whose
     brackets stay inside reach.  The window and the ideal sample are the
     slack elements of x-degree <= ``xwindow`` and <= ``IDEAL_XDEG`` (see
-    ``window_elements``); each element is prepared once per side, left lazily.
+    ``window_elements``); each element is prepared once per side, and
+    only for a pair that is bracketed.
 
     Only the slack pairs whose bracket lands in an x-grading weight some
     test reads are bracketed.  The constraints are x-homogeneous, so the
@@ -720,7 +721,13 @@ def check_split(real, complement, xwindow: int, label: str = "",
     D_d = C_d holds every later bracket into d: D, its unique RREF and
     each answer are those of all the pairs.  A weight the slack misses
     stays bracketed; the check sees its brackets vanish.  The window
-    part is read off the RREF rows of x-degree <= ``xwindow``."""
+    part is read off the RREF rows of x-degree <= ``xwindow``.
+
+    Nor are the ideal pairs (w, d) landing in a full weight.  D is graded
+    and each key has one weight, so each RREF row d is homogeneous of its
+    pivot's weight, and [w, d] of weight e = that + w's - xshift.  C is a
+    subalgebra, so [w, d] lies in C_e = D_e: the pair counts in
+    ``ideal_checked`` and can add nothing to ``ideal_failures``."""
     field, xshift = real.field, real.xshift
     slack = real.window_elements(xwindow + GEN_SLACK)
     degs = [real.xdegrees(e) for e in slack]
@@ -746,7 +753,9 @@ def check_split(real, complement, xwindow: int, label: str = "",
                 if not real.contains(r):
                     raise RuntimeError("%s: a bracket leaves the carrier" % real.name)
                 room[d] -= 1
-    dwindow = [d for d in map(real.element, dspan_all.rows) if real.xdeg(d) <= xwindow]
+    dwindow = [(x, real._key_weight(real.xgrading, k), d)
+               for k, d in zip(dspan_all.pivots, map(real.element, dspan_all.rows))
+               if (x := real.xdeg(d)) <= xwindow]
 
     cvec = real.vectorize(complement)
     in_carrier = bool(wspan.contains(cvec)) and real.contains(complement)
@@ -754,12 +763,19 @@ def check_split(real, complement, xwindow: int, label: str = "",
     codim = len(dwindow) == wspan.dim - 1
 
     checked = failures = 0
-    rights = [(real.xdeg(d), real.prepare_right(d)) for d in dwindow]
-    for w in (e for e in slack if real.xdeg(e) <= IDEAL_XDEG):
-        wdeg, left = real.xdeg(w), real.prepare_left(w)
-        for right in (r for ddeg, r in rights if wdeg + ddeg <= xwindow + GEN_SLACK):
+    rights = [None] * len(dwindow)
+    for w, a in zip(slack, degs):
+        if (wdeg := real.xdeg(w)) > IDEAL_XDEG:
+            continue
+        left = None
+        for j, (ddeg, b, d) in enumerate(dwindow):
+            if wdeg + ddeg > xwindow + GEN_SLACK:
+                continue
             checked += 1
-            failures += not dspan_all.contains(real.vectorize(real.bracket(left, right)))
+            if room.get(a + b - xshift) != 0:  # else [w, d] lies in a full D_e
+                left = real.prepare_left(w) if left is None else left
+                rights[j] = real.prepare_right(d) if rights[j] is None else rights[j]
+                failures += not dspan_all.contains(real.vectorize(real.bracket(left, rights[j])))
 
     return SplitReport(label or real.name, xwindow, wspan.dim, len(dwindow),
                        in_carrier, in_derived, codim, checked, failures, asserted)

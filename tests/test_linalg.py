@@ -203,6 +203,30 @@ def test_span_reduce_matches_the_full_pivot_scan(field, data):
             assert s.reduce(w) == full_scan_reduce(s, w)
 
 
+def nullspace_per_column(field, rows, ncols):
+    """``nullspace`` by its definition, one free column at a time: {f: 1},
+    then -row[f] at each pivot whose RREF row holds f, in span order."""
+    span = span_of(field, rows)
+    basis = []
+    for f in range(ncols):
+        if f in span.pivot_rows:
+            continue
+        v = {f: field.one()}
+        for col, row in zip(span.pivots, span.rows):
+            if row.get(f):
+                v[col] = -row[f]
+        basis.append(field.reduced(v))
+    return basis
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GF(7)], ids=["QQ", "GF5", "GF7"])
+@given(data=st.data())
+def test_nullspace_matches_the_per_column_definition(field, data):
+    rows, ncols = data.draw(matrices(field, max_rows=7, max_cols=9))
+    got, ref = nullspace(field, rows, ncols), nullspace_per_column(field, rows, ncols)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in ref]
+
+
 def square_matrices(field, dim=3):
     return st.dictionaries(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
                            st.integers(-3, 3), max_size=dim * dim).map(

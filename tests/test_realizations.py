@@ -642,24 +642,117 @@ def test_split_refuses_a_slack_element_off_the_x_grading(monkeypatch):
         check_split(real, comp, 0, label=label)
 
 
-def test_split_brackets_only_the_slack_pairs_below_a_full_weight():
+class WatchedSpan(Span):
+    """The ``Span`` that ``check_split`` grows its derived span in: the
+    last one made, and whether it has been read, which it first is after
+    the derived loop."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        WatchedSpan.last, WatchedSpan.read = self, False
+
+    def contains(self, vec):
+        WatchedSpan.read = True
+        return super().contains(vec)
+
+
+def test_split_brackets_only_the_slack_pairs_below_a_full_weight(monkeypatch):
     # --xwindow 2: of the 29,234 slack pairs that reach a tested weight,
-    # 4,088 land below a full weight and are bracketed; the ideal sample is
-    # bracketed in full
-    slack_brackets, ideal = [], []
+    # 4,088 land below a full weight and are bracketed; of the 8,384 pairs
+    # of the ideal sample, 2,053
+    monkeypatch.setattr(realizations, "Span", WatchedSpan)
+    slack_brackets, ideal_brackets, ideal = [], [], []
     for label, real, comp, asserted in split_cases():
-        calls = []
+        calls = [0, 0]
 
         def counted(f, g, bracket=real.bracket):
-            calls.append(1)
+            calls[WatchedSpan.read] += 1
             return bracket(f, g)
 
         real.bracket = counted
         rep = check_split(real, comp, 2, label=label, asserted=asserted)
-        slack_brackets.append(len(calls) - rep.ideal_checked)
+        slack_brackets.append(calls[0])
+        ideal_brackets.append(calls[1])
         ideal.append(rep.ideal_checked)
     assert slack_brackets == [92, 120, 227, 2449, 1200]
+    assert ideal_brackets == [68, 210, 263, 1096, 416]
     assert ideal == [408, 210, 1296, 3705, 2765]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "fp:7"])
+def test_split_skips_only_ideal_pairs_inside_a_full_derived_weight(monkeypatch, field):
+    # every ideal pair check_split leaves unbracketed lands in an x-weight
+    # e below saturation_edge whose slack brackets span every slack
+    # element of weight e, and its bracket lies in that span
+    monkeypatch.setattr(realizations, "Span", WatchedSpan)
+    skipped_counts = []
+    for label, real, comp, asserted in split_cases(field):
+        key = lambda f: frozenset(real.vectorize(f).items())
+        made, bracketed = {}, set()
+        for side in ("prepare_left", "prepare_right"):
+            def prepared(f, prepare=getattr(real, side)):
+                out = prepare(f)
+                made[id(out)] = (out, key(f))  # keeps out alive, so its id stays
+                return out
+            setattr(real, side, prepared)
+        plain = real.bracket
+
+        def recorded(f, g):
+            if WatchedSpan.read:  # the ideal sample
+                bracketed.add((made[id(f)][1], made[id(g)][1]))
+            return plain(f, g)
+
+        real.bracket = recorded
+        rep = check_split(real, comp, 2, label=label, asserted=asserted)
+        real.bracket = plain
+        derived = WatchedSpan.last
+        slack = real.window_elements(2 + GEN_SLACK)
+        weight = {key(e): min(real.xdegrees(e)) for e in slack}
+        rows = [d for d in map(real.element, derived.rows) if real.xdeg(d) <= 2]
+        sample = [(w, d) for w in slack if real.xdeg(w) <= 1 for d in rows
+                  if real.xdeg(w) + real.xdeg(d) <= 2 + GEN_SLACK]
+        assert len(sample) == rep.ideal_checked
+        skipped = [(w, d) for w, d in sample if (key(w), key(d)) not in bracketed]
+        by_weight: dict = {}
+        for w, d in skipped:
+            (b,) = real.xdegrees(d)
+            by_weight.setdefault(weight[key(w)] + b - real.xshift, []).append((w, d))
+        edge = saturation_edge(real, 2 + GEN_SLACK)
+        for e, pairs in by_weight.items():
+            assert e < edge, (label, e)
+            full = Span(field)
+            for i, f in enumerate(slack):
+                for g in slack[i:]:
+                    if weight[key(f)] + weight[key(g)] - real.xshift == e:
+                        full.insert(real.vectorize(real.bracket(f, g)))
+            assert all(full.contains(real.vectorize(f)) for f in slack if weight[key(f)] == e)
+            assert all(full.contains(real.vectorize(real.bracket(w, d))) for w, d in pairs)
+        skipped_counts.append(len(skipped))
+    if field is QQ:
+        assert skipped_counts == [340, 0, 1033, 2609, 2349]
+
+
+def test_split_counts_an_ideal_failure_in_a_weight_that_is_not_full(monkeypatch):
+    # S'(1,2) at --xwindow 2: D_{-1} lacks the complement xi1 xi2 d/dx, so
+    # weight -1 stays bracketed.  Adding the complement to each bracket
+    # into weight -1 whose right side is not a slack element leaves the
+    # derived span as it was and breaks the ideal property there alone.
+    label, real, comp, asserted = split_cases()[0]
+    slack = {frozenset(real.vectorize(e).items())
+             for e in real.window_elements(2 + GEN_SLACK)}
+    plain = VectorFieldRealization.bracket
+
+    def broken(self, X, Y):
+        (a,), (b,) = self.xdegrees(X), self.xdegrees(Y)
+        r = plain(self, X, Y)
+        if a + b == -1 and frozenset(Y.vectorize().items()) not in slack:
+            r = r + comp
+        return r
+
+    monkeypatch.setattr(VectorFieldRealization, "bracket", broken)
+    got = check_split(real, comp, 2, label=label)
+    assert [got] == check_split_ref(real, [comp], 2, label=label)
+    assert got.ideal_failures > 0 and not got.ok
 
 
 def test_split_keeps_bracketing_a_weight_the_slack_cannot_span(monkeypatch):
