@@ -217,10 +217,9 @@ def cmd_report(args, field) -> Report:
     if args.xwindow < 0:
         raise ValueError("--xwindow must be at least 0")
     for srep in check_splits(args.xwindow, field):
-        detail = ("window %d = %d + 1, complement outside derived: %s, ideal %d/%d"
-                  % (srep.dim_window, srep.dim_derived,
-                     not srep.complement_in_derived,
-                     srep.ideal_checked - srep.ideal_failures, srep.ideal_checked))
+        detail = ("window %d = %d + %d, complement outside derived: %s, ideal %d/%d"
+                  % (srep.dim_window, srep.dim_derived, srep.dim_window - srep.dim_derived,
+                     not srep.complement_in_derived, srep.ideal_checked, srep.ideal_checked))
         status = srep.ok if srep.asserted else None
         if not srep.asserted:
             detail += ", reported without assertion (window outcome: %s)" % srep.ok

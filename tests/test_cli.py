@@ -293,6 +293,14 @@ def test_report_command(capsys):
     assert "reported without assertion" in out
 
 
+def test_report_prints_the_codimension_of_a_failing_split(capsys):
+    # over GF(2) the window of S'(1,2) is its derived part plus three lines
+    assert main(["report", "--xwindow", "1", "--field", "fp:2"]) == 1
+    out = capsys.readouterr().out
+    assert ("[FAIL] split_S'(1,2): window 17 = 14 + 3, complement outside derived: True, "
+            "ideal 238/238\n") in out
+
+
 def test_report_over_a_field_without_one_third_is_a_usage_error(capsys):
     # the reported SKO'(3,4;1/3) case needs beta = 1/3
     assert main(["report", "--xwindow", "0", "--field", "fp:3"]) == 2
@@ -625,8 +633,8 @@ GOLDEN = [
      "778f1066833ba2167c52be1056871a229fa9567e64ca26a28fabb1c29c116e27",
      "c8284f8638a52ac3c5ac2197845bc0f2ee10304fd84fe31a9711af28f709154a"),
     ("report --xwindow 1 --field fp:2", 1,
-     "b0ac234187cbf9f830b9895ff920c507b1c3634e5d1c099e031859a9da1ea4e7",
-     "4fe2f374d5f6baf7bd60a83ceaebe2235368d4cc28623f0eca63a301ccca9764"),
+     "c935d709ffc09ebc0390a34d835496bd8c5b0fd61759b3e80a50437c5f701564",
+     "0c53ba93c9c2f7ff1fc89bf2e05fc012d6135a6f83d92a2c9158aa91b45cb1b6"),
     ("report --xwindow 1 --field fp:7", 0,
      "1c313e013d29b807d4be1c067ca1bba52d5a9567bb67105e06821026ccddecd2",
      "51fe192b3d841312eebd39e0a0635b1c07db77dd832be2b65210fa45209f3516"),

@@ -110,7 +110,7 @@ def test_one_set_of_lie_side_routines_for_both_models():
     assert not hasattr(realizations, "graded_dims")
     assert "coords_of" not in realizations.PairSetup.__dataclass_fields__
     # and the options no caller set are gone
-    assert names_used({"alt_sign", "gen_slack", "ideal_xdeg"}) == []
+    assert names_used({"alt_sign", "gen_slack", "ideal_xdeg", "ideal_failures"}) == []
     assert "limit" not in inspect.signature(check_filippov).parameters
     assert "b" not in inspect.signature(realizations.PoissonRealization).parameters
     assert "beta" not in inspect.signature(realizations.parse_handle).parameters
