@@ -11,10 +11,10 @@ through, ``Span`` rows, the ``SuperPoly`` and ``WElement``
 operations); only ``SuperPoly.mul_into`` sums exact ints across a whole
 product and reduces once at its end.  Each loop picks its reducing
 variant once per call from ``Field.p``, which is None over QQ, so
-rational runs never pay for it.  A :class:`Field` object
-decides which kind a computation uses and provides construction,
-coercion, parsing and the one division, :meth:`Field.div`, so no
-``int / int`` ever makes a float.
+rational runs never pay for it.  A :class:`Field` is its characteristic
+alone: ``Field()`` is QQ and ``GF(p)`` the cached ``Field(p)``.  It
+provides construction, coercion, parsing and the one division,
+:meth:`Field.div`, so no ``int / int`` ever makes a float.
 """
 
 from __future__ import annotations
@@ -81,22 +81,16 @@ def is_prime(n: int) -> bool:
 
 
 class Field:
-    """The rationals, or Z/pZ for a prime p."""
+    """Z/pZ for a prime p, or the rationals when p is None."""
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("p",)
 
-    def __init__(self, kind: str, p: int | None = None):
-        if kind == "rationals":
-            if p is not None:
-                raise FieldError("rationals take no characteristic")
-        elif kind == "prime_field":
-            if p is not None and p >= PRIME_BOUND:
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            if p >= PRIME_BOUND:
                 raise FieldError("prime_field needs p below %d, got %d" % (PRIME_BOUND, p))
-            if p is None or not is_prime(p):
+            if not is_prime(p):
                 raise FieldError("prime_field needs a prime p, got %r" % (p,))
-        else:
-            raise FieldError("unknown field kind %r" % (kind,))
-        self.kind = kind
         self.p = p
 
     # -- construction -------------------------------------------------
@@ -158,20 +152,20 @@ class Field:
 
     # -- identity ------------------------------------------------------
     def __eq__(self, other):
-        return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
+        return isinstance(other, Field) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(self.p)
 
     def __repr__(self):
-        return "QQ" if self.kind == "rationals" else "GF(%d)" % self.p
+        return "QQ" if self.p is None else "GF(%d)" % self.p
 
     @property
     def name(self) -> str:
-        return "q" if self.kind == "rationals" else "fp:%d" % self.p
+        return "q" if self.p is None else "fp:%d" % self.p
 
 
-QQ = Field("rationals")
+QQ = Field()
 
 _gf_cache: dict[int, Field] = {}
 
@@ -180,7 +174,7 @@ def GF(p: int) -> Field:
     try:
         return _gf_cache[p]
     except KeyError:
-        f = Field("prime_field", p)
+        f = Field(p)
         _gf_cache[p] = f
         return f
 

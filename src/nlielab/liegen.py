@@ -236,8 +236,8 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
     if not vanishing:
         failures.append("nonzero component in degree above %d" % (n - 1))
 
-    top = sub.spans.get(n - 1)
-    top_is_line = top is not None and top.dim == 1 and sub.contains(mu)
+    top_is_line = _is_line_through([e.coords for e in sub.basis(n - 1)], mu.coords,
+                                   space.field)
     if not top_is_line:
         failures.append("top component is not the line through mu")
 
@@ -395,6 +395,13 @@ class Structure:
         return self.moves_mu is None
 
 
+def _is_line_through(rows: list, v: dict, field) -> bool:
+    """Whether the coordinate dicts ``rows``, a basis, span the line
+    through the nonzero ``v``: the one top-line test of ``structure_of``
+    and ``check_truncation``."""
+    return len(rows) == 1 and tables_proportional({0: v}, {0: rows[0]}, field)[0]
+
+
 def structure_of(model: GradedModel) -> Structure:
     """The facts the bijection asks of every L = (+)_{j=-1}^{n-1} L_j,
     read off either model of it (``closure_model``, and the carrier
@@ -404,8 +411,7 @@ def structure_of(model: GradedModel) -> Structure:
     the depth elements are all of L_-1).  Each caller reads its verdicts
     off these facts under its own policy."""
     top = model.pieces.get(model.top, [])
-    line = len(top) == 1 and tables_proportional(
-        {0: model.coords(model.mu)}, {0: model.coords(top[0])}, model.field)[0]
+    line = _is_line_through(list(map(model.coords, top)), model.coords(model.mu), model.field)
     moves = next(((u, h) for u in model.pieces.get(0, ())
                   if model.coords(h := model.bracket(model.mu, u))), None)
     kernel = is_transitive(model)[1]

@@ -129,15 +129,13 @@ class SuperPoly:
             return self.scale(other)
         return SuperPoly(self.ring, self.mul_into({}, other))
 
-    def mul_into(self, out: dict, other: "SuperPoly", sign: int = 1) -> dict:
-        """Accumulate sign*(self*other) into the term dict ``out`` in place
-        (sign is +1 or -1) and return it; cancelled terms are removed.
+    def mul_into(self, out: dict, other: "SuperPoly") -> dict:
+        """Accumulate self*other into the term dict ``out`` in place and
+        return it; cancelled terms are removed.
         ``out`` must not be the terms of either factor.  Over F_p the loop
         sums exact ints and ``out`` is reduced once, at the end."""
         products = self.ring.xi_products
         for (a1, x1), c1 in self.terms.items():
-            if sign < 0:
-                c1 = -c1
             row = products.get(x1)
             if row is None:
                 row = products[x1] = {}

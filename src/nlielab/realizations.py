@@ -18,13 +18,13 @@ the quotient by the constants, the Lie parity, membership, and the one
 polynomial bracket: bilinear, [f, g] = sum_s c_s L_s(f) R_s(g) with left
 pieces L_s derivatives (or 2 - E) of f or of f_odd - f_even, and right
 slots R_s = d/dx_i g, d/dxi_j g or (2 - E) g.  A subclass declares these
-rows as its ``pairing`` table, its ``constraint_value`` and the grading
-hooks ``_paired_weights`` and ``_x_grading``.  ``bracket`` takes an
-element or its prepared pieces on either side, so pairing one element
-with many differentiates it once.  ``VectorFieldRealization`` supplies
-the ``DiffOp`` versions of ``bracket``, ``zero``, ``vectorize``,
-``element``, ``xdeg``, ``_keys`` and ``_key_weight``, and prepares
-nothing.
+rows as its ``pairing`` table, its ``constraint_value`` and its
+``_x_grading``; ``_shift`` reads a grading's shift off the rows.
+``bracket`` takes an element or its prepared pieces on either side, so
+pairing one element with many differentiates it once.
+``VectorFieldRealization`` supplies the ``DiffOp`` versions of
+``bracket``, ``zero``, ``vectorize``, ``element``, ``xdeg``, ``_keys``,
+``_key_weight`` and ``_shift``, and prepares nothing.
 
 ``parse_handle`` is the one table from a carrier's name, such as H'(0,4)
 or SKO'(3,4;1), to its constructor; the pairings and the splittings
@@ -68,6 +68,12 @@ class GradingSpec:
         w = sum(k * e for k, e in zip(self.xweights, alpha))
         return w + sum(self.xiweights[j - 1] for j in xis)
 
+    def weight_gen(self, gen) -> int:
+        """The weight a derivation by ``gen`` takes off: ("x", i) and
+        ("xi", j) their generator's, ("2-E", 0) none."""
+        kind, i = gen
+        return 0 if kind == "2-E" else (self.xweights if kind == "x" else self.xiweights)[i - 1]
+
 
 def principal_grading(m: int, n: int) -> GradingSpec:
     return GradingSpec((1,) * m, (1,) * n)
@@ -103,16 +109,15 @@ class Carrier:
         self.name = name
 
     def _shift(self, grading: GradingSpec) -> int:
-        sums = self._paired_weights(grading)
+        """The weight the bracket takes off: each row of ``pairing``
+        takes off the weights its left op and right slot differentiate.
+        The grading is compatible with the bracket when every row takes
+        off the same; a bracket that pairs nothing takes off nothing."""
+        sums = {grading.weight_gen(op) + grading.weight_gen(slot)
+                for op, slot, _, _ in self.pairing} or {0}
         if len(sums) != 1:
             raise ValueError("grading is not compatible with the bracket")
         return sums.pop()
-
-    def _paired_weights(self, grading: GradingSpec) -> set:
-        """Weight sums of the generator pairs the bracket contracts; the
-        grading is compatible with the bracket when there is exactly one,
-        and it is the shift."""
-        raise NotImplementedError
 
     def _x_grading(self) -> GradingSpec:
         """The grading ``check_split`` cuts by, with shift ``xshift``: x_i
@@ -270,7 +275,7 @@ class PoissonRealization(Carrier):
                  grading: GradingSpec | None = None):
         if m % 2:
             raise ValueError("even generators must come in p,q pairs")
-        self.npairs = k = m // 2
+        k = m // 2
         # odd pairs carry (-1)^{p(f)+1}
         self.pairing = ([(("xi", i), ("xi", i), 1, True) for i in range(1, n + 1)]
                         + [row for i in range(1, k + 1)
@@ -280,13 +285,6 @@ class PoissonRealization(Carrier):
         super().__init__(field, SuperPolyRing(field, m, n),
                          grading if grading is not None else principal_grading(m, n),
                          name, quotient=quotient)
-
-    def _paired_weights(self, grading: GradingSpec) -> set:
-        xw, sw = grading.xweights, grading.xiweights
-        sums = {2 * w for w in sw}
-        sums.update(xw[i] + xw[self.npairs + i] for i in range(self.npairs))
-        # a bracket that pairs nothing leaves the grading unshifted
-        return sums or {0}
 
     def _x_grading(self) -> GradingSpec:
         # odd pairs beside even ones must weigh as much, 1 each
@@ -316,9 +314,6 @@ class ButtinRealization(Carrier):
         super().__init__(field, SuperPolyRing(field, n, n),
                          grading if grading is not None else depth_one_grading(n, n),
                          name, constraint, quotient)
-
-    def _paired_weights(self, grading: GradingSpec) -> set:
-        return {grading.xweights[i] + grading.xiweights[i] for i in range(self.nvars)}
 
     def constraint_value(self, f: SuperPoly):
         return None if self.constraint is None else delta(f, self.nvars)
@@ -355,11 +350,6 @@ class ContactRealization(Carrier):
         super().__init__(field, SuperPolyRing(field, m, m + 1),
                          grading if grading is not None else depth_one_grading(m, m + 1),
                          name, constraint)
-
-    def _paired_weights(self, grading: GradingSpec) -> set:
-        sums = {grading.xiweights[self.cidx - 1]}
-        sums.update(grading.xweights[i] + grading.xiweights[i] for i in range(self.m))
-        return sums
 
     def _x_grading(self) -> GradingSpec:
         # the contact variable pairs with 2 - E, which keeps degrees
@@ -412,9 +402,9 @@ class VectorFieldRealization(Carrier):
                          grading if grading is not None else principal_grading(m, n),
                          name, constraint)
 
-    def _paired_weights(self, grading: GradingSpec) -> set:
+    def _shift(self, grading: GradingSpec) -> int:
         # the commutator pairs each generator with its own derivation
-        return {0}
+        return 0
 
     def _keys(self, xwindow: int):
         gens = [("x", i) for i in range(1, self.m + 1)] + [("xi", j) for j in range(1, self.n + 1)]
@@ -422,9 +412,8 @@ class VectorFieldRealization(Carrier):
 
     def _key_weight(self, grading: GradingSpec, key) -> int:
         # a field weighs its coefficient less the generator it differentiates
-        (kind, i), mono = key
-        return grading.weight_key(mono) - (grading.xweights if kind == "x"
-                                           else grading.xiweights)[i - 1]
+        gen, mono = key
+        return grading.weight_key(mono) - grading.weight_gen(gen)
 
     def zero(self):
         return DiffOp.zero(self.ring)

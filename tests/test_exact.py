@@ -15,11 +15,12 @@ from hypothesis import given, strategies as st
 from nlielab import liegen, realizations
 from nlielab.catalog import algebra_O, algebra_S, algebra_SW, algebra_W
 from nlielab.cli import main
-from nlielab.fields import GF, QQ
+from nlielab.fields import GF, QQ, Field
 from nlielab.liegen import check_admissible, generate_subalgebra, tables_proportional
 from nlielab.linalg import Span, invert_dense, kernel
 from nlielab.multilinear import bracket_to_symmetric
 from nlielab.nlie import check_filippov, filippov_defect, parse_table, serialize_table
+from nlielab.polysuper import SuperPoly
 from nlielab.realizations import pair_setup
 from nlielab.universal import WElement
 
@@ -117,6 +118,16 @@ def test_one_set_of_lie_side_routines_for_both_models():
     assert "xwindow" not in inspect.signature(realizations.split_cases).parameters
     xwindow = inspect.signature(realizations.verify_pair).parameters["xwindow"]
     assert xwindow.default is inspect.Parameter.empty
+    assert "sign" not in inspect.signature(SuperPoly.mul_into).parameters
+    # and nothing restates what a carrier's ``pairing`` rows or a field's
+    # characteristic already say: the shift is read off the rows (only the
+    # vector fields, which have none, state theirs), a Field is its p
+    assert names_used({"_paired_weights", "npairs"}) == []
+    carriers = [cls for cls in vars(realizations).values()
+                if isinstance(cls, type) and issubclass(cls, realizations.Carrier)]
+    assert [cls for cls in carriers if "_shift" in vars(cls)] == [
+        realizations.Carrier, realizations.VectorFieldRealization]
+    assert Field.__slots__ == ("p",)
 
 
 def test_named_carriers_come_from_their_handles():

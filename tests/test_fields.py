@@ -122,7 +122,7 @@ def test_prime_field_scalars_are_ints_in_range():
 def test_gf_requires_prime():
     for bad in (0, 1, 4, 6, 9, -7, 100):
         with pytest.raises(FieldError):
-            Field("prime_field", bad)
+            Field(bad)
     assert GF(2).p == 2
     assert GF(101) is GF(101)  # cached
 

@@ -34,16 +34,16 @@ def test_ring_axioms(f, g, h):
 @given(polys(R), polys(R), polys(R), st.sampled_from([1, -1]))
 def test_mul_into_accumulates_the_signed_product(f, g, h, sign):
     out = dict(h.terms)
-    assert f.mul_into(out, g, sign) is out
+    assert f.scale(sign).mul_into(out, g) is out
     assert SuperPoly(R, out) == h + (f * g if sign > 0 else -(f * g))
-    # accumulating the opposite sign cancels back to h, storing no zeros
-    f.mul_into(out, g, -sign)
+    # accumulating the opposite product cancels back to h, storing no zeros
+    f.scale(-sign).mul_into(out, g)
     assert out == h.terms
 
 
 @given(polys(R5), polys(R5), st.sampled_from([1, -1]))
 def test_mul_into_over_a_prime_field(f, g, sign):
-    out = f.mul_into({}, g, sign)
+    out = f.scale(sign).mul_into({}, g)
     assert SuperPoly(R5, out) == (f * g).scale(sign)
     assert all(out.values())
 

@@ -49,9 +49,10 @@ def poisson_bracket_ref(real, f, g):
         for i in range(1, real.ring.n + 1):
             acc = acc + fh.dxi(i) * g.dxi(i)
         part = acc if sgn > 0 else -acc
-        for i in range(1, real.npairs + 1):
-            part = part + fh.dx(i) * g.dx(real.npairs + i)
-            part = part - fh.dx(real.npairs + i) * g.dx(i)
+        k = real.ring.m // 2
+        for i in range(1, k + 1):
+            part = part + fh.dx(i) * g.dx(k + i)
+            part = part - fh.dx(k + i) * g.dx(i)
         out = out + part
     return real.project(out)
 
@@ -384,24 +385,31 @@ def test_each_split_and_pairing_solves_one_kernel(monkeypatch):
         assert calls == [1], which
 
 
+def custom_graded():
+    """The two custom gradings whose shifts
+    ``test_incompatible_gradings_are_rejected`` pins."""
+    return [PoissonRealization(QQ, 2, 2, grading=GradingSpec((1, 3), (2, 2))),
+            ButtinRealization(QQ, 2, grading=GradingSpec((1, 1), (1, 1)))]
+
+
 def test_incompatible_gradings_are_rejected():
     bad = [
         lambda: PoissonRealization(QQ, 0, 4, grading=GradingSpec((), (1, 1, 1, 2))),
         lambda: PoissonRealization(QQ, 2, 2, grading=GradingSpec((1, 2), (1, 1))),
         lambda: ButtinRealization(QQ, 2, grading=GradingSpec((0, 1), (1, 1))),
         lambda: ContactRealization(QQ, 2, grading=GradingSpec((0, 0), (1, 1, 2))),
-        lambda: ButtinRealization(QQ, 0),
     ]
     for build in bad:
         with pytest.raises(ValueError, match="not compatible"):
             build()
     # x_1 xi_1 weighs 2 + 1 under weights (2, 1 | 1, 1)
     assert GradingSpec((2, 1), (1, 1)).weight_key(((1, 0), (1,))) == 3
-    # the shift is the one weight sum the bracket pairs
+    # the shift is the one weight each pairing row takes off; a bracket
+    # with no rows takes off nothing, whichever carrier it is
     assert PoissonRealization(QQ, 0, 4).shift == 2
     assert PoissonRealization(QQ, 0, 0).shift == 0
-    assert PoissonRealization(QQ, 2, 2, grading=GradingSpec((1, 3), (2, 2))).shift == 4
-    assert ButtinRealization(QQ, 2, grading=GradingSpec((1, 1), (1, 1))).shift == 2
+    assert ButtinRealization(QQ, 0).shift == parse_handle("SHO'(0,0)").shift == 0
+    assert [real.shift for real in custom_graded()] == [4, 2]
     assert ContactRealization(QQ, 2).shift == 1
     assert VectorFieldRealization(QQ, 1, 2).shift == 0
 
@@ -620,13 +628,45 @@ def test_split_carriers_are_x_graded(case):
     label, real, comp, asserted = split_cases()[case]
     for e in real.window_elements(1 + GEN_SLACK):
         assert len(real.xdegrees(e)) == 1, (label, e)
-    window = real.window_elements(1)
-    for f in window:
-        for g in window:
-            r = real.bracket(f, g)
+    assert brackets_weigh_the_sum_less_the_shift(real, real.xgrading, real.xshift)
+
+
+def brackets_weigh_the_sum_less_the_shift(real, grading, shift) -> int:
+    """Assert that each nonzero bracket of two ``grading``-homogeneous
+    elements of window 1 weighs w(f) + w(g) - shift; the count of them."""
+    window, weights = [], []
+    for e in real.window_elements(1):
+        if len(ws := real._weights(grading, e)) == 1:
+            window.append(e)
+            weights.append(ws.pop())
+    rights = [real.prepare_right(g) for g in window]
+    checked = 0
+    for f, wf in zip(window, weights):
+        left = real.prepare_left(f)
+        for g, wg, right in zip(window, weights, rights):
+            r = real.bracket(left, right)
             if real.vectorize(r):
-                (df,), (dg,) = real.xdegrees(f), real.xdegrees(g)
-                assert real.xdegrees(r) == {df + dg - real.xshift}, (label, f, g)
+                checked += 1
+                assert real._weights(grading, r) == {wf + wg - shift}, (real.name, f, g)
+    return checked
+
+
+def shift_carriers():
+    """Every carrier a test names: the zoo, the splittings, the pairings
+    at arity 3..5 and the custom gradings."""
+    return ([pytest.param(real, id="zoo-" + real.name) for real in realization_zoo()]
+            + [pytest.param(real, id="split-" + label) for label, real, _, _ in split_cases()]
+            + [pytest.param(pair_setup(which, n, 1).real, id="pair-%s-%d" % (which, n))
+               for which in ("i", "ii", "iii", "iv") for n in (3, 4, 5)]
+            + [pytest.param(real, id="graded-" + real.name) for real in custom_graded()])
+
+
+@pytest.mark.parametrize("real", shift_carriers())
+@pytest.mark.parametrize("x", [False, True], ids=["grading", "x-grading"])
+def test_brackets_weigh_the_sum_less_the_shift(real, x):
+    # the shift read off the pairing rows is what each bracket takes off
+    grading, shift = (real.xgrading, real.xshift) if x else (real.grading, real.shift)
+    assert brackets_weigh_the_sum_less_the_shift(real, grading, shift)
 
 
 def test_x_grading_shifts_and_the_flat_contact_variable():
