@@ -21,19 +21,19 @@ operators under commutators is not necessary for the law:
 Polynomial carriers implement the same key protocol as finite ones:
 elements are dicts mapping monomial keys to coefficients, and a bracket
 of basis keys is computed on its canonical sort.  Every key is even,
-so ``koszul_sort`` without parities gives both the permutation signs of
-the determinants and the canonical keys of the brackets.
+so ``koszul_sort`` without parities gives the canonical keys of the
+brackets and their signs.
 
 On monomial keys x^(a_1), .., x^(a_n) the S and W brackets are one
 monomial, x^(a_1+..+a_n-(1,..,1)), times the integer determinant of the
 exponent matrix (for W bordered by a row of ones).  There is one
-determinant, ``_det``: it expands that integer matrix for S and W and
-the ``SuperPoly`` entries D_i f_j of the operator brackets.
+determinant, ``_det``, expanded row by row and cut at its zero entries:
+it serves that integer matrix and the entries D_i f_j of operator brackets.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .fields import QQ, Field, LiteralError
 from .linalg import invert_dense, span_of
@@ -98,31 +98,31 @@ def algebra_O(n: int, field: Field = QQ, form=None) -> FiniteNAryAlgebra:
 
 # -- polynomial carriers ----------------------------------------------------
 
-# n -> every permutation of range(n) with its sign
-_SIGNED_PERMUTATIONS: dict = {}
-
-
-def _signed_permutations(n: int) -> tuple:
-    got = _SIGNED_PERMUTATIONS.get(n)
-    if got is None:
-        got = _SIGNED_PERMUTATIONS[n] = tuple((p, koszul_sort(p)[1])
-                                              for p in permutations(range(n)))
-    return got
-
-
 def _det(mat, zero=0):
-    """Leibniz expansion of a square determinant.  Entries are ints or
-    ``SuperPoly``s and are only multiplied and added, so a zero entry
-    must test false; a permutation is dropped at its first zero entry."""
-    total = zero
-    for perm, term in _signed_permutations(len(mat)):
-        for row, j in zip(mat, perm):
-            e = row[j]
-            if not e:
-                break
-            term = term * e
-        else:
-            total = total + term
+    """The determinant of ints or ``SuperPoly``s, expanded row by row."""
+    return _expand(mat, 0, 1, 0, tuple(range(len(mat))), zero)
+
+
+def _expand(mat, i, term, odd, free, total):
+    """``total`` plus term * mat[i][c_i] * .., signed, over the bijections c
+    of rows i.. onto the columns ``free`` in Leibniz (lexicographic) order,
+    so a ``SuperPoly`` sum builds its terms in the order of the full
+    expansion.  Entries are only multiplied, added and subtracted, and a
+    zero one must test false: a product stops there, with every permutation
+    through it.  The k-th free column adds k inversions, one per free
+    column left of it that a later row takes; ``odd`` is their parity."""
+    if len(free) == 2:  # the last two rows, in place
+        p, q = free
+        if (e := mat[i][p]) and (f := mat[i + 1][q]):
+            total = total - term * e * f if odd else total + term * e * f
+        if (e := mat[i][q]) and (f := mat[i + 1][p]):
+            total = total + term * e * f if odd else total - term * e * f
+        return total
+    if not free:
+        return total - term if odd else total + term
+    for k, j in enumerate(free):
+        if e := mat[i][j]:
+            total = _expand(mat, i + 1, term * e, odd ^ k & 1, free[:k] + free[k + 1:], total)
     return total
 
 
@@ -167,6 +167,8 @@ class PolyNAryAlgebra:
     bracket_parity = 0
 
     def __init__(self, field: Field, arity: int):
+        if arity < 2:
+            raise ValueError("need n >= 2")
         self.field = field
         self.arity = arity
         self._monomials: dict = {}
@@ -324,8 +326,7 @@ class GeneralizedJacobianNAry(PolyNAryAlgebra):
 
     def __init__(self, field: Field, nvars: int, ops, bordered: bool = False):
         self.ops = list(ops)
-        arity = len(self.ops) + (1 if bordered else 0)
-        super().__init__(field, arity)
+        super().__init__(field, len(self.ops) + (1 if bordered else 0))
         self.nvars = nvars
         self.bordered = bordered
         self.ring = SuperPolyRing(field, nvars, 0)
@@ -352,14 +353,10 @@ class GeneralizedJacobianNAry(PolyNAryAlgebra):
 
 
 def algebra_S(n: int, field: Field = QQ) -> JacobianNAry:
-    if n < 2:
-        raise ValueError("need n >= 2")
     return JacobianNAry(field, n, quotient=True)
 
 
 def algebra_W(n: int, field: Field = QQ) -> BorderedNAry:
-    if n < 2:
-        raise ValueError("need n >= 2")
     return BorderedNAry(field, n)
 
 

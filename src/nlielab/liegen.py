@@ -39,6 +39,7 @@ reads the bracket off the polynomial carriers of ``realizations``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from itertools import accumulate
 from operator import attrgetter
 
 from .linalg import Span, irreducible, matrix_of
@@ -421,16 +422,18 @@ def structure_of(model: GradedModel) -> Structure:
 
 def induced_table(bracket, mu, depth, tuples, coords_of, parities) -> dict:
     """The n-bracket an L of depth one induces from its top element:
-    [..[mu, d_k1], .., d_kn] for each tuple (k1..kn) of ``tuples``, read
+    [..[mu, d_k1], .., d_kn] for each n-tuple (k1..kn) of ``tuples``, read
     off by ``coords_of`` and signed by the ``conversion_sign`` of the
     keys' symmetric-side ``parities``.  ``depth[k]`` is the element of
     L_-1 for key k and ``bracket`` the Lie bracket of L, so W(V) and the
-    polynomial carriers share this one routine."""
-    table = {}
+    polynomial carriers share this one routine.  ``chain`` keeps the
+    partial brackets of the tuple before, so each tuple brackets only
+    past the prefix it shares with that one."""
+    table, prev, chain = {}, (), [mu]
     for key in tuples:
-        h = mu
-        for k in key:
-            h = bracket(h, depth[k])
+        j = next((j for j, (a, b) in enumerate(zip(prev, key)) if a != b), len(prev))
+        chain[j:] = accumulate(key[j:], lambda h, k: bracket(h, depth[k]), initial=chain[j])
+        prev, h = key, chain[-1]
         coords = coords_of(h if conversion_sign([parities[k] for k in key]) == 1 else -h)
         if coords:
             table[key] = coords

@@ -1,8 +1,12 @@
 """The four bracket families and the determinant-bracket lab."""
 
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
+from nlielab import catalog
 from nlielab.catalog import (
     GeneralizedJacobianNAry,
     algebra_O,
@@ -212,14 +216,100 @@ def test_determinant_bracket_recombination_invariance():
 
 def test_generalized_jacobian_rejects_odd_directions():
     R = SuperPolyRing(QQ, 1, 1)
-    with pytest.raises(ValueError):
-        GeneralizedJacobianNAry(QQ, 1, [DiffOp.ddxi(R, 1)])
+    with pytest.raises(ValueError, match="x-derivatives only"):
+        GeneralizedJacobianNAry(QQ, 1, [DiffOp.ddxi(R, 1)], bordered=True)
+
+
+@pytest.mark.parametrize("nops,bordered", [(0, False), (1, False), (0, True)])
+def test_generalized_jacobian_needs_two_arguments(nops, bordered):
+    # a bracket of fewer than 2 arguments is refused by name, as by
+    # algebra_S and algebra_W, not deep inside the identity check
+    R = SuperPolyRing(QQ, 1, 0)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        GeneralizedJacobianNAry(QQ, 1, [DiffOp.ddx(R, 1)] * nops, bordered=bordered)
+    for make in (algebra_S, algebra_W):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            make(nops + bordered)
 
 
 def test_generalized_jacobian_rejects_anticommuting_terms():
     # an x-derivative with an odd coefficient passes the constructor, but
     # the entries it makes hold xi_1
     R = SuperPolyRing(QQ, 1, 1)
-    alg = GeneralizedJacobianNAry(QQ, 1, [DiffOp.ddx(R, 1, coeff=R.xi(1))])
+    alg = GeneralizedJacobianNAry(QQ, 1, [DiffOp.ddx(R, 1, coeff=R.xi(1))], bordered=True)
     with pytest.raises(ValueError, match="anticommuting term"):
-        alg.raw_bracket(((1,),))
+        alg.raw_bracket(((1,), (2,)))
+
+
+def leibniz(mat, zero=0):
+    """The reference determinant: the signed sum over every permutation
+    in lexicographic order, each product taken left to right from its
+    sign, the full expansion that ``catalog._det`` prunes."""
+    total = zero
+    for perm in permutations(range(len(mat))):
+        term = koszul_sort(perm)[1]
+        for row, j in zip(mat, perm):
+            if not row[j]:
+                break
+            term = term * row[j]
+        else:
+            total = total + term
+    return total
+
+
+def test_determinant_matches_the_leibniz_expansion():
+    rng = random.Random(20091)
+    for n in range(8):
+        for trial in range(40 if n < 6 else 6):
+            mat = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n)]
+            if n and trial % 4 == 1:
+                mat[rng.randrange(n)] = [0] * n
+            if n and trial % 4 == 2:
+                j = rng.randrange(n)
+                for row in mat:
+                    row[j] = 0
+            assert catalog._det(mat) == leibniz(mat), mat
+    # a permutation matrix, and the zero matrix, at every size
+    for n in range(8):
+        perm = rng.sample(range(n), n)
+        assert catalog._det([[int(j == p) for j in range(n)] for p in perm]) == \
+            koszul_sort(tuple(perm))[1]
+        assert catalog._det([[0] * n for _ in range(n)]) == (0 if n else 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "fp:7"])
+def test_determinant_of_polynomial_entries_builds_the_leibniz_terms_in_order(field):
+    # the entries D_i f_j of an operator bracket are SuperPolys: the sum
+    # holds the same terms as the full expansion's, in the same order
+    R = SuperPolyRing(field, 3, 0)
+    x = R.x
+    ops = [DiffOp.ddx(R, 1, coeff=x(2)) + DiffOp.ddx(R, 3),
+           DiffOp.ddx(R, 2, coeff=x(1) * x(3)) + DiffOp.ddx(R, 1, coeff=R.one().scale(2)),
+           DiffOp.ddx(R, 3, coeff=x(1)) + DiffOp.ddx(R, 2, coeff=x(2) * x(2))]
+    cases = [(ops, False), (ops, True), (ops[:2], True)]
+    keys, seen = monomials_upto(3, 2), 0
+    for seed, (rows, bordered) in enumerate(cases):
+        alg = GeneralizedJacobianNAry(field, 3, rows, bordered=bordered)
+        rng = random.Random(seed)
+        for _ in range(25):
+            monos = [R.monomial(alpha) for alpha in rng.sample(keys, alg.arity)]
+            mat = [[alg._apply(op, f) for f in monos] for op in rows]
+            if bordered:
+                mat.insert(0, monos)
+            got, want = catalog._det(mat, R.zero()), leibniz(mat, R.zero())
+            assert list(got.terms.items()) == list(want.terms.items())
+            seen += len(got.terms) > 1
+    assert seen > 20
+    # and the bracket dict reads them in that order
+    alg = GeneralizedJacobianNAry(field, 3, ops, bordered=True)
+    keys = ((0, 0, 0), (1, 0, 1), (0, 2, 0), (1, 1, 0))
+    monos = [R.monomial(alpha) for alpha in keys]
+    mat = [monos] + [[alg._apply(op, f) for f in monos] for op in ops]
+    want = {alpha: c for (alpha, _), c in leibniz(mat, R.zero()).terms.items()}
+    assert want and list(alg.raw_bracket(keys).items()) == list(want.items())
+
+
+def test_no_permutation_table():
+    # the determinant walks its rows; no table of signed permutations
+    assert not hasattr(catalog, "_SIGNED_PERMUTATIONS")
+    assert not hasattr(catalog, "_signed_permutations")

@@ -564,7 +564,9 @@ def test_module_entry_point():
 # of QQ split and pair runs whose graded pieces and windows are read off one
 # constraint kernel (at --xwindow 1 the ideal sample is the window itself),
 # and of QQ pair and finite-suite runs whose carriers are built from their
-# handles and whose tables pass ``multilinear.checked_table``
+# handles and whose tables pass ``multilinear.checked_table``, and of S, W
+# and pair runs at arities where the determinant walk prunes its rows and
+# the induced table shares its tuples' prefixes
 GOLDEN = [
     ("verify O --n 4 --field fp:7", 0,
      "84b9ab25c77fb8f3851ea85607e6719213b9bae945619960cc1e6bd0659f8a53",
@@ -647,6 +649,18 @@ GOLDEN = [
     ("report --xwindow 3", 0,
      "1a99272d57561f0d998e4a2fffbe594511ea12e3d103ef810ee4fab542a11e8f",
      "a23c608e0b8997462206a7c9e5a76ed32f7b0bc6e6577f05c255838c3568166e"),
+    ("verify S --n 4 --window 2", 0,
+     "b639a1943f8d3096b9416bb4789326089fb07ab561818381b9d692e125448dea",
+     "f141094303e5d85e9ad56797ec1987dca9bce9534d69a77d6950a35f9c683645"),
+    ("verify W --n 4 --window 2", 0,
+     "0613dec8f2f8f466752676227c7ae8612fd329269c6f9f3e0c7f0b24aab9af4a",
+     "c656988bef743c221f51730fbf4a756723777e7ee3acd648a105b7ce32c53498"),
+    ("pairs ii --n 5", 0,
+     "0b19b3ea0a181b7fe4b25e080274f16e7dc04daf03a0a7f5acdb6e6703ccb57c",
+     "7b25bb165b7cff65f28d3d6dc4276ea35401236c7ea5c2c876e23c9e9403b569"),
+    ("pairs iii --n 5", 0,
+     "42d3163947743c3e1c46ab7121c71ed430712ec2f0270c081917d4fe6203fc4f",
+     "b5ba76218c844b1b9dd04dfe80f9fc4a5f982d364ee88b68d410951205fb80d0"),
     ("charp --p 3", 1,
      "93a51a76f8ea506fc4023d6ba1fd338abe6e569c4922c0bd17e5aa0c81202f1e",
      "9ca4aca0aa32ffefea44e62b065ab50be87c59d53b167b6c28beaaa39c016137"),

@@ -2,7 +2,8 @@
 
 import dataclasses
 import functools
-from itertools import product
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -21,11 +22,13 @@ from nlielab.liegen import (
     closure_model,
     generate_subalgebra,
     induced_bracket_table,
+    induced_table,
     tables_proportional,
 )
 from nlielab.linalg import Span
-from nlielab.multilinear import MultiMap, bracket_to_symmetric
+from nlielab.multilinear import MultiMap, bracket_to_symmetric, canonical_tuples, conversion_sign
 from nlielab.nlie import FiniteNAryAlgebra, check_filippov, serialize_table
+from nlielab.realizations import pair_setup
 from nlielab.superspace import SuperSpace
 from nlielab.universal import GradedSubalgebra, WElement, box, full_component, w_bracket
 
@@ -556,6 +559,73 @@ def test_induced_table_reproduces_the_source_bracket():
         table = induced_bracket_table(mu.space, mu)
         ok, scalar = tables_proportional(table, alg.table, QQ)
         assert ok and scalar == QQ.one()
+
+
+def induced_table_ref(bracket, mu, depth, tuples, coords_of, parities):
+    """The induced table tuple by tuple, each chain bracketed from mu
+    again: the reference for ``induced_table``'s walk by shared prefixes."""
+    table = {}
+    for key in tuples:
+        h = mu
+        for k in key:
+            h = bracket(h, depth[k])
+        coords = coords_of(h if conversion_sign([parities[k] for k in key]) == 1 else -h)
+        if coords:
+            table[key] = coords
+    return table
+
+
+def induced_cases():
+    """(label, induced_table arguments): the carriers of ``pairs i..iv
+    --n 3/4`` as ``verify_pair`` passes them, and W(V) on the seeds of
+    O(3..5) and of the mixed ternary table as ``induced_bracket_table``
+    passes them (repeated odd keys included)."""
+    for which, n in product(("i", "ii", "iii", "iv"), (3, 4)):
+        setup = pair_setup(which, n, 2)
+        real = setup.real
+        depth = {k: setup.elem_of(k) for k in setup.keys}
+        yield "pairs %s --n %d" % (which, n), (
+            real.bracket, setup.mu, depth, list(combinations(setup.keys, n)), real.vectorize,
+            {k: real.lie_parity(v) for k, v in depth.items()})
+    for label, alg in [("O(3)", algebra_O(3)), ("O(4)", algebra_O(4)), ("O(5)", algebra_O(5)),
+                       ("mixed", mixed_ternary())]:
+        mu = seed_of(alg)
+        space = mu.space
+        tuples = canonical_tuples(range(space.dim), mu.degree + 1, space.reversed().parities)
+        yield label, (w_bracket, mu, full_component(space, -1), list(tuples),
+                      lambda h: {i: c for (_, i), c in h.coords.items()}, space.parities)
+
+
+def counted(bracket, calls):
+    def wrapped(f, g):
+        calls.append(1)
+        return bracket(f, g)
+    return wrapped
+
+
+def test_induced_table_walk_matches_the_tuple_by_tuple_reference():
+    rng = random.Random(33)
+    brackets = {}
+    for label, (bracket, mu, depth, tuples, coords_of, parities) in induced_cases():
+        want = induced_table_ref(bracket, mu, depth, tuples, coords_of, parities)
+        assert want, label
+        walked = []
+        got = induced_table(counted(bracket, walked), mu, depth, tuples, coords_of, parities)
+        assert list(got.items()) == list(want.items()), label
+        if bracket is w_bracket:
+            assert list(induced_bracket_table(mu.space, mu).items()) == list(want.items())
+        # in sorted order a prefix is bracketed once, when it first appears
+        prefixes = {key[:j] for key in tuples for j in range(1, len(key) + 1)}
+        assert len(walked) == len(prefixes) < len(tuples) * len(tuples[0]), label
+        brackets[label] = len(walked)
+        # the walk reads the tuple before, whatever the order
+        shuffled = rng.sample(tuples, len(tuples))
+        got = induced_table(bracket, mu, depth, shuffled, coords_of, parities)
+        assert list(got.items()) == [(key, want[key]) for key in shuffled if key in want], label
+    # against C(4, 3) * 3 = 12, C(14, 4) * 4 = 4,004 on the depth window of
+    # SHO'(4,4), and C(6, 5) * 5 = 30 chain brackets from mu
+    assert {k: brackets[k] for k in ("pairs i --n 3", "pairs ii --n 4", "O(5)")} == {
+        "pairs i --n 3": 9, "pairs ii --n 4": 1364, "O(5)": 20}
 
 
 def test_bracket_table_round_trip_through_the_symmetric_twin():

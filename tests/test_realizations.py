@@ -503,8 +503,9 @@ def test_both_models_of_the_orthogonal_l_agree(field, n):
 
 
 def test_pairing_i_brackets_the_degree_zero_images_once(monkeypatch):
-    # 6 centralizer, (6 + 4 + 1) * 4 transitivity and 12 induced-table
-    # brackets; irreducibility reads transitivity's degree-0 images
+    # 6 centralizer, (6 + 4 + 1) * 4 transitivity and 9 induced-table
+    # brackets (the 4 tuples share prefixes); irreducibility reads
+    # transitivity's degree-0 images
     calls = []
     bracket = realizations.PoissonRealization.bracket
 
@@ -514,7 +515,7 @@ def test_pairing_i_brackets_the_degree_zero_images_once(monkeypatch):
 
     monkeypatch.setattr(realizations.PoissonRealization, "bracket", counted)
     assert verify_pair("i", 3, xwindow=2).ok
-    assert len(calls) == 62
+    assert len(calls) == 59
 
 
 @pytest.mark.parametrize(
