@@ -10,22 +10,28 @@ of ``realizations``), with ``universal.is_transitive`` and
 ``check_irreducible`` as its transitivity loop and irreducibility step.
 
 The checks prove statements about every element, or every basis tuple,
-while computing on bases only.  Two arguments carry this:
+while computing on bases only.  Three arguments carry this:
 
 * Linearity.  The iterated brackets c = [v_1,[...,[v_k, mu]...]] of a
   level k span the same space as [v_i, b] over a basis b of level k-1,
   and the seed relations [c, mu] = 0 and mu o c = 0 are linear in c.
   So one sweep keeps a basis per level (``_descendant_levels``), and
   checking the relations on it proves them for all dim^k tuples.
-* Closure.  The closure caps at the top degree n-1 yet brackets every
-  pair of its elements, and records the degree pair of each nonzero
-  bracket; one landing above the cap is tested, never kept.  At a
-  fixpoint with no such escape the span holds every bracket of its
-  elements, so it is the generated algebra itself.  The truncation
-  verdicts (nothing above n-1, opposite components commuting, the ideal
-  below the top) are then read off that record with no bracket of their
-  own.  An escape fails truncation in any larger closure too; without a
-  fixpoint and without an escape the verdict is left open.
+* Closure.  The closure caps at the top degree n-1 and brackets each
+  element that grew the span with the generators only, V and mu, and
+  records the degree pair of each nonzero bracket; one landing above the
+  cap is tested, never kept.  An algebra generated by a set X is spanned
+  by the right-normed brackets of X, so at a fixpoint with no such
+  escape the span is the generated algebra itself.  On an escape, or
+  with no fixpoint, the same loop reruns bracketing every pair of kept
+  elements, so a failure names the least pair that leaves the cap.  An
+  escape fails truncation in any larger closure too; without a fixpoint
+  and without an escape the verdict is left open.
+* Truncation.  On a closed closure nothing above n-1, the top line, the
+  sweep and [L_0, mu] = 0 give the opposite-pair and ideal verdicts by
+  a super Jacobi induction (``check_truncation``), with no bracket
+  between two components; when one of them fails, those verdicts are
+  read off a rerun that brackets every pair.
 
 A suite that runs several checks on one seed generates once and hands
 the ``(subalgebra, trace)`` pair to each check through ``generated=``.
@@ -39,6 +45,7 @@ reads the bracket off the polynomial carriers of ``realizations``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 from itertools import accumulate
 from operator import attrgetter
 
@@ -73,7 +80,9 @@ class GenerationTrace:
     rounds: list = dfield(default_factory=list)  # dims snapshot after each round
     reached_fixpoint: bool = False
     cap: int | None = None
-    nonzero: set = dfield(default_factory=set)  # degree pairs (low, high) of nonzero brackets
+    # degree pairs (low, high) of the nonzero brackets the closure made:
+    # each grown element with a generator, or, on a rerun, every pair
+    nonzero: set = dfield(default_factory=set)
 
     @property
     def nrounds(self) -> int:
@@ -96,37 +105,57 @@ def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int | None = None)
 
     The closure runs in semi-naive rounds (Bancilhon and Ramakrishnan
     1986): a round brackets only the elements that grew the span in the
-    previous round, each against every element kept so far, one bracket
-    per unordered pair.  Every other pair was bracketed in an earlier
-    round, so by bilinearity each round reaches the same span as
-    bracketing every pair of a basis of the current span.
+    previous round, each against the generators X = V + {mu}.  A bracket
+    landing above the cap is computed and never kept; the trace records
+    the degree pair of every nonzero bracket.
 
-    A bracket landing above the cap is computed and never kept.  The
-    trace records the degree pair of every nonzero bracket, so
-    ``trace.escape`` names the least pair landing above the cap.  The
-    kept elements form a basis of the span S, and at a fixpoint every
-    pair of them has been bracketed.  If no bracket escaped, each of
-    those brackets lies in S, so by bilinearity S is closed under the
-    bracket: it is a subalgebra containing V and mu, and it lies in any
-    such subalgebra, so it is exactly the generated one (``trace.closed``).
-    An escape is a nonzero element of the generated algebra above the
-    cap, which no larger closure removes.
+    Why the generators suffice.  By super Jacobi, which holds in W(V)
+    over any field since its bracket is the supercommutator of the
+    composition product, [[a, b], c] = [a, [b, c]] - (-1)^(ab)[b, [a, c]],
+    so by induction on length every bracket of elements of X is a sum of
+    right-normed ones [x_1, [x_2, .., [x_(k-1), x_k]..]].  The kept
+    elements form a basis of the span S, and at a fixpoint each of them
+    has been bracketed with every x in X.  If none of those brackets
+    escaped, ad x maps S into S by linearity, so S holds every
+    right-normed bracket of X: it is the generated algebra, and it lies
+    below the cap (``trace.closed``).  A right-normed chain that leaves
+    the cap does so at one step [x, s] with s kept, so the escape test
+    is the generator brackets' own.  An escape is a nonzero element of
+    the generated algebra above the cap, which no larger closure removes.
+
+    On an escape, or with no fixpoint, the same loop (``_closure``)
+    reruns with every kept element as partner, one bracket per unordered
+    pair, and its trace is returned: it records every pair, so a failure
+    names the least pair whose bracket leaves the cap.
     """
     if mu.space != space:
         raise ValueError("mu must live over the given space")
     cap = mu.degree if cap is None else cap
     if cap < mu.degree:
         raise ValueError("cap %d cannot hold a seed of degree %d" % (cap, mu.degree))
+    for pairwise in (False, True):
+        sub, trace = _closure(space, mu, cap, pairwise)
+        if trace.closed:
+            break
+    return sub, trace
+
+
+def _closure(space: SuperSpace, mu: WElement, cap: int, pairwise: bool):
+    """The semi-naive closure loop of ``generate_subalgebra``: each new
+    element against the generators, or, ``pairwise``, against every
+    element kept so far, one bracket per unordered pair.  A pairwise
+    round skips only pairs bracketed in an earlier one, so by
+    bilinearity it reaches the span of bracketing every pair of a basis."""
     sub = GradedSubalgebra(space, cap)
-    seeds = full_component(space, -1)
+    gens = full_component(space, -1) + [mu]
     old: list = []
-    new = [w for w in seeds + [mu] if sub.insert(w)]
+    new = [w for w in gens if sub.insert(w)]
     trace = GenerationTrace(cap=cap)
     trace.rounds.append(sub.dims())
     for _ in range(200):
         grown = []
         for i, u in enumerate(new):
-            for v in old + new[i:]:
+            for v in old + new[i:] if pairwise else gens:
                 if u.degree + v.degree < -1:
                     continue
                 h = w_bracket(u, v)
@@ -223,10 +252,28 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
     and everything below the top line forming an ideal.
 
     ``generated`` is the pair ``generate_subalgebra(space, mu, cap)``
-    returned, when the caller has it already.  Only the sweep brackets
-    here: the vanishing, opposite-pair and ideal verdicts are read off
-    the closure's record of nonzero degree pairs.  So ``ok`` is False on
-    an escape, and otherwise None unless the closure is closed."""
+    returned, when the caller has it already.  The vanishing verdict is
+    read off the closure's record of nonzero degree pairs: on a closed
+    closure a component above n-1 is first reached by a generator
+    bracket [x, s], which is on record.  So ``ok`` is False on an
+    escape, and otherwise None unless the closure is closed.
+
+    The opposite-pair and ideal verdicts need no bracket between two
+    components.  Let L be the generated algebra with (a) L_j = 0 for
+    j >= n, (b) L_(n-1) the line through mu, (c) each L_k, 0 <= k <= n-2,
+    spanned by [V, L_(k+1)] (the sweep), and (d) [L_0, mu] = 0.  Then
+    [L_j, L_(n-1-j)] = 0 for every j >= 0, by induction on j: j = 0 is
+    (b) and (d).  For j >= 1 and u in L_j, (c) writes an element of
+    L_(n-1-j) as a sum of [v, w] with v in V and w in L_(n-j), and super
+    Jacobi gives [u, [v, w]] = [[u, v], w] +- [v, [u, w]].  Here [u, w]
+    lies in L_n = 0 by (a), and [u, v] in L_(j-1), which commutes with
+    L_(n-j) by induction.  A bracket with a factor in degree b <= n-2
+    that lands at n-1 or above is then zero too: above n-1 by (a), and
+    at n-1 its other factor has degree n-1-b >= 1, an opposite pair.  So
+    on a closed closure the premises, with (d) bracketed once per basis
+    element of L_0, leave the record without a failing pair; when one of
+    them fails, the two verdicts are read off a closure that brackets
+    every pair, and name its least failing pair."""
     n = mu.degree + 1
     if n < 2:
         raise ValueError("mu must have degree at least 1")
@@ -260,18 +307,24 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
             sweep_ok = False
             failures.append("degree %d: swept element escapes the component" % deg)
 
+    # the premises of the docstring's induction; when one fails, the
+    # pairs come from a closure that records every pair of a basis
+    pairs = trace.nonzero
+    if trace.closed and not (vanishing and top_is_line and sweep_ok
+                             and all(w_bracket(mu, u).is_zero() for u in sub.basis(0))):
+        pairs = _closure(space, mu, sub.cap, True)[1].nonzero
+
     # a nonzero [L_j, L_{n-1-j}] with j >= 0 breaks the opposite pairs,
     # named by its least j; a nonzero bracket landing at n-1 or above
     # with a factor at or below n-2 breaks the ideal, named as the least
     # pair (any degree, lower degree)
-    first_opposite = min((a for a, b in trace.nonzero if a >= 0 and a + b == n - 1),
-                         default=None)
+    first_opposite = min((a for a, b in pairs if a >= 0 and a + b == n - 1), default=None)
     pairs_ok = first_opposite is None
     if not pairs_ok:
         failures.append("[degree %d, degree %d] bracket is nonzero"
                         % (first_opposite, n - 1 - first_opposite))
     first_ideal = min(((a, b) if b <= n - 2 else (b, a)
-                       for a, b in trace.nonzero if a + b >= n - 1 and a <= n - 2),
+                       for a, b in pairs if a + b >= n - 1 and a <= n - 2),
                       default=None)
     ideal_ok = first_ideal is None
     if not ideal_ok:
@@ -336,11 +389,14 @@ class GradedModel:
     """A graded model of L = (+)_{j >= -1} L_j as ``structure_of`` reads
     it: ``pieces`` {degree: basis} over the degrees >= 0 it reads, an
     element's ``coords`` (a coordinate dict), ``depth`` elements of L_-1,
-    each one unit coordinate vector, and whether they are all of it."""
+    each one unit coordinate vector, and whether they are all of it.
+    ``prepare`` turns an element into the right side ``bracket`` takes,
+    so each depth element is prepared once (``prepared_depth``)."""
 
     field: object
     pieces: dict
     bracket: object
+    prepare: object
     coords: object
     depth: list
     depth_is_all: bool
@@ -348,12 +404,16 @@ class GradedModel:
     top: int  # the degree of mu
     _images: dict = dfield(default_factory=dict, init=False, repr=False)
 
+    @cached_property
+    def prepared_depth(self) -> list:
+        return [self.prepare(v) for v in self.depth]
+
     def images(self, degree: int) -> list:
         """The coords of [u, v] for u in the piece, v in the depth; degree
         0's, which ``check_irreducible`` reads again, are bracketed once."""
         got = self._images.get(degree)
         if got is None:
-            got = [[self.coords(self.bracket(u, v)) for v in self.depth]
+            got = [[self.coords(self.bracket(u, v)) for v in self.prepared_depth]
                    for u in self.pieces.get(degree, ())]
             if degree == 0:
                 self._images[0] = got
@@ -362,11 +422,11 @@ class GradedModel:
 
 def closure_model(sub: GradedSubalgebra, mu: WElement) -> GradedModel:
     """The W(V) closure as a ``GradedModel``: each of its degrees >= 0,
-    with all of V as the depth elements."""
+    with all of V as the depth elements; ``w_bracket`` prepares nothing."""
     space = sub.space
     return GradedModel(space.field, {d: sub.basis(d) for d in sub.degrees() if d >= 0},
-                       w_bracket, attrgetter("coords"), full_component(space, -1), True,
-                       mu, mu.degree)
+                       w_bracket, lambda w: w, attrgetter("coords"), full_component(space, -1),
+                       True, mu, mu.degree)
 
 
 def check_irreducible(model: GradedModel):

@@ -597,7 +597,7 @@ def pair_model(setup: PairSetup, n: int, xwindow: int) -> GradedModel:
     real = setup.real
     graded = real.graded_bases(xwindow)
     return GradedModel(real.field, {d: graded.get(d, []) for d in range(n)}, real.bracket,
-                       real.vectorize, [setup.elem_of(k) for k in setup.keys],
+                       real.prepare_right, real.vectorize, [setup.elem_of(k) for k in setup.keys],
                        not real.ring.m, setup.mu, n - 1)
 
 
@@ -630,9 +630,9 @@ def verify_pair(which: str, n: int, xwindow: int, field: Field = QQ) -> PairRepo
               else "action envelope dim %d of %d" % (full if irr is True else info, full))
     checks.append(PairCheck("depth_module_irreducible", irr, detail))
 
-    depth = dict(zip(setup.keys, model.depth))
-    ind = induced_table(real.bracket, mu, depth, combinations(setup.keys, n), real.vectorize,
-                        {k: real.lie_parity(v) for k, v in depth.items()})
+    ind = induced_table(real.bracket, mu, dict(zip(setup.keys, model.prepared_depth)),
+                        combinations(setup.keys, n), real.vectorize,
+                        {k: real.lie_parity(v) for k, v in zip(setup.keys, model.depth)})
     # a depth-one element is one monomial, with coefficient 1
     cat = {key: {next(iter(real.vectorize(setup.elem_of(k)))): c for k, c in val.items()}
            for key in combinations(setup.keys, n) if (val := setup.catalog.bracket_keys(key))}

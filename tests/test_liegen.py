@@ -400,6 +400,91 @@ def test_the_top_capped_closure_is_exact(mu):
         assert list(high.spans[d]) == list(sub.spans[d])
 
 
+def diagonal_form_seed(n, seed):
+    """O(n)'s seed under a seeded diagonal form with entries +-{1,2,3,5,7}."""
+    rng = random.Random(seed)
+    diag = [rng.choice((1, 2, 3, 5, 7)) * rng.choice((1, -1)) for _ in range(n + 1)]
+    form = [[QQ.scalar(diag[i] if i == j else 0) for j in range(n + 1)] for i in range(n + 1)]
+    return seed_of(algebra_O(n, QQ, form=form))
+
+
+CLOSURE_SEEDS = [seed_of(algebra_O(n)) for n in (6, 7)] + [
+    seed_of(algebra_O(n, GF(7))) for n in (3, 4, 5)] + [
+    diagonal_form_seed(n, seed) for n, seed in ((3, 1), (4, 2), (5, 3))] + [
+    mu for mu, _ in ORACLE_SEEDS]
+CLOSURE_IDS = ["O6", "O7", "O3/fp7", "O4/fp7", "O5/fp7", "O3/form", "O4/form", "O5/form"] + ORACLE_IDS
+
+
+@functools.lru_cache(maxsize=None)
+def closures(i, lift):
+    """Seed i of ``CLOSURE_SEEDS`` closed at its top degree + ``lift``:
+    ``generate_subalgebra``'s pair and the loop's pairwise pass."""
+    mu = CLOSURE_SEEDS[i]
+    cap = mu.degree + lift
+    return generate_subalgebra(mu.space, mu, cap), liegen._closure(mu.space, mu, cap, True)
+
+
+@pytest.mark.parametrize("lift", [0, 2], ids=["top", "top+2"])
+@pytest.mark.parametrize("i", range(len(CLOSURE_SEEDS)), ids=CLOSURE_IDS)
+def test_generator_closure_agrees_with_the_pairwise_partners(i, lift):
+    (sub, trace), (ref, ref_trace) = closures(i, lift)
+    assert (trace.closed, trace.escape) == (ref_trace.closed, ref_trace.escape)
+    assert trace.reached_fixpoint and trace.cap == ref_trace.cap
+    assert sub.degrees() == ref.degrees()
+    for d in ref.degrees():
+        assert sub.spans[d].pivots == ref.spans[d].pivots
+        assert list(sub.spans[d]) == list(ref.spans[d])
+    assert trace.rounds[-1] == ref_trace.rounds[-1]
+    if trace.closed:
+        # the generator pairs are among every pair
+        assert trace.nonzero <= ref_trace.nonzero
+    else:
+        assert trace == ref_trace
+
+
+def test_generator_rounds_agree_but_on_deeper_noisy_closures():
+    # a round of generator partners climbs one bracket, a pairwise round
+    # doubles a bracket's length; on O(n), its forms and fields and the
+    # other seeds the rounds agree, but twelve noisy O(3) seeds closed at
+    # top + 2 take 9 generator rounds against 5 pairwise ones
+    longer = {}
+    for i, label in enumerate(CLOSURE_IDS):
+        for lift in (0, 2):
+            (_, trace), (_, ref_trace) = closures(i, lift)
+            if trace.rounds != ref_trace.rounds:
+                longer[label, lift] = (trace.nrounds - 1, ref_trace.nrounds - 1)
+    assert set(longer.values()) == {(9, 5)}
+    assert sorted(longer) == sorted(("O3+noise%d" % k, 2) for k in (0, 1, 2, 4, 5, 7, 8, 10, 11,
+                                                                   13, 14, 15))
+
+
+def test_generator_closure_brackets_each_element_with_the_generators(monkeypatch):
+    # O(5) at cap 6: its 63 elements against V and mu, less the 36 pairs
+    # inside V, against 1,995 unordered pairs of kept elements
+    mu = seed_of(algebra_O(5))
+    calls = []
+    monkeypatch.setattr(liegen, "w_bracket", counted(w_bracket, calls))
+    sub, trace = generate_subalgebra(mu.space, mu, 6)
+    assert trace.closed and sum(sub.dims().values()) == 63
+    assert len(calls) == 63 * 7 - 36 == 405
+    calls.clear()
+    liegen._closure(mu.space, mu, 6, True)
+    assert len(calls) == 1995
+
+
+def test_an_escaping_generator_closure_reruns_every_pair():
+    # S(2|1) leaves cap 3; the generator pass escapes after 11 rounds, and
+    # the pairs rerun reports its own least escape pair and 5 rounds
+    mu = divergence_free_seed()
+    generator = liegen._closure(mu.space, mu, 3, False)[1]
+    pairwise = liegen._closure(mu.space, mu, 3, True)[1]
+    assert generator.escape and generator.nrounds - 1 == 11
+    sub, trace = generate_subalgebra(mu.space, mu, 3)
+    assert trace == pairwise != generator
+    assert trace.escape == (1, 3) and trace.nrounds - 1 == 5
+    assert sub.dims() == {-1: 3, 0: 8, 1: 12, 2: 16, 3: 20}
+
+
 @pytest.mark.parametrize("pair, flags, failures", [
     ((2, 2), (False, True, True), ["nonzero component in degree above 2"]),
     ((0, 2), (True, False, False), ["[degree 0, degree 2] bracket is nonzero",
@@ -422,9 +507,10 @@ def test_truncation_reads_its_verdicts_off_the_recorded_pairs(pair, flags, failu
 
 
 def test_truncation_brackets_only_in_the_sweep(monkeypatch):
-    # the vanishing, opposite and ideal verdicts are read off the closure:
-    # the only brackets are the sweep's, V against levels 0..n-2, and
-    # level k of O(n) is L_{n-1-k}
+    # the vanishing verdict is read off the closure and the opposite and
+    # ideal verdicts follow from the premises: the only brackets are the
+    # sweep's, V against levels 0..n-2 (level k of O(n) is L_{n-1-k}),
+    # and mu against L_0, 80 + 10 at O(4)
     mu = seed_of(algebra_O(4))
     n = mu.degree + 1
     generated = generate_subalgebra(mu.space, mu)
@@ -436,7 +522,9 @@ def test_truncation_brackets_only_in_the_sweep(monkeypatch):
 
     monkeypatch.setattr(liegen, "w_bracket", counting)
     assert check_truncation(mu.space, mu, generated=generated).ok is True
-    assert len(calls) == mu.space.dim * sum(generated[0].dim(d) for d in range(1, n))
+    sweep = mu.space.dim * sum(generated[0].dim(d) for d in range(1, n))
+    assert (sweep, len(calls)) == (80, 90)
+    assert calls[sweep:] == [(mu.degree, 0)] * generated[0].dim(0)
 
 
 def test_the_oracle_seeds_exercise_every_failure():
