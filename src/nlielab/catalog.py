@@ -193,6 +193,11 @@ class PolyNAryAlgebra:
     def show(self, coords: dict) -> str:
         return repr(coords)
 
+    def _window_two(self, carrier):
+        """``carrier`` and its window 2, which decides the identity by the
+        order-2 lemma of ``nlie`` when 2 is invertible; None over GF(2)."""
+        return None if self.field.p == 2 else (carrier, carrier.window_keys(2))
+
 
 def _variable_swaps(nvars: int) -> list:
     """The adjacent transpositions x_i <-> x_{i+1} of the variables, as
@@ -205,7 +210,7 @@ class JacobianNAry(PolyNAryAlgebra):
     with ``quotient`` the constant term is discarded and the constant
     monomial is excluded from the key window.
 
-    It declares two facts that ``nlie.check_filippov`` uses.
+    It declares three facts that ``nlie.check_filippov`` uses.
 
     Key symmetries: let s swap x_i and x_{i+1}.  On monomial keys s
     swaps rows i and i+1 of the exponent matrix, so the determinant
@@ -223,6 +228,12 @@ class JacobianNAry(PolyNAryAlgebra):
     Z(x_j x_k) = c_j x_k + c_k x_j gives c_j = c_k = 0 (n >= 2, in any
     characteristic).  So Z = 0 on every polynomial.  Without the
     quotient, Z(x_j) = Z_j = 0 already, so degree 1 suffices.
+
+    Certificate: each bracket has order at most 1 in each argument, so
+    the defect of the identity has order at most 2 in each, and window 2
+    of the unquotiented carrier, constant included, decides it there.
+    The lemma fails modulo constants, but constants are central, so the
+    quotient's defect is the unquotiented one modulo constants.
     """
 
     def __init__(self, field: Field, arity: int, quotient: bool = True):
@@ -240,6 +251,9 @@ class JacobianNAry(PolyNAryAlgebra):
     def key_symmetries(self) -> list:
         return _variable_swaps(self.nvars)
 
+    def certificate(self):
+        return self._window_two(type(self)(self.field, self.arity, quotient=False))
+
     def determining_keys(self):
         if self.quotient and self.nvars < 2:
             return None  # d/dx on one variable modulo constants: x^2 -> 2x is 0 in char 2
@@ -251,7 +265,7 @@ class BorderedNAry(PolyNAryAlgebra):
     """[f_1..f_n] = det of the matrix with first row f_j and remaining
     rows d f_j / d x_i, on monomials in n-1 variables.
 
-    It declares two facts that ``nlie.check_filippov`` uses.
+    It declares three facts that ``nlie.check_filippov`` uses.
 
     Key symmetries: let s swap x_i and x_{i+1}.  On monomial keys s
     swaps rows i and i+1 of the exponent matrix and leaves the bordering
@@ -264,6 +278,10 @@ class BorderedNAry(PolyNAryAlgebra):
     vector field sum_i Z_i d/dx_i.  If Z vanishes on the monomials of
     degree at most 1, then g = Z(1) = 0 and Z_j = Z(x_j) - g x_j = 0, so
     Z = 0 on every polynomial, in any characteristic.
+
+    Certificate: each bracket has order at most 1 in each argument, so
+    the defect of the identity has order at most 2 in each, and window 2
+    decides it.
     """
 
     def __init__(self, field: Field, arity: int):
@@ -281,6 +299,9 @@ class BorderedNAry(PolyNAryAlgebra):
     def key_symmetries(self) -> list:
         return _variable_swaps(self.nvars)
 
+    def certificate(self):
+        return self._window_two(self)
+
     def determining_keys(self):
         return monomials_upto(self.nvars, 1)
 
@@ -290,7 +311,13 @@ class TaggedNAry(PolyNAryAlgebra):
     A bracket is nonzero only when the tags cover 1..n-1 with exactly one
     tag k repeated; the two monomials at tag k combine by the Wronskian
     f g' - f' g (up to sign) and the other factors multiply in, the result
-    carrying tag k."""
+    carrying tag k.
+
+    Certificate: the defect of the identity is multilinear, so it splits
+    by the tag of each argument; each piece, in one argument's
+    one-variable polynomial, is an operator of order at most 2, since
+    a bracket has order at most 1 in each argument.  So window 2
+    decides it."""
 
     def __init__(self, field: Field, arity: int):
         super().__init__(field, arity)
@@ -317,6 +344,9 @@ class TaggedNAry(PolyNAryAlgebra):
 
     def window_keys(self, window: int):
         return [(t, e) for t in range(1, self.ntags + 1) for e in range(window + 1)]
+
+    def certificate(self):
+        return self._window_two(self)
 
 
 class GeneralizedJacobianNAry(PolyNAryAlgebra):

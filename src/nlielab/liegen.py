@@ -46,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
-from itertools import accumulate
 from operator import attrgetter
 
 from .linalg import Span, irreducible, matrix_of
@@ -488,11 +487,14 @@ def induced_table(bracket, mu, depth, tuples, coords_of, parities) -> dict:
     L_-1 for key k and ``bracket`` the Lie bracket of L, so W(V) and the
     polynomial carriers share this one routine.  ``chain`` keeps the
     partial brackets of the tuple before, so each tuple brackets only
-    past the prefix it shares with that one."""
+    past the prefix it shares with that one, and stops at a zero
+    partial bracket: every tuple through it is zero and gets no entry."""
     table, prev, chain = {}, (), [mu]
     for key in tuples:
         j = next((j for j, (a, b) in enumerate(zip(prev, key)) if a != b), len(prev))
-        chain[j:] = accumulate(key[j:], lambda h, k: bracket(h, depth[k]), initial=chain[j])
+        del chain[j + 1:]
+        while len(chain) <= len(key) and not chain[-1].is_zero():
+            chain.append(bracket(chain[-1], depth[key[len(chain) - 1]]))
         prev, h = key, chain[-1]
         coords = coords_of(h if conversion_sign([parities[k] for k in key]) == 1 else -h)
         if coords:

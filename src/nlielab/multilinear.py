@@ -36,11 +36,12 @@ range, value parities, zeros dropped), on the symmetric side for a
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 from .superspace import SuperSpace
 
-__all__ = ["koszul_sort", "canonical_tuples", "conversion_sign", "checked_table",
-           "MultiMap", "bracket_to_symmetric"]
+__all__ = ["koszul_sort", "canonical_tuples", "canonical_count", "conversion_sign",
+           "checked_table", "MultiMap", "bracket_to_symmetric"]
 
 
 def koszul_sort(keys, parities=None, alternating=True):
@@ -87,6 +88,15 @@ def canonical_tuples(keys, r: int, parities, alternating=True):
         picks = combinations(range(len(keys)), r)
     for t in picks:
         yield tuple(keys[i] for i in t)
+
+
+def canonical_count(parities, r: int) -> int:
+    """The number of alternating ``canonical_tuples`` of r keys with
+    these parities, without listing them: m of the r picks are odd keys,
+    which may repeat, and the rest distinct even keys."""
+    odd = sum(parities)
+    even = len(parities) - odd
+    return sum(comb(even, r - m) * (comb(odd + m - 1, m) if m else 1) for m in range(r + 1))
 
 
 def conversion_sign(parities) -> int:

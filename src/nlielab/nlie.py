@@ -66,6 +66,24 @@ above.
   b-block then runs again, so the witness and the count stay those of
   the plain scan.
 
+A polynomial carrier may also declare ``certificate()``: a carrier and a
+window of keys whose check decides the identity on every polynomial,
+by this lemma.  Let D be multilinear and, in each argument, a
+differential operator of order at most k with polynomial coefficients,
+and let D vanish whenever every argument is a monomial of degree at
+most k.  Then D = 0 on all polynomials, provided k! is invertible (char
+0 or p > k).  Proof, in one argument with the others fixed monomials:
+write D = sum_{|alpha| <= k} c_alpha d^alpha, so that
+D(x^beta) = sum_{alpha <= beta} c_alpha beta!/(beta-alpha)! x^(beta-alpha).
+By induction on |beta| <= k every c_alpha with alpha < beta is 0, so
+D(x^beta) = c_beta beta! = 0 and c_beta = 0; hence D = 0 in that
+argument on all polynomials.  Fix it as any monomial and repeat with
+the next argument.  When the checked keys are not among the
+certificate's, ``check_filippov`` checks the certificate first; if it
+holds, every instance does and they are counted, not listed.  If it
+fails, the window is scanned as above, so the witness and the count
+are those of the plain scan.
+
 The kernel is written against a small duck-typed carrier protocol, so
 it runs over finite tables and over polynomial carriers alike:
 ``arity``, ``bracket_parity``, ``key_parity(k)``,
@@ -82,7 +100,7 @@ from itertools import product
 
 from .fields import LiteralError, field_from_name, parse_int
 from .linalg import Span, vec_add_scaled
-from .multilinear import canonical_tuples, checked_table, koszul_sort
+from .multilinear import canonical_count, canonical_tuples, checked_table, koszul_sort
 from .superspace import EVEN, ODD, SuperSpace
 
 __all__ = [
@@ -350,26 +368,43 @@ def check_filippov(alg, keys=None, mode: str = "auto") -> FJReport:
     all instances since the defect is multilinear and alternating in
     both blocks.  'auto' asks :func:`identity_mode`.
 
-    Only the a-tuples of an independent family of inner maps are
-    scanned, against one b-block per orbit of the carrier's declared key
-    symmetries or else against every b-block (see the module
-    docstring); the verdict, the witness and the instance count are
+    A carrier's declared certificate decides a window it does not hold;
+    otherwise only the a-tuples of an independent family of inner maps
+    are scanned, against one b-block per orbit of the carrier's declared
+    key symmetries or else against every b-block (see the module
+    docstring).  The verdict, the witness and the instance count are
     those of the scan of every pair.
     """
     n = alg.arity
     keys = list(alg.keys() if keys is None else keys)
     if mode == "auto":
         mode = identity_mode(len(keys), n)
+    elif mode not in ("full", "sorted"):
+        raise ValueError("unknown mode %r" % mode)
+    declared = getattr(alg, "certificate", None)
+    certificate = declared() if declared else None
+    if certificate is not None and not set(keys) <= set(certificate[1]):
+        whole, window = certificate
+        proved = _check(whole, window, identity_mode(len(window), whole.arity))
+        if proved.ok:
+            parities = [alg.key_parity(k) for k in keys]
+            count = (len(keys) ** (2 * n - 1) if mode == "full" else
+                     canonical_count(parities, n - 1) * canonical_count(parities, n))
+            return FJReport(True, count, None, mode, proved.defects)
+    return _check(alg, keys, mode)
+
+
+def _check(alg, keys, mode: str) -> FJReport:
+    """``check_filippov``'s scan of the window ``keys`` in a given mode."""
+    n = alg.arity
     if mode == "full":
         a_iter = list(product(keys, repeat=n - 1))
         b_iter = list(product(keys, repeat=n))
-    elif mode == "sorted":
+    else:
         # canonical tuples index a spanning family of instances
         parities = [alg.key_parity(k) for k in keys]
         a_iter = list(canonical_tuples(keys, n - 1, parities))
         b_iter = list(canonical_tuples(keys, n, parities))
-    else:
-        raise ValueError("unknown mode %r" % mode)
     ads = ad_table(alg)
     declared = getattr(alg, "determining_keys", None)
     read = declared() if declared else None

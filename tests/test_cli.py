@@ -664,6 +664,25 @@ GOLDEN = [
     ("charp --p 3", 1,
      "93a51a76f8ea506fc4023d6ba1fd338abe6e569c4922c0bd17e5aa0c81202f1e",
      "9ca4aca0aa32ffefea44e62b065ab50be87c59d53b167b6c28beaaa39c016137"),
+    # windows above 2, decided by the window-2 certificate except over fp:2
+    ("verify S --n 3 --window 3", 0,
+     "dd4cdf1a5669f2fc7484622ae39b3cd2d261d323361522e27007f7c778dda98d",
+     "94a8a9a9694b534cc87722d4f40403733ebe3a0673a56f84d4478971fe4ccc05"),
+    ("verify S --n 3 --window 3 --field fp:10007", 0,
+     "75accac8185f7d83b915ad30192d2d162e7ab54a34db6e8e2e8ca6c1dc7ce3f7",
+     "a8febc832f64ea94d14b05022117216ef2cc13b7ff8918cb3288f545c125f609"),
+    ("verify S --n 3 --window 3 --field fp:2", 0,
+     "07ffa20689bfa6d894c499e3708c8926d5739cf32cfe912cf8582f50b15f10b5",
+     "90003a8ef42fafa4df3fbd1ec0b9a31c7f3602af29814a48b5bd4b9c30e67c38"),
+    ("verify W --n 3 --window 4", 0,
+     "6640e89ceb661bea69cf665186ba23677df21f7bb257387d90e0801000be588a",
+     "5b8d3fdf8bb16cf75fdbcf2b1bfaa0cf734e45a888a221b4af5fb095002687df"),
+    ("verify SW --n 4 --window 3", 0,
+     "fb25f2735d4ac50524c7af3eef241c3cec2adc0055085c4a1c3d336815003a22",
+     "32268ab08353547d9e0cbcf06601d995abd2f7459e7ee24417e9533ac4e4614e"),
+    ("verify S --n 4 --window 3", 0,
+     "72eff9a9b13680d0b4c20c9d7fc18bf6937e35f0559f2e30099bbb40b4fef8f8",
+     "954dfd597e0b532d95ac0d1c49c2966cc79d4a603d141d13ca6c8ed9efd56ae6"),
 ]
 
 

@@ -649,14 +649,17 @@ def test_induced_table_reproduces_the_source_bracket():
         assert ok and scalar == QQ.one()
 
 
-def induced_table_ref(bracket, mu, depth, tuples, coords_of, parities):
+def induced_table_ref(bracket, mu, depth, tuples, coords_of, parities, partials=None):
     """The induced table tuple by tuple, each chain bracketed from mu
-    again: the reference for ``induced_table``'s walk by shared prefixes."""
+    again: the reference for ``induced_table``'s walk by shared prefixes.
+    ``partials`` collects the partial bracket of every prefix."""
     table = {}
     for key in tuples:
         h = mu
-        for k in key:
+        for j, k in enumerate(key):
             h = bracket(h, depth[k])
+            if partials is not None:
+                partials[key[:j + 1]] = h
         coords = coords_of(h if conversion_sign([parities[k] for k in key]) == 1 else -h)
         if coords:
             table[key] = coords
@@ -695,25 +698,28 @@ def test_induced_table_walk_matches_the_tuple_by_tuple_reference():
     rng = random.Random(33)
     brackets = {}
     for label, (bracket, mu, depth, tuples, coords_of, parities) in induced_cases():
-        want = induced_table_ref(bracket, mu, depth, tuples, coords_of, parities)
+        partials = {(): mu}
+        want = induced_table_ref(bracket, mu, depth, tuples, coords_of, parities, partials)
         assert want, label
         walked = []
         got = induced_table(counted(bracket, walked), mu, depth, tuples, coords_of, parities)
         assert list(got.items()) == list(want.items()), label
         if bracket is w_bracket:
             assert list(induced_bracket_table(mu.space, mu).items()) == list(want.items())
-        # in sorted order a prefix is bracketed once, when it first appears
-        prefixes = {key[:j] for key in tuples for j in range(1, len(key) + 1)}
-        assert len(walked) == len(prefixes) < len(tuples) * len(tuples[0]), label
-        brackets[label] = len(walked)
+        # in sorted order a prefix is bracketed once, when it first appears,
+        # and only when the prefix one shorter has a nonzero partial bracket
+        live = [key for key in partials if key and not partials[key[:-1]].is_zero()]
+        assert len(walked) == len(live) < len(tuples) * len(tuples[0]), label
+        brackets[label] = len(walked), len(partials) - 1
         # the walk reads the tuple before, whatever the order
         shuffled = rng.sample(tuples, len(tuples))
         got = induced_table(bracket, mu, depth, shuffled, coords_of, parities)
         assert list(got.items()) == [(key, want[key]) for key in shuffled if key in want], label
-    # against C(4, 3) * 3 = 12, C(14, 4) * 4 = 4,004 on the depth window of
-    # SHO'(4,4), and C(6, 5) * 5 = 30 chain brackets from mu
+    # (brackets, distinct prefixes) against C(4, 3) * 3 = 12, C(14, 4) * 4 =
+    # 4,004 on the depth window of SHO'(4,4), and C(6, 5) * 5 = 30 chain
+    # brackets from mu; 254 of SHO'(4,4)'s prefixes extend a zero bracket
     assert {k: brackets[k] for k in ("pairs i --n 3", "pairs ii --n 4", "O(5)")} == {
-        "pairs i --n 3": 9, "pairs ii --n 4": 1364, "O(5)": 20}
+        "pairs i --n 3": (9, 9), "pairs ii --n 4": (1110, 1364), "O(5)": (20, 20)}
 
 
 def test_bracket_table_round_trip_through_the_symmetric_twin():

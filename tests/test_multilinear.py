@@ -9,7 +9,8 @@ from nlielab.catalog import algebra_O
 from nlielab.fields import QQ
 from nlielab.liegen import induced_bracket_table
 from nlielab.linalg import vec_add_scaled
-from nlielab.multilinear import MultiMap, bracket_to_symmetric, conversion_sign, koszul_sort
+from nlielab.multilinear import (MultiMap, bracket_to_symmetric, canonical_count,
+                                 canonical_tuples, conversion_sign, koszul_sort)
 from nlielab.superspace import EVEN, ODD, SuperSpace
 from nlielab.universal import WElement
 
@@ -99,6 +100,13 @@ def test_xi_word_merge_is_the_koszul_sign_of_odd_variables(a, b):
     assert koszul_sort(a + b) == (tuple(sorted(a + b)), want)
     odd = [1] * 6
     assert koszul_sort(a + b, odd, alternating=False) == (tuple(sorted(a + b)), want)
+
+
+@given(st.lists(st.integers(0, 1), max_size=7), st.integers(0, 5))
+def test_canonical_tuples_are_counted_without_listing(parities, r):
+    # even keys pick distinct, odd keys may repeat
+    keys = list(range(len(parities)))
+    assert canonical_count(parities, r) == len(list(canonical_tuples(keys, r, parities)))
 
 
 def test_conversion_sign_small_cases():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlielab import nlie
-from nlielab.catalog import GeneralizedJacobianNAry, algebra_O, algebra_S, algebra_SW, algebra_W
+from nlielab.catalog import (GeneralizedJacobianNAry, JacobianNAry, TaggedNAry, algebra_O,
+                             algebra_S, algebra_SW, algebra_W)
 from nlielab.charp import CharPSeed
 from nlielab.derivations import derivation_space, matrix_dmap
 from nlielab.fields import GF, QQ
@@ -371,10 +372,12 @@ def corrupt_poly(alg, keys, data):
 
 
 def drop_declarations(alg):
-    """The carrier without its declared key symmetries and determining
-    keys: a corrupted bracket no longer has the formula they were proved
-    from, so the check must run the plain scan on the read set."""
-    alg.key_symmetries = alg.determining_keys = None
+    """The carrier without its declared key symmetries, determining keys
+    and certificate: a corrupted bracket no longer has the formula they
+    were proved from, so the check must run the plain scan on the read
+    set.  (A patched ``raw_bracket`` belongs to this instance only, and a
+    certificate built as a fresh carrier would not see it.)"""
+    alg.key_symmetries = alg.determining_keys = alg.certificate = None
     return alg
 
 
@@ -483,10 +486,12 @@ def _spy_tables(monkeypatch) -> list:
 
 
 def test_identity_window_asks_each_canonical_bracket_about_once(monkeypatch):
-    # verify S --n 3 --window 3: 165,699 instances; 7,230 distinct brackets
+    # the scan of verify S --n 3 --window 3, with the certificate dropped:
+    # 165,699 instances; 7,230 distinct brackets
     tables = _spy_tables(monkeypatch)
     for field in (QQ, GF(10007)):
         alg = algebra_S(3, field)
+        alg.certificate = None
         seen = []
         bracket = alg.bracket_keys
 
@@ -681,9 +686,11 @@ def test_basis_scan_matches_the_ordered_scan(case, field):
 
 def test_identity_window_scans_85_inner_maps():
     # S(3), window 3: 171 a-tuples, 85 independent inner maps
-    # (3 C(7,3) - C(6,3) divergence-free fields), 969 b-blocks in 186 orbits
+    # (3 C(7,3) - C(6,3) divergence-free fields), 969 b-blocks in 186 orbits;
+    # the window scan, with the certificate dropped
     for field in (QQ, GF(10007)):
         alg = algebra_S(3, field)
+        alg.certificate = None
         keys = alg.window_keys(3)
         tuples = list(canonical_keys(alg, keys, 2))
         assert len(independent_tuples(alg, ad_table(alg), tuples, keys)) == 85
@@ -839,11 +846,11 @@ def flip_orbit(alg, tup):
     """The carrier with the sign flipped on every canonical tuple in the
     orbit of ``tup`` under the permutations of the variables: it keeps
     the declared key symmetries but loses its determinant formula, so
-    it drops its determining keys."""
+    it drops its determining keys and its certificate."""
     orbit = {koszul_sort(tuple(tuple(k[i] for i in perm) for k in tup))[0]
              for perm in permutations(range(alg.nvars))}
     alg = flip_brackets(alg, orbit)
-    alg.determining_keys = None
+    alg.determining_keys = alg.certificate = None
     return alg
 
 
@@ -877,3 +884,117 @@ def test_keys_that_are_not_stable_fall_back_to_the_plain_scan(monkeypatch):
     kept = independent_tuples(alg, ad_table(alg), list(canonical_keys(alg, keys, 2)),
                               alg.determining_keys())
     assert rep.defects == len(kept) * len(blocks)
+
+
+# -- the window-2 certificate ----------------------------------------------------
+
+class FlippedS(JacobianNAry):
+    """S with the sign of one window-2 bracket flipped, by subclass, so the
+    declarations stay and the certificate's carrier keeps the flip."""
+
+    flipped = ((0, 1, 0), (0, 1, 1), (2, 0, 0))
+
+    def raw_bracket(self, keys):
+        got = super().raw_bracket(keys)
+        return self.field.reduced({k: -c for k, c in got.items()}) if keys == self.flipped else got
+
+
+class TwistedSW(TaggedNAry):
+    """SW with the Wronskian coefficient a - 2b in place of a - b."""
+
+    def raw_bracket(self, keys):
+        counts = {}
+        for t, _ in keys:
+            counts[t] = counts.get(t, 0) + 1
+        doubled = [t for t, c in counts.items() if c == 2]
+        if set(counts) != set(range(1, self.ntags + 1)) or len(doubled) != 1:
+            return {}
+        k = doubled[0]
+        c = keys[k - 1][1] - 2 * keys[k][1]
+        coeff = self.field.coerce(-c if (self.ntags + 1 + k) % 2 else c)
+        return {(k, sum(e for _, e in keys) - 1): coeff} if coeff else {}
+
+
+def _spy_checks(monkeypatch) -> list:
+    """(carrier, number of keys, verdict) of every window scan, in order."""
+    checks = []
+    check = nlie._check
+
+    def spy(alg, keys, mode):
+        rep = check(alg, keys, mode)
+        checks.append((alg, len(keys), rep.ok))
+        return rep
+
+    monkeypatch.setattr(nlie, "_check", spy)
+    return checks
+
+
+def test_certificate_work_is_pinned(monkeypatch):
+    # S~(3) at window 2, constant included: C(10, 2) * C(10, 3) instances
+    checks = _spy_checks(monkeypatch)
+    for field in (QQ, GF(10007)):
+        whole = JacobianNAry(field, 3, quotient=False)
+        rep = check_filippov(whole, keys=whole.window_keys(2))
+        assert (rep.ok, rep.instances, rep.defects) == (True, 5400, 754)
+        # it decides window 3 of S(3) with that work, and no window scan
+        alg = algebra_S(3, field)
+        rep = check_filippov(alg, keys=alg.window_keys(3))
+        assert (rep.ok, rep.instances, rep.defects) == (True, 165699, 754)
+        certified, nkeys, ok = checks[-1]
+        assert type(certified) is JacobianNAry and not certified.quotient
+        assert (nkeys, ok) == (10, True)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(10007)], ids=["QQ", "GF3", "GF10007"])
+@pytest.mark.parametrize("make, window", [(algebra_S, 3), (algebra_S, 4), (algebra_W, 4),
+                                          (algebra_SW, 3), (algebra_SW, 4)],
+                         ids=["S w3", "S w4", "W w4", "SW w3", "SW w4"])
+def test_certificate_decides_windows_above_two(make, window, field, monkeypatch):
+    checks = _spy_checks(monkeypatch)
+    alg = make(3, field)
+    keys = alg.window_keys(window)
+    rep = check_filippov(alg, keys=keys)
+    whole, cert_keys = alg.certificate()
+    assert [(len(cert_keys), True)] == [(n, ok) for _, n, ok in checks]
+    parities = [0] * len(keys)
+    count = len(list(canonical_tuples(keys, 2, parities))) * len(list(
+        canonical_tuples(keys, 3, parities)))
+    assert (rep.ok, rep.instances, rep.witness, rep.mode) == (True, count, None, "sorted")
+
+
+def test_windows_up_to_two_and_gf2_scan_as_before(monkeypatch):
+    checks = _spy_checks(monkeypatch)
+    for alg, window in ((algebra_S(3), 2), (algebra_W(3), 2), (algebra_SW(4), 1),
+                        (algebra_S(3, GF(2)), 3), (drop_declarations(algebra_S(3)), 3),
+                        (GeneralizedJacobianNAry(QQ, 1, jacobian_sets(QQ)[1][1]), 3)):
+        checks.clear()
+        keys = alg.window_keys(window)
+        assert check_filippov(alg, keys=keys).ok
+        assert [(c, n) for c, n, _ in checks] == [(alg, len(keys))]
+    assert algebra_W(3, GF(2)).certificate() is None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("make", [lambda F: FlippedS(F, 3), lambda F: TwistedSW(F, 3),
+                                  lambda F: TwistedSW(F, 4)], ids=["S(3)", "SW(3)", "SW(4)"])
+def test_corrupted_formula_fails_the_certificate_and_the_scan(make, field, monkeypatch):
+    alg = make(field)
+    keys = alg.window_keys(3)
+    checks = _spy_checks(monkeypatch)
+    rep = check_filippov(alg, keys=keys)
+    assert (rep.ok, rep.instances, rep.witness) == ordered_scan(alg, keys, rep.mode)
+    assert not rep.ok
+    (certified, _, cert_ok), (scanned, nkeys, _) = checks
+    assert type(certified) is type(alg) and not cert_ok  # the certificate saw the corruption
+    assert (scanned, nkeys) == (alg, len(keys))  # and the window scan gave the witness
+
+
+def test_a_certified_window_is_counted_not_listed(monkeypatch):
+    listed = []
+    tuples = nlie.canonical_tuples
+    monkeypatch.setattr(nlie, "canonical_tuples", lambda keys, r, parities: (
+        listed.append(len(keys)) or tuples(keys, r, parities)))
+    alg = algebra_W(4)
+    rep = check_filippov(alg, keys=alg.window_keys(6))
+    assert rep.ok and rep.instances == 95284 * 1929501
+    assert set(listed) == {len(alg.window_keys(2))}
