@@ -10,11 +10,13 @@ Four commands:
 * ``report``  -- the carrier splitting reports.
 
 Exit code 0 when every record passes, 1 when any record fails, 2 on
-usage errors or unreadable inputs, 3 on an internal error.  Reports render deterministically:
+usage errors or unreadable inputs, 3 on an internal error, 141 when the
+reader closes stdout before the report is written.  Reports render deterministically:
 rerunning a configuration reproduces the bytes.
 """
 
 import argparse
+import os
 import sys
 
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, parse_form
@@ -33,6 +35,7 @@ MODE_NAMES = {"full": "exhaustive", "sorted": "sorted"}
 # read by ``fields.parse_int`` in ``main``: argparse's int takes '1_0' and
 # digits of other scripts
 INT_OPTIONS = ("n", "window", "xwindow", "p", "s", "cap", "seed")
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 def _fmt_dims(dims: dict) -> str:
@@ -53,7 +56,7 @@ def _finite_suite(rep: Report, alg):
     mu = WElement.from_map(mm)
     rev = mu.space
 
-    # one closure, capped at the top, serves both structure checks; only a
+    # one closure, capped at the top, serves every structure check; only a
     # closed one is the generated algebra
     generated = generate_subalgebra(rev, mu)
     adm = check_admissible(rev, mu, generated=generated)
@@ -86,7 +89,7 @@ def _finite_suite(rep: Report, alg):
     rep.add("truncation_structure", trep.ok, detail,
             witness=trep.failures or None)
 
-    mrep = check_mu_relations(rev, mu)
+    mrep = check_mu_relations(rev, mu, generated=generated)
     rep.add("seed_relations", mrep.ok,
             "%d basis descendants, self bracket zero: %s"
             % (mrep.checked, mrep.self_bracket_zero),
@@ -297,7 +300,15 @@ def main(argv=None) -> int:
     except Exception as exc:  # a broken invariant, never a failed check
         print("internal error: %r" % exc, file=sys.stderr)
         return 3
-    print(rep.to_text())
+    try:
+        print(rep.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit as SIGPIPE would, with stdout on
+        # devnull so that the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return EXIT_BROKEN_PIPE
     return rep.exit_code()
 
 

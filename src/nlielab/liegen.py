@@ -16,7 +16,10 @@ while computing on bases only.  Three arguments carry this:
   level k span the same space as [v_i, b] over a basis b of level k-1,
   and the seed relations [c, mu] = 0 and mu o c = 0 are linear in c.
   So one sweep keeps a basis per level (``_descendant_levels``), and
-  checking the relations on it proves them for all dim^k tuples.
+  checking the relations on it proves them for all dim^k tuples.  On a
+  closed closure with nothing above n-1 and [L_0, mu] = 0 level k is a
+  basis of L_(n-1-k) and ad mu kills L_(>=0) (``_sweep_proved``), so
+  neither check sweeps: each reads its levels off the closure.
 * Closure.  The closure caps at the top degree n-1 and brackets each
   element that grew the span with the generators only, V and mu, and
   records the degree pair of each nonzero bracket; one landing above the
@@ -31,7 +34,8 @@ while computing on bases only.  Three arguments carry this:
   sweep and [L_0, mu] = 0 give the opposite-pair and ideal verdicts by
   a super Jacobi induction (``check_truncation``), with no bracket
   between two components; when one of them fails, those verdicts are
-  read off a rerun that brackets every pair.
+  read off a rerun that brackets every pair.  The sweep premise itself
+  follows from nothing above n-1 and [L_0, mu] = 0.
 
 A suite that runs several checks on one seed generates once and hands
 the ``(subalgebra, trace)`` pair to each check through ``generated=``.
@@ -227,7 +231,9 @@ def _descendant_levels(space: SuperSpace, mu: WElement, depth: int):
     span of c = [v_{i_1},[...,[v_{i_k}, mu]...]] over all index tuples,
     as (tuple, c) pairs.  Level k brackets V into the basis of level k-1
     only; by linearity that spans the same space as every tuple, and each
-    kept element is exactly the iterated bracket of its tuple."""
+    kept element is exactly the iterated bracket of its tuple.  The two
+    checks that read it run it only when ``_sweep_proved`` fails, or to
+    name a failing tuple."""
     vs = full_component(space, -1)
     level = [] if mu.is_zero() else [((), mu)]
     yield level
@@ -243,6 +249,16 @@ def _descendant_levels(space: SuperSpace, mu: WElement, depth: int):
         yield level
 
 
+def _sweep_proved(mu: WElement, sub: GradedSubalgebra, trace: GenerationTrace) -> bool:
+    """Whether the closure ``(sub, trace)`` proves the sweep down from mu,
+    level k spanning L_(n-1-k) (proof in ``check_truncation``): n >= 2, the
+    closure is closed, every recorded nonzero degree pair lands at or below
+    n-1, and [mu, u] = 0 for u in a basis of L_0, bracketed here."""
+    n = mu.degree + 1
+    return (n >= 2 and trace.closed and all(a + b <= n - 1 for a, b in trace.nonzero)
+            and all(w_bracket(mu, u).is_zero() for u in sub.basis(0)))
+
+
 def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
                      generated=None) -> TruncationReport:
     """Structure of the algebra generated by an admissible pair: nothing
@@ -256,6 +272,23 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
     closure a component above n-1 is first reached by a generator
     bracket [x, s], which is on record.  So ``ok`` is False on an
     escape, and otherwise None unless the closure is closed.
+
+    The sweep verdict needs no sweep when ``_sweep_proved`` holds: the
+    closure is closed, every recorded nonzero pair lands at or below n-1,
+    and [L_0, mu] = 0.  Every kept element was bracketed with mu, and a
+    nonzero [u, mu] with deg u >= 1 lands above n-1, so it would be on
+    record; the kept elements of degree >= 1 span L_(>=1), so ad mu kills
+    L_(>=0), which holds mu itself.  Also [V, V] = 0, since W(V) has no
+    degree -2.  The closed closure is spanned by the right-normed chains
+    of V and mu.  By induction from the inside, each such chain is an
+    element of V, zero, or +- a single-mu chain [v_1,[...,[v_k, mu]...]]:
+    ad v kills V and lengthens a single-mu chain, ad mu sends v in V to
+    -+[v, mu], and it kills a single-mu chain of degree >= 0.  So L_d,
+    d >= 0, is the span of the single-mu chains of length n-1-d, which
+    is level k = n-1-d of the sweep: that is premise (c) below.  The
+    argument uses super Jacobi and linearity only, so it holds over any
+    field.  When ``_sweep_proved`` fails, ``_descendant_levels`` sweeps
+    and each level is compared with its component.
 
     The opposite-pair and ideal verdicts need no bracket between two
     components.  Let L be the generated algebra with (a) L_j = 0 for
@@ -288,10 +321,13 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
     if not top_is_line:
         failures.append("top component is not the line through mu")
 
-    # sweep down: level k spans [v_1,[...,[v_k, mu]...]]; the claim covers
-    # degrees 0..n-1, so sweep k = 1..n-1
+    # sweep down unless the closure proves it: level k spans
+    # [v_1,[...,[v_k, mu]...]]; the claim covers degrees 0..n-1, so sweep
+    # k = 1..n-1
+    proved = _sweep_proved(mu, sub, trace)
     sweep_ok = True
-    for k, level in enumerate(_descendant_levels(space, mu, n - 1)):
+    levels = () if proved else _descendant_levels(space, mu, n - 1)
+    for k, level in enumerate(levels):
         if k == 0:
             continue
         deg = n - 1 - k
@@ -306,11 +342,10 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
             sweep_ok = False
             failures.append("degree %d: swept element escapes the component" % deg)
 
-    # the premises of the docstring's induction; when one fails, the
-    # pairs come from a closure that records every pair of a basis
+    # the premises of the induction; when one fails, the pairs come from
+    # a closure that records every pair of a basis
     pairs = trace.nonzero
-    if trace.closed and not (vanishing and top_is_line and sweep_ok
-                             and all(w_bracket(mu, u).is_zero() for u in sub.basis(0))):
+    if trace.closed and not (proved and top_is_line):
         pairs = _closure(space, mu, sub.cap, True)[1].nonzero
 
     # a nonzero [L_j, L_{n-1-j}] with j >= 0 breaks the opposite pairs,
@@ -350,7 +385,8 @@ class MuRelationsReport:
     witness: object
 
 
-def check_mu_relations(space: SuperSpace, mu: WElement) -> MuRelationsReport:
+def check_mu_relations(space: SuperSpace, mu: WElement, *,
+                       generated=None) -> MuRelationsReport:
     """The relations mu satisfies against its own iterated descendants
     c = [v_1,[...,[v_k, mu]...]] over all basis tuples:
 
@@ -362,13 +398,26 @@ def check_mu_relations(space: SuperSpace, mu: WElement) -> MuRelationsReport:
     (``_descendant_levels``), which proves them for every tuple; a
     witness names the tuple of the basis descendant that fails.
 
+    ``generated`` is the pair ``generate_subalgebra(space, mu, cap)``
+    returned, when the caller has it already.  When it proves the sweep
+    (``_sweep_proved``, proof in ``check_truncation``), level k spans
+    L_(n-1-k) and ad mu kills L_(>=0), which holds every descendant, so
+    the bracket half holds with no bracket.  The composition half is
+    then checked on a basis of each L_d, d = 1..n-1, and ``checked``
+    counts the sum of dim L_d over d = 0..n-1, the size of the levels.
+    A failing composition reruns the sweep, which names its tuple.
+
     The composition form is strictly stronger than the bracket form in
     the degrees where it applies; it cannot hold for k = n-1 since
     composing mu onto a nonzero degree-0 operator never vanishes when
     the operator acts nontrivially on the image of mu."""
     n = mu.degree + 1
-    checked = 0
     self_ok = w_bracket(mu, mu).is_zero()
+    if generated and _sweep_proved(mu, *generated):
+        sub = generated[0]
+        if all(box(mu, c).is_zero() for d in range(1, n) for c in sub.basis(d)):
+            return MuRelationsReport(self_ok, sum(map(sub.dim, range(n))), self_ok, None)
+    checked = 0
     for k, level in enumerate(_descendant_levels(space, mu, n - 1)):
         for tup, c in level:
             checked += 1

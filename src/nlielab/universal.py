@@ -25,8 +25,9 @@ coordinates grouped by argument key, one dict per key, which
 ``full_component(space, -1)``.
 
 The product is one scatter pass (Gustavson 1978, see ``box``) through an
-index of the left operand by slot value, which each element builds on
-first use and keeps, so an element's ``coords`` are read-only.
+index of the left operand by slot value and a list of the right
+operand's keys, which each element builds on first use as that operand
+and keeps, so an element's ``coords`` are read-only.
 ``is_transitive`` is the transitivity loop of both models of L.
 """
 
@@ -69,10 +70,11 @@ class WElement:
     kept beside them, since a zero map still has one.  Given as None,
     and always in degree -1, it is read off the coordinates: None when
     they mix parities, even when there are none.  ``coords`` is read-only
-    once the element is built: ``box`` indexes it once, in ``_slots``.
+    once the element is built: ``box`` indexes it once per side, in
+    ``_slots`` and ``_keys``.
     """
 
-    __slots__ = ("space", "degree", "coords", "_parity", "_slots")
+    __slots__ = ("space", "degree", "coords", "_parity", "_slots", "_keys")
 
     def __init__(self, space: SuperSpace, degree: int, coords: dict, parity=None):
         if degree < -1:
@@ -85,7 +87,7 @@ class WElement:
             found = {(par[i] + sum(par[k] for k in key)) % 2 for key, i in coords}
             parity = found.pop() if len(found) == 1 else (None if found else 0)
         self._parity = parity
-        self._slots = None
+        self._slots = self._keys = None
 
     @classmethod
     def from_map(cls, mm: MultiMap) -> "WElement":
@@ -154,30 +156,31 @@ def full_component(space: SuperSpace, degree: int) -> list[WElement]:
 
 def _bits(values) -> int:
     """The bit mask with one bit per distinct value."""
-    return sum(1 << v for v in set(values))
+    mask = 0
+    for v in values:
+        mask |= 1 << v
+    return mask
 
 
-def _slot_index(w: WElement) -> tuple:
-    """The views through which ``box`` reads an element, built on its
-    first use and kept in its ``_slots``.  As the left operand: slot
-    value i -> one entry (rest, sign, row, odd, mask) per argument key F
-    holding i, with rest the key F less one copy of i, sign that of
-    moving i to the front of F, row the output vector at F, and odd and
-    mask the bits of the odd values and of all values of rest.  As the
-    right operand: one (G, row, below, odd, mask) per argument key G,
-    with below the XOR over the odd values a of G of the bits under a."""
+def _rows(w: WElement) -> dict:
+    """The coordinates of an element grouped by argument key."""
+    rows: dict = {}
+    for (key, j), c in w.coords.items():
+        rows.setdefault(key, {})[j] = c
+    return rows
+
+
+def _slot_index(w: WElement) -> dict:
+    """The view through which ``box`` reads its left operand, built on
+    first use and kept in the element's ``_slots``: slot value i -> one
+    entry (rest, sign, row, odd, mask) per argument key F holding i, with
+    rest the key F less one copy of i, sign that of moving i to the front
+    of F, row the output vector at F, and odd and mask the bits of the
+    odd values and of all values of rest."""
     if w._slots is None:
         par = w.space.parities
-        rows: dict = {}
-        for (key, j), c in w.coords.items():
-            rows.setdefault(key, {})[j] = c
-        index, keys = {}, []
-        for key, row in rows.items():
-            odd = [v for v in key if par[v]]
-            below = 0
-            for a in odd:
-                below ^= (1 << a) - 1
-            keys.append((key, row, below, _bits(odd), _bits(key)))
+        index: dict = {}
+        for key, row in _rows(w).items():
             for s, i in enumerate(key):
                 if s and key[s - 1] == i:
                     continue  # the same rest as removing the previous copy
@@ -185,8 +188,28 @@ def _slot_index(w: WElement) -> tuple:
                 odd = [v for v in rest if par[v]]
                 sign = -1 if par[i] and sum(v < i for v in odd) % 2 else 1
                 index.setdefault(i, []).append((rest, sign, row, _bits(odd), _bits(rest)))
-        w._slots = index, keys
+        w._slots = index
     return w._slots
+
+
+def _key_rows(w: WElement) -> list:
+    """The view through which ``box`` reads its right operand, built on
+    first use and kept in the element's ``_keys``: one (G, row, below,
+    odd, mask) per argument key G, with below the XOR over the odd values
+    a of G of the bits under a.  An element read from one side only, as
+    a composition's right factor or a bracket's with a constant, never
+    builds the other side's view."""
+    if w._keys is None:
+        par = w.space.parities
+        keys = []
+        for key, row in _rows(w).items():
+            odd = [v for v in key if par[v]]
+            below = 0
+            for a in odd:
+                below ^= (1 << a) - 1
+            keys.append((key, row, below, _bits(odd), _bits(key)))
+        w._keys = keys
+    return w._keys
 
 
 def box(f: WElement, g: WElement) -> WElement:
@@ -213,9 +236,9 @@ def box(f: WElement, g: WElement) -> WElement:
     parity = None if pf is None or pg is None else (pf + pg) % 2
     if p == -1:
         return WElement.zero(space, p + q, parity)
-    index, fp = _slot_index(f)[0], space.field.p
+    index, fp = _slot_index(f), space.field.p
     out: dict = {}
-    for gkey, grow, below, godd, gmask in _slot_index(g)[1]:
+    for gkey, grow, below, godd, gmask in _key_rows(g):
         for i, c in grow.items():
             for rest, eps, row, rodd, rmask in index.get(i, ()):
                 if godd & rodd:

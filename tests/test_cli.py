@@ -322,6 +322,24 @@ def test_internal_errors_exit_three_with_one_line(tmp_path, monkeypatch, capsys)
         "internal error: RuntimeError(\"S'(1,2): a slack element is not x-homogeneous\")"]
 
 
+@pytest.mark.parametrize("argv", [["verify", "O", "--n", "3"], ["charp", "--p", "3"]],
+                         ids=["pass", "fail"])
+def test_a_closed_stdout_exits_141_with_one_line(argv):
+    # a reader that closes the pipe first: exit 1 would read as a failed
+    # check, and the flush at interpreter exit must not raise again
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nlielab"] + argv, stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr.splitlines() == ["error: stdout closed before the report was written"]
+
+
 def test_usage_errors_exit_two(tmp_path):
     assert main([]) == 2
     assert main(["verify"]) == 2  # selector or table required

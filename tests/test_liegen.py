@@ -507,12 +507,11 @@ def test_truncation_reads_its_verdicts_off_the_recorded_pairs(pair, flags, failu
 
 
 def test_truncation_brackets_only_in_the_sweep(monkeypatch):
-    # the vanishing verdict is read off the closure and the opposite and
-    # ideal verdicts follow from the premises: the only brackets are the
-    # sweep's, V against levels 0..n-2 (level k of O(n) is L_{n-1-k}),
-    # and mu against L_0, 80 + 10 at O(4)
+    # the vanishing verdict is read off the closure, the sweep is proved by
+    # it and the opposite and ideal verdicts follow from the premises: the
+    # only brackets are mu against L_0, 10 at O(4), where sweeping V into
+    # levels 0..n-2 took 80 more
     mu = seed_of(algebra_O(4))
-    n = mu.degree + 1
     generated = generate_subalgebra(mu.space, mu)
     calls = []
 
@@ -522,9 +521,110 @@ def test_truncation_brackets_only_in_the_sweep(monkeypatch):
 
     monkeypatch.setattr(liegen, "w_bracket", counting)
     assert check_truncation(mu.space, mu, generated=generated).ok is True
-    sweep = mu.space.dim * sum(generated[0].dim(d) for d in range(1, n))
-    assert (sweep, len(calls)) == (80, 90)
-    assert calls[sweep:] == [(mu.degree, 0)] * generated[0].dim(0)
+    assert calls == [(mu.degree, 0)] * generated[0].dim(0) and len(calls) == 10
+
+
+def test_seed_relations_on_a_closure_bracket_no_level(monkeypatch):
+    # with the closure, the bracket half is proved: the brackets are
+    # [mu, mu] and mu against L_0, and the compositions mu o c run over a
+    # basis of L_1..L_(n-1), the 16 that sweeping V into each level and
+    # composing both ways on all 26 descendants replaced
+    mu = seed_of(algebra_O(4))
+    n = mu.degree + 1
+    sub, trace = generated = generate_subalgebra(mu.space, mu)
+    brackets, boxes = [], []
+
+    def counting(calls, op):
+        def wrapped(u, v):
+            calls.append((u.degree, v.degree))
+            return op(u, v)
+        return wrapped
+
+    monkeypatch.setattr(liegen, "w_bracket", counting(brackets, w_bracket))
+    monkeypatch.setattr(liegen, "box", counting(boxes, box))
+    rep = check_mu_relations(mu.space, mu, generated=generated)
+    assert rep == MuRelationsReport(True, 26, True, None)
+    assert brackets == [(mu.degree, mu.degree)] + [(mu.degree, 0)] * sub.dim(0)
+    assert boxes == [(mu.degree, d) for d in range(1, n) for _ in range(sub.dim(d))]
+    assert len(boxes) == 16
+
+
+FORGED_PAIRS = {"top_top": (2, 2), "opposite": (0, 2), "middle": (1, 1), "escape": (1, 2)}
+
+
+def closure_of_mu_alone(mu):
+    """A closure forged to hold V and mu only, recorded as closed with no
+    nonzero bracket: ``_sweep_proved`` holds on it whatever mu is."""
+    sub = GradedSubalgebra(mu.space, mu.degree)
+    for w in full_component(mu.space, -1) + [mu]:
+        sub.insert(w)
+    return sub, GenerationTrace(rounds=[sub.dims()], reached_fixpoint=True, cap=mu.degree)
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_corpus():
+    """(label, mu, generated, honest): every closure of ``closures`` (the
+    mixed seed at top+2 is the S(2|1) escape), and O(3)'s closure with each
+    forged pair of ``FORGED_PAIRS`` on record or with no fixpoint, which
+    are not honest records of the algebra."""
+    cases = [("%s-%s" % (label, lift), CLOSURE_SEEDS[i], closures(i, lift)[0], True)
+             for i, label in enumerate(CLOSURE_IDS) for lift in (0, 2)]
+    mu = seed_of(algebra_O(3))
+    sub, trace = generate_subalgebra(mu.space, mu)
+    cases += [("O3/forged-" + name, mu, (sub, dataclasses.replace(
+        trace, nonzero=trace.nonzero | {pair})), False) for name, pair in FORGED_PAIRS.items()]
+    cases.append(("O3/open", mu, (sub, GenerationTrace(rounds=trace.rounds)), False))
+    return cases
+
+
+SWEEP_IDS = [case[0] for case in sweep_corpus()]
+
+
+@pytest.mark.parametrize("i", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
+def test_truncation_reads_the_sweep_off_the_closure_as_the_sweep_does(i, monkeypatch):
+    _, mu, generated, honest = sweep_corpus()[i]
+    rep = check_truncation(mu.space, mu, generated=generated)
+    # with the proof off, the check sweeps down from mu on every record
+    monkeypatch.setattr(liegen, "_sweep_proved", lambda *a: False)
+    ref = check_truncation(mu.space, mu, generated=generated)
+    # the sweep's own verdict and failure lines agree on every record
+    assert (rep.vanishing_above, rep.top_is_line, rep.components_from_top) == (
+        ref.vanishing_above, ref.top_is_line, ref.components_from_top)
+    sweep_lines = [f for f in ref.failures if f.startswith("degree ")]
+    assert [f for f in rep.failures if f.startswith("degree ")] == sweep_lines
+    if honest:
+        # the plain sweep reruns every pair on a closed closure, which the
+        # premises make agree with the record
+        assert rep == ref
+
+
+@pytest.mark.parametrize("i", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
+def test_seed_relations_read_off_the_closure_equal_the_sweep(i):
+    _, mu, generated, _ = sweep_corpus()[i]
+    assert check_mu_relations(mu.space, mu, generated=generated) == check_mu_relations(
+        mu.space, mu)
+
+
+def test_the_sweep_corpus_takes_both_paths():
+    proved = [label for label, mu, generated, _ in sweep_corpus()
+              if liegen._sweep_proved(mu, *generated)]
+    assert len(proved) >= 20
+    assert {"O7-0", "O7-2", "O3/forged-opposite", "O3/forged-middle"} <= set(proved)
+    assert not {"mixed-2", "even-0", "O3/forged-escape", "O3/open"} & set(proved)
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["closure", "forged"])
+def test_a_failing_composition_gets_the_sweep_witness(forged):
+    # mu(a, a) = a: [mu, mu] = 0 by parity, mu o mu != 0.  Its own closure
+    # fails [L_0, mu] = 0, so both paths sweep; on a closure forged to hold
+    # V and mu alone the premises read true, the composition on L_1 fails,
+    # and the sweep it falls back on names the tuple
+    mu = even_square()
+    generated = closure_of_mu_alone(mu) if forged else generate_subalgebra(mu.space, mu)
+    assert liegen._sweep_proved(mu, *generated) is forged
+    rep = check_mu_relations(mu.space, mu, generated=generated)
+    assert rep == check_mu_relations(mu.space, mu)
+    assert rep == MuRelationsReport(False, 1, True, ("composition", ()))
 
 
 def test_the_oracle_seeds_exercise_every_failure():

@@ -345,3 +345,18 @@ def test_slot_index_is_built_once_per_element():
         w_bracket(v, u)
     assert u._slots is index
     assert u.coords == before
+
+
+def test_each_operand_builds_only_its_own_view():
+    # the right factor of a product reads its keys only, as a basis
+    # element does when mu is composed on it, and a left factor bracketed
+    # with constants reads its slot index only
+    V = SPACES[3]
+    f, g = homogeneous(V, 1, 0)[1], homogeneous(V, 0, 1)[2]
+    box(f, g)
+    assert f._keys is None and f._slots is not None
+    assert g._slots is None and g._keys is not None
+    u = homogeneous(V, 1, 1)[0]
+    for v in full_component(V, -1):
+        w_bracket(u, v)
+    assert u._keys is None and u._slots is not None
