@@ -22,8 +22,7 @@ import sys
 from .catalog import algebra_O, algebra_S, algebra_SW, algebra_W, parse_form
 from .charp import CharPSeed, charp_fj_check, charp_generation, q_control
 from .fields import field_from_name, parse_int
-from .liegen import (check_admissible, check_mu_relations, check_truncation,
-                     generate_subalgebra)
+from .liegen import check_admissible, check_mu_relations, check_truncation
 from .multilinear import bracket_to_symmetric
 from .nlie import check_filippov, parse_table
 from .realizations import check_splits, verify_pair
@@ -56,10 +55,9 @@ def _finite_suite(rep: Report, alg):
     mu = WElement.from_map(mm)
     rev = mu.space
 
-    # one closure, capped at the top, serves every structure check; only a
-    # closed one is the generated algebra
-    generated = generate_subalgebra(rev, mu)
-    adm = check_admissible(rev, mu, generated=generated)
+    # one closure, capped at the top and stored on mu, serves every
+    # structure check; only a closed one is the generated algebra
+    adm = check_admissible(rev, mu)
     trace = adm.generation
     closed = trace.closed
 
@@ -82,14 +80,14 @@ def _finite_suite(rep: Report, alg):
     rep.add("pair_top_is_line", held(found.top_is_line, found.top_dim >= 2), "")
     rep.add("pair_irreducible", held(found.irreducibility[0]), adm.irreducibility_detail)
 
-    trep = check_truncation(rev, mu, generated=generated)
+    trep = check_truncation(rev, mu)
     detail = ("vanishing above top %s, line %s, swept %s, opposite %s, ideal %s"
               % (trep.vanishing_above, trep.top_is_line, trep.components_from_top,
                  trep.opposite_pairs_commute, trep.positive_part_ideal))
     rep.add("truncation_structure", trep.ok, detail,
             witness=trep.failures or None)
 
-    mrep = check_mu_relations(rev, mu, generated=generated)
+    mrep = check_mu_relations(rev, mu)
     rep.add("seed_relations", mrep.ok,
             "%d basis descendants, self bracket zero: %s"
             % (mrep.checked, mrep.self_bracket_zero),

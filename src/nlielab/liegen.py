@@ -37,8 +37,10 @@ while computing on bases only.  Three arguments carry this:
   read off a rerun that brackets every pair.  The sweep premise itself
   follows from nothing above n-1 and [L_0, mu] = 0.
 
-A suite that runs several checks on one seed generates once and hands
-the ``(subalgebra, trace)`` pair to each check through ``generated=``.
+A suite that runs several checks on one seed generates once:
+``generate_subalgebra`` stores its ``(subalgebra, trace)`` pair on the
+seed, by cap, and every check on the same seed object reads it there.
+``generated=`` overrides it with a pair built elsewhere.
 
 Also provides the inverse construction: recovering an n-ary bracket on
 the reversed space from mu via iterated brackets in W(V), which must
@@ -130,17 +132,26 @@ def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int | None = None)
     reruns with every kept element as partner, one bracket per unordered
     pair, and its trace is returned: it records every pair, so a failure
     names the least pair whose bracket leaves the cap.
+
+    The pair is stored on ``mu`` by cap and returned to a later call on
+    the same object: it depends on V, mu and the cap alone, and mu's
+    coordinates are read-only.  So is the pair.
     """
     if mu.space != space:
         raise ValueError("mu must live over the given space")
     cap = mu.degree if cap is None else cap
     if cap < mu.degree:
         raise ValueError("cap %d cannot hold a seed of degree %d" % (cap, mu.degree))
-    for pairwise in (False, True):
-        sub, trace = _closure(space, mu, cap, pairwise)
-        if trace.closed:
-            break
-    return sub, trace
+    if mu._closures is None:
+        mu._closures = {}
+    got = mu._closures.get(cap)
+    if got is None:
+        for pairwise in (False, True):
+            got = _closure(space, mu, cap, pairwise)
+            if got[1].closed:
+                break
+        mu._closures[cap] = got
+    return got
 
 
 def _closure(space: SuperSpace, mu: WElement, cap: int, pairwise: bool):
@@ -196,9 +207,9 @@ class AdmissiblePairReport:
 def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None, *,
                      generated=None) -> AdmissiblePairReport:
     """Admissibility of (mu, V): the ``structure_of`` the closure's
-    ``closure_model``.  ``generated`` is the pair that
-    ``generate_subalgebra(space, mu, cap)`` returned, when the caller
-    has it already; ``cap`` is then ignored."""
+    ``closure_model``.  ``generated`` overrides the pair that
+    ``generate_subalgebra(space, mu, cap)`` returns; ``cap`` is then
+    ignored."""
     n = mu.degree + 1
     if n < 2:
         raise ValueError("mu must have degree at least 1")
@@ -253,10 +264,18 @@ def _sweep_proved(mu: WElement, sub: GradedSubalgebra, trace: GenerationTrace) -
     """Whether the closure ``(sub, trace)`` proves the sweep down from mu,
     level k spanning L_(n-1-k) (proof in ``check_truncation``): n >= 2, the
     closure is closed, every recorded nonzero degree pair lands at or below
-    n-1, and [mu, u] = 0 for u in a basis of L_0, bracketed here."""
+    n-1, and [L_0, mu] = 0.
+
+    The last premise is read off the record unless the pair (0, n-1) is
+    on it.  At a fixpoint every kept element was bracketed with mu, in
+    the generator loop and in the pairwise rerun alike, and each nonzero
+    bracket was recorded.  The kept elements of degree 0 span L_0, and
+    u -> [u, mu] is linear, so with (0, n-1) never recorded [L_0, mu] = 0.
+    With it recorded, mu is bracketed against a basis of L_0 here."""
     n = mu.degree + 1
     return (n >= 2 and trace.closed and all(a + b <= n - 1 for a, b in trace.nonzero)
-            and all(w_bracket(mu, u).is_zero() for u in sub.basis(0)))
+            and ((0, n - 1) not in trace.nonzero
+                 or all(w_bracket(mu, u).is_zero() for u in sub.basis(0))))
 
 
 def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
@@ -266,12 +285,12 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
     mu by repeated bracketing with V, opposite components commuting,
     and everything below the top line forming an ideal.
 
-    ``generated`` is the pair ``generate_subalgebra(space, mu, cap)``
-    returned, when the caller has it already.  The vanishing verdict is
-    read off the closure's record of nonzero degree pairs: on a closed
-    closure a component above n-1 is first reached by a generator
-    bracket [x, s], which is on record.  So ``ok`` is False on an
-    escape, and otherwise None unless the closure is closed.
+    ``generated`` overrides the pair ``generate_subalgebra(space, mu,
+    cap)`` returns.  The vanishing verdict is read off the closure's
+    record of nonzero degree pairs: on a closed closure a component
+    above n-1 is first reached by a generator bracket [x, s], which is
+    on record.  So ``ok`` is False on an escape, and otherwise None
+    unless the closure is closed.
 
     The sweep verdict needs no sweep when ``_sweep_proved`` holds: the
     closure is closed, every recorded nonzero pair lands at or below n-1,
@@ -302,9 +321,9 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
     L_(n-j) by induction.  A bracket with a factor in degree b <= n-2
     that lands at n-1 or above is then zero too: above n-1 by (a), and
     at n-1 its other factor has degree n-1-b >= 1, an opposite pair.  So
-    on a closed closure the premises, with (d) bracketed once per basis
-    element of L_0, leave the record without a failing pair; when one of
-    them fails, the two verdicts are read off a closure that brackets
+    on a closed closure the premises, with (d) read off the record by
+    ``_sweep_proved``, leave the record without a failing pair; when one
+    of them fails, the two verdicts are read off a closure that brackets
     every pair, and name its least failing pair."""
     n = mu.degree + 1
     if n < 2:
@@ -398,14 +417,15 @@ def check_mu_relations(space: SuperSpace, mu: WElement, *,
     (``_descendant_levels``), which proves them for every tuple; a
     witness names the tuple of the basis descendant that fails.
 
-    ``generated`` is the pair ``generate_subalgebra(space, mu, cap)``
-    returned, when the caller has it already.  When it proves the sweep
-    (``_sweep_proved``, proof in ``check_truncation``), level k spans
-    L_(n-1-k) and ad mu kills L_(>=0), which holds every descendant, so
-    the bracket half holds with no bracket.  The composition half is
-    then checked on a basis of each L_d, d = 1..n-1, and ``checked``
-    counts the sum of dim L_d over d = 0..n-1, the size of the levels.
-    A failing composition reruns the sweep, which names its tuple.
+    ``generated`` is a pair ``generate_subalgebra`` returned; without it
+    a closure already stored on mu is read, at any cap, and none is
+    started.  When the pair proves the sweep (``_sweep_proved``, proof
+    in ``check_truncation``), level k spans L_(n-1-k) and ad mu kills
+    L_(>=0), which holds every descendant, so the bracket half holds
+    with no bracket.  The composition half is then checked on a basis of
+    each L_d, d = 1..n-1, and ``checked`` counts the sum of dim L_d over
+    d = 0..n-1, the size of the levels.  A failing composition reruns
+    the sweep, which names its tuple.
 
     The composition form is strictly stronger than the bracket form in
     the degrees where it applies; it cannot hold for k = n-1 since
@@ -413,6 +433,7 @@ def check_mu_relations(space: SuperSpace, mu: WElement, *,
     the operator acts nontrivially on the image of mu."""
     n = mu.degree + 1
     self_ok = w_bracket(mu, mu).is_zero()
+    generated = generated or next(iter((mu._closures or {}).values()), None)
     if generated and _sweep_proved(mu, *generated):
         sub = generated[0]
         if all(box(mu, c).is_zero() for d in range(1, n) for c in sub.basis(d)):
@@ -470,7 +491,12 @@ class GradedModel:
 
 def closure_model(sub: GradedSubalgebra, mu: WElement) -> GradedModel:
     """The W(V) closure as a ``GradedModel``: each of its degrees >= 0,
-    with all of V as the depth elements; ``w_bracket`` prepares nothing."""
+    with all of V as the depth elements; ``w_bracket`` prepares nothing.
+
+    Every such model is transitive.  For f of degree >= 0 and a in V,
+    [f, a] = f*a, which plugs a into the first slot of f, since a*f = 0.
+    So [f, V] = 0 makes f vanish on every argument tuple: f = 0.  The
+    loop of ``is_transitive`` still runs on it, as on a carrier's model."""
     space = sub.space
     return GradedModel(space.field, {d: sub.basis(d) for d in sub.degrees() if d >= 0},
                        w_bracket, lambda w: w, attrgetter("coords"), full_component(space, -1),

@@ -71,10 +71,11 @@ class WElement:
     and always in degree -1, it is read off the coordinates: None when
     they mix parities, even when there are none.  ``coords`` is read-only
     once the element is built: ``box`` indexes it once per side, in
-    ``_slots`` and ``_keys``.
+    ``_slots`` and ``_keys``, and ``liegen.generate_subalgebra`` keeps
+    the closures of a seed in ``_closures``, by cap.
     """
 
-    __slots__ = ("space", "degree", "coords", "_parity", "_slots", "_keys")
+    __slots__ = ("space", "degree", "coords", "_parity", "_slots", "_keys", "_closures")
 
     def __init__(self, space: SuperSpace, degree: int, coords: dict, parity=None):
         if degree < -1:
@@ -87,7 +88,7 @@ class WElement:
             found = {(par[i] + sum(par[k] for k in key)) % 2 for key, i in coords}
             parity = found.pop() if len(found) == 1 else (None if found else 0)
         self._parity = parity
-        self._slots = self._keys = None
+        self._slots = self._keys = self._closures = None
 
     @classmethod
     def from_map(cls, mm: MultiMap) -> "WElement":

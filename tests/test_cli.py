@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from nlielab import cli, realizations, universal
+from nlielab import cli, liegen, realizations, universal
 from nlielab.catalog import algebra_O
 from nlielab.cli import build_parser, main
 from nlielab.fields import GF, field_from_name
@@ -63,12 +63,12 @@ def _stop_short(monkeypatch, escape=None):
     # the same closure, reported as stopped short of its fixpoint, with
     # one more nonzero degree pair recorded when ``escape`` is given
     def stopped(space, mu, cap=None):
-        sub, trace = cli_generate(space, mu, cap)
+        sub, trace = generate(space, mu, cap)
         nonzero = trace.nonzero | ({escape} if escape else set())
         return sub, dataclasses.replace(trace, reached_fixpoint=False, nonzero=nonzero)
 
-    cli_generate = cli.generate_subalgebra
-    monkeypatch.setattr(cli, "generate_subalgebra", stopped)
+    generate = liegen.generate_subalgebra
+    monkeypatch.setattr(liegen, "generate_subalgebra", stopped)
 
 
 def test_a_generation_without_fixpoint_decides_nothing(monkeypatch, capsys):

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import gc
 import random
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -508,9 +510,10 @@ def test_truncation_reads_its_verdicts_off_the_recorded_pairs(pair, flags, failu
 
 def test_truncation_brackets_only_in_the_sweep(monkeypatch):
     # the vanishing verdict is read off the closure, the sweep is proved by
-    # it and the opposite and ideal verdicts follow from the premises: the
-    # only brackets are mu against L_0, 10 at O(4), where sweeping V into
-    # levels 0..n-2 took 80 more
+    # it and the opposite and ideal verdicts follow from the premises, and
+    # [L_0, mu] = 0 is read off the record, which holds no pair (0, n-1):
+    # no bracket at all at O(4), where mu against L_0 took 10 and sweeping
+    # V into levels 0..n-2 took 80 more
     mu = seed_of(algebra_O(4))
     generated = generate_subalgebra(mu.space, mu)
     calls = []
@@ -520,15 +523,17 @@ def test_truncation_brackets_only_in_the_sweep(monkeypatch):
         return w_bracket(u, v)
 
     monkeypatch.setattr(liegen, "w_bracket", counting)
+    assert (0, mu.degree) not in generated[1].nonzero and generated[0].dim(0) == 10
     assert check_truncation(mu.space, mu, generated=generated).ok is True
-    assert calls == [(mu.degree, 0)] * generated[0].dim(0) and len(calls) == 10
+    assert calls == []
 
 
 def test_seed_relations_on_a_closure_bracket_no_level(monkeypatch):
-    # with the closure, the bracket half is proved: the brackets are
-    # [mu, mu] and mu against L_0, and the compositions mu o c run over a
-    # basis of L_1..L_(n-1), the 16 that sweeping V into each level and
-    # composing both ways on all 26 descendants replaced
+    # with the closure, the bracket half is proved: the one bracket is
+    # [mu, mu], since [L_0, mu] = 0 is read off the record, and the
+    # compositions mu o c run over a basis of L_1..L_(n-1), the 16 that
+    # sweeping V into each level and composing both ways on all 26
+    # descendants replaced
     mu = seed_of(algebra_O(4))
     n = mu.degree + 1
     sub, trace = generated = generate_subalgebra(mu.space, mu)
@@ -544,7 +549,7 @@ def test_seed_relations_on_a_closure_bracket_no_level(monkeypatch):
     monkeypatch.setattr(liegen, "box", counting(boxes, box))
     rep = check_mu_relations(mu.space, mu, generated=generated)
     assert rep == MuRelationsReport(True, 26, True, None)
-    assert brackets == [(mu.degree, mu.degree)] + [(mu.degree, 0)] * sub.dim(0)
+    assert brackets == [(mu.degree, mu.degree)]
     assert boxes == [(mu.degree, d) for d in range(1, n) for _ in range(sub.dim(d))]
     assert len(boxes) == 16
 
@@ -618,13 +623,88 @@ def test_a_failing_composition_gets_the_sweep_witness(forged):
     # mu(a, a) = a: [mu, mu] = 0 by parity, mu o mu != 0.  Its own closure
     # fails [L_0, mu] = 0, so both paths sweep; on a closure forged to hold
     # V and mu alone the premises read true, the composition on L_1 fails,
-    # and the sweep it falls back on names the tuple
+    # and the sweep it falls back on names the tuple, whether the forged
+    # pair is handed in or stored on the seed
     mu = even_square()
     generated = closure_of_mu_alone(mu) if forged else generate_subalgebra(mu.space, mu)
     assert liegen._sweep_proved(mu, *generated) is forged
     rep = check_mu_relations(mu.space, mu, generated=generated)
-    assert rep == check_mu_relations(mu.space, mu)
+    assert rep == check_mu_relations(mu.space, copy_of(mu))
     assert rep == MuRelationsReport(False, 1, True, ("composition", ()))
+    mu._closures = {mu.degree: generated}
+    assert check_mu_relations(mu.space, mu) == rep
+
+
+def copy_of(mu):
+    """A new seed object with mu's coordinates and nothing stored on it."""
+    return WElement(mu.space, mu.degree, dict(mu.coords), mu.parity())
+
+
+def test_the_closure_is_stored_on_the_seed_by_cap(monkeypatch):
+    calls = []
+    closure = liegen._closure
+
+    def counting(space, mu, cap, pairwise):
+        calls.append(cap)
+        return closure(space, mu, cap, pairwise)
+
+    monkeypatch.setattr(liegen, "_closure", counting)
+    mu = seed_of(algebra_O(3))
+    first = generate_subalgebra(mu.space, mu)
+    assert generate_subalgebra(mu.space, mu, mu.degree) is first and calls == [2]
+    # a check reads the stored pair, and a second cap builds its own
+    assert check_admissible(mu.space, mu).generation is first[1] and calls == [2]
+    high = generate_subalgebra(mu.space, mu, 4)
+    assert high is not first and generate_subalgebra(mu.space, mu, 4) is high
+    assert calls == [2, 4]
+    # equal coordinates on a new object are a new seed: it builds anew
+    twin = copy_of(mu)
+    assert twin == mu and generate_subalgebra(twin.space, twin) is not first
+    assert calls == [2, 4, 2]
+    # the input checks still run with a pair stored at the default cap
+    with pytest.raises(ValueError):
+        generate_subalgebra(mu.space, mu, 1)
+    with pytest.raises(ValueError):
+        generate_subalgebra(algebra_O(3).space, mu)
+
+
+@pytest.mark.parametrize("i", range(len(CLOSURE_SEEDS)), ids=CLOSURE_IDS)
+def test_seed_relations_read_the_stored_closure(i):
+    # after check_admissible the relations read the closure it stored: the
+    # same report as with the pair handed in and as the plain sweep, on
+    # every seed of the corpus, which holds the oracle seeds whose
+    # composition half fails
+    seed = CLOSURE_SEEDS[i]
+    mu = copy_of(seed)
+    check_admissible(mu.space, mu)
+    rep = check_mu_relations(mu.space, mu)
+    assert rep == check_mu_relations(seed.space, seed, generated=closures(i, 0)[0])
+    assert rep == check_mu_relations(seed.space, copy_of(seed))
+
+
+def test_with_nothing_stored_the_relations_sweep(monkeypatch):
+    swept = []
+    levels = liegen._descendant_levels
+
+    def counting(space, mu, depth):
+        swept.append(depth)
+        return levels(space, mu, depth)
+
+    monkeypatch.setattr(liegen, "_descendant_levels", counting)
+    mu = seed_of(algebra_O(4))
+    rep = check_mu_relations(mu.space, mu)
+    assert swept == [3] and mu._closures is None  # no closure is started
+    check_admissible(mu.space, mu)
+    assert check_mu_relations(mu.space, mu) == rep and swept == [3]
+
+
+def test_the_stored_closure_dies_with_its_seed():
+    mu = seed_of(algebra_O(3))
+    sub, trace = generate_subalgebra(mu.space, mu)
+    ref = weakref.ref(sub)
+    del sub, trace, mu
+    gc.collect()
+    assert ref() is None
 
 
 def test_the_oracle_seeds_exercise_every_failure():

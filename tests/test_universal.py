@@ -273,6 +273,21 @@ def test_transitivity_of_full_low_degrees():
     assert ok and witness is None
 
 
+@settings(max_examples=40)
+@given(st.data())
+def test_every_closure_model_is_transitive(data):
+    # [f, a] = f*a plugs a into the first slot of f, so [f, V] = 0 forces
+    # f = 0: no subspace of W(V)_d, d >= 0, placed with V has a kernel
+    space = data.draw(st.sampled_from(SPACES))
+    top = data.draw(st.integers(0, 2))
+    sub = GradedSubalgebra(space, top)
+    for v in full_component(space, -1):
+        sub.insert(v)
+    for _ in range(data.draw(st.integers(1, 4))):
+        sub.insert(draw_element(data, space, data.draw(st.integers(0, top))))
+    assert is_transitive(closure_model(sub, WElement.zero(space, top))) == (True, None)
+
+
 @pytest.mark.parametrize("space, f, g, want", [
     # even (a, b), f(a, a) = a, g(a) = a: (f*g)(a, a) = f(g(a), a) + f(g(a), a)
     # = 2a, both splits of the two positions of a giving the same term, so
