@@ -40,7 +40,7 @@ while computing on bases only.  Three arguments carry this:
 A suite that runs several checks on one seed generates once:
 ``generate_subalgebra`` stores its ``(subalgebra, trace)`` pair on the
 seed, by cap, and every check on the same seed object reads it there.
-``generated=`` overrides it with a pair built elsewhere.
+The stored pair is shared, so it is read-only.
 
 Also provides the inverse construction: recovering an n-ary bracket on
 the reversed space from mu via iterated brackets in W(V), which must
@@ -80,14 +80,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenerationTrace:
-    rounds: list = dfield(default_factory=list)  # dims snapshot after each round
+    rounds: tuple = ()  # dims snapshot after each round
     reached_fixpoint: bool = False
     cap: int | None = None
     # degree pairs (low, high) of the nonzero brackets the closure made:
     # each grown element with a generator, or, on a rerun, every pair
-    nonzero: set = dfield(default_factory=set)
+    nonzero: frozenset = frozenset()
 
     @property
     def nrounds(self) -> int:
@@ -135,23 +135,30 @@ def generate_subalgebra(space: SuperSpace, mu: WElement, cap: int | None = None)
 
     The pair is stored on ``mu`` by cap and returned to a later call on
     the same object: it depends on V, mu and the cap alone, and mu's
-    coordinates are read-only.  So is the pair.
+    coordinates are read-only.  Every caller gets the same pair, so it
+    is read-only too: insert nothing into the subalgebra.  The trace is
+    frozen.
     """
     if mu.space != space:
         raise ValueError("mu must live over the given space")
     cap = mu.degree if cap is None else cap
     if cap < mu.degree:
         raise ValueError("cap %d cannot hold a seed of degree %d" % (cap, mu.degree))
-    if mu._closures is None:
-        mu._closures = {}
-    got = mu._closures.get(cap)
+    got = _stored_closure(mu, cap)
     if got is None:
         for pairwise in (False, True):
             got = _closure(space, mu, cap, pairwise)
             if got[1].closed:
                 break
-        mu._closures[cap] = got
+        mu._closures = {**(mu._closures or {}), cap: got}
     return got
+
+
+def _stored_closure(mu: WElement, cap: int | None = None):
+    """The pair ``generate_subalgebra`` stored on mu at ``cap``, or at any
+    cap when ``cap`` is None; None when nothing is stored.  Builds nothing."""
+    closures = mu._closures or {}
+    return next(iter(closures.values()), None) if cap is None else closures.get(cap)
 
 
 def _closure(space: SuperSpace, mu: WElement, cap: int, pairwise: bool):
@@ -164,8 +171,7 @@ def _closure(space: SuperSpace, mu: WElement, cap: int, pairwise: bool):
     gens = full_component(space, -1) + [mu]
     old: list = []
     new = [w for w in gens if sub.insert(w)]
-    trace = GenerationTrace(cap=cap)
-    trace.rounds.append(sub.dims())
+    rounds, nonzero, fixpoint = [sub.dims()], set(), False
     for _ in range(200):
         grown = []
         for i, u in enumerate(new):
@@ -175,16 +181,16 @@ def _closure(space: SuperSpace, mu: WElement, cap: int, pairwise: bool):
                 h = w_bracket(u, v)
                 if h.is_zero():
                     continue
-                trace.nonzero.add((min(u.degree, v.degree), max(u.degree, v.degree)))
+                nonzero.add((min(u.degree, v.degree), max(u.degree, v.degree)))
                 if sub.insert(h):
                     grown.append(h)
-        trace.rounds.append(sub.dims())
+        rounds.append(sub.dims())
         if not grown:
-            trace.reached_fixpoint = True
+            fixpoint = True
             break
         old += new
         new = grown
-    return sub, trace
+    return sub, GenerationTrace(tuple(rounds), fixpoint, cap, frozenset(nonzero))
 
 
 @dataclass
@@ -204,16 +210,14 @@ class AdmissiblePairReport:
         return s.irreducibility[0] if s.transitive and s.centralizes and s.top_is_line else False
 
 
-def check_admissible(space: SuperSpace, mu: WElement, cap: int | None = None, *,
-                     generated=None) -> AdmissiblePairReport:
-    """Admissibility of (mu, V): the ``structure_of`` the closure's
-    ``closure_model``.  ``generated`` overrides the pair that
-    ``generate_subalgebra(space, mu, cap)`` returns; ``cap`` is then
-    ignored."""
+def check_admissible(space: SuperSpace, mu: WElement,
+                     cap: int | None = None) -> AdmissiblePairReport:
+    """Admissibility of (mu, V): the ``structure_of`` the
+    ``closure_model`` of ``generate_subalgebra(space, mu, cap)``."""
     n = mu.degree + 1
     if n < 2:
         raise ValueError("mu must have degree at least 1")
-    sub, trace = generated or generate_subalgebra(space, mu, cap)
+    sub, trace = generate_subalgebra(space, mu, cap)
     found = structure_of(closure_model(sub, mu))
     irr, info = found.irreducibility
     detail = ("degree-zero part acts by zero" if not sub.dim(0)
@@ -278,19 +282,18 @@ def _sweep_proved(mu: WElement, sub: GradedSubalgebra, trace: GenerationTrace) -
                  or all(w_bracket(mu, u).is_zero() for u in sub.basis(0))))
 
 
-def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
-                     generated=None) -> TruncationReport:
+def check_truncation(space: SuperSpace, mu: WElement,
+                     cap: int | None = None) -> TruncationReport:
     """Structure of the algebra generated by an admissible pair: nothing
     above degree n-1, a line at the top, every component swept out from
     mu by repeated bracketing with V, opposite components commuting,
     and everything below the top line forming an ideal.
 
-    ``generated`` overrides the pair ``generate_subalgebra(space, mu,
-    cap)`` returns.  The vanishing verdict is read off the closure's
-    record of nonzero degree pairs: on a closed closure a component
-    above n-1 is first reached by a generator bracket [x, s], which is
-    on record.  So ``ok`` is False on an escape, and otherwise None
-    unless the closure is closed.
+    The closure is ``generate_subalgebra(space, mu, cap)``.  The
+    vanishing verdict is read off its record of nonzero degree pairs: on
+    a closed closure a component above n-1 is first reached by a
+    generator bracket [x, s], which is on record.  So ``ok`` is False on
+    an escape, and otherwise None unless the closure is closed.
 
     The sweep verdict needs no sweep when ``_sweep_proved`` holds: the
     closure is closed, every recorded nonzero pair lands at or below n-1,
@@ -328,7 +331,7 @@ def check_truncation(space: SuperSpace, mu: WElement, cap: int | None = None, *,
     n = mu.degree + 1
     if n < 2:
         raise ValueError("mu must have degree at least 1")
-    sub, trace = generated or generate_subalgebra(space, mu, cap)
+    sub, trace = generate_subalgebra(space, mu, cap)
     failures = []
 
     vanishing = all(a + b <= n - 1 for a, b in trace.nonzero)
@@ -404,8 +407,7 @@ class MuRelationsReport:
     witness: object
 
 
-def check_mu_relations(space: SuperSpace, mu: WElement, *,
-                       generated=None) -> MuRelationsReport:
+def check_mu_relations(space: SuperSpace, mu: WElement) -> MuRelationsReport:
     """The relations mu satisfies against its own iterated descendants
     c = [v_1,[...,[v_k, mu]...]] over all basis tuples:
 
@@ -417,9 +419,8 @@ def check_mu_relations(space: SuperSpace, mu: WElement, *,
     (``_descendant_levels``), which proves them for every tuple; a
     witness names the tuple of the basis descendant that fails.
 
-    ``generated`` is a pair ``generate_subalgebra`` returned; without it
-    a closure already stored on mu is read, at any cap, and none is
-    started.  When the pair proves the sweep (``_sweep_proved``, proof
+    A closure ``generate_subalgebra`` already stored on mu is read, at
+    any cap; none is started.  When it proves the sweep (``_sweep_proved``, proof
     in ``check_truncation``), level k spans L_(n-1-k) and ad mu kills
     L_(>=0), which holds every descendant, so the bracket half holds
     with no bracket.  The composition half is then checked on a basis of
@@ -433,7 +434,7 @@ def check_mu_relations(space: SuperSpace, mu: WElement, *,
     the operator acts nontrivially on the image of mu."""
     n = mu.degree + 1
     self_ok = w_bracket(mu, mu).is_zero()
-    generated = generated or next(iter((mu._closures or {}).values()), None)
+    generated = _stored_closure(mu)
     if generated and _sweep_proved(mu, *generated):
         sub = generated[0]
         if all(box(mu, c).is_zero() for d in range(1, n) for c in sub.basis(d)):

@@ -61,14 +61,15 @@ def test_verify_o7_closes_on_the_exterior_powers(capsys):
 
 def _stop_short(monkeypatch, escape=None):
     # the same closure, reported as stopped short of its fixpoint, with
-    # one more nonzero degree pair recorded when ``escape`` is given
-    def stopped(space, mu, cap=None):
-        sub, trace = generate(space, mu, cap)
+    # one more nonzero degree pair recorded when ``escape`` is given; it
+    # is what generate_subalgebra stores on mu, so every check reads it
+    def stopped(space, mu, cap, pairwise):
+        sub, trace = closure(space, mu, cap, pairwise)
         nonzero = trace.nonzero | ({escape} if escape else set())
         return sub, dataclasses.replace(trace, reached_fixpoint=False, nonzero=nonzero)
 
-    generate = liegen.generate_subalgebra
-    monkeypatch.setattr(liegen, "generate_subalgebra", stopped)
+    closure = liegen._closure
+    monkeypatch.setattr(liegen, "_closure", stopped)
 
 
 def test_a_generation_without_fixpoint_decides_nothing(monkeypatch, capsys):
@@ -101,8 +102,8 @@ def test_a_generation_without_fixpoint_keeps_lasting_failures(
         monkeypatch, capsys, top_dim, top_status):
     # a kernel element, a degree-0 element moving mu and a top of dim >= 2
     # stay in any larger closure; a reducible action may not
-    def failing(space, mu, cap=None, *, generated=None):
-        adm = cli_admissible(space, mu, cap, generated=generated)
+    def failing(space, mu, cap=None):
+        adm = cli_admissible(space, mu, cap)
         return dataclasses.replace(adm, structure=Structure(
             top_dim, False, ("u", "[mu, u]"), (0, 1, None), (False, (0, 1))))
 
@@ -115,6 +116,31 @@ def test_a_generation_without_fixpoint_keeps_lasting_failures(
     assert "[FAIL] pair_top_centralizes" in out
     assert "[%s] pair_top_is_line" % top_status in out
     assert "[----] pair_irreducible" in out
+
+
+@pytest.mark.parametrize("escape", [False, None, (1, 2)], ids=["closed", "open", "escape"])
+def test_every_structure_record_reads_one_closure(monkeypatch, escape):
+    # the admissibility, truncation and seed-relation records of one run
+    # read one trace, the one stored on mu, also when it is not closed
+    traces = []
+
+    def admissible(space, mu, cap=None):
+        adm = cli_admissible(space, mu, cap)
+        traces.append(adm.generation)
+        return adm
+
+    def proved(mu, sub, trace):
+        traces.append(trace)
+        return sweep_proved(mu, sub, trace)
+
+    cli_admissible, sweep_proved = cli.check_admissible, liegen._sweep_proved
+    monkeypatch.setattr(cli, "check_admissible", admissible)
+    monkeypatch.setattr(liegen, "_sweep_proved", proved)
+    if escape is not False:
+        _stop_short(monkeypatch, escape)
+    main(["verify", "O", "--n", "3"])
+    assert len(traces) == 3 and traces[1] is traces[0] and traces[2] is traces[0]
+    assert traces[0].closed is (escape is False)
 
 
 def test_verify_json_is_byte_identical_across_runs(tmp_path):

@@ -40,6 +40,33 @@ def seed_of(alg):
     return WElement.from_map(mm)
 
 
+def copy_of(mu):
+    """A new seed object with mu's coordinates and nothing stored on it."""
+    return WElement(mu.space, mu.degree, dict(mu.coords), mu.parity())
+
+
+def holding(mu, pair):
+    """A copy of mu with ``pair`` stored on it as ``generate_subalgebra``
+    stores a closure, at the pair's cap or else at mu's degree: every
+    check on the copy reads the pair, a forged one too."""
+    seed = copy_of(mu)
+    cap = pair[1].cap
+    seed._closures = {mu.degree if cap is None else cap: pair}
+    return seed
+
+
+def plain_sweep(mu):
+    """``check_mu_relations`` on a copy of mu with nothing stored: the
+    sweep down from mu, asserted to run."""
+    swept = []
+    levels = liegen._descendant_levels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(liegen, "_descendant_levels", lambda *a: swept.append(a) or levels(*a))
+        rep = check_mu_relations(mu.space, copy_of(mu))
+    assert swept
+    return rep
+
+
 def sl2():
     V = SuperSpace(QQ, ("e", "h", "f"), (0, 0, 0))
     table = {(0, 1): {0: -2}, (0, 2): {1: 1}, (1, 2): {2: -2}}
@@ -118,7 +145,7 @@ def divergence_free_seed():
 def test_generation_rounds_match_full_rounds(mu, cap):
     sub, trace = generate_subalgebra(mu.space, mu, cap)
     ref, rounds, fixpoint = naive_closure(mu.space, mu, cap)
-    assert trace.rounds == rounds
+    assert trace.rounds == tuple(rounds)
     assert trace.reached_fixpoint is fixpoint is True
     assert sub.degrees() == ref.degrees()
     for d in ref.degrees():
@@ -316,7 +343,7 @@ def oracle(i):
 def test_seed_relations_agree_with_the_tuple_walk(i):
     mu, _, ref, _, _ = oracle(i)
     space = mu.space
-    rep = check_mu_relations(space, mu)
+    rep = plain_sweep(mu)
     assert (rep.ok, rep.self_bracket_zero) == (ref.ok, ref.self_bracket_zero)
     assert rep.checked <= ref.checked
     if rep.ok:
@@ -332,14 +359,14 @@ def test_seed_relations_agree_with_the_tuple_walk(i):
 def test_truncation_agrees_with_the_all_pairs_loops(i):
     mu, cap, _, generated, (ok, flags, failures) = oracle(i)
     assert generated[1].reached_fixpoint
-    rep = check_truncation(mu.space, mu, cap, generated=generated)
+    rep = check_truncation(mu.space, holding(mu, generated), cap)
     assert rep.ok is ok
     assert (rep.vanishing_above, rep.top_is_line, rep.components_from_top,
             rep.opposite_pairs_commute, rep.positive_part_ideal) == flags
     assert rep.failures == failures
     assert rep.generation is generated[1]
     # generating inside the check reads the same algebra
-    assert check_truncation(mu.space, mu, cap).failures == failures
+    assert check_truncation(mu.space, copy_of(mu), cap).failures == failures
 
 
 @functools.lru_cache(maxsize=None)
@@ -355,7 +382,7 @@ def top_oracle(i):
 def test_truncation_at_the_top_cap_agrees_with_the_all_pairs_loops(i):
     mu = ORACLE_SEEDS[i][0]
     generated, (ok, flags, failures) = top_oracle(i)
-    rep = check_truncation(mu.space, mu, generated=generated)
+    rep = check_truncation(mu.space, holding(mu, generated))
     if not generated[1].closed:
         # the old loops cannot see above the cap; the escape fails it
         assert generated[1].escape and rep.ok is False and not rep.vanishing_above
@@ -381,7 +408,7 @@ def test_an_escape_is_a_nonzero_bracket_above_the_top():
         a, b = trace.escape
         assert a + b > mu.degree and not trace.closed
         assert any(not w_bracket(u, v).is_zero() for u in sub.basis(a) for v in sub.basis(b))
-        assert check_admissible(mu.space, mu, generated=(sub, trace)).admissible is None
+        assert check_admissible(mu.space, holding(mu, (sub, trace))).admissible is None
     assert escaped >= 2
 
 
@@ -502,7 +529,7 @@ def test_truncation_reads_its_verdicts_off_the_recorded_pairs(pair, flags, failu
     mu = seed_of(algebra_O(3))
     sub, trace = generate_subalgebra(mu.space, mu)
     trace = dataclasses.replace(trace, nonzero=trace.nonzero | {pair})
-    rep = check_truncation(mu.space, mu, generated=(sub, trace))
+    rep = check_truncation(mu.space, holding(mu, (sub, trace)))
     assert (rep.vanishing_above, rep.opposite_pairs_commute,
             rep.positive_part_ideal) == flags
     assert rep.failures == failures and rep.ok is False
@@ -524,7 +551,7 @@ def test_truncation_brackets_only_in_the_sweep(monkeypatch):
 
     monkeypatch.setattr(liegen, "w_bracket", counting)
     assert (0, mu.degree) not in generated[1].nonzero and generated[0].dim(0) == 10
-    assert check_truncation(mu.space, mu, generated=generated).ok is True
+    assert check_truncation(mu.space, mu).ok is True  # reads the stored closure
     assert calls == []
 
 
@@ -547,7 +574,7 @@ def test_seed_relations_on_a_closure_bracket_no_level(monkeypatch):
 
     monkeypatch.setattr(liegen, "w_bracket", counting(brackets, w_bracket))
     monkeypatch.setattr(liegen, "box", counting(boxes, box))
-    rep = check_mu_relations(mu.space, mu, generated=generated)
+    rep = check_mu_relations(mu.space, mu)  # reads the stored closure
     assert rep == MuRelationsReport(True, 26, True, None)
     assert brackets == [(mu.degree, mu.degree)]
     assert boxes == [(mu.degree, d) for d in range(1, n) for _ in range(sub.dim(d))]
@@ -563,7 +590,7 @@ def closure_of_mu_alone(mu):
     sub = GradedSubalgebra(mu.space, mu.degree)
     for w in full_component(mu.space, -1) + [mu]:
         sub.insert(w)
-    return sub, GenerationTrace(rounds=[sub.dims()], reached_fixpoint=True, cap=mu.degree)
+    return sub, GenerationTrace(rounds=(sub.dims(),), reached_fixpoint=True, cap=mu.degree)
 
 
 @functools.lru_cache(maxsize=None)
@@ -588,10 +615,11 @@ SWEEP_IDS = [case[0] for case in sweep_corpus()]
 @pytest.mark.parametrize("i", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
 def test_truncation_reads_the_sweep_off_the_closure_as_the_sweep_does(i, monkeypatch):
     _, mu, generated, honest = sweep_corpus()[i]
-    rep = check_truncation(mu.space, mu, generated=generated)
+    mu = holding(mu, generated)
+    rep = check_truncation(mu.space, mu)
     # with the proof off, the check sweeps down from mu on every record
     monkeypatch.setattr(liegen, "_sweep_proved", lambda *a: False)
-    ref = check_truncation(mu.space, mu, generated=generated)
+    ref = check_truncation(mu.space, mu)
     # the sweep's own verdict and failure lines agree on every record
     assert (rep.vanishing_above, rep.top_is_line, rep.components_from_top) == (
         ref.vanishing_above, ref.top_is_line, ref.components_from_top)
@@ -606,8 +634,7 @@ def test_truncation_reads_the_sweep_off_the_closure_as_the_sweep_does(i, monkeyp
 @pytest.mark.parametrize("i", range(len(SWEEP_IDS)), ids=SWEEP_IDS)
 def test_seed_relations_read_off_the_closure_equal_the_sweep(i):
     _, mu, generated, _ = sweep_corpus()[i]
-    assert check_mu_relations(mu.space, mu, generated=generated) == check_mu_relations(
-        mu.space, mu)
+    assert check_mu_relations(mu.space, holding(mu, generated)) == plain_sweep(mu)
 
 
 def test_the_sweep_corpus_takes_both_paths():
@@ -623,21 +650,13 @@ def test_a_failing_composition_gets_the_sweep_witness(forged):
     # mu(a, a) = a: [mu, mu] = 0 by parity, mu o mu != 0.  Its own closure
     # fails [L_0, mu] = 0, so both paths sweep; on a closure forged to hold
     # V and mu alone the premises read true, the composition on L_1 fails,
-    # and the sweep it falls back on names the tuple, whether the forged
-    # pair is handed in or stored on the seed
+    # and the sweep it falls back on names the tuple
     mu = even_square()
     generated = closure_of_mu_alone(mu) if forged else generate_subalgebra(mu.space, mu)
     assert liegen._sweep_proved(mu, *generated) is forged
-    rep = check_mu_relations(mu.space, mu, generated=generated)
-    assert rep == check_mu_relations(mu.space, copy_of(mu))
+    rep = check_mu_relations(mu.space, holding(mu, generated))
+    assert rep == plain_sweep(mu)
     assert rep == MuRelationsReport(False, 1, True, ("composition", ()))
-    mu._closures = {mu.degree: generated}
-    assert check_mu_relations(mu.space, mu) == rep
-
-
-def copy_of(mu):
-    """A new seed object with mu's coordinates and nothing stored on it."""
-    return WElement(mu.space, mu.degree, dict(mu.coords), mu.parity())
 
 
 def test_the_closure_is_stored_on_the_seed_by_cap(monkeypatch):
@@ -671,15 +690,11 @@ def test_the_closure_is_stored_on_the_seed_by_cap(monkeypatch):
 @pytest.mark.parametrize("i", range(len(CLOSURE_SEEDS)), ids=CLOSURE_IDS)
 def test_seed_relations_read_the_stored_closure(i):
     # after check_admissible the relations read the closure it stored: the
-    # same report as with the pair handed in and as the plain sweep, on
-    # every seed of the corpus, which holds the oracle seeds whose
-    # composition half fails
-    seed = CLOSURE_SEEDS[i]
-    mu = copy_of(seed)
+    # same report as the plain sweep, on every seed of the corpus, which
+    # holds the oracle seeds whose composition half fails
+    mu = copy_of(CLOSURE_SEEDS[i])
     check_admissible(mu.space, mu)
-    rep = check_mu_relations(mu.space, mu)
-    assert rep == check_mu_relations(seed.space, seed, generated=closures(i, 0)[0])
-    assert rep == check_mu_relations(seed.space, copy_of(seed))
+    assert check_mu_relations(mu.space, mu) == plain_sweep(mu)
 
 
 def test_with_nothing_stored_the_relations_sweep(monkeypatch):
@@ -730,12 +745,13 @@ def test_sweep_counts_basis_descendants():
 def test_without_a_fixpoint_truncation_is_not_decided():
     mu = seed_of(algebra_O(3))
     sub, trace = generate_subalgebra(mu.space, mu, cap=4)
-    assert check_truncation(mu.space, mu, generated=(sub, trace)).ok is True
+    assert check_truncation(mu.space, mu, cap=4).ok is True
     open_trace = GenerationTrace(rounds=trace.rounds, reached_fixpoint=False)
-    rep = check_truncation(mu.space, mu, generated=(sub, open_trace))
+    mu = holding(mu, (sub, open_trace))
+    rep = check_truncation(mu.space, mu)
     assert rep.ok is None and rep.failures == []
     assert rep.generation is open_trace
-    adm = check_admissible(mu.space, mu, generated=(sub, open_trace))
+    adm = check_admissible(mu.space, mu)
     assert adm.admissible is None and adm.graded_dims == sub.dims()
 
 
@@ -766,8 +782,8 @@ def irreducibility(sub):
     a hand-built subalgebra; neither reads the seed, so a zero of degree 1
     stands in."""
     mu = WElement.zero(sub.space, 1)
-    generated = (sub, GenerationTrace(reached_fixpoint=True))
-    detail = check_admissible(sub.space, mu, generated=generated).irreducibility_detail
+    seed = holding(mu, (sub, GenerationTrace(reached_fixpoint=True)))
+    detail = check_admissible(sub.space, seed).irreducibility_detail
     return check_irreducible(closure_model(sub, mu)), detail
 
 
